@@ -389,7 +389,7 @@ class _Run:
 
     __slots__ = (
         "gen", "frame", "buffer", "labels", "cse", "stats", "stack",
-        "alloc",
+        "alloc", "active_ctx",
     )
 
     def __init__(
@@ -414,6 +414,10 @@ class _Run:
         self.cse = cse if cse is not None else CseManager()
         self.stats: Dict[str, Any] = stats if stats is not None else {}
         self.stack: List[Tuple[int, str, StackValue]] = []
+        #: The reduction being emitted.  Per run, not per generator: the
+        #: compile server runs concurrent generate() calls on one
+        #: CodeGenerator.
+        self.active_ctx: Optional[EmissionContext] = None
         # The baseline lane pays the pre-fast-path allocator constant
         # factors too; decisions are identical either way.
         alloc_cls = (
@@ -435,7 +439,7 @@ class _Run:
         for i, (state, sym, value) in enumerate(self.stack):
             if value == old:
                 self.stack[i] = (state, sym, new)
-        ctx = self.gen._active_ctx
+        ctx = self.active_ctx
         if ctx is not None:
             for key, value in list(ctx.bindings.items()):
                 if value == old:
@@ -860,7 +864,6 @@ class CodeGenerator:
         self.specialize_info: Dict[str, Any] = {}
         self.handlers = dict(STANDARD_HANDLERS)
         self.handlers.update(machine.semop_handlers)
-        self._active_ctx: Optional[EmissionContext] = None
         self._opcode_names = {
             s.name
             for s in sdts.symtab
@@ -1264,7 +1267,7 @@ class CodeGenerator:
         alloc = run.alloc
         alloc.global_index += 1  # begin_reduction (paper 4.1)
         ctx = EmissionContext(self, run, plan.prod, values, plan)
-        self._active_ctx = ctx
+        run.active_ctx = ctx
         try:
             # Allocate requested registers.  Paper 4.1: "the call to the
             # register allocator is made prior to acting upon any of the
@@ -1351,7 +1354,7 @@ class CodeGenerator:
             elif lhs_token is not None:
                 pending.appendleft(lhs_token)
         finally:
-            self._active_ctx = None
+            run.active_ctx = None
             alloc.unpin_all()
 
     # ---- legacy string-keyed reference path -------------------------------
@@ -1504,7 +1507,7 @@ class CodeGenerator:
 
         run.alloc.begin_reduction()
         ctx = EmissionContext(self, run, prod, values)
-        self._active_ctx = ctx
+        run.active_ctx = ctx
         try:
             for value in ctx.values:
                 if isinstance(value, (RegValue, PairValue)):
@@ -1537,7 +1540,7 @@ class CodeGenerator:
                 handler(ctx, tmpl)
             self._epilogue_legacy(ctx, pending)
         finally:
-            self._active_ctx = None
+            run.active_ctx = None
             run.alloc.unpin_all()
 
     def _epilogue_legacy(

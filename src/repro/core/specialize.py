@@ -1501,7 +1501,7 @@ def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
         out(f"        ctx.bindings = _b = {{{pairs}}}")
     else:
         out("        ctx.bindings = _b = {}")
-    out("        gen._active_ctx = ctx")
+    out("        run.active_ctx = ctx")
     if emit_plans or lodd_plans:
         out("        items = buffer.items")
         out("        origins = buffer.origins")
@@ -1665,7 +1665,7 @@ def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
                 out(f"            return ({plan.lhs_code}, "
                     f"{plan.lhs_symbol!r}, lhs_value)")
     out("        finally:")
-    out("            gen._active_ctx = None")
+    out("            run.active_ctx = None")
     out("            alloc._pin_epoch += 1")
     out("    return _reduce")
     out("")

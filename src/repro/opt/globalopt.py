@@ -180,6 +180,14 @@ class _Global:
             new_item, self.encoder, index in cfg.skip_spans
         )
 
+    def _scrub_deaths(self, regs: Set[int]) -> None:
+        """Drop every death fact of ``regs`` (may-info, so dropping is
+        safe).  Once per pass: no global pass reads the facts."""
+        if regs:
+            self.buffer.deaths[:] = [
+                (d, r) for d, r in self.buffer.deaths if r not in regs
+            ]
+
     # ---- passes -----------------------------------------------------------
 
     def _pass_unreachable(self, cfg: Cfg) -> int:
@@ -212,6 +220,7 @@ class _Global:
         avail = D.available_stores(cfg)
         avail.solution.verify()
         changed = 0
+        scrub: Set[int] = set()
         for block in cfg.blocks:
             if block.bid not in cfg.reachable:
                 continue
@@ -248,12 +257,10 @@ class _Global:
                     self._record("g_forward_copy", i, item, replacement)
                     self._replace(cfg, i, replacement)
                     # The source register's lifetime just grew past any
-                    # recorded death: drop its death facts (may-info).
-                    self.buffer.deaths[:] = [
-                        (d, r) for d, r in self.buffer.deaths
-                        if r != source
-                    ]
+                    # recorded death.
+                    scrub.add(source)
                 changed += 1
+        self._scrub_deaths(scrub)
         return changed
 
     def _pass_copy_elim(self, cfg: Cfg) -> int:
@@ -411,6 +418,7 @@ class _Global:
         avail = D.available_exprs(cfg, self.expr_ops)
         avail.solution.verify()
         changed = 0
+        scrub: Set[int] = set()
         for block in cfg.blocks:
             if block.bid not in cfg.reachable:
                 continue
@@ -444,12 +452,10 @@ class _Global:
                     self._record("g_cse_copy", i, item, replacement)
                     self._replace(cfg, i, replacement)
                     # The source register now feeds a later consumer:
-                    # any recorded death is stale (may-info, drop it).
-                    self.buffer.deaths[:] = [
-                        (d, r) for d, r in self.buffer.deaths
-                        if r != source
-                    ]
+                    # any recorded death is stale.
+                    scrub.add(source)
                 changed += 1
+        self._scrub_deaths(scrub)
         return changed
 
     def _labels_between(self, lo: int, hi: int) -> Optional[Set[int]]:

@@ -46,9 +46,11 @@ skip site.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CodeGenError
 from repro.core.codegen.emitter import (
@@ -138,6 +140,15 @@ def _facts(instr: Instr) -> _Facts:
     return effects
 
 
+def _label_positions(items) -> Dict[int, int]:
+    """label -> index of its ``LabelMark``."""
+    return {
+        item.label: k
+        for k, item in enumerate(items)
+        if isinstance(item, LabelMark)
+    }
+
+
 def _rename_reg(instr: Instr, old: int, new: int) -> None:
     """Rewrite every R-operand and address-field use of ``old``."""
     rewritten = []
@@ -180,6 +191,70 @@ def _render(item) -> str:
     from repro.core.codegen.parser_rt import _render_item
 
     return _render_item(item).strip()
+
+
+# ---------------------------------------------------------------------------
+# Death facts: (d, r) means no item at index >= d reads r until r is next
+# defined.
+# ---------------------------------------------------------------------------
+
+_LAST_SLOT = sys.maxsize
+
+
+class _DeathIndex:
+    """``CodeBuffer.deaths`` indexed per register, for one run.
+
+    Each register maps to its ``(index, slot)`` entries in sorted order,
+    ``slot`` being the entry's position in the original list, so every
+    query is a bisect.  :meth:`to_list` writes back exactly what editing
+    the list in place would leave: removed entries dropped, moved
+    entries renamed where they stood, order otherwise unchanged.
+    """
+
+    def __init__(self, deaths: Sequence[Tuple[int, int]]):
+        self.indices = [d for d, _ in deaths]
+        self.regs: List[Optional[int]] = [r for _, r in deaths]
+        self.by_reg: Dict[int, List[Tuple[int, int]]] = {}
+        for slot, (d, r) in enumerate(deaths):
+            self.by_reg.setdefault(r, []).append((d, slot))
+        for entries in self.by_reg.values():
+            entries.sort()
+
+    def first_after(self, reg: int, idx: int) -> Optional[int]:
+        """The smallest death index of ``reg`` greater than ``idx``."""
+        entries = self.by_reg.get(reg, ())
+        pos = bisect_right(entries, (idx, _LAST_SLOT))
+        return entries[pos][0] if pos < len(entries) else None
+
+    def any_in(self, reg: int, lo: int, hi: int) -> bool:
+        """A death of ``reg`` with lo < index <= hi?"""
+        entries = self.by_reg.get(reg, ())
+        pos = bisect_right(entries, (lo, _LAST_SLOT))
+        return pos < len(entries) and entries[pos][0] <= hi
+
+    def remove(self, reg: int, lo: int, hi: int) -> None:
+        """Drop every death of ``reg`` with lo < index <= hi."""
+        entries = self.by_reg.get(reg, [])
+        start = bisect_right(entries, (lo, _LAST_SLOT))
+        stop = bisect_right(entries, (hi, _LAST_SLOT))
+        for _, slot in entries[start:stop]:
+            self.regs[slot] = None
+        del entries[start:stop]
+
+    def move(self, idx: int, old: int, new: int) -> None:
+        """Rename the earliest-listed ``(idx, old)`` to ``(idx, new)``."""
+        entries = self.by_reg.get(old, [])
+        pos = bisect_left(entries, (idx, -1))
+        if pos == len(entries) or entries[pos][0] != idx:
+            return
+        entry = entries.pop(pos)
+        self.regs[entry[1]] = new
+        insort(self.by_reg.setdefault(new, []), entry)
+
+    def to_list(self) -> List[Tuple[int, int]]:
+        return [
+            (d, r) for d, r in zip(self.indices, self.regs) if r is not None
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +301,15 @@ class PeepholeResult:
 
 
 class _Engine:
+    """One peephole run over a buffer.
+
+    Rules only rewrite items in place or tombstone them until
+    ``compact()``, so item positions -- and with them the label map --
+    hold for the whole run.  Instruction facts are memoized per run by
+    ``(opcode, operands)``, the only fields ``instr_effects`` reads; a
+    rename installs a new operand tuple, so an entry never goes stale.
+    """
+
     def __init__(
         self,
         buffer: CodeBuffer,
@@ -235,7 +319,9 @@ class _Engine:
     ):
         self.buffer = buffer
         self.items = buffer.items
-        self.deaths = buffer.deaths  # shared: compact() remaps it later
+        self.deaths = _DeathIndex(buffer.deaths)
+        self.label_pos = _label_positions(self.items)
+        self.facts_memo: Dict[Tuple[str, tuple], _Facts] = {}
         self.labels = labels
         self.enabled = enabled
         self.trace = trace
@@ -271,32 +357,12 @@ class _Engine:
                 )
             )
 
-    # Death facts: (d, r) means no item at index >= d reads r until r is
-    # next defined.
-
-    def _first_death_after(self, reg: int, idx: int) -> Optional[int]:
-        best = None
-        for d, r in self.deaths:
-            if r == reg and d > idx and (best is None or d < best):
-                best = d
-        return best
-
-    def _death_in(self, reg: int, lo: int, hi: int) -> bool:
-        """A death of ``reg`` with lo < index <= hi?"""
-        return any(r == reg and lo < d <= hi for d, r in self.deaths)
-
-    def _remove_deaths(self, reg: int, lo: int, hi: int) -> None:
-        self.deaths[:] = [
-            (d, r)
-            for d, r in self.deaths
-            if not (r == reg and lo < d <= hi)
-        ]
-
-    def _move_death(self, idx: int, old: int, new: int) -> None:
-        for pos, (d, r) in enumerate(self.deaths):
-            if d == idx and r == old:
-                self.deaths[pos] = (d, new)
-                return
+    def _facts(self, instr: Instr) -> _Facts:
+        key = (instr.opcode, instr.operands)
+        facts = self.facts_memo.get(key)
+        if facts is None:
+            facts = self.facts_memo[key] = _facts(instr)
+        return facts
 
     # ---- scanning helpers -------------------------------------------------
 
@@ -324,11 +390,7 @@ class _Engine:
         real conditional branch or skip reads the CC; calls, barriers
         and in-stream data assume the worst.
         """
-        label_pos = {
-            item.label: k
-            for k, item in enumerate(self.items)
-            if isinstance(item, LabelMark)
-        }
+        label_pos = self.label_pos
         visited: Set[int] = set()
         j = idx + 1
         while j < len(self.items):
@@ -360,7 +422,7 @@ class _Engine:
                 return False
             if not isinstance(item, Instr):
                 return False  # data in the stream: assume the worst
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return False
             if facts.sets_cc:
@@ -378,7 +440,7 @@ class _Engine:
                 continue
             if _is_flow(item):
                 return False
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return False
             if reg in facts.uses or reg in facts.defs:
@@ -427,7 +489,7 @@ class _Engine:
             if _is_flow(item):
                 return None, None
             steps += 1
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return None, None
             if isinstance(item, Instr) and item.opcode == "l" \
@@ -456,16 +518,16 @@ class _Engine:
             items[load_idx] = None
             # The deleted load was the next def: uses it fed now read the
             # (identical) pre-death value, so consume any death in between.
-            self._remove_deaths(r1, st_idx, load_idx)
+            self.deaths.remove(r1, st_idx, load_idx)
             return True
         if r2 in (m.base, m.index):
             return False  # the load addresses through its own target
         # Cross-register forwarding: r1 must be dead at the load (so its
         # copy of m survives unread) and r2's whole live span must be a
         # renameable straight-line stretch.
-        if not self._death_in(r1, st_idx, load_idx):
+        if not self.deaths.any_in(r1, st_idx, load_idx):
             return False
-        d2 = self._first_death_after(r2, load_idx)
+        d2 = self.deaths.first_after(r2, load_idx)
         if d2 is None:
             return False
         span = range(load_idx + 1, min(d2, len(items)))
@@ -475,7 +537,7 @@ class _Engine:
                 continue
             if _is_flow(item):
                 return False
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return False
             if r1 in facts.defs or r1 in facts.uses:
@@ -498,8 +560,8 @@ class _Engine:
             if isinstance(item, Instr):
                 _rename_reg(item, r2, r1)
         # r1 is live again until d2; r2's span no longer exists.
-        self._remove_deaths(r1, st_idx, load_idx)
-        self._move_death(d2, r2, r1)
+        self.deaths.remove(r1, st_idx, load_idx)
+        self.deaths.move(d2, r2, r1)
         return True
 
     def _rule_load_load(self) -> bool:
@@ -529,10 +591,10 @@ class _Engine:
             if r1 == r2:
                 self._record("load_load", j, second, None)
                 items[j] = None
-                self._remove_deaths(r1, i, j)
+                self.deaths.remove(r1, i, j)
                 changed = True
                 continue
-            if self._death_in(r1, i, j):
+            if self.deaths.any_in(r1, i, j):
                 continue  # r1 not live at the second load: no new read
             replacement = Instr("lr", (R(r2), R(r1)), comment=second.comment)
             self._record("load_load", j, second, replacement)
@@ -651,7 +713,7 @@ class _Engine:
             if _is_flow(item):
                 return None
             steps += 1
-            facts = _facts(item)
+            facts = self._facts(item)
             if isinstance(item, Instr) and item.opcode == opcode \
                     and reg in facts.uses:
                 return j
@@ -665,7 +727,7 @@ class _Engine:
 
     def _dies_unread(self, reg: int, idx: int) -> bool:
         """reg has a death after idx with no mention before it."""
-        death = self._first_death_after(reg, idx)
+        death = self.deaths.first_after(reg, idx)
         if death is None:
             return False
         return self._mention_free(idx, death, reg)
@@ -725,7 +787,7 @@ class _Engine:
 
     def _address_only_span(self, reg: int, idx: int) -> bool:
         """Until its death, ``reg`` is only ever an address base/index."""
-        death = self._first_death_after(reg, idx)
+        death = self.deaths.first_after(reg, idx)
         if death is None:
             return False
         for k in range(idx + 1, min(death, len(self.items))):
@@ -734,7 +796,7 @@ class _Engine:
                 continue
             if _is_flow(item):
                 return False
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return False
             if reg in facts.defs:
@@ -754,11 +816,7 @@ class _Engine:
     def _rule_branch_chain(self) -> bool:
         changed = False
         items = self.items
-        label_pos = {
-            item.label: idx
-            for idx, item in enumerate(items)
-            if isinstance(item, LabelMark)
-        }
+        label_pos = self.label_pos
         for idx, site in enumerate(items):
             if not isinstance(site, BranchSite) or site.link_reg is not None:
                 continue
@@ -819,7 +877,7 @@ class _Engine:
         for i, item in enumerate(self.items):
             if not isinstance(item, Instr):
                 continue
-            facts = _facts(item)
+            facts = self._facts(item)
             cc_only = facts.cc_only
             if not cc_only and item.opcode == "ltr":
                 regs = _rr(item.operands, 2)
@@ -863,5 +921,6 @@ def run_peephole(
         for rule in ALL_RULES:
             if rule in enabled and engine.run_rule(rule):
                 changed = True
+    generated.buffer.deaths = engine.deaths.to_list()
     generated.buffer.compact()
     return engine.result

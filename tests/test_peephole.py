@@ -542,3 +542,56 @@ class TestCompilerIntegration:
         assert all(
             count == 0 for rule, count in hits.items() if rule != "self_move"
         )
+
+
+# ---------------------------------------------------------------------------
+# Scaling: per-run bookkeeping stays linear in the code it reads.
+# ---------------------------------------------------------------------------
+
+
+class TestLinearBookkeeping:
+    """Counts, not clocks: the instruction-fact computations and label-map
+    builds one run performs, on straight-line programs of two sizes."""
+
+    def _counts(self, monkeypatch, assignments):
+        from repro.bench.workloads import straightline
+        from repro.opt import peephole
+
+        generated = _compile(straightline(assignments), opt_level=0).generated
+        calls = {
+            "instr_effects": 0,
+            "label_maps": 0,
+            "instructions": sum(
+                isinstance(item, Instr) for item in generated.buffer.items
+            ),
+        }
+        real_effects = peephole.instr_effects
+        real_labels = peephole._label_positions
+
+        def counting_effects(instr):
+            calls["instr_effects"] += 1
+            return real_effects(instr)
+
+        def counting_labels(items):
+            calls["label_maps"] += 1
+            return real_labels(items)
+
+        monkeypatch.setattr(peephole, "instr_effects", counting_effects)
+        monkeypatch.setattr(peephole, "_label_positions", counting_labels)
+        result = run_peephole(generated)
+        monkeypatch.undo()
+        assert result.total > 0
+        return calls
+
+    def test_fact_computations_grow_at_most_linearly(self, monkeypatch):
+        small = self._counts(monkeypatch, 200)
+        large = self._counts(monkeypatch, 400)
+        assert small["instr_effects"] > 0
+        assert large["instr_effects"] <= 2.3 * small["instr_effects"]
+        # Memoized per run: never more than one per selected instruction,
+        # however many rules and passes ask.
+        assert large["instr_effects"] <= large["instructions"]
+
+    def test_one_label_map_per_run(self, monkeypatch):
+        for assignments in (200, 400):
+            assert self._counts(monkeypatch, assignments)["label_maps"] == 1
