@@ -5,29 +5,26 @@ writes a versioned ``BENCH_speed.json`` so successive commits leave a
 comparable trajectory:
 
 * **tokens/second** through the skeletal parser on the straightline(250)
-  workload, in four lanes: the dense-coded fast path, the
-  compressed-table fast path, the preserved string-keyed legacy path
-  (the pre-fast-path runtime, kept verbatim in
-  :mod:`repro.core.codegen.parser_rt` precisely so this ratio is
-  measured in-process on the same machine rather than against a stale
-  recorded number), and (schema 5) the **specialized** lane -- the
-  tables compiled to straight-line Python by
+  workload, in three lanes: the dense-coded runtime, the
+  compressed-table runtime, and (schema 5) the **specialized** lane --
+  the tables compiled to straight-line Python by
   :mod:`repro.core.specialize`;
 * **table construction** phase times (spec parse, automaton, SLR
   resolution, compression);
 * **cold vs. warm start** through the persistent build cache, including
   the warm-start automaton-construction count (must be zero);
-* **simulator steps/second** (schema 2) across the dispatch lanes --
-  the predecoded direct-threaded lane against the preserved
-  fetch/decode loop, plus (schema 5) the **fused** superinstruction
-  lane -- gated on every lane producing identical run results on every
-  bench workload;
+* **simulator steps/second** (schema 2): the predecoded dispatch
+  cache against the reference decode-every-step loop, gated on both
+  producing identical run results on every bench workload;
 * **end-to-end throughput** (schema 2): per-phase medians from the
   pipeline profiler, plus batch-compilation routines/second serial vs.
   parallel with byte-identical outputs asserted before timing.
 
 All times are medians of N runs; the JSON carries machine info and the
 git revision so numbers from different checkouts are never conflated.
+Numbers for lanes whose code has been deleted live on, frozen, in the
+committed report's ``history`` object, which :func:`write_report` carries
+forward when it overwrites a report.
 """
 
 from __future__ import annotations
@@ -55,7 +52,12 @@ from typing import Any, Callable, Dict, List
 #:    ``speedup_specialized_vs_compressed``; ``simulator`` gains the
 #:    ``fused`` superinstruction lane plus
 #:    ``speedup_fused_vs_predecode`` and per-chain ``fusion_hits``.
-SCHEMA_VERSION = 5
+#: 6: the deleted lanes are gone: ``codegen.legacy_string``,
+#:    ``simulator.fused``, ``simulator.fusion`` and every speedup
+#:    derived from them.  ``end_to_end.batch`` records the parallel lane
+#:    as ``parallel_skipped`` (a reason) on single-core hosts instead of
+#:    timing a serial fallback.
+SCHEMA_VERSION = 6
 
 DEFAULT_REPORT = "BENCH_speed.json"
 
@@ -136,8 +138,8 @@ def measure_codegen(
     seed: int = 9,
     variant: str = "full",
 ) -> Dict[str, Any]:
-    """Tokens/second in the dense, compressed, legacy and specialized
-    runtime lanes.
+    """Tokens/second in the dense, compressed and specialized runtime
+    lanes.
 
     All lanes generate the same workload with the same build's SDTS on
     the same machine in the same process, so the reported ratios
@@ -159,16 +161,12 @@ def measure_codegen(
     compressed_gen = CodeGenerator(
         build.sdts, build.compressed, build.machine
     )
-    legacy_gen = CodeGenerator(
-        build.sdts, build.tables, build.machine, string_lookup=True
-    )
     engine = specialize.build_engine(build)
 
     program = check_program(parse_source(straightline(assignments, seed=seed)))
     ir = generate_ir(program)
     dense_tokens = ir.tokens(codes=build.tables.sym_index)
     compressed_tokens = ir.tokens(codes=build.compressed.sym_index)
-    plain_tokens = ir.tokens()
     ntokens = len(dense_tokens)
     frame = ir.spill_frame
 
@@ -181,7 +179,6 @@ def measure_codegen(
     lanes = {
         "dense": (build.code_generator, dense_tokens, _interp),
         "compressed": (compressed_gen, compressed_tokens, _interp),
-        "legacy_string": (legacy_gen, plain_tokens, _interp),
         "specialized": (engine, dense_tokens, _spec),
     }
 
@@ -225,18 +222,8 @@ def measure_codegen(
             "samples_s": lane_samples,
             "tokens_per_s": ntokens / median,
         }
-    result["speedup_dense_vs_legacy"] = (
-        result["legacy_string"]["median_s"] / result["dense"]["median_s"]
-    )
-    result["speedup_compressed_vs_legacy"] = (
-        result["legacy_string"]["median_s"] / result["compressed"]["median_s"]
-    )
     result["speedup_specialized_vs_compressed"] = (
         result["compressed"]["median_s"] / result["specialized"]["median_s"]
-    )
-    result["speedup_specialized_vs_legacy"] = (
-        result["legacy_string"]["median_s"]
-        / result["specialized"]["median_s"]
     )
     return result
 
@@ -302,11 +289,11 @@ def _gate_workloads() -> List:
     ]
 
 
-def _run_lane(compiled, predecode: bool, fuse_pairs=None):
+def _run_lane(compiled, predecode: bool):
     """One fresh simulator run; returns (SimResult, final regs, cc)."""
     from repro.machines.s370.simulator import Simulator
 
-    sim = Simulator(predecode=predecode, fuse_pairs=fuse_pairs)
+    sim = Simulator(predecode=predecode)
     sim.load_image(compiled.image())
     result = sim.run()
     return result, list(sim.regs), sim.cc
@@ -315,30 +302,25 @@ def _run_lane(compiled, predecode: bool, fuse_pairs=None):
 def measure_simulator(
     iterations: int = 9, variant: str = "full"
 ) -> Dict[str, Any]:
-    """Steps/second in the fused, predecoded and legacy dispatch lanes.
+    """Steps/second through the predecode cache (``predecoded``) and
+    the reference decode-every-step loop (``legacy``).
 
     Correctness gate first: every bench workload must produce an
     identical :class:`~repro.machines.s370.simulator.SimResult` (output,
     step count, halt/trap state, per-mnemonic instruction counts) *and*
-    identical final registers and condition code in all three lanes
-    (the fused lane runs with that workload's own profiled hot pairs).
-    Only then is the loop-heavy kernel timed, interleaving the lanes
+    identical final registers and condition code in both lanes.  Only
+    then is the loop-heavy kernel timed, interleaving the lanes
     round-robin as in :func:`measure_codegen`.
     """
     from repro.bench.workloads import loop_kernel
-    from repro.machines.s370 import fusion
     from repro.pascal.compiler import compile_source
 
     # -- correctness gate ------------------------------------------------
     checked = []
     for name, source in _gate_workloads():
         compiled = compile_source(source, variant=variant)
-        pairs = fusion.profile_image(compiled.image())
         fast, fast_regs, fast_cc = _run_lane(compiled, predecode=True)
         slow, slow_regs, slow_cc = _run_lane(compiled, predecode=False)
-        fused, fused_regs, fused_cc = _run_lane(
-            compiled, predecode=True, fuse_pairs=pairs
-        )
         if (
             fast != slow
             or fast_regs != slow_regs
@@ -348,36 +330,21 @@ def measure_simulator(
                 f"simulator lanes diverged on workload {name!r}: "
                 f"fast={fast!r} slow={slow!r}"
             )
-        if (
-            fused != fast
-            or fused_regs != fast_regs
-            or fused_cc != fast_cc
-        ):
-            raise AssertionError(
-                f"fused simulator lane diverged on workload {name!r}: "
-                f"fused={fused!r} predecoded={fast!r}"
-            )
         checked.append(name)
 
     # -- timing ----------------------------------------------------------
     compiled = compile_source(loop_kernel(1500), variant=variant)
     image = compiled.image()
-    fuse_pairs = fusion.profile_image(image)
     reference, _, _ = _run_lane(compiled, predecode=True)
     nsteps = reference.steps
 
     from repro.machines.s370.simulator import Simulator
 
-    lanes = {
-        "fused": (True, fuse_pairs),
-        "predecoded": (True, None),
-        "legacy": (False, None),
-    }
+    lanes = {"predecoded": True, "legacy": False}
     samples: Dict[str, List[float]] = {name: [] for name in lanes}
-    fusion_hits: Dict[str, int] = {}
     for _ in range(iterations):
-        for name, (predecode, pairs) in lanes.items():
-            sim = Simulator(predecode=predecode, fuse_pairs=pairs)
+        for name, predecode in lanes.items():
+            sim = Simulator(predecode=predecode)
             sim.load_image(image)
             start = time.perf_counter()
             run = sim.run()
@@ -387,11 +354,6 @@ def measure_simulator(
                     f"lane {name!r} executed {run.steps} steps, "
                     f"expected {nsteps}"
                 )
-            if name == "fused":
-                fusion_hits = {
-                    "+".join(chain): count
-                    for chain, count in sim.fusion_hits.most_common()
-                }
 
     result: Dict[str, Any] = {
         "workload": "loop_kernel(1500)",
@@ -399,11 +361,6 @@ def measure_simulator(
         "iterations": iterations,
         "lanes_identical": True,
         "gate_workloads": checked,
-        "fusion": {
-            "hot_pairs": len(fuse_pairs),
-            "max_run": fusion.MAX_RUN,
-            "hits": fusion_hits,
-        },
     }
     from repro.bench.metrics import steps_per_second
 
@@ -417,12 +374,6 @@ def measure_simulator(
         }
     result["speedup_predecode_vs_legacy"] = (
         result["legacy"]["median_s"] / result["predecoded"]["median_s"]
-    )
-    result["speedup_fused_vs_predecode"] = (
-        result["predecoded"]["median_s"] / result["fused"]["median_s"]
-    )
-    result["speedup_fused_vs_legacy"] = (
-        result["legacy"]["median_s"] / result["fused"]["median_s"]
     )
     return result
 
@@ -440,10 +391,9 @@ def measure_end_to_end(
     (which may spawn the persistent worker pool) and a warm call that
     reuses it -- ``parallel_wall_s`` is the warm number, because pool
     spawn is a once-per-process cost, not a per-batch one.  On a
-    single-core host the batch driver skips pool spawn entirely
-    (``parallel_mode`` is ``"serial"``) and ``speedup_expected`` is
-    false: the contract there is graceful no-regression (identical
-    outputs, zero worker table builds), not a speedup.
+    single-core host the batch driver would only fall back to serial,
+    so the lane is not run: ``parallel_skipped`` records why instead of
+    a timing that measures nothing.
     """
     from repro.bench.workloads import batch_programs, loop_kernel
     from repro.pascal.compiler import cached_build, compile_source
@@ -468,10 +418,41 @@ def measure_end_to_end(
     # -- batch throughput ------------------------------------------------
     programs = batch_programs(count=8, assignments=40)
     serial = compile_batch(programs, jobs=1, variant=variant)
-    cold = compile_batch(programs, jobs=parallel_jobs, variant=variant)
-    parallel = compile_batch(programs, jobs=parallel_jobs, variant=variant)
+    if not serial.ok:
+        raise AssertionError("batch bench lane failed to compile cleanly")
+    batch: Dict[str, Any] = {
+        "programs": len(programs),
+        "total_routines": serial.total_routines,
+        "jobs": parallel_jobs,
+        "cpu_count": cpu_count,
+        "serial_wall_s": serial.wall_s,
+        "serial_routines_per_s": serial.routines_per_s,
+    }
+    if cpu_count < 2:
+        batch["parallel_skipped"] = (
+            f"single-core host (cpu_count={cpu_count}): the batch driver "
+            f"would run serially, so a parallel timing measures nothing"
+        )
+    else:
+        batch.update(_measure_parallel_batch(
+            programs, serial, parallel_jobs, variant
+        ))
+    return {
+        "workload": "loop_kernel(400)",
+        "iterations": iterations,
+        "phases": median_phases(profiles),
+        "batch": batch,
+    }
 
-    if not (serial.ok and cold.ok and parallel.ok):
+
+def _measure_parallel_batch(programs, serial, jobs: int,
+                            variant: str) -> Dict[str, Any]:
+    """Time the parallel batch lane cold and warm against ``serial``."""
+    from repro.pipeline.batch import compile_batch
+
+    cold = compile_batch(programs, jobs=jobs, variant=variant)
+    parallel = compile_batch(programs, jobs=jobs, variant=variant)
+    if not (cold.ok and parallel.ok):
         raise AssertionError("batch bench lane failed to compile cleanly")
     serial_ids = [(r.name, r.object_sha256, r.output)
                   for r in serial.results]
@@ -482,33 +463,18 @@ def measure_end_to_end(
             raise AssertionError(
                 "parallel batch diverged from serial batch output"
             )
-
     return {
-        "workload": "loop_kernel(400)",
-        "iterations": iterations,
-        "phases": median_phases(profiles),
-        "batch": {
-            "programs": len(programs),
-            "total_routines": serial.total_routines,
-            "jobs": parallel_jobs,
-            "cpu_count": cpu_count,
-            "multi_core": cpu_count >= 2,
-            "speedup_expected": cpu_count >= 2 and parallel_jobs >= 2,
-            "serial_wall_s": serial.wall_s,
-            "parallel_cold_wall_s": cold.wall_s,
-            "parallel_wall_s": parallel.wall_s,
-            "serial_routines_per_s": serial.routines_per_s,
-            "parallel_routines_per_s": parallel.routines_per_s,
-            "speedup_parallel_vs_serial": (
-                serial.wall_s / parallel.wall_s
-                if parallel.wall_s > 0 else 0.0
-            ),
-            "parallel_mode": parallel.mode,
-            "pool_reused": parallel.pool_reused,
-            "degraded_reason": parallel.degraded_reason,
-            "worker_builds": parallel.worker_builds(),
-            "outputs_identical": True,
-        },
+        "parallel_cold_wall_s": cold.wall_s,
+        "parallel_wall_s": parallel.wall_s,
+        "parallel_routines_per_s": parallel.routines_per_s,
+        "speedup_parallel_vs_serial": (
+            serial.wall_s / parallel.wall_s if parallel.wall_s > 0 else 0.0
+        ),
+        "parallel_mode": parallel.mode,
+        "pool_reused": parallel.pool_reused,
+        "degraded_reason": parallel.degraded_reason,
+        "worker_builds": parallel.worker_builds(),
+        "outputs_identical": True,
     }
 
 
@@ -543,6 +509,15 @@ def run_bench(
 
 
 def write_report(report: Dict[str, Any], path: Path) -> None:
+    """Write ``report``, keeping the frozen ``history`` of a report
+    already at ``path``."""
+    if "history" not in report and path.exists():
+        try:
+            history = json.loads(path.read_text()).get("history")
+        except (OSError, ValueError):
+            history = None
+        if history:
+            report = {**report, "history": history}
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
@@ -559,7 +534,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
         if key not in report:
             problems.append(f"missing top-level key {key!r}")
     codegen = report.get("codegen", {})
-    for lane in ("dense", "compressed", "legacy_string", "specialized"):
+    for lane in ("dense", "compressed", "specialized"):
         timing = codegen.get(lane)
         if not isinstance(timing, dict):
             problems.append(f"missing codegen lane {lane!r}")
@@ -567,11 +542,12 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
         for field in ("median_s", "min_s", "samples_s", "tokens_per_s"):
             if field not in timing:
                 problems.append(f"codegen.{lane} missing {field!r}")
-    for field in ("speedup_dense_vs_legacy", "speedup_compressed_vs_legacy",
-                  "speedup_specialized_vs_compressed",
-                  "speedup_specialized_vs_legacy"):
-        if not isinstance(codegen.get(field), (int, float)):
-            problems.append(f"codegen.{field} missing or non-numeric")
+    if not isinstance(
+        codegen.get("speedup_specialized_vs_compressed"), (int, float)
+    ):
+        problems.append(
+            "codegen.speedup_specialized_vs_compressed missing or non-numeric"
+        )
     if codegen.get("lanes_identical") is not True:
         problems.append("codegen.lanes_identical is not true")
     cache = report.get("build_cache", {})
@@ -581,7 +557,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
             f"{cache.get('warm_automaton_builds')!r}, expected 0"
         )
     simulator = report.get("simulator", {})
-    for lane in ("fused", "predecoded", "legacy"):
+    for lane in ("predecoded", "legacy"):
         timing = simulator.get(lane)
         if not isinstance(timing, dict):
             problems.append(f"missing simulator lane {lane!r}")
@@ -589,17 +565,14 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
         for field in ("median_s", "min_s", "samples_s", "steps_per_s"):
             if field not in timing:
                 problems.append(f"simulator.{lane} missing {field!r}")
-    for field in ("speedup_predecode_vs_legacy",
-                  "speedup_fused_vs_predecode"):
-        if not isinstance(simulator.get(field), (int, float)):
-            problems.append(f"simulator.{field} missing or non-numeric")
+    if not isinstance(
+        simulator.get("speedup_predecode_vs_legacy"), (int, float)
+    ):
+        problems.append(
+            "simulator.speedup_predecode_vs_legacy missing or non-numeric"
+        )
     if simulator.get("lanes_identical") is not True:
         problems.append("simulator.lanes_identical is not true")
-    fusion_section = simulator.get("fusion")
-    if not isinstance(fusion_section, dict) or not isinstance(
-        fusion_section.get("hits"), dict
-    ):
-        problems.append("simulator.fusion.hits missing")
     end_to_end = report.get("end_to_end", {})
     phases = end_to_end.get("phases")
     if not isinstance(phases, dict):
@@ -614,7 +587,29 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
     if not isinstance(batch, dict):
         problems.append("end_to_end.batch missing")
     else:
-        for field in ("serial_routines_per_s", "parallel_routines_per_s",
+        problems += _validate_batch(batch)
+    history = report.get("history", {})
+    if not isinstance(history, dict):
+        problems.append("history is not an object")
+    return problems
+
+
+def _validate_batch(batch: Dict[str, Any]) -> List[str]:
+    """Problems with ``end_to_end.batch``; a skipped parallel lane must
+    say why, and a measured one must be complete and identical."""
+    problems: List[str] = []
+    if not isinstance(batch.get("serial_routines_per_s"), (int, float)):
+        problems.append(
+            "end_to_end.batch.serial_routines_per_s missing or non-numeric"
+        )
+    if "parallel_skipped" in batch:
+        reason = batch["parallel_skipped"]
+        if not isinstance(reason, str) or not reason:
+            problems.append(
+                "end_to_end.batch.parallel_skipped gives no reason"
+            )
+    else:
+        for field in ("parallel_routines_per_s",
                       "speedup_parallel_vs_serial"):
             if not isinstance(batch.get(field), (int, float)):
                 problems.append(
@@ -657,9 +652,7 @@ def render_summary(report: Dict[str, Any]) -> str:
         "",
         "lane               tokens/s      median",
     ]
-    for lane in ("specialized", "dense", "compressed", "legacy_string"):
-        if lane not in cg:
-            continue
+    for lane in ("specialized", "dense", "compressed"):
         t = cg[lane]
         lines.append(
             f"{lane:<16s} {t['tokens_per_s']:>10,.0f}  "
@@ -667,15 +660,8 @@ def render_summary(report: Dict[str, Any]) -> str:
         )
     lines += [
         "",
-        f"dense vs legacy:      {cg['speedup_dense_vs_legacy']:.2f}x",
-        f"compressed vs legacy: {cg['speedup_compressed_vs_legacy']:.2f}x",
-    ]
-    if "speedup_specialized_vs_compressed" in cg:
-        lines.append(
-            f"specialized vs compressed: "
-            f"{cg['speedup_specialized_vs_compressed']:.2f}x"
-        )
-    lines += [
+        f"specialized vs compressed: "
+        f"{cg['speedup_specialized_vs_compressed']:.2f}x",
         f"table build: {1000 * tb['total_s']:.0f} ms "
         f"(automaton {1000 * tb['automaton_s']:.0f}, "
         f"slr {1000 * tb['slr_tables_s']:.0f}, "
@@ -690,22 +676,11 @@ def render_summary(report: Dict[str, Any]) -> str:
         lines += [
             "",
             f"simulator ({sim['workload']}, {sim['steps']} steps):",
-        ]
-        if "fused" in sim:
-            lines.append(
-                f"  fused      {sim['fused']['steps_per_s']:>12,.0f} steps/s"
-            )
-        lines += [
             f"  predecoded {sim['predecoded']['steps_per_s']:>12,.0f} steps/s",
             f"  legacy     {sim['legacy']['steps_per_s']:>12,.0f} steps/s",
             f"  predecode vs legacy: "
             f"{sim['speedup_predecode_vs_legacy']:.2f}x",
         ]
-        if "speedup_fused_vs_predecode" in sim:
-            lines.append(
-                f"  fused vs predecode:  "
-                f"{sim['speedup_fused_vs_predecode']:.2f}x"
-            )
     e2e = report.get("end_to_end")
     if e2e:
         phase_bits = ", ".join(
@@ -713,17 +688,21 @@ def render_summary(report: Dict[str, Any]) -> str:
             for name, seconds in e2e["phases"].items()
         )
         batch = e2e["batch"]
+        if "parallel_skipped" in batch:
+            parallel = f"parallel skipped: {batch['parallel_skipped']}"
+        else:
+            parallel = (
+                f"parallel {batch['parallel_routines_per_s']:.1f} "
+                f"routines/s ({batch['speedup_parallel_vs_serial']:.2f}x"
+                + (", pool reused" if batch.get("pool_reused") else "")
+                + ")"
+            )
         lines += [
             "",
             f"end-to-end phase medians (ms): {phase_bits}",
             f"batch ({batch['programs']} programs, "
             f"jobs={batch['jobs']}, cpus={batch['cpu_count']}): "
             f"serial {batch['serial_routines_per_s']:.1f} routines/s, "
-            f"parallel {batch['parallel_routines_per_s']:.1f} routines/s "
-            f"({batch['speedup_parallel_vs_serial']:.2f}x"
-            + (", pool reused" if batch.get("pool_reused") else "")
-            + ("" if batch["speedup_expected"]
-               else "; single-core host, pool spawn skipped")
-            + ")",
+            + parallel,
         ]
     return "\n".join(lines)

@@ -48,9 +48,9 @@ Commands
     and pool failure degrades gracefully to serial.
 ``bench [speed|codequality]``
     Benchmark trajectories.  ``speed`` (the default): tokens/second
-    through the dense-coded, compressed and legacy string-keyed runtime
-    lanes, steps/second through the predecoded and legacy simulator
-    lanes, end-to-end per-phase medians and batch throughput,
+    through the dense-coded, compressed and specialized runtime
+    lanes, steps/second through the predecoded simulator, end-to-end
+    per-phase medians and batch throughput,
     table-build phase times, and cold-vs-warm build-cache start; writes
     ``BENCH_speed.json`` (see :mod:`repro.bench.speed`).
     ``codequality``: executed instructions, code bytes and per-rule
@@ -158,14 +158,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      help="integers consumed by read/readln")
     run.add_argument("--profile", action="store_true",
                      help="print per-phase wall times after the run")
-    run.add_argument("--legacy-sim", action="store_true",
-                     help="execute on the decode-every-step simulator "
-                          "lane instead of the predecoded dispatch cache")
-    run.add_argument("--fuse", action="store_true",
-                     help="profile the program once, then execute with "
-                          "superinstruction fusion over its hot "
-                          "instruction pairs (implies the predecoded "
-                          "lane)")
     _add_specialize(run)
     _add_opt_level(run)
 
@@ -387,19 +379,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"{compiled.stats['specialize_degraded_reason']}",
                 file=sys.stderr,
             )
-        fuse_pairs = None
-        if args.fuse:
-            from repro.machines.s370 import fusion
-
-            fuse_pairs = fusion.profile_image(
-                compiled.image(), input_values=args.input
-            )
-        result = compiled.run(
-            input_values=args.input,
-            predecode=not args.legacy_sim,
-            fuse_pairs=fuse_pairs,
-            profiler=profiler,
-        )
+        result = compiled.run(input_values=args.input, profiler=profiler)
         if profiler is not None:
             print(profiler.render(), file=sys.stderr)
     sys.stdout.write(result.output)

@@ -77,9 +77,7 @@ from repro.core.codegen.operand import (
     SpilledValue,
     StackValue,
 )
-from repro.core.codegen.registers import (
-    LegacyAllocator, RegisterAllocator, SpillDirective,
-)
+from repro.core.codegen.registers import RegisterAllocator, SpillDirective
 from repro.core.codegen.semantic_ops import STANDARD_HANDLERS
 from repro.core.lr.compress import CompressedTables
 from repro.core.tables import ParseTables
@@ -352,13 +350,6 @@ class EmissionContext:
     def emit_instr(self, instr: Instr) -> None:
         self.buffer.emit(instr)
 
-    def emit_template(self, tmpl: TemplateAST) -> None:
-        operands = tuple(
-            self.resolve_operand(op, tmpl) for op in tmpl.operands
-        )
-        self.emit_instr(Instr(tmpl.op, operands, comment=tmpl.comment))
-        self.buffer.note_origin(_origin_tag(tmpl))
-
     # ---- prefixing and release bookkeeping ----------------------------------------------
 
     def prefix_token(self, token: IFToken) -> None:
@@ -418,12 +409,7 @@ class _Run:
         #: compile server runs concurrent generate() calls on one
         #: CodeGenerator.
         self.active_ctx: Optional[EmissionContext] = None
-        # The baseline lane pays the pre-fast-path allocator constant
-        # factors too; decisions are identical either way.
-        alloc_cls = (
-            LegacyAllocator if gen.string_lookup else RegisterAllocator
-        )
-        self.alloc = alloc_cls(
+        self.alloc = RegisterAllocator(
             gen.machine,
             on_move=self._on_move,
             on_spill=self._on_spill,
@@ -834,11 +820,6 @@ class CodeGenerator:
     ``tables`` may be dense (:class:`~repro.core.tables.ParseTables`) or
     compressed (:class:`~repro.core.lr.compress.CompressedTables`); both
     expose the same coded-lookup contract the skeletal parser drives.
-
-    ``string_lookup=True`` selects the legacy reference loop that hashes
-    the lookahead's symbol string on every step instead of using interned
-    codes; it exists solely so the benchmark trajectory can measure the
-    interning win against the same code base.
     """
 
     def __init__(
@@ -847,13 +828,11 @@ class CodeGenerator:
         tables: Union[ParseTables, CompressedTables],
         machine: MachineDescription,
         allocation_strategy: str = "lru",
-        string_lookup: bool = False,
     ):
         self.sdts = sdts
         self.tables = tables
         self.machine = machine
         self.allocation_strategy = allocation_strategy
-        self.string_lookup = string_lookup
         #: Optional compiled engine from :mod:`repro.core.specialize`
         #: (attached by the build cache).  ``None`` means interpret the
         #: tables; a mid-run :class:`~repro.errors.SpecializeError`
@@ -959,15 +938,6 @@ class CodeGenerator:
         and regenerates from scratch, stamping ``degraded_reason`` into
         the result's stats.  Output is byte-identical either way.
         """
-        if strategy is not None and self.string_lookup:
-            raise CodeGenError(
-                "allocation strategy overrides require the coded runtime"
-            )
-        if self.string_lookup:
-            return self._generate_legacy(
-                tokens, frame=frame, guards=guards, buffer=buffer,
-                labels=labels, cse=cse, stats=stats,
-            )
         engine = self.specialized
         if (
             engine is not None
@@ -1356,222 +1326,3 @@ class CodeGenerator:
         finally:
             run.active_ctx = None
             alloc.unpin_all()
-
-    # ---- legacy string-keyed reference path -------------------------------
-    #
-    # The pre-interning runtime, preserved verbatim: a per-step symbol
-    # string hash into the action table, per-token value dispatch through
-    # machine.register_class, and per-reduction template interpretation.
-    # Selected with ``string_lookup=True``; exists so the benchmark
-    # trajectory harness can measure the coded fast path against the
-    # exact path it replaced, on the same machine, in the same process.
-
-    def _generate_legacy(
-        self,
-        tokens: Iterable[IFToken],
-        frame: Optional[Frame] = None,
-        guards: Optional[ParserGuards] = None,
-        buffer: Optional[CodeBuffer] = None,
-        labels: Optional[LabelDictionary] = None,
-        cse: Optional[CseManager] = None,
-        stats: Optional[Dict[str, Any]] = None,
-    ) -> GeneratedCode:
-        run = _Run(
-            self, frame, buffer=buffer, labels=labels, cse=cse, stats=stats
-        )
-        pending: Deque[IFToken] = deque(tokens)
-        run.stack.append((0, "<bottom>", None))
-        reductions = 0
-
-        guards = guards if guards is not None else DEFAULT_GUARDS
-        budget = guards.step_budget
-        if budget is None:
-            budget = max(10_000, 64 * (len(pending) + 1))
-        steps = 0
-        synthetic_front = 0
-        chain_steps = 0
-        min_depth = len(run.stack)
-        nstates = self.tables.nstates
-        nproductions = len(self.sdts.productions)
-
-        while True:
-            if steps >= budget:
-                raise StepBudgetError(
-                    f"parse exceeded its step budget of {budget} "
-                    f"(state {run.stack[-1][0]}, {len(pending)} tokens "
-                    f"unconsumed): corrupted tables or malformed IF?",
-                    budget=budget,
-                )
-            steps += 1
-            if chain_steps >= guards.chain_limit:
-                recent = " ".join(sym for _, sym, _ in run.stack[-8:])
-                raise ChainLoopError(
-                    f"chain-rule loop: {chain_steps} steps without "
-                    f"consuming input in state {run.stack[-1][0]} "
-                    f"(stack ... {recent})",
-                    state=run.stack[-1][0],
-                    stack=[(s, sym) for s, sym, _ in run.stack],
-                    steps=chain_steps,
-                )
-            state = run.stack[-1][0]
-            lookahead = pending[0] if pending else IFToken(END_MARKER)
-            action = self.tables.lookup(state, lookahead.symbol)
-            if action == T.ACCEPT:
-                if pending:
-                    raise self._annotate(
-                        CodeGenError(
-                            "accepted before the IF stream was exhausted"
-                        ),
-                        run, lookahead,
-                    )
-                break
-            if T.is_shift(action):
-                next_state = T.shift_state(action)
-                if next_state >= nstates:
-                    raise self._annotate(
-                        CodeGenError(
-                            f"corrupt parse table: shift to state "
-                            f"{next_state} of {nstates}"
-                        ),
-                        run, lookahead,
-                    )
-                try:
-                    value = self._shift_value(lookahead)
-                except CodeGenError as error:
-                    raise self._annotate(error, run, lookahead)
-                run.stack.append((next_state, lookahead.symbol, value))
-                if pending:
-                    pending.popleft()
-                    if synthetic_front:
-                        synthetic_front -= 1
-                        chain_steps += 1
-                    else:
-                        chain_steps = 0
-                        min_depth = len(run.stack)
-                else:
-                    chain_steps += 1
-                continue
-            if T.is_reduce(action):
-                pid = T.reduce_pid(action)
-                if pid >= nproductions:
-                    raise self._annotate(
-                        CodeGenError(
-                            f"corrupt parse table: reduce by unknown "
-                            f"production {pid} of {nproductions}"
-                        ),
-                        run, lookahead,
-                    )
-                if len(self.sdts.productions[pid].rhs) >= len(run.stack):
-                    raise self._annotate(
-                        CodeGenError(
-                            f"corrupt parse table: reduce by production "
-                            f"{pid} pops below the stack bottom"
-                        ),
-                        run, lookahead,
-                    )
-                before = len(pending)
-                try:
-                    self._reduce_legacy(run, pending, pid)
-                except CodeGenError as error:
-                    raise self._annotate(error, run, lookahead)
-                synthetic_front += len(pending) - before
-                reductions += 1
-                if len(run.stack) < min_depth:
-                    min_depth = len(run.stack)
-                    chain_steps = 0
-                else:
-                    chain_steps += 1
-                continue
-            self._signal_error(run, lookahead)
-
-        return GeneratedCode(
-            buffer=run.buffer,
-            labels=run.labels,
-            cse=run.cse,
-            stats=run.stats,
-            reductions=reductions,
-        )
-
-    def _reduce_legacy(
-        self, run: _Run, pending: Deque[IFToken], pid: int
-    ) -> None:
-        prod = self.sdts.productions[pid]
-        n = len(prod.rhs)
-        popped = run.stack[-n:]
-        del run.stack[-n:]
-        values = [v for (_, _, v) in popped]
-
-        if prod.is_wrapper:
-            pending.appendleft(IFToken(prod.lhs, sem=LambdaValue()))
-            return
-
-        run.alloc.begin_reduction()
-        ctx = EmissionContext(self, run, prod, values)
-        run.active_ctx = ctx
-        try:
-            for value in ctx.values:
-                if isinstance(value, (RegValue, PairValue)):
-                    ctx.alloc.pin(value)
-            for tmpl in prod.templates:
-                if tmpl.op not in ("using", "need"):
-                    continue
-                for operand in tmpl.operands:
-                    ref = operand.base
-                    assert isinstance(ref, Ref)
-                    if tmpl.op == "using":
-                        value = ctx.alloc.allocate(ref.name)
-                    else:
-                        value = ctx.alloc.reserve(ref.name, ref.index)
-                    ctx.bindings[(ref.name, ref.index)] = value
-                    ctx.allocated.append(value)
-                    if isinstance(value, (RegValue, PairValue)):
-                        ctx.alloc.pin(value)
-            for tmpl in prod.templates:
-                if tmpl.op in ("using", "need"):
-                    continue
-                if tmpl.op in self._opcode_names:
-                    ctx.emit_template(tmpl)
-                    continue
-                handler = self.handlers.get(tmpl.op)
-                if handler is None:
-                    raise CodeGenError(
-                        f"no handler for semantic operator {tmpl.op!r}"
-                    )
-                handler(ctx, tmpl)
-            self._epilogue_legacy(ctx, pending)
-        finally:
-            run.active_ctx = None
-            run.alloc.unpin_all()
-
-    def _epilogue_legacy(
-        self, ctx: EmissionContext, pending: Deque[IFToken]
-    ) -> None:
-        prod = ctx.prod
-        prefix = list(ctx.prefix)
-        if prod.is_lambda:
-            prefix.append(IFToken(LAMBDA_SYMBOL, sem=LambdaValue()))
-        elif not ctx.ignore_lhs:
-            assert prod.lhs_ref is not None
-            key = (prod.lhs_ref.name, prod.lhs_ref.index)
-            lhs_value = ctx.bindings.get(key)
-            if lhs_value is None:
-                raise CodeGenError(
-                    f"LHS {prod.lhs_ref} unbound at end of {prod}"
-                )
-            if isinstance(lhs_value, SpilledValue):
-                lhs_value = ctx.reg_binding(prod.lhs_ref, prod.templates[0]
-                                            if prod.templates else
-                                            TemplateAST("lhs", (), "", 0))
-            if isinstance(lhs_value, (RegValue, PairValue)):
-                ctx.alloc.acquire(lhs_value)
-            prefix.append(IFToken(prod.lhs, sem=lhs_value))
-
-        for value in ctx.values:
-            if isinstance(value, (RegValue, PairValue)):
-                if not ctx.is_suppressed(value):
-                    ctx.alloc.release(value)
-        for value in ctx.allocated:
-            if isinstance(value, (RegValue, PairValue)):
-                ctx.alloc.release(value)
-
-        pending.extendleft(reversed(prefix))

@@ -611,7 +611,7 @@ _DELEGATE = [
 #
 # * every reducer first checks ``alloc.__class__ is _RA`` and delegates
 #   the whole reduction to the interpreted ``_reduce`` for any subclass
-#   (LegacyAllocator's overrides must keep winning);
+#   (a subclass's overrides must keep winning);
 # * the slow paths stay slow: eviction (no free register), unknown
 #   register classes, and non-LRU strategies call the real allocator;
 # * registers.py is part of the specializer digest, so editing the
@@ -1017,8 +1017,8 @@ def _emit_fast_reducer(pid: int, plan, gen, steps) -> List[str]:
         out(f"        v{pos} = stack[{pos - n}][2]")
         out(f"        tv{pos} = type(v{pos})")
     # SpilledValue operands need the context's reload machinery, and a
-    # non-standard allocator (LegacyAllocator) must keep its overrides:
-    # both delegate the whole reduction to the interpreted _reduce.
+    # non-standard allocator must keep its overrides: both delegate the
+    # whole reduction to the interpreted _reduce.
     guards = [f"tv{pos} is SpilledValue" for pos in range(n)]
     if n or nalloc:
         out("        alloc = run.alloc")
@@ -2361,7 +2361,7 @@ def attach(build, cache_dir, build_fingerprint: str) -> Dict[str, Any]:
     """
     gen = build.code_generator
     info: Dict[str, Any] = {"attached": False}
-    if gen is None or gen.string_lookup or not enabled():
+    if gen is None or not enabled():
         return info
     fingerprint = specialize_fingerprint(build_fingerprint)
     path = module_path(cache_dir, fingerprint)

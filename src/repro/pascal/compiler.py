@@ -133,22 +133,11 @@ class CompiledProgram:
         self,
         max_steps: int = 2_000_000,
         input_values=None,
-        predecode: bool = True,
-        fuse_pairs=None,
         profiler: Optional[PhaseProfiler] = None,
     ) -> SimResult:
-        """Execute on a fresh simulator.
-
-        ``fuse_pairs`` (a set of hot (mnemonic, mnemonic) pairs, e.g.
-        from :func:`repro.machines.s370.fusion.profile_image`) runs the
-        superinstruction lane over the predecode cache; semantics are
-        identical, only dispatch overhead changes.
-        """
+        """Execute on a fresh simulator."""
         prof = profiler if profiler is not None else NULL_PROFILER
-        simulator = Simulator(
-            input_values=input_values, predecode=predecode,
-            fuse_pairs=fuse_pairs,
-        )
+        simulator = Simulator(input_values=input_values)
         simulator.load_image(self.image())
         with prof.phase("simulate"):
             return simulator.run(max_steps=max_steps)

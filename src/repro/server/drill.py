@@ -182,7 +182,6 @@ class _Drill:
     def _do_run(self) -> None:
         self._post("/run", {
             "name": "drill-run", "source": CHAOS_PROGRAM,
-            "predecode": self.rng.random() < 0.5,
         })
 
     def _do_lint(self) -> None:

@@ -1,5 +1,8 @@
 """Unit tests: the evaluation-harness support package (repro.bench)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.metrics import (
@@ -9,7 +12,7 @@ from repro.bench.metrics import (
     routines_per_second,
     steps_per_second,
 )
-from repro.bench.speed import SCHEMA_VERSION, validate_report
+from repro.bench.speed import SCHEMA_VERSION, validate_report, write_report
 from repro.bench.workloads import (
     appendix1_equation,
     appendix1_fragment,
@@ -159,7 +162,7 @@ def _lane(rate_key):
 
 
 def _valid_report():
-    """The smallest report validate_report accepts (schema 5)."""
+    """The smallest report validate_report accepts (schema 6)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "git_rev": "abc1234",
@@ -168,25 +171,17 @@ def _valid_report():
         "codegen": {
             "dense": _lane("tokens_per_s"),
             "compressed": _lane("tokens_per_s"),
-            "legacy_string": _lane("tokens_per_s"),
             "specialized": _lane("tokens_per_s"),
-            "speedup_dense_vs_legacy": 2.0,
-            "speedup_compressed_vs_legacy": 1.5,
             "speedup_specialized_vs_compressed": 2.1,
-            "speedup_specialized_vs_legacy": 3.1,
             "lanes_identical": True,
         },
         "table_build": {},
         "build_cache": {"warm_automaton_builds": 0},
         "simulator": {
-            "fused": _lane("steps_per_s"),
             "predecoded": _lane("steps_per_s"),
             "legacy": _lane("steps_per_s"),
             "speedup_predecode_vs_legacy": 2.0,
-            "speedup_fused_vs_predecode": 1.2,
             "lanes_identical": True,
-            "fusion": {"hot_pairs": 3, "max_run": 16,
-                       "hits": {"l+a+st": 42}},
         },
         "end_to_end": {
             "phases": {phase: 0.001 for phase in PHASES},
@@ -235,15 +230,14 @@ class TestSchemaValidation:
             "codegen.lanes_identical" in p for p in validate_report(report)
         )
 
-    def test_missing_fused_lane_rejected(self):
+    def test_frozen_history_accepted(self):
         report = _valid_report()
-        del report["simulator"]["fused"]
-        assert any("fused" in p for p in validate_report(report))
-
-    def test_missing_fusion_hits_rejected(self):
-        report = _valid_report()
-        del report["simulator"]["fusion"]
-        assert any("fusion.hits" in p for p in validate_report(report))
+        report["history"] = {
+            "624b11e": {"codegen.legacy_string.tokens_per_s": 56368}
+        }
+        assert validate_report(report) == []
+        report["history"] = ["not", "an", "object"]
+        assert any("history" in p for p in validate_report(report))
 
     def test_missing_phase_rejected(self):
         report = _valid_report()
@@ -281,6 +275,59 @@ class TestSchemaValidation:
         report["end_to_end"]["batch"]["parallel_mode"] = "serial"
         report["end_to_end"]["batch"]["pool_reused"] = False
         assert validate_report(report) == []
+
+    def test_skipped_parallel_lane_accepted(self):
+        report = _valid_report()
+        report["end_to_end"]["batch"] = {
+            "serial_routines_per_s": 10.0,
+            "parallel_skipped": "single-core host (cpu_count=1)",
+        }
+        assert validate_report(report) == []
+
+    def test_skipped_parallel_lane_needs_a_reason(self):
+        report = _valid_report()
+        report["end_to_end"]["batch"] = {
+            "serial_routines_per_s": 10.0,
+            "parallel_skipped": "",
+        }
+        assert any("parallel_skipped" in p for p in validate_report(report))
+
+    def test_unskipped_parallel_lane_needs_timings(self):
+        report = _valid_report()
+        del report["end_to_end"]["batch"]["parallel_routines_per_s"]
+        assert any(
+            "parallel_routines_per_s" in p for p in validate_report(report)
+        )
+
+
+class TestSpeedReport:
+    def test_write_report_keeps_frozen_history(self, tmp_path):
+        path = tmp_path / "BENCH_speed.json"
+        path.write_text(json.dumps(
+            {"history": {"624b11e": {"x": 1}}, "schema_version": 5}
+        ))
+        write_report(_valid_report(), path)
+        written = json.loads(path.read_text())
+        assert written["schema_version"] == SCHEMA_VERSION
+        assert written["history"] == {"624b11e": {"x": 1}}
+
+    def test_single_core_host_skips_parallel_lane(self, monkeypatch):
+        from repro.bench import speed
+
+        monkeypatch.setattr(speed.os, "cpu_count", lambda: 1)
+        batch = speed.measure_end_to_end(iterations=1)["batch"]
+        assert "cpu_count=1" in batch["parallel_skipped"]
+        assert "parallel_routines_per_s" not in batch
+        assert batch["serial_routines_per_s"] > 0
+
+    def test_committed_report_is_valid(self):
+        path = Path(__file__).resolve().parent.parent / "BENCH_speed.json"
+        report = json.loads(path.read_text())
+        assert validate_report(report) == []
+        frozen = report["history"]["624b11e"]
+        assert frozen["codegen.legacy_string.tokens_per_s"] == 56368
+        assert frozen["simulator.fused.steps_per_s"] == 1311114
+        assert frozen["simulator.speedup_fused_vs_predecode"] == 1.083
 
 
 class TestDebugMarkers:

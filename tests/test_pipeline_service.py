@@ -116,6 +116,16 @@ class TestFromWire:
         assert info.value.detail == "bad-field"
         assert "frobnicate" in str(info.value)
 
+    def test_removed_predecode_knob_rejected(self):
+        # The simulator's dispatch lane is not selectable: a request
+        # still naming it gets the typed unknown-field 400.
+        with pytest.raises(BadRequestError) as info:
+            ServiceRequest.from_wire(
+                {"source": PROGRAM, "predecode": True}, "run"
+            )
+        assert info.value.detail == "bad-field"
+        assert "predecode" in str(info.value)
+
     def test_wrong_type_rejected(self):
         with pytest.raises(BadRequestError) as info:
             ServiceRequest.from_wire(

@@ -1,7 +1,8 @@
-"""Differential tests: predecoded dispatch lane vs. the preserved loop.
+"""Differential tests: predecoded dispatch vs. the reference loop.
 
-The fast lane (``predecode=True``) must be observationally identical to
-the original fetch/decode loop on results, traps, alignment behavior
+The predecode cache (``predecode=True``, the only user-facing lane) must
+be observationally identical to the decode-every-step reference loop
+(``predecode=False``) on results, traps, step limits, alignment behavior
 and self-modifying code -- its only permitted difference is speed.
 """
 
@@ -29,23 +30,25 @@ def _image(instrs, data=b""):
     return runtime.ExecutableImage(code=code, entry=0, data=data)
 
 
-def _run_lane(image, predecode, setup=None, strict_alignment=False):
+def _run_lane(image, predecode, setup=None, strict_alignment=False,
+              max_steps=2_000_000):
     """Run one lane; returns ('ok', result, regs, cc) or ('error', ...)."""
     sim = Simulator(strict_alignment=strict_alignment, predecode=predecode)
     sim.load_image(image)
     if setup:
         setup(sim)
     try:
-        result = sim.run()
+        result = sim.run(max_steps=max_steps)
     except SimulatorError as error:
         return ("error", type(error).__name__, str(error),
                 getattr(error, "psw", None))
     return ("ok", result, list(sim.regs), sim.cc)
 
 
-def _assert_lanes_agree(image, setup=None, strict_alignment=False):
-    fast = _run_lane(image, True, setup, strict_alignment)
-    slow = _run_lane(image, False, setup, strict_alignment)
+def _assert_lanes_agree(image, setup=None, strict_alignment=False,
+                        max_steps=2_000_000):
+    fast = _run_lane(image, True, setup, strict_alignment, max_steps)
+    slow = _run_lane(image, False, setup, strict_alignment, max_steps)
     assert fast == slow
     return fast
 
@@ -60,8 +63,11 @@ class TestLaneDifferential:
             W.branch_ladder(25),
             W.array_kernel(10),
             W.loop_kernel(120),
+            W.chain_loop(40),
+            W.cse_workload(3),
         ],
-        ids=["app1a", "app1b", "straight", "ladder", "arrays", "loop"],
+        ids=["app1a", "app1b", "straight", "ladder", "arrays", "loop",
+             "chain", "cse"],
     )
     def test_compiled_workloads_identical(self, source):
         compiled = compile_source(source)
@@ -108,6 +114,64 @@ class TestLaneDifferential:
             sim._pair(5)
 
 
+class TestTraps:
+    """Each way a run stops early stops both lanes at the same
+    instruction, with the same PSW and registers."""
+
+    def test_step_limit_trap_identical(self):
+        instrs = [
+            Instr("la", (R(3), Mem(1, 0, 3))),
+            Instr("bc", (Imm(15), Mem(0, 0, runtime.R_CODE_BASE))),
+        ]
+        for limit in (7, 8, 9, 16, 17, 100):
+            fast = _assert_lanes_agree(_image(instrs), max_steps=limit)
+            assert fast[0] == "error"
+            assert fast[1] == "StepLimitError"
+            assert fast[3] is not None
+
+    def test_divide_trap_identical(self):
+        """A fixed-point divide by zero traps before the instructions
+        behind it execute."""
+        instrs = [
+            Instr("la", (R(2), Mem(0, 0, 0))),   # r2 = 0 (divisor)
+            Instr("la", (R(9), Mem(7, 0, 0))),   # r9 = 7
+            Instr("srda", (R(8), Imm(32))),      # spread r8:r9
+            Instr("dr", (R(8), R(2))),           # divide by zero: trap
+            Instr("la", (R(6), Mem(1, 0, 0))),   # must NOT execute
+        ]
+        fast = _assert_lanes_agree(_image(instrs))
+        assert fast[0] == "ok"
+        assert fast[1].trap is not None
+        assert fast[2][6] == 0
+
+    def test_halt_mid_sequence_identical(self):
+        instrs = [
+            Instr("la", (R(3), Mem(1, 0, 0))),
+            Instr("svc", (Imm(isa.SVC_HALT),)),
+            Instr("la", (R(4), Mem(9, 0, 0))),   # must NOT execute
+        ]
+        fast = _assert_lanes_agree(_image(instrs))
+        assert fast[0] == "ok"
+        assert fast[1].halted
+        assert fast[2][3] == 1 and fast[2][4] == 0
+
+    def test_taken_branch_identical(self):
+        """A loop branch taken four times, then falling through."""
+        instrs = [
+            Instr("la", (R(3), Mem(1, 0, 3))),                   # r3 += 1
+            Instr("bct", (R(4), Mem(0, 0, runtime.R_CODE_BASE))),
+            Instr("lr", (R(5), R(3))),
+        ]
+
+        def setup(sim):
+            sim.regs[3] = 0
+            sim.regs[4] = 5
+
+        fast = _assert_lanes_agree(_image(instrs), setup=setup)
+        assert fast[0] == "ok"
+        assert fast[2][3] == 5 and fast[2][5] == 5
+
+
 class TestSelfModifyingCode:
     def test_store_rewrites_future_iteration(self):
         """A loop that overwrites its own add with a subtract.
@@ -140,6 +204,18 @@ class TestSelfModifyingCode:
         fast = _assert_lanes_agree(image, setup=setup)
         assert fast[0] == "ok"
         assert fast[2][3] == 0  # +10 then -10, not +10 +10
+
+    def test_store_outside_text_identical(self):
+        """A store into plain data leaves the cache alone and the
+        results identical."""
+        instrs = [
+            Instr("la", (R(3), Mem(42, 0, 0))),
+            Instr("st", (R(3), Mem(0, 0, runtime.R_GLOBAL_BASE))),
+            Instr("l", (R(5), Mem(0, 0, runtime.R_GLOBAL_BASE))),
+        ]
+        fast = _assert_lanes_agree(_image(instrs))
+        assert fast[0] == "ok"
+        assert fast[2][5] == 42
 
     def test_invalidation_is_exact(self):
         """A store drops exactly the overlapping predecoded slots."""
