@@ -13,9 +13,10 @@ comparable trajectory:
   resolution, compression);
 * **cold vs. warm start** through the persistent build cache, including
   the warm-start automaton-construction count (must be zero);
-* **simulator steps/second** (schema 2): the predecoded dispatch
-  cache against the reference decode-every-step loop, gated on both
-  producing identical run results on every bench workload;
+* **simulator steps/second** (schema 2; lanes renamed in schema 7):
+  the compiled-block engine against the reference decode-every-step
+  loop, gated on both producing identical run results on every bench
+  workload;
 * **end-to-end throughput** (schema 2): per-phase medians from the
   pipeline profiler, plus batch-compilation routines/second serial vs.
   parallel with byte-identical outputs asserted before timing.
@@ -57,7 +58,11 @@ from typing import Any, Callable, Dict, List
 #:    derived from them.  ``end_to_end.batch`` records the parallel lane
 #:    as ``parallel_skipped`` (a reason) on single-core hosts instead of
 #:    timing a serial fallback.
-SCHEMA_VERSION = 6
+#: 7: the simulator lanes are ``blocks`` (the compiled-block engine,
+#:    which replaced predecoded dispatch) and ``reference`` (the
+#:    decode-every-step loop), and ``speedup_predecode_vs_legacy`` is
+#:    ``speedup_blocks_vs_reference``.
+SCHEMA_VERSION = 7
 
 DEFAULT_REPORT = "BENCH_speed.json"
 
@@ -289,6 +294,10 @@ def _gate_workloads() -> List:
     ]
 
 
+#: simulator lane -> ``Simulator(predecode=...)``.
+_SIM_LANES = {"blocks": True, "reference": False}
+
+
 def _run_lane(compiled, predecode: bool):
     """One fresh simulator run; returns (SimResult, final regs, cc)."""
     from repro.machines.s370.simulator import Simulator
@@ -302,8 +311,8 @@ def _run_lane(compiled, predecode: bool):
 def measure_simulator(
     iterations: int = 9, variant: str = "full"
 ) -> Dict[str, Any]:
-    """Steps/second through the predecode cache (``predecoded``) and
-    the reference decode-every-step loop (``legacy``).
+    """Steps/second through the compiled-block engine (``blocks``) and
+    the reference decode-every-step loop (``reference``).
 
     Correctness gate first: every bench workload must produce an
     identical :class:`~repro.machines.s370.simulator.SimResult` (output,
@@ -340,10 +349,9 @@ def measure_simulator(
 
     from repro.machines.s370.simulator import Simulator
 
-    lanes = {"predecoded": True, "legacy": False}
-    samples: Dict[str, List[float]] = {name: [] for name in lanes}
+    samples: Dict[str, List[float]] = {name: [] for name in _SIM_LANES}
     for _ in range(iterations):
-        for name, predecode in lanes.items():
+        for name, predecode in _SIM_LANES.items():
             sim = Simulator(predecode=predecode)
             sim.load_image(image)
             start = time.perf_counter()
@@ -372,8 +380,8 @@ def measure_simulator(
             "samples_s": lane_samples,
             "steps_per_s": steps_per_second(nsteps, median),
         }
-    result["speedup_predecode_vs_legacy"] = (
-        result["legacy"]["median_s"] / result["predecoded"]["median_s"]
+    result["speedup_blocks_vs_reference"] = (
+        result["reference"]["median_s"] / result["blocks"]["median_s"]
     )
     return result
 
@@ -557,7 +565,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
             f"{cache.get('warm_automaton_builds')!r}, expected 0"
         )
     simulator = report.get("simulator", {})
-    for lane in ("predecoded", "legacy"):
+    for lane in _SIM_LANES:
         timing = simulator.get(lane)
         if not isinstance(timing, dict):
             problems.append(f"missing simulator lane {lane!r}")
@@ -566,10 +574,10 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
             if field not in timing:
                 problems.append(f"simulator.{lane} missing {field!r}")
     if not isinstance(
-        simulator.get("speedup_predecode_vs_legacy"), (int, float)
+        simulator.get("speedup_blocks_vs_reference"), (int, float)
     ):
         problems.append(
-            "simulator.speedup_predecode_vs_legacy missing or non-numeric"
+            "simulator.speedup_blocks_vs_reference missing or non-numeric"
         )
     if simulator.get("lanes_identical") is not True:
         problems.append("simulator.lanes_identical is not true")
@@ -676,10 +684,10 @@ def render_summary(report: Dict[str, Any]) -> str:
         lines += [
             "",
             f"simulator ({sim['workload']}, {sim['steps']} steps):",
-            f"  predecoded {sim['predecoded']['steps_per_s']:>12,.0f} steps/s",
-            f"  legacy     {sim['legacy']['steps_per_s']:>12,.0f} steps/s",
-            f"  predecode vs legacy: "
-            f"{sim['speedup_predecode_vs_legacy']:.2f}x",
+            f"  blocks     {sim['blocks']['steps_per_s']:>12,.0f} steps/s",
+            f"  reference  {sim['reference']['steps_per_s']:>12,.0f} steps/s",
+            f"  blocks vs reference: "
+            f"{sim['speedup_blocks_vs_reference']:.2f}x",
         ]
     e2e = report.get("end_to_end")
     if e2e:

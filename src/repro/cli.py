@@ -49,10 +49,10 @@ Commands
 ``bench [speed|codequality]``
     Benchmark trajectories.  ``speed`` (the default): tokens/second
     through the dense-coded, compressed and specialized runtime
-    lanes, steps/second through the predecoded simulator, end-to-end
-    per-phase medians and batch throughput,
-    table-build phase times, and cold-vs-warm build-cache start; writes
-    ``BENCH_speed.json`` (see :mod:`repro.bench.speed`).
+    lanes, steps/second through the simulator's compiled blocks
+    against its reference loop, end-to-end per-phase medians and batch
+    throughput, table-build phase times, and cold-vs-warm build-cache
+    start; writes ``BENCH_speed.json`` (see :mod:`repro.bench.speed`).
     ``codequality``: executed instructions, code bytes and per-rule
     peephole hits across the table-driven ``-O0``/``-O1`` and baseline
     tree-generator lanes, gated on identical program outputs; writes

@@ -121,7 +121,7 @@ OPCODES: Dict[str, OpInfo] = {
 BY_OPCODE: Dict[int, OpInfo] = {o.opcode: o for o in OPCODES.values()}
 
 #: opcode byte -> OpInfo or None, as a dense 256-entry table: the
-#: predecoded simulator lane indexes this directly instead of hashing
+#: simulator's block compiler indexes this directly instead of hashing
 #: through :data:`BY_OPCODE`.
 DECODE_TABLE: List[Optional[OpInfo]] = [None] * 256
 for _info in OPCODES.values():

@@ -15,9 +15,11 @@ documented substitution that changes no control flow.
 
 from __future__ import annotations
 
+import functools
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     AlignmentFaultError,
@@ -62,21 +64,25 @@ class SimResult:
 class Simulator:
     """Registers, memory, condition code and the fetch/execute loop.
 
-    Execution dispatches through a predecode cache: per
-    program-counter value, a zero-argument closure with the operand
-    fields already decoded -- a direct-threaded dispatch table filled
-    in lazily as execution reaches each instruction, so embedded data
-    in the text region is never decoded.  Any store into the
-    predecoded text range invalidates exactly the overlapping slots,
-    so self-modifying code stays correct.
+    Execution has two tiers.  Cold code runs on :meth:`step`, which
+    decodes every instruction it executes.  A block leader entered for
+    the :data:`COMPILE_THRESHOLD`-th time is compiled into one Python
+    function (see "the block compiler" below) that runs the whole
+    basic block with the registers and condition code in locals.  A
+    compiled block never raises: before any instruction that could
+    trap, fault or store into compiled code, it writes its state back
+    and returns, and :meth:`step` executes that instruction -- so every
+    trap comes from the reference code, with the reference PSW.  A store
+    into a 16-byte line that holds compiled code drops exactly the
+    blocks it overlaps, so self-modifying code stays correct.
 
-    ``predecode=False`` selects the decode-every-step loop
-    (:meth:`step` and the ``_x_*`` handlers).  It is the reference
-    semantics the cache is tested against -- by
-    ``tests/test_simulator_predecode.py`` and the ``simcache`` chaos
-    injector -- and is not a user-facing option.  Both loops produce
-    identical :class:`SimResult` values (output, step count,
-    instruction counts) and identical trap behavior.
+    ``predecode=False`` runs :meth:`step` alone and never compiles
+    anything.  It is the reference semantics the blocks are tested
+    against -- by ``tests/test_simulator_predecode.py`` and the
+    ``simcache`` chaos injector -- and is not a user-facing option.
+    Both produce identical :class:`SimResult` values (output, step
+    count, instruction counts), registers, condition code and traps.
+    Registers always hold unsigned 32-bit values.
     """
 
     def __init__(
@@ -90,8 +96,7 @@ class Simulator:
         #: halfword access (S/360-style integral boundaries).  Off by
         #: default: the S/370 tolerates misalignment, and so do we.
         self.strict_alignment = strict_alignment
-        #: execute through the predecoded dispatch cache; ``False``
-        #: runs the reference decode-every-step loop.
+        #: compile hot blocks; ``False`` runs only the reference loop.
         self.predecode = predecode
         self.memory = bytearray(memory_size)
         self.regs = [0] * 16
@@ -104,20 +109,19 @@ class Simulator:
         #: integers handed out by SVC_READ_INT, in order.
         self.input_values: List[int] = list(input_values or [])
         self._input_pos = 0
-        # Predecode dispatch cache: pc -> bound handler closure, plus
-        # pc -> end address (pc + length) for exact invalidation.  Both
-        # empty until the fast lane executes something.
-        self._decoded: Dict[int, Callable[[], None]] = {}
-        self._decoded_end: Dict[int, int] = {}
-        # Text-region bounds of the loaded image; stores overlapping
-        # [lo, hi) must invalidate predecoded slots.
-        self._text_lo = 0
-        self._text_hi = 0
+        # Compiled blocks by leader pc.  ``_code_lines`` maps each
+        # 16-byte line (address >> 4) holding compiled code to the
+        # leaders of the blocks on it; compiled stores bail when they
+        # hit one.  ``_entries`` counts how often each uncompiled leader
+        # was entered.
+        self._blocks: Dict[int, _Block] = {}
+        self._code_lines: Dict[int, Set[int]] = {}
+        self._entries: Dict[int, int] = {}
 
     @property
-    def decoded_pcs(self):
-        """The set of program counters with a live predecoded slot."""
-        return set(self._decoded)
+    def compiled_blocks(self) -> Dict[int, int]:
+        """Leader pc -> end address of every live compiled block."""
+        return {pc: block.end for pc, block in self._blocks.items()}
 
     # ---- fault context ------------------------------------------------------------
 
@@ -150,29 +154,11 @@ class Simulator:
         self._check_aligned(address, 4)
         return int.from_bytes(self.memory[address : address + 4], "big")
 
-    def _invalidate(self, address: int, length: int) -> None:
-        """Drop predecoded slots overlapping a store into [address,
-        address+length).  Exact: a slot survives unless the written
-        range intersects its own [pc, pc+len) byte range."""
-        ends = self._decoded_end
-        decoded = self._decoded
-        # The longest instruction is 6 bytes, so only pcs within 5
-        # bytes below the store can overlap it.
-        for pc in range(address - 5, address + length):
-            end = ends.get(pc)
-            if end is not None and end > address:
-                del ends[pc]
-                del decoded[pc]
-
     def write_word(self, address: int, value: int) -> None:
         self._check(address, 4)
         self._check_aligned(address, 4)
-        if (
-            self._decoded
-            and address < self._text_hi
-            and address + 4 > self._text_lo
-        ):
-            self._invalidate(address, 4)
+        if self._code_lines:
+            self._drop_blocks(address, 4)
         self.memory[address : address + 4] = to_u32(value).to_bytes(4, "big")
 
     def read_half(self, address: int) -> int:
@@ -184,12 +170,8 @@ class Simulator:
     def write_half(self, address: int, value: int) -> None:
         self._check(address, 2)
         self._check_aligned(address, 2)
-        if (
-            self._decoded
-            and address < self._text_hi
-            and address + 2 > self._text_lo
-        ):
-            self._invalidate(address, 2)
+        if self._code_lines:
+            self._drop_blocks(address, 2)
         self.memory[address : address + 2] = (value & 0xFFFF).to_bytes(2, "big")
 
     def read_byte(self, address: int) -> int:
@@ -198,20 +180,19 @@ class Simulator:
 
     def write_byte(self, address: int, value: int) -> None:
         self._check(address, 1)
-        if self._decoded and self._text_lo <= address < self._text_hi:
-            self._invalidate(address, 1)
+        if self._code_lines:
+            self._drop_blocks(address, 1)
         self.memory[address] = value & 0xFF
 
     # ---- program loading ---------------------------------------------------------
 
     def load_image(self, image: runtime.ExecutableImage) -> None:
         """Install the runtime area, program image and initial registers."""
-        # A fresh image means every cached decode is stale; drop them
+        # A fresh image makes every compiled block stale; drop them
         # before the relocation writes below touch the text region.
-        self._decoded.clear()
-        self._decoded_end.clear()
-        self._text_lo = 0
-        self._text_hi = 0
+        self._blocks.clear()
+        self._code_lines.clear()
+        self._entries.clear()
         area = runtime.build_runtime_area()
         self.memory[runtime.PR_AREA : runtime.PR_AREA + len(area)] = area
         base = runtime.MODULE_BASE
@@ -248,24 +229,24 @@ class Simulator:
         self._halted = False
         self._trap = None
         self._output = []
-        self._text_lo = base
-        self._text_hi = base + len(image.code)
 
     # ---- execution ------------------------------------------------------------------
 
     def run(self, max_steps: int = 2_000_000) -> SimResult:
         if self.predecode:
-            return self._run_predecoded(max_steps)
-        # The reference loop: decode every step.
-        steps = 0
-        while not self._halted and self._trap is None:
-            if steps >= max_steps:
-                raise self._fault(
-                    StepLimitError,
-                    f"exceeded {max_steps} steps (runaway program?)",
-                )
-            self.step()
-            steps += 1
+            try:
+                steps = self._run_blocks(max_steps)
+            finally:
+                for block in self._blocks.values():
+                    self._fold_block(block)
+        else:
+            # The reference loop: decode every step.
+            steps = 0
+            while not self._halted and self._trap is None:
+                if steps >= max_steps:
+                    raise self._step_limit(max_steps)
+                self.step()
+                steps += 1
         return SimResult(
             output="".join(self._output),
             steps=steps,
@@ -274,41 +255,56 @@ class Simulator:
             instruction_counts=dict(self._counts),
         )
 
-    def _run_predecoded(self, max_steps: int) -> SimResult:
-        """The fast lane: direct-threaded dispatch off the decode cache."""
-        decoded = self._decoded
-        decode = self._decode
-        steps = 0
-        while not self._halted and self._trap is None:
-            if steps >= max_steps:
-                raise self._fault(
-                    StepLimitError,
-                    f"exceeded {max_steps} steps (runaway program?)",
-                )
-            handler = decoded.get(self.pc)
-            if handler is None:
-                handler = decode(self.pc)
-            handler()
-            steps += 1
-        return SimResult(
-            output="".join(self._output),
-            steps=steps,
-            halted=self._halted,
-            trap=self._trap,
-            instruction_counts=dict(self._counts),
+    def _step_limit(self, max_steps: int) -> SimulatorError:
+        return self._fault(
+            StepLimitError, f"exceeded {max_steps} steps (runaway program?)"
         )
 
-    def step_fast(self) -> None:
-        """Execute one instruction through the predecode cache.
+    def _run_blocks(self, max_steps: int) -> int:
+        """Run compiled blocks where there are any, :meth:`step`
+        elsewhere; returns the number of instructions executed.
 
-        The resumable single-step twin of :meth:`_run_predecoded`,
-        used by harnesses (e.g. the ``simcache`` chaos injector) that
-        need to interleave execution with cache surgery.
+        A block is entered only when all of it fits under the step
+        limit, so the limit trips at exactly the reference's
+        instruction.  A leader is a pc reached by a block exit or by
+        stepping an instruction that ends blocks (:data:`_ENDS_BLOCK`).
         """
-        handler = self._decoded.get(self.pc)
-        if handler is None:
-            handler = self._decode(self.pc)
-        handler()
+        if self._halted or self._trap is not None:
+            return 0
+        blocks = self._blocks
+        entries = self._entries
+        regs, memory, lines = self.regs, self.memory, self._code_lines
+        ends_block = _ENDS_BLOCK
+        step = self.step
+        steps = 0
+        leader = True
+        while True:
+            if steps >= max_steps:
+                raise self._step_limit(max_steps)
+            pc = self.pc
+            block = blocks.get(pc)
+            if block is None and leader:
+                entered = entries.get(pc, 0) + 1
+                entries[pc] = entered
+                if entered == COMPILE_THRESHOLD:
+                    block = self._compile(pc)
+            if block is not None and steps + block.length <= max_steps:
+                done = block.fn(self, regs, memory, lines)
+                steps += done
+                if done == block.length:
+                    block.hits += 1
+                    leader = True
+                    continue
+                # The block bailed before instruction ``done``: count
+                # the prefix it ran, then step the instruction.
+                for name in block.names[:done]:
+                    self._counts[name] += 1
+                pc = self.pc
+            step()
+            steps += 1
+            if self._halted or self._trap is not None:
+                return steps
+            leader = ends_block[memory[pc]]
 
     def step(self) -> None:
         opcode = self.read_byte(self.pc)
@@ -322,43 +318,49 @@ class Simulator:
         handler = getattr(self, f"_x_{info.format.lower()}")
         handler(info)
 
-    # ---- predecoded dispatch ---------------------------------------------------------
+    # ---- compiled blocks --------------------------------------------------------------
 
-    def _decode(self, pc: int) -> Callable[[], None]:
-        """Decode the instruction at ``pc`` into a bound closure.
+    def _compile(self, pc: int) -> Optional["_Block"]:
+        """Compile the block at ``pc``; ``None`` when its first
+        instruction is one the block compiler leaves to :meth:`step`."""
+        end = _block_end(self.memory, pc)
+        if end == pc:
+            return None
+        block = _Block(end, *_compile_block(
+            pc, bytes(self.memory[pc:end]), self.strict_alignment,
+            len(self.memory),
+        ))
+        self._blocks[pc] = block
+        for line in range(pc >> 4, ((end - 1) >> 4) + 1):
+            self._code_lines.setdefault(line, set()).add(pc)
+        return block
 
-        Decoding is lazy -- it happens the first time execution reaches
-        ``pc`` -- so embedded data in the text region is never decoded,
-        and a decode-time fault carries exactly the PSW the slow lane
-        would raise with.
-        """
-        opcode = self.read_byte(pc)
-        info = isa.DECODE_TABLE[opcode]
-        if info is None:
-            raise self._fault(
-                InvalidOpcodeError,
-                f"unknown opcode {opcode:#04x} at {self.pc:#x}",
-            )
-        factory = _DECODERS[info.format]
-        handler = factory(self, pc, info)
-        self._decoded[pc] = handler
-        self._decoded_end[pc] = pc + info.length
-        return handler
+    def _forget(self, pc: int) -> None:
+        """Drop the compiled block at ``pc``, keeping its counts."""
+        block = self._blocks.pop(pc)
+        self._fold_block(block)
+        for line in range(pc >> 4, ((block.end - 1) >> 4) + 1):
+            leaders = self._code_lines[line]
+            leaders.discard(pc)
+            if not leaders:
+                del self._code_lines[line]
+        self._entries.pop(pc, None)
 
-    def _unimplemented(self, info: isa.OpInfo) -> Callable[[], None]:
-        """A slot for an ISA-listed mnemonic the simulator never grew a
-        handler for: counts the step, then raises the slow lane's
-        fault."""
-        counts = self._counts
+    def _drop_blocks(self, address: int, length: int) -> None:
+        """Drop the blocks whose [leader, end) overlaps a store into
+        [address, address + length)."""
+        stop = address + length
+        for line in range(address >> 4, ((stop - 1) >> 4) + 1):
+            for pc in list(self._code_lines.get(line, ())):
+                if pc < stop and self._blocks[pc].end > address:
+                    self._forget(pc)
 
-        def fn() -> None:
-            counts[info.mnemonic] += 1
-            raise self._fault(
-                InvalidOpcodeError,
-                f"unimplemented {info.format} op {info.mnemonic!r}",
-            )
-
-        return fn
+    def _fold_block(self, block: "_Block") -> None:
+        """Move the block's complete runs into ``_counts``."""
+        if block.hits:
+            for name, count in block.tally:
+                self._counts[name] += count * block.hits
+            block.hits = 0
 
     # ---- helpers -----------------------------------------------------------------------
 
@@ -778,574 +780,461 @@ class Simulator:
             raise self._fault(InvalidOpcodeError, f"unknown SVC {number}")
 
 
-# ---- predecode factories ----------------------------------------------------------
+
+# ---- the block compiler ---------------------------------------------------------
 #
-# One factory per instruction format.  Each decodes the operand fields
-# exactly once and returns a zero-argument closure specialized for the
-# mnemonic, with `next_pc` and register numbers baked in as constants.
-# The closures must mirror the `_x_*` handlers above instruction for
-# instruction: count first (the slow lane counts before executing, even
-# when the handler then faults), semantics second, program-counter
-# update last.  Effective addresses are recomputed on every execution
-# (base/index registers are live state); everything else is constant.
+# A block is the straight run of instructions from a leader up to and
+# including the first branch.  It stops early before any instruction
+# the compiler leaves to `step()` (SI, SS, SVC, `mvcl`, `lpr`/`lnr`/
+# `alr`/`slr`, an unknown opcode, or a pair op naming an odd register)
+# and after MAX_BLOCK instructions.  Its code is generated from the
+# `_x_*` handlers' semantics into one function
+#
+#     def block(sim, R, M, L) -> int
+#
+# over the simulator, its register list, its memory and its code-line
+# map.  Registers live in locals, loaded at entry and written back at
+# exit.  The condition code lives in the local `cc`, but an instruction
+# that sets it only records the expression that would compute it; the
+# expression is evaluated where something needs the CC -- a branch, a
+# bail or the block's exit -- and dropped when a later instruction sets
+# the CC first.  Effective addresses and memory bounds are inlined, with
+# the memory size baked in.  Before an instruction that could fault (a
+# memory access out of bounds or, with strict alignment, misaligned; a
+# zero divisor or a quotient overflow) or store into a code line, the
+# block "bails": it writes its state back, sets `pc` to that
+# instruction and returns the number of instructions it completed, and
+# the caller steps the instruction.  A complete run returns the block
+# length.
+
+#: Entries of a block leader before it is compiled.
+COMPILE_THRESHOLD = 2
+#: Compiled blocks shared by every simulator in the process.
+BLOCK_CACHE_SIZE = 1024
+#: The longest block, in instructions.
+MAX_BLOCK = 64
+
+_BRANCHES = frozenset(("bc", "bcr", "bal", "balr", "bct", "bctr"))
+_PAIR_OPS = frozenset(("mr", "dr", "m", "d", "slda", "srda", "sldl", "srdl"))
+_COMPILED = _BRANCHES | _PAIR_OPS | frozenset((
+    "lr", "ltr", "lcr", "ar", "sr", "cr", "clr", "nr", "or", "xr",
+    "l", "lh", "la", "st", "sth", "stc", "ic", "a", "ah", "s", "sh",
+    "mh", "c", "ch", "cl", "n", "o", "x",
+    "sla", "sra", "sll", "srl", "stm", "lm",
+))
+
+#: opcode byte -> whether a block would end with or before that
+#: instruction, so that the pc after :meth:`Simulator.step` executes
+#: it is a block leader.
+_ENDS_BLOCK = [
+    info is None or info.mnemonic not in _COMPILED - _BRANCHES
+    for info in isa.DECODE_TABLE
+]
+
+_SIGN = "0x80000000"
+_U32 = "0xFFFFFFFF"
+_U64 = "0xFFFFFFFFFFFFFFFF"
 
 
-def _ea_factory(sim: "Simulator", x: int, b: int, d: int) -> Callable[[], int]:
-    """A specialized effective-address closure (mirrors `_addr`)."""
-    regs = sim.regs
-    if x and b:
-        def ea() -> int:
-            return (
-                d + (regs[x] & 0xFFFFFFFF) + (regs[b] & 0xFFFFFFFF)
-            ) & 0xFFFFFF
-    elif x:
-        def ea() -> int:
-            return (d + (regs[x] & 0xFFFFFFFF)) & 0xFFFFFF
-    elif b:
-        def ea() -> int:
-            return (d + (regs[b] & 0xFFFFFFFF)) & 0xFFFFFF
-    else:
-        const = d & 0xFFFFFF
-
-        def ea() -> int:
-            return const
-    return ea
-
-
-def _decode_rr(sim: "Simulator", pc: int, info: isa.OpInfo):
-    b1 = sim.read_byte(pc + 1)
-    r1, r2 = b1 >> 4, b1 & 0xF
-    next_pc = pc + 2
-    op = info.mnemonic
-    regs = sim.regs
-    counts = sim._counts
-
-    if op == "lr":
-        def fn() -> None:
-            counts["lr"] += 1
-            regs[r1] = regs[r2]
-            sim.pc = next_pc
-    elif op == "ltr":
-        def fn() -> None:
-            counts["ltr"] += 1
-            regs[r1] = regs[r2]
-            sim._set_cc_value(regs[r1])
-            sim.pc = next_pc
-    elif op == "lcr":
-        def fn() -> None:
-            counts["lcr"] += 1
-            regs[r1] = to_u32(-to_s32(regs[r2]))
-            sim._set_cc_value(regs[r1])
-            sim.pc = next_pc
-    elif op == "lpr":
-        def fn() -> None:
-            counts["lpr"] += 1
-            regs[r1] = to_u32(abs(to_s32(regs[r2])))
-            sim._set_cc_value(regs[r1])
-            sim.pc = next_pc
-    elif op == "lnr":
-        def fn() -> None:
-            counts["lnr"] += 1
-            regs[r1] = to_u32(-abs(to_s32(regs[r2])))
-            sim._set_cc_value(regs[r1])
-            sim.pc = next_pc
-    elif op == "ar":
-        def fn() -> None:
-            counts["ar"] += 1
-            regs[r1] = to_u32(
-                sim._arith(to_s32(regs[r1]), to_s32(regs[r2]), sub=False)
-            )
-            sim.pc = next_pc
-    elif op == "sr":
-        def fn() -> None:
-            counts["sr"] += 1
-            regs[r1] = to_u32(
-                sim._arith(to_s32(regs[r1]), to_s32(regs[r2]), sub=True)
-            )
-            sim.pc = next_pc
-    elif op == "alr":
-        def fn() -> None:
-            counts["alr"] += 1
-            total = (regs[r1] & 0xFFFFFFFF) + (regs[r2] & 0xFFFFFFFF)
-            regs[r1] = total & 0xFFFFFFFF
-            sim.cc = (2 if total > 0xFFFFFFFF else 0) + (
-                1 if total & 0xFFFFFFFF else 0
-            )
-            sim.pc = next_pc
-    elif op == "slr":
-        def fn() -> None:
-            counts["slr"] += 1
-            a, b = regs[r1] & 0xFFFFFFFF, regs[r2] & 0xFFFFFFFF
-            regs[r1] = (a - b) & 0xFFFFFFFF
-            if a < b:
-                sim.cc = 1        # borrow, nonzero
-            else:
-                sim.cc = 2 if a == b else 3
-            sim.pc = next_pc
-    elif op == "mr":
-        def fn() -> None:
-            counts["mr"] += 1
-            sim._set_pair(r1, to_s32(regs[r1 + 1]) * to_s32(regs[r2]))
-            sim.pc = next_pc
-    elif op == "dr":
-        def fn() -> None:
-            counts["dr"] += 1
-            sim._divide(r1, to_s32(regs[r2]))
-            sim.pc = next_pc
-    elif op == "cr":
-        def fn() -> None:
-            counts["cr"] += 1
-            sim._set_cc_compare(to_s32(regs[r1]), to_s32(regs[r2]))
-            sim.pc = next_pc
-    elif op == "clr":
-        def fn() -> None:
-            counts["clr"] += 1
-            sim._set_cc_compare(
-                regs[r1] & 0xFFFFFFFF, regs[r2] & 0xFFFFFFFF
-            )
-            sim.pc = next_pc
-    elif op == "nr":
-        def fn() -> None:
-            counts["nr"] += 1
-            regs[r1] = (regs[r1] & regs[r2]) & 0xFFFFFFFF
-            sim.cc = 1 if regs[r1] else 0
-            sim.pc = next_pc
-    elif op == "or":
-        def fn() -> None:
-            counts["or"] += 1
-            regs[r1] = (regs[r1] | regs[r2]) & 0xFFFFFFFF
-            sim.cc = 1 if regs[r1] else 0
-            sim.pc = next_pc
-    elif op == "xr":
-        def fn() -> None:
-            counts["xr"] += 1
-            regs[r1] = (regs[r1] ^ regs[r2]) & 0xFFFFFFFF
-            sim.cc = 1 if regs[r1] else 0
-            sim.pc = next_pc
-    elif op == "bcr":
-        def fn() -> None:
-            counts["bcr"] += 1
-            if r2 and (r1 >> (3 - sim.cc)) & 1:
-                sim.pc = regs[r2] & 0xFFFFFF
-            else:
-                sim.pc = next_pc
-    elif op == "balr":
-        def fn() -> None:
-            counts["balr"] += 1
-            regs[r1] = next_pc
-            # regs[r2] is read *after* the r1 write (r1 may equal r2).
-            sim.pc = (regs[r2] & 0xFFFFFF) if r2 else next_pc
-    elif op == "bctr":
-        def fn() -> None:
-            counts["bctr"] += 1
-            regs[r1] = to_u32(to_s32(regs[r1]) - 1)
-            if r2 and regs[r1] != 0:
-                sim.pc = regs[r2] & 0xFFFFFF
-            else:
-                sim.pc = next_pc
-    elif op == "mvcl":
-        def fn() -> None:
-            counts["mvcl"] += 1
-            sim._mvcl(r1, r2)
-            sim.pc = next_pc
-    else:
-        fn = sim._unimplemented(info)
-    return fn
+def _block_end(memory: bytearray, pc: int) -> int:
+    """End address of the block that starts at ``pc`` (``pc`` itself
+    when its first instruction is not compiled)."""
+    size = len(memory)
+    end = pc
+    for _ in range(MAX_BLOCK):
+        if end >= size:
+            break
+        info = isa.DECODE_TABLE[memory[end]]
+        if (
+            info is None
+            or info.mnemonic not in _COMPILED
+            or end + info.length > size
+            or (info.mnemonic in _PAIR_OPS and memory[end + 1] & 0x10)
+        ):
+            break
+        end += info.length
+        if info.mnemonic in _BRANCHES:
+            break
+    return end
 
 
-def _decode_rx(sim: "Simulator", pc: int, info: isa.OpInfo):
-    b1 = sim.read_byte(pc + 1)
-    b2 = sim.read_byte(pc + 2)
-    b3 = sim.read_byte(pc + 3)
-    r1, x2 = b1 >> 4, b1 & 0xF
-    b, d = b2 >> 4, ((b2 & 0xF) << 8) | b3
-    ea = _ea_factory(sim, x2, b, d)
-    next_pc = pc + 4
-    op = info.mnemonic
-    regs = sim.regs
-    counts = sim._counts
+class _Block:
+    """One simulator's handle on a compiled block: the shared function,
+    its mnemonics in order and their (mnemonic, count) tally, the end
+    address, and the complete runs not yet folded into the counts."""
 
-    if op == "l":
-        def fn() -> None:
-            counts["l"] += 1
-            regs[r1] = sim.read_word(ea()) & 0xFFFFFFFF
-            sim.pc = next_pc
-    elif op == "lh":
-        def fn() -> None:
-            counts["lh"] += 1
-            regs[r1] = sim.read_half(ea()) & 0xFFFFFFFF
-            sim.pc = next_pc
-    elif op == "la":
-        def fn() -> None:
-            counts["la"] += 1
-            regs[r1] = ea()
-            sim.pc = next_pc
-    elif op == "st":
-        def fn() -> None:
-            counts["st"] += 1
-            sim.write_word(ea(), regs[r1])
-            sim.pc = next_pc
-    elif op == "sth":
-        def fn() -> None:
-            counts["sth"] += 1
-            sim.write_half(ea(), regs[r1])
-            sim.pc = next_pc
-    elif op == "stc":
-        def fn() -> None:
-            counts["stc"] += 1
-            sim.write_byte(ea(), regs[r1])
-            sim.pc = next_pc
-    elif op == "ic":
-        def fn() -> None:
-            counts["ic"] += 1
-            regs[r1] = (
-                (regs[r1] & 0xFFFFFF00) | sim.read_byte(ea())
-            ) & 0xFFFFFFFF
-            sim.pc = next_pc
-    elif op == "a":
-        def fn() -> None:
-            counts["a"] += 1
-            regs[r1] = to_u32(
-                sim._arith(
-                    to_s32(regs[r1]), to_s32(sim.read_word(ea())), sub=False
-                )
-            )
-            sim.pc = next_pc
-    elif op == "ah":
-        def fn() -> None:
-            counts["ah"] += 1
-            regs[r1] = to_u32(
-                sim._arith(to_s32(regs[r1]), sim.read_half(ea()), sub=False)
-            )
-            sim.pc = next_pc
-    elif op == "s":
-        def fn() -> None:
-            counts["s"] += 1
-            regs[r1] = to_u32(
-                sim._arith(
-                    to_s32(regs[r1]), to_s32(sim.read_word(ea())), sub=True
-                )
-            )
-            sim.pc = next_pc
-    elif op == "sh":
-        def fn() -> None:
-            counts["sh"] += 1
-            regs[r1] = to_u32(
-                sim._arith(to_s32(regs[r1]), sim.read_half(ea()), sub=True)
-            )
-            sim.pc = next_pc
-    elif op == "m":
-        def fn() -> None:
-            counts["m"] += 1
-            sim._set_pair(
-                r1, to_s32(regs[r1 + 1]) * to_s32(sim.read_word(ea()))
-            )
-            sim.pc = next_pc
-    elif op == "mh":
-        def fn() -> None:
-            counts["mh"] += 1
-            regs[r1] = to_u32(to_s32(regs[r1]) * sim.read_half(ea()))
-            sim.pc = next_pc
-    elif op == "d":
-        def fn() -> None:
-            counts["d"] += 1
-            sim._divide(r1, to_s32(sim.read_word(ea())))
-            sim.pc = next_pc
-    elif op == "c":
-        def fn() -> None:
-            counts["c"] += 1
-            sim._set_cc_compare(
-                to_s32(regs[r1]), to_s32(sim.read_word(ea()))
-            )
-            sim.pc = next_pc
-    elif op == "ch":
-        def fn() -> None:
-            counts["ch"] += 1
-            sim._set_cc_compare(to_s32(regs[r1]), sim.read_half(ea()))
-            sim.pc = next_pc
-    elif op == "cl":
-        def fn() -> None:
-            counts["cl"] += 1
-            sim._set_cc_compare(
-                regs[r1] & 0xFFFFFFFF, sim.read_word(ea()) & 0xFFFFFFFF
-            )
-            sim.pc = next_pc
-    elif op == "n":
-        def fn() -> None:
-            counts["n"] += 1
-            regs[r1] = (regs[r1] & sim.read_word(ea())) & 0xFFFFFFFF
-            sim.cc = 1 if regs[r1] else 0
-            sim.pc = next_pc
-    elif op == "o":
-        def fn() -> None:
-            counts["o"] += 1
-            regs[r1] = (regs[r1] | sim.read_word(ea())) & 0xFFFFFFFF
-            sim.cc = 1 if regs[r1] else 0
-            sim.pc = next_pc
-    elif op == "x":
-        def fn() -> None:
-            counts["x"] += 1
-            regs[r1] = (regs[r1] ^ sim.read_word(ea())) & 0xFFFFFFFF
-            sim.cc = 1 if regs[r1] else 0
-            sim.pc = next_pc
-    elif op == "bc":
-        if r1 == 15:
-            def fn() -> None:
-                counts["bc"] += 1
-                sim.pc = ea()
-        elif r1 == 0:
-            def fn() -> None:
-                counts["bc"] += 1
-                sim.pc = next_pc
-        else:
-            def fn() -> None:
-                counts["bc"] += 1
-                sim.pc = ea() if (r1 >> (3 - sim.cc)) & 1 else next_pc
-    elif op == "bal":
-        def fn() -> None:
-            counts["bal"] += 1
-            regs[r1] = next_pc
-            sim.pc = ea()
-    elif op == "bct":
-        def fn() -> None:
-            counts["bct"] += 1
-            regs[r1] = to_u32(to_s32(regs[r1]) - 1)
-            sim.pc = ea() if regs[r1] != 0 else next_pc
-    else:
-        fn = sim._unimplemented(info)
-    return fn
+    __slots__ = ("end", "fn", "names", "tally", "length", "hits")
+
+    def __init__(self, end: int, fn: Callable[..., int],
+                 names: Tuple[str, ...],
+                 tally: Tuple[Tuple[str, int], ...]):
+        self.end = end
+        self.fn = fn
+        self.names = names
+        self.tally = tally
+        self.length = len(names)
+        self.hits = 0
 
 
-def _decode_rs(sim: "Simulator", pc: int, info: isa.OpInfo):
-    b1 = sim.read_byte(pc + 1)
-    b2 = sim.read_byte(pc + 2)
-    b3 = sim.read_byte(pc + 3)
-    r1, r3 = b1 >> 4, b1 & 0xF
-    b, d = b2 >> 4, ((b2 & 0xF) << 8) | b3
-    ea = _ea_factory(sim, 0, b, d)
-    next_pc = pc + 4
-    op = info.mnemonic
-    regs = sim.regs
-    counts = sim._counts
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _compile_block(
+    pc: int, code: bytes, strict_alignment: bool, memory_size: int
+) -> Tuple[Callable[..., int], Tuple[str, ...], Tuple[Tuple[str, int], ...]]:
+    """The block function for ``code`` loaded at ``pc``, the mnemonics
+    it executes, and their (mnemonic, count) tally.
 
-    if op in ("sla", "sra", "sll", "srl", "slda", "srda", "sldl", "srdl"):
-        def fn() -> None:
-            counts[op] += 1
-            sim._shift(op, r1, ea() & 0x3F)
-            sim.pc = next_pc
-    elif op == "stm":
-        def fn() -> None:
-            counts["stm"] += 1
-            address = ea()
-            r = r1
-            while True:
-                sim.write_word(address, regs[r])
-                address += 4
-                if r == r3:
-                    break
-                r = (r + 1) % 16
-            sim.pc = next_pc
-    elif op == "lm":
-        def fn() -> None:
-            counts["lm"] += 1
-            address = ea()
-            r = r1
-            while True:
-                regs[r] = sim.read_word(address) & 0xFFFFFFFF
-                address += 4
-                if r == r3:
-                    break
-                r = (r + 1) % 16
-            sim.pc = next_pc
-    else:
-        fn = sim._unimplemented(info)
-    return fn
+    The key is the block's exact bytes, so a changed or different image
+    can never reuse stale code.
+    """
+    writer = _BlockWriter(strict_alignment, memory_size)
+    offset = 0
+    while offset < len(code):
+        info = isa.DECODE_TABLE[code[offset]]
+        raw = code[offset : offset + info.length]
+        writer.instruction(pc + offset, info, raw)
+        offset += info.length
+    namespace: Dict[str, Callable[..., int]] = {}
+    exec(
+        compile(writer.source(), f"<block {pc:#x}>", "exec"),
+        _BLOCK_GLOBALS, namespace,
+    )
+    names = tuple(writer.names)
+    return namespace["block"], names, tuple(Counter(names).items())
 
 
-def _decode_si(sim: "Simulator", pc: int, info: isa.OpInfo):
-    i2 = sim.read_byte(pc + 1)
-    b2 = sim.read_byte(pc + 2)
-    b3 = sim.read_byte(pc + 3)
-    b, d = b2 >> 4, ((b2 & 0xF) << 8) | b3
-    ea = _ea_factory(sim, 0, b, d)
-    next_pc = pc + 4
-    op = info.mnemonic
-    counts = sim._counts
-
-    if op == "mvi":
-        def fn() -> None:
-            counts["mvi"] += 1
-            sim.write_byte(ea(), i2)
-            sim.pc = next_pc
-    elif op in ("ni", "oi", "xi"):
-        combine = {
-            "ni": lambda v: v & i2,
-            "oi": lambda v: v | i2,
-            "xi": lambda v: v ^ i2,
-        }[op]
-
-        def fn() -> None:
-            counts[op] += 1
-            address = ea()
-            value = combine(sim.read_byte(address))
-            sim.write_byte(address, value)
-            sim.cc = 1 if value else 0
-            sim.pc = next_pc
-    elif op == "tm":
-        def fn() -> None:
-            counts["tm"] += 1
-            value = sim.read_byte(ea()) & i2
-            if value == 0:
-                sim.cc = 0
-            elif value == i2:
-                sim.cc = 3
-            else:
-                sim.cc = 1
-            sim.pc = next_pc
-    elif op == "cli":
-        def fn() -> None:
-            counts["cli"] += 1
-            sim._set_cc_compare(sim.read_byte(ea()), i2)
-            sim.pc = next_pc
-    else:
-        fn = sim._unimplemented(info)
-    return fn
-
-
-def _decode_ss(sim: "Simulator", pc: int, info: isa.OpInfo):
-    length = sim.read_byte(pc + 1) + 1  # length-1 encoding
-    b2 = sim.read_byte(pc + 2)
-    b3 = sim.read_byte(pc + 3)
-    b4 = sim.read_byte(pc + 4)
-    b5 = sim.read_byte(pc + 5)
-    ea1 = _ea_factory(sim, 0, b2 >> 4, ((b2 & 0xF) << 8) | b3)
-    ea2 = _ea_factory(sim, 0, b4 >> 4, ((b4 & 0xF) << 8) | b5)
-    next_pc = pc + 6
-    op = info.mnemonic
-    counts = sim._counts
-
-    if op == "mvc":
-        def fn() -> None:
-            counts["mvc"] += 1
-            a1, a2 = ea1(), ea2()
-            for i in range(length):  # byte-at-a-time: overlap semantics
-                sim.write_byte(a1 + i, sim.read_byte(a2 + i))
-            sim.pc = next_pc
-    elif op == "clc":
-        def fn() -> None:
-            counts["clc"] += 1
-            a1, a2 = ea1(), ea2()
-            sim.cc = 0
-            for i in range(length):
-                x, y = sim.read_byte(a1 + i), sim.read_byte(a2 + i)
-                if x != y:
-                    sim.cc = 1 if x < y else 2
-                    break
-            sim.pc = next_pc
-    elif op in ("nc", "oc", "xc"):
-        def fn() -> None:
-            counts[op] += 1
-            a1, a2 = ea1(), ea2()
-            any_bits = 0
-            for i in range(length):
-                x, y = sim.read_byte(a1 + i), sim.read_byte(a2 + i)
-                if op == "nc":
-                    value = x & y
-                elif op == "oc":
-                    value = x | y
-                else:
-                    value = x ^ y
-                sim.write_byte(a1 + i, value)
-                any_bits |= value
-            sim.cc = 1 if any_bits else 0
-            sim.pc = next_pc
-    else:
-        fn = sim._unimplemented(info)
-    return fn
-
-
-def _decode_svc(sim: "Simulator", pc: int, info: isa.OpInfo):
-    number = sim.read_byte(pc + 1)
-    next_pc = pc + 2
-    regs = sim.regs
-    counts = sim._counts
-
-    if number == isa.SVC_HALT:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            sim._halted = True
-    elif number == isa.SVC_WRITE_INT:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            sim._output.append(str(to_s32(regs[1])))
-    elif number == isa.SVC_WRITE_CHAR:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            sim._output.append(chr(regs[1] & 0xFF))
-    elif number == isa.SVC_WRITE_NL:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            sim._output.append("\n")
-    elif number == isa.SVC_WRITE_BOOL:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            sim._output.append("true" if to_s32(regs[1]) & 1 else "false")
-    elif number == isa.SVC_WRITE_STR:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            address = regs[1] & 0xFFFFFF
-            count = regs[2] & 0xFFFFFFFF
-            sim._check(address, count)
-            sim._output.append(
-                sim.memory[address : address + count].decode(
-                    "ascii", "replace"
-                )
-            )
-    elif number == isa.SVC_READ_INT:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            if sim._input_pos >= len(sim.input_values):
-                sim._trap = "read past end of input"
-            else:
-                regs[1] = to_u32(sim.input_values[sim._input_pos])
-                sim._input_pos += 1
-    elif number == isa.SVC_CHECK_LOW:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            sim._trap = "range check: underflow"
-    elif number == isa.SVC_CHECK_HIGH:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            sim._trap = "range check: overflow"
-    elif number == isa.SVC_ABORT:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            sim._trap = f"abort {to_s32(regs[1])}"
-    else:
-        def fn() -> None:
-            counts["svc"] += 1
-            sim.pc = next_pc
-            raise sim._fault(InvalidOpcodeError, f"unknown SVC {number}")
-    return fn
-
-
-#: format tag -> decode factory, consulted once per (pc, image) by
-#: :meth:`Simulator._decode`.
-_DECODERS = {
-    "RR": _decode_rr,
-    "RX": _decode_rx,
-    "RS": _decode_rs,
-    "SI": _decode_si,
-    "SS": _decode_ss,
-    "SVC": _decode_svc,
+#: Memory accessors the block functions call: U<n>/P<n> unpack/pack
+#: n unsigned big-endian words, SW/SH unpack a signed word/halfword,
+#: PH packs a halfword.
+_BLOCK_GLOBALS = {
+    "SW": struct.Struct(">i").unpack_from,
+    "SH": struct.Struct(">h").unpack_from,
+    "PH": struct.Struct(">H").pack_into,
 }
+for _n in range(1, 17):
+    _BLOCK_GLOBALS[f"U{_n}"] = struct.Struct(f">{_n}I").unpack_from
+    _BLOCK_GLOBALS[f"P{_n}"] = struct.Struct(f">{_n}I").pack_into
+del _n
+
+
+def _signed(reg: str) -> str:
+    return f"(({reg} ^ {_SIGN}) - {_SIGN})"
+
+
+def _value_cc(t: str) -> str:
+    """CC of a load-and-test: ``t`` holds the unsigned 32-bit result."""
+    return f"((1 if {t} & {_SIGN} else 2) if {t} else 0)"
+
+
+def _arith_cc(t: str) -> str:
+    """CC of a signed add or subtract with exact result ``t``."""
+    return (
+        f"(3 if {t} < -2147483648 or {t} > 2147483647 "
+        f"else (1 if {t} < 0 else 2) if {t} else 0)"
+    )
+
+
+def _compare_cc(t: str, u: str) -> str:
+    return f"(0 if {t} == {u} else 1 if {t} < {u} else 2)"
+
+
+def _branch_cond(mask: int) -> Optional[str]:
+    """Python test on ``cc`` for a BC/BCR mask (``None``: always)."""
+    taken = [cc for cc in range(4) if (mask >> (3 - cc)) & 1]
+    if len(taken) == 4:
+        return None
+    if len(taken) == 1:
+        return f"cc == {taken[0]}"
+    if len(taken) == 3:
+        return f"cc != {({0, 1, 2, 3} - set(taken)).pop()}"
+    return f"{sum(1 << cc for cc in taken)} >> cc & 1"
+
+
+class _BlockWriter:
+    """Generates the source of one block function, instruction by
+    instruction (see "the block compiler" above)."""
+
+    def __init__(self, strict_alignment: bool, memory_size: int):
+        self.strict = strict_alignment
+        self.size = memory_size
+        self.body: List[str] = []
+        self.names: List[str] = []
+        self.pcs: List[int] = []
+        self.used: Set[int] = set()
+        self.written: Set[int] = set()
+        #: the CC expression set by the last CC-setting instruction,
+        #: not yet stored into ``cc``.
+        self.pending: Optional[str] = None
+        self.sets_cc = False
+        self.reads_cc = False
+        self.bails = False
+        #: the pc expression the block exits with.
+        self.exit = ""
+
+    # -- operands -------------------------------------------------------
+
+    def get(self, r: int) -> str:
+        self.used.add(r)
+        return f"r{r}"
+
+    def put(self, r: int) -> str:
+        self.used.add(r)
+        self.written.add(r)
+        return f"r{r}"
+
+    def address(self, x: int, b: int, d: int) -> str:
+        """Assign the effective address to ``a`` (mirrors `_addr`)."""
+        terms = ([str(d)] if d else []) + [self.get(r) for r in (x, b) if r]
+        if not terms:
+            return "0"
+        if len(terms) == 1 and not (x or b):
+            return terms[0]
+        self.emit(f"a = ({' + '.join(terms)}) & 0xFFFFFF")
+        return "a"
+
+    # -- statements -----------------------------------------------------
+
+    def emit(self, line: str) -> None:
+        self.body.append(line)
+
+    def set_cc(self, expression: str) -> None:
+        self.pending = expression
+        self.sets_cc = True
+
+    def read_cc(self) -> None:
+        self.reads_cc = True
+        if self.pending is not None:
+            self.emit(f"cc = {self.pending}")
+            self.pending = None
+
+    def bail(self, condition: str) -> None:
+        """Leave the block before the current instruction when
+        ``condition`` holds."""
+        self.bails = True
+        store_cc = f"cc = {self.pending}; " if self.pending else ""
+        done = len(self.names) - 1
+        self.emit(f"if {condition}: {store_cc}n = {done}; break")
+
+    def access(self, a: str, length: int, store: bool = False,
+               align: int = 0) -> None:
+        """Bail unless the reference would access ``length`` bytes at
+        ``a`` (on an ``align``-byte boundary, default ``length``)
+        without a fault -- and, for a store, outside compiled code."""
+        tests = [f"{a} > {self.size - length}"]
+        align = align or length
+        if self.strict and align > 1:
+            tests.append(f"{a} & {align - 1}")
+        if store:
+            offsets = sorted({*range(0, length, 16), length - 1})
+            tests += [
+                f"{a} + {k} >> 4 in L" if k else f"{a} >> 4 in L"
+                for k in offsets
+            ]
+        self.bail(" or ".join(tests))
+
+    # -- instructions ---------------------------------------------------
+
+    def instruction(self, pc: int, info: isa.OpInfo, raw: bytes) -> None:
+        i = len(self.names)
+        self.names.append(info.mnemonic)
+        self.pcs.append(pc)
+        nxt = pc + info.length
+        self.exit = str(nxt)
+        op = info.mnemonic
+        r1, r2 = raw[1] >> 4, raw[1] & 0xF
+        if info.format == "RR":
+            if op in _BRANCHES:
+                self.branch_rr(op, r1, r2, nxt)
+            else:
+                x = self.get(r2)
+                self.alu(op[:-1], r1, x, _signed(x), i)
+            return
+        b, d = raw[2] >> 4, ((raw[2] & 0xF) << 8) | raw[3]
+        if info.format == "RS":
+            self.rs(op, r1, r2, b, d, i)
+        else:
+            self.rx(op, r1, self.address(r2, b, d), nxt, i)
+
+    def branch_rr(self, op: str, r1: int, r2: int, nxt: int) -> None:
+        """BCR, BALR, BCTR: a zero r2 means "do not branch"."""
+        target = f"({self.get(r2)} & 0xFFFFFF)" if r2 else None
+        if op == "bcr":
+            condition = _branch_cond(r1)
+            if target and r1:
+                if condition is None:
+                    self.exit = target
+                else:
+                    self.read_cc()
+                    self.exit = f"{target} if {condition} else {nxt}"
+        elif op == "balr":
+            # The target register is read after the link is written.
+            self.emit(f"{self.put(r1)} = {nxt}")
+            if target:
+                self.exit = target
+        else:  # bctr
+            x = self.put(r1)
+            self.emit(f"{x} = ({x} - 1) & {_U32}")
+            if target:
+                self.exit = f"{target} if {x} else {nxt}"
+
+    def rx(self, op: str, r1: int, a: str, nxt: int, i: int) -> None:
+        if op == "la":
+            self.emit(f"{self.put(r1)} = {a}")
+        elif op == "bc":
+            condition = _branch_cond(r1)
+            if condition is None:
+                self.exit = a
+            elif r1:
+                self.read_cc()
+                self.exit = f"{a} if {condition} else {nxt}"
+        elif op == "bal":
+            self.emit(f"{self.put(r1)} = {nxt}")
+            self.exit = a
+        elif op == "bct":
+            x = self.put(r1)
+            self.emit(f"{x} = ({x} - 1) & {_U32}")
+            self.exit = f"{a} if {x} else {nxt}"
+        elif op in ("st", "sth", "stc"):
+            length = {"st": 4, "sth": 2, "stc": 1}[op]
+            self.access(a, length, store=True)
+            x = self.get(r1)
+            self.emit({
+                "st": f"P1(M, {a}, {x})",
+                "sth": f"PH(M, {a}, {x} & 0xFFFF)",
+                "stc": f"M[{a}] = {x} & 0xFF",
+            }[op])
+        elif op == "ic":
+            self.access(a, 1)
+            x = self.get(r1)
+            self.emit(f"{self.put(r1)} = {x} & 0xFFFFFF00 | M[{a}]")
+        elif op == "mh":
+            self.access(a, 2)
+            product = f"({_signed(self.get(r1))} * SH(M, {a})[0]) & {_U32}"
+            self.emit(f"{self.put(r1)} = {product}")
+        elif op in ("lh", "ah", "sh", "ch"):
+            self.access(a, 2)
+            half = f"SH(M, {a})[0]"
+            self.alu(op[:-1], r1, f"{half} & {_U32}", half, i)
+        else:
+            self.access(a, 4)
+            self.alu(op, r1, f"U1(M, {a})[0]", f"SW(M, {a})[0]", i)
+
+    def alu(self, op: str, r1: int, unsigned: str, signed: str,
+            i: int) -> None:
+        """The register-and-operand instructions of the RR and RX
+        formats, named without their RR ``r`` or halfword ``h``
+        suffix; ``unsigned`` and ``signed`` read the second operand."""
+        t, u = f"t{i}", f"u{i}"
+        x = self.get(r1)
+        if op == "l":
+            self.emit(f"{self.put(r1)} = {unsigned}")
+        elif op in ("lt", "lc"):
+            value = unsigned if op == "lt" else f"-{unsigned} & {_U32}"
+            self.emit(f"{self.put(r1)} = {t} = {value}")
+            self.set_cc(_value_cc(t))
+        elif op in ("a", "s"):
+            sign = "+" if op == "a" else "-"
+            self.emit(f"{t} = {_signed(x)} {sign} {signed}")
+            self.emit(f"{self.put(r1)} = {t} & {_U32}")
+            self.set_cc(_arith_cc(t))
+        elif op in ("c", "cl"):
+            self.emit(f"{t} = {_signed(x) if op == 'c' else x}")
+            self.emit(f"{u} = {signed if op == 'c' else unsigned}")
+            self.set_cc(_compare_cc(t, u))
+        elif op in ("n", "o", "x"):
+            sym = {"n": "&", "o": "|", "x": "^"}[op]
+            self.emit(f"{self.put(r1)} = {t} = {x} {sym} {unsigned}")
+            self.set_cc(f"(1 if {t} else 0)")
+        elif op == "m":
+            self.multiply(r1, signed, t)
+        else:  # d
+            self.divide(r1, signed, i)
+
+    def rs(self, op: str, r1: int, r3: int, b: int, d: int, i: int) -> None:
+        t = f"t{i}"
+        if op in ("stm", "lm"):
+            regs = [r1]
+            while regs[-1] != r3:
+                regs.append((regs[-1] + 1) % 16)
+            a = self.address(0, b, d)
+            self.access(a, 4 * len(regs), store=op == "stm", align=4)
+            if op == "stm":
+                values = ", ".join(self.get(r) for r in regs)
+                self.emit(f"P{len(regs)}(M, {a}, {values})")
+            else:
+                targets = ", ".join(self.put(r) for r in regs)
+                self.emit(f"{targets}, = U{len(regs)}(M, {a})")
+            return
+        amount = f"(({self.get(b)} + {d}) & 63)" if b else str(d & 63)
+        if op in ("sla", "sra", "sll", "srl"):
+            x = self.get(r1)
+            shifted = {
+                "sla": f"({x} << {amount}) & {_U32}",
+                "sra": f"({_signed(x)} >> {amount}) & {_U32}",
+                "sll": f"({x} << {amount}) & {_U32}",
+                "srl": f"{x} >> {amount}",
+            }[op]
+            if op in ("sla", "sra"):
+                self.emit(f"{self.put(r1)} = {t} = {shifted}")
+                self.set_cc(_value_cc(t))
+            else:
+                self.emit(f"{self.put(r1)} = {shifted}")
+            return
+        pair = f"({self.get(r1)} << 32 | {self.get(r1 + 1)})"
+        self.emit(f"{t} = " + {
+            "slda": f"({pair} << {amount}) & {_U64}",
+            "sldl": f"({pair} << {amount}) & {_U64}",
+            "srda": f"(({pair} ^ 0x8000000000000000) - 0x8000000000000000 "
+                    f">> {amount}) & {_U64}",
+            "srdl": f"{pair} >> {amount}",
+        }[op])
+        self.set_pair(r1, t)
+        if op in ("slda", "srda"):
+            self.set_cc(f"((1 if {t} >> 63 else 2) if {t} else 0)")
+
+    def set_pair(self, r1: int, t: str) -> None:
+        """Split the unsigned 64-bit ``t`` into the pair ``r1``, ``r1+1``."""
+        self.emit(f"{self.put(r1)} = {t} >> 32")
+        self.emit(f"{self.put(r1 + 1)} = {t} & {_U32}")
+
+    def multiply(self, r1: int, factor: str, t: str) -> None:
+        self.emit(f"{t} = ({_signed(self.get(r1 + 1))} * {factor}) & {_U64}")
+        self.set_pair(r1, t)
+
+    def divide(self, r1: int, divisor: str, i: int) -> None:
+        """Mirror `_divide`; a zero divisor or an overflowing quotient
+        bails, so the reference sets the trap."""
+        v, t, q = f"v{i}", f"t{i}", f"q{i}"
+        self.emit(f"{v} = {divisor}")
+        self.bail(f"not {v}")
+        self.emit(f"{t} = {self.get(r1)} << 32 | {self.get(r1 + 1)}")
+        self.emit(f"if {t} >> 63: {t} -= 0x10000000000000000")
+        self.emit(f"{q} = int({t} / {v})")
+        self.bail(f"{q} < -2147483648 or {q} > 2147483647")
+        self.emit(f"{self.put(r1)} = ({t} - {q} * {v}) & {_U32}")
+        self.emit(f"{self.put(r1 + 1)} = {q} & {_U32}")
+
+    # -- the function ---------------------------------------------------
+
+    def source(self) -> str:
+        if self.pending is not None:
+            self.read_cc()
+        entry = [f"r{r} = R[{r}]" for r in sorted(self.used)]
+        if self.sets_cc or self.reads_cc:
+            entry.append("cc = sim.cc")
+        write_back = [f"R[{r}] = r{r}" for r in sorted(self.written)]
+        if self.sets_cc:
+            write_back.append("sim.cc = cc")
+        lines = ["def block(sim, R, M, L):"]
+        lines += ["    " + line for line in entry]
+        indent = "    "
+        if self.bails:
+            lines.append("    while 1:")
+            indent = "        "
+        lines += [indent + line for line in self.body + write_back]
+        lines.append(f"{indent}sim.pc = {self.exit}")
+        lines.append(f"{indent}return {len(self.names)}")
+        if self.bails:
+            lines += ["    " + line for line in write_back]
+            lines.append(f"    sim.pc = {tuple(self.pcs)}[n]")
+            lines.append("    return n")
+        return "\n".join(lines) + "\n"

@@ -48,12 +48,13 @@ Twelve injectors, one per fragile layer:
     byte-identical to the interpreted reference.  Specialization
     damage may cost speed, never correctness.
 ``simcache``
-    Corrupt the simulator's predecode dispatch cache mid-run (wholesale
-    clears, random slot drops, forced slow-lane interleaving) while the
-    known-good program executes on the fast lane.  The simulator must
-    degrade to re-decoding -- the run's output, step count and
-    instruction counts must match a pristine slow-lane reference
-    exactly.  Cache damage may cost time, never correctness.
+    Run the known-good program in random-length chunks, each ended by
+    the step limit, and damage the simulator's compiled-block state
+    between chunks: drop every block, drop random blocks, reset the
+    leader entry counters, or clear the process-wide block cache.  The
+    simulator must recompile or step -- the run's output, total step
+    count and instruction counts must match a pristine reference-loop
+    run exactly.  Cache damage may cost time, never correctness.
 ``peephole``
     Compile the known-good program repeatedly with random peephole rule
     subsets -- including randomly disabling rules mid-batch -- and
@@ -118,7 +119,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, StepLimitError
 from repro.core import tables as T
 from repro.core.codegen.parser_rt import CodeGenerator, ParserGuards
 from repro.core.codegen.loader_records import resolve_module
@@ -126,7 +127,7 @@ from repro.core.machine import ClassKind
 from repro.core.tables import ParseTables
 from repro.ir.linear import IFToken
 from repro.machines.s370.objmod import read_object
-from repro.machines.s370.simulator import Simulator
+from repro.machines.s370.simulator import Simulator, _compile_block
 from repro.machines.s370.spec import machine_description
 
 #: Guards used for every chaos parse: tight enough that a watchdog trip
@@ -534,7 +535,7 @@ def _inject_specialize(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
     return action
 
 
-#: Slow-lane reference runs of the chaos program, by variant:
+#: Reference-loop runs of the chaos program, by variant:
 #: (output, steps, instruction_counts).
 _SIM_REFERENCES: Dict[str, Tuple[str, int, Dict[str, int]]] = {}
 
@@ -552,59 +553,50 @@ def _sim_reference(fx: _Fixture) -> Tuple[str, int, Dict[str, int]]:
 
 
 def _inject_simcache(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
-    """Damage the predecode cache mid-run; the run must not diverge."""
+    """Damage the compiled-block state between chunks of a run; the run
+    must not diverge."""
     expected_output, expected_steps, expected_counts = _sim_reference(fx)
-    surgeries = rng.randint(1, 6)
 
     def action() -> None:
         obj = read_object(fx.object_records)
-        sim = Simulator(predecode=True)
+        sim = Simulator()
         sim.load_image(obj.to_image())
-        remaining = surgeries
-        next_surgery = rng.randint(1, 40)
         steps = 0
-        while not sim._halted and sim._trap is None:
+        while True:
             if steps >= CHAOS_SIM_STEPS:
                 raise RuntimeError("simcache run exceeded step budget")
-            if steps >= next_surgery and remaining > 0:
-                remaining -= 1
-                op = rng.randrange(3)
-                if op == 0:
-                    # Wholesale invalidation: every slot re-decodes.
-                    sim._decoded.clear()
-                    sim._decoded_end.clear()
-                elif op == 1 and sim._decoded:
-                    # Drop a random subset of live slots.
-                    live = sorted(sim._decoded)
-                    for pc in rng.sample(
-                        live, rng.randint(1, len(live))
-                    ):
-                        del sim._decoded[pc]
-                        del sim._decoded_end[pc]
-                else:
-                    # Force the slow lane for a stretch: the preserved
-                    # fetch/decode loop and the cache must interleave
-                    # without disagreeing.
-                    for _ in range(rng.randint(1, 20)):
-                        if sim._halted or sim._trap is not None:
-                            break
-                        sim.step()
-                        steps += 1
-                    if sim._halted or sim._trap is not None:
-                        break
-                next_surgery = steps + rng.randint(1, 40)
-            sim.step_fast()
-            steps += 1
-        output = "".join(sim._output)
+            chunk = rng.randint(1, 40)
+            try:
+                result = sim.run(max_steps=chunk)
+            except StepLimitError:
+                # Raised between instructions, so the next run resumes
+                # exactly where this one stopped.
+                steps += chunk
+            else:
+                steps += result.steps
+                break
+            op = rng.randrange(4)
+            if op == 0:
+                # Wholesale invalidation: every block recompiles.
+                for pc in sorted(sim.compiled_blocks):
+                    sim._forget(pc)
+            elif op == 1 and sim.compiled_blocks:
+                live = sorted(sim.compiled_blocks)
+                for pc in rng.sample(live, rng.randint(1, len(live))):
+                    sim._forget(pc)
+            elif op == 2:
+                sim._entries.clear()
+            else:
+                _compile_block.cache_clear()
         if (
-            output != expected_output
+            result.output != expected_output
             or steps != expected_steps
-            or dict(sim._counts) != expected_counts
+            or result.instruction_counts != expected_counts
         ):
             raise RuntimeError(
-                "predecode-cache damage changed the run: "
+                "compiled-block damage changed the run: "
                 f"steps {steps} vs {expected_steps}, "
-                f"output {output!r} vs {expected_output!r}"
+                f"output {result.output!r} vs {expected_output!r}"
             )
 
     return action

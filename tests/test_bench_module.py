@@ -162,7 +162,7 @@ def _lane(rate_key):
 
 
 def _valid_report():
-    """The smallest report validate_report accepts (schema 6)."""
+    """The smallest report validate_report accepts (schema 7)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "git_rev": "abc1234",
@@ -178,9 +178,9 @@ def _valid_report():
         "table_build": {},
         "build_cache": {"warm_automaton_builds": 0},
         "simulator": {
-            "predecoded": _lane("steps_per_s"),
-            "legacy": _lane("steps_per_s"),
-            "speedup_predecode_vs_legacy": 2.0,
+            "blocks": _lane("steps_per_s"),
+            "reference": _lane("steps_per_s"),
+            "speedup_blocks_vs_reference": 2.0,
             "lanes_identical": True,
         },
         "end_to_end": {
@@ -210,8 +210,14 @@ class TestSchemaValidation:
 
     def test_missing_simulator_lane_rejected(self):
         report = _valid_report()
-        del report["simulator"]["legacy"]
-        assert any("legacy" in p for p in validate_report(report))
+        del report["simulator"]["reference"]
+        assert any("reference" in p for p in validate_report(report))
+        report = _valid_report()
+        del report["simulator"]["speedup_blocks_vs_reference"]
+        assert any(
+            "speedup_blocks_vs_reference" in p
+            for p in validate_report(report)
+        )
 
     def test_diverged_lanes_rejected(self):
         report = _valid_report()
@@ -328,6 +334,7 @@ class TestSpeedReport:
         assert frozen["codegen.legacy_string.tokens_per_s"] == 56368
         assert frozen["simulator.fused.steps_per_s"] == 1311114
         assert frozen["simulator.speedup_fused_vs_predecode"] == 1.083
+        assert frozen["simulator.predecoded.steps_per_s"] == 1210351
 
 
 class TestDebugMarkers:

@@ -1,11 +1,11 @@
-"""Dispatch-lane agreement beyond the default build.
+"""Simulator-lane agreement beyond the default build.
 
 These cases began in the superinstruction-fusion suite.  Fusion is
-gone; what they still guard is that the predecoded lane matches the
+gone; what they still guard is that the block engine matches the
 decode-every-step reference loop (``predecode=False``) where
 ``test_simulator_predecode`` does not look: compiled workloads at every
-optimisation level, and self-modifying code that rewrites a predecoded
-instruction through a halfword or a single-byte store.
+optimisation level, and self-modifying code that rewrites a compiled
+block through a halfword or a single-byte store.
 """
 
 import pytest
@@ -62,7 +62,7 @@ class TestWorkloadDifferential:
         ids=["app1a", "app1b", "straight", "ladder", "arrays", "loop"],
     )
     def test_compiled_workloads_identical(self, source):
-        """Predecoded == reference at -O0..-O4: output, steps,
+        """Blocks == reference at -O0..-O4: output, steps,
         instruction counts, registers, cc."""
         for level in OPT_LEVELS:
             image = compile_source(source, opt_level=level).image()
@@ -73,24 +73,28 @@ class TestWorkloadDifferential:
 
 class TestSelfModifyingCode:
     def test_store_rewrites_future_iteration(self):
-        """A loop rewrites its own two-byte ``AR r3,r7`` after the first
-        pass has predecoded it: once through a halfword store of a whole
-        ``SR r3,r7``, once through a byte store over the register field
-        only (``AR r3,r8``).  The byte lands one past the slot's start,
-        so the slot must be dropped by overlap, not by its address."""
+        """An inner loop over ``AR r3,r7`` runs three times -- compiled
+        from its second pass -- before a store rewrites it; the outer
+        loop then runs it again.  Once the store is a halfword
+        ``SR r3,r7``, once a byte over the register field only
+        (``AR r3,r8``).  The byte lands one past the block's start, so
+        the block must be dropped by overlap, not by its address."""
         loop_top = 4
 
         def body(load, store):
             return [
                 load,                                    # 0: r6 = patch
-                Instr("ar", (R(3), R(7))),               # 4: loop target
-                store,                                   # 6: patch it
+                Instr("ar", (R(3), R(7))),               # 4: inner loop
                 Instr("bct", (R(4), Mem(loop_top, 0, runtime.R_CODE_BASE))),
+                store,                                   # 10: patch it
+                Instr("la", (R(4), Mem(3, 0, 0))),
+                Instr("bct", (R(5), Mem(loop_top, 0, runtime.R_CODE_BASE))),
             ]
 
         def setup(sim):
             sim.regs[3] = 0
-            sim.regs[4] = 2
+            sim.regs[4] = 3
+            sim.regs[5] = 2
             sim.regs[7] = 10
             sim.regs[8] = 1
 
@@ -101,7 +105,7 @@ class TestSelfModifyingCode:
         data = ENC.encode(Instr("sr", (R(3), R(7)))) + b"\x00\x00"
         fast = _assert_lanes_agree(_image(halfword, data=data), setup=setup)
         assert fast[0] == "ok"
-        assert fast[2][3] == 0  # +10 then -10, not +10 +10
+        assert fast[2][3] == 0  # 3 x +10, then 3 x -10
 
         byte = body(
             Instr("la", (R(6), Mem(0x38, 0, 0))),
@@ -109,4 +113,4 @@ class TestSelfModifyingCode:
         )
         fast = _assert_lanes_agree(_image(byte), setup=setup)
         assert fast[0] == "ok"
-        assert fast[2][3] == 11  # +10 then +1, not +10 +10
+        assert fast[2][3] == 33  # 3 x +10, then 3 x +1
