@@ -172,8 +172,8 @@ class RegisterPressureError(CodeGenError):
 class DataflowError(CodeGenError):
     """Global dataflow facts failed their integrity check.
 
-    The -O2 pass seals every solved analysis with a digest and verifies
-    it immediately before acting on the facts; any mismatch (bit-flips,
+    The -O2 pass seals every solved analysis (a snapshot of its facts)
+    and verifies it immediately before acting on the facts; any mismatch (bit-flips,
     dropped facts, a fault injected by the chaos harness) raises this
     instead of letting a corrupted analysis rewrite code.  ``analysis``
     names the solution that failed.

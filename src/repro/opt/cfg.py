@@ -73,6 +73,13 @@ class ItemEffects:
 _NO_EFFECTS = ItemEffects(InstrEffects())
 _BARRIER_ITEM = ItemEffects(BARRIER_EFFECTS)
 
+#: ``(encoder, opcode, operands, may) -> ItemEffects`` across CFG
+#: rebuilds.  Sound because an encoder's effects depend only on the
+#: opcode and operands, and both effect records are frozen.  Cleared
+#: whole when it reaches :data:`EFFECTS_MEMO_LIMIT` entries.
+_EFFECTS_MEMO: Dict[tuple, ItemEffects] = {}
+EFFECTS_MEMO_LIMIT = 4096
+
 
 @dataclass
 class BasicBlock:
@@ -217,10 +224,19 @@ def item_effects(
     if isinstance(item, (AConSite, DataBlock)):
         return _BARRIER_ITEM
     # An Instr.
-    effects = encoder.effects(item) if encoder is not None else None
-    if effects is None:
+    if encoder is None:
         return ItemEffects(BARRIER_EFFECTS, may=in_span)
-    return ItemEffects(effects, may=in_span)
+    key = (encoder, item.opcode, item.operands, in_span)
+    cached = _EFFECTS_MEMO.get(key)
+    if cached is None:
+        effects = encoder.effects(item)
+        cached = ItemEffects(
+            BARRIER_EFFECTS if effects is None else effects, may=in_span
+        )
+        if len(_EFFECTS_MEMO) >= EFFECTS_MEMO_LIMIT:
+            _EFFECTS_MEMO.clear()
+        _EFFECTS_MEMO[key] = cached
+    return cached
 
 
 def build_cfg(

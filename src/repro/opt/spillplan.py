@@ -12,7 +12,7 @@ generator twice:
    (byte-identical decisions to ``"lru"``), collecting the allocator's
    :class:`~repro.core.codegen.registers.SpillEvent` log.
 2. **Plan**: build the CFG of the probe output and solve *liveness* and
-   *available expressions* over it (both solutions digest-verified --
+   *available expressions* over it (both solutions seal-verified --
    any tampering degrades the whole lane back to plain LRU).  For every
    single-register eviction, rank the probe's eviction candidates by
    next use -- the probe victim's next use is the first read of its
@@ -331,7 +331,7 @@ def build_plan(
     """Derive the next spill plan from a probe generation.
 
     Returns ``(plan, degraded_reason)``; a nonempty reason means the
-    facts could not be trusted (unbuildable CFG, failed digest
+    facts could not be trusted (unbuildable CFG, failed seal
     verification) and the caller must fall back to plain LRU.
     ``level >= 4`` plans against summary-refined call sites and may
     rematerialize; a summaries failure only costs the refinement

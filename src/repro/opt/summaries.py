@@ -34,8 +34,9 @@ Soundness rules, in the order they bite:
   dead across the call and the callee observes nothing) or the summary
   assumes the worst.
 
-**Fact integrity.**  A solved :class:`SummarySet` is digest-sealed like
-every dataflow :class:`~repro.opt.dataflow.Solution`;
+**Fact integrity.**  A solved :class:`SummarySet` is sealed like every
+dataflow :class:`~repro.opt.dataflow.Solution`: the seal keeps each
+summary's canonical form, and verifying compares a fresh one;
 :func:`apply_summaries` re-verifies the seal immediately before
 rewriting any call-site record and raises a typed
 :class:`~repro.errors.DataflowError` on mismatch -- the -O4 clients then
@@ -58,7 +59,6 @@ from repro.core.codegen.emitter import (
 from repro.core.effects import FLOW_CALL, InstrEffects, Loc
 from repro.core.machine import Encoder, LinkageInfo
 from repro.opt.cfg import Cfg, ItemEffects
-from repro.opt.dataflow import _digest
 
 #: chaos injection point: ``FAULT_HOOK(summary_set)`` runs right after
 #: the set is sealed; ``None`` outside chaos campaigns.
@@ -102,17 +102,23 @@ class RoutineSummary:
 
 @dataclass
 class SummarySet:
-    """All routine summaries of one program, with an integrity seal."""
+    """All routine summaries of one program, with an integrity seal.
+
+    The seal keeps each summary's canonical form; ``digest`` is
+    non-empty once sealed, and clearing it unseals the set."""
 
     summaries: Dict[int, RoutineSummary] = field(default_factory=dict)
     digest: str = ""
+    _snapshot: Optional[Dict[int, tuple]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def _canonical(self) -> Dict[int, tuple]:
+        return {label: s.canon() for label, s in self.summaries.items()}
 
     def seal(self) -> "SummarySet":
-        self.digest = _digest(
-            "summaries",
-            {label: s.canon() for label, s in self.summaries.items()},
-            {},
-        )
+        self._snapshot = self._canonical()
+        self.digest = "sealed"
         if FAULT_HOOK is not None:
             FAULT_HOOK(self)
         return self
@@ -122,12 +128,7 @@ class SummarySet:
             raise DataflowError(
                 "summaries: facts were never sealed", analysis="summaries"
             )
-        current = _digest(
-            "summaries",
-            {label: s.canon() for label, s in self.summaries.items()},
-            {},
-        )
-        if current != self.digest:
+        if self._canonical() != self._snapshot:
             raise DataflowError(
                 "summaries: facts failed their integrity check",
                 analysis="summaries",

@@ -76,7 +76,7 @@ Twelve injectors, one per fragile layer:
 ``regalloc``
     Corrupt the same dataflow facts while a register-pressure program
     compiles at ``-O3``, where the liveness-driven spill planner
-    consumes them.  The planner digest-verifies every solution before
+    consumes them.  The planner verifies every solution's seal before
     deriving spill directives and re-validates its plan against each
     probe replay, so damage must surface as a recorded
     ``degraded_reason`` (in the planner's or the global pass's stats)
@@ -86,8 +86,8 @@ Twelve injectors, one per fragile layer:
 ``summaries``
     Corrupt, drop or unseal the interprocedural effect summaries
     (:data:`repro.opt.summaries.FAULT_HOOK`) while a multi-routine
-    program compiles at ``-O4``.  Every consumer digest-verifies the
-    summary set immediately before refining a call site with it, so a
+    program compiles at ``-O4``.  Every consumer verifies the seal of
+    the summary set immediately before refining a call site with it, so a
     fault must surface as a recorded ``degraded_reason`` (the global
     pass rolls back to its genuine -O3 output; the spill planner falls
     back to an unrefined probe CFG) -- and the simulated output must
@@ -692,7 +692,7 @@ def _inject_dataflow(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
                     solution.outs[bid] = frozenset()
                 elif isinstance(fact, frozenset):
                     # A member no real analysis produces: any shape of
-                    # fact set changes, so the digest cannot match.
+                    # fact set changes, so the seal cannot match.
                     solution.outs[bid] = fact | {("bogus", 99)}
                 else:
                     solution.outs[bid] = None
@@ -749,7 +749,7 @@ def _inject_regalloc(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
     A register-pressure program (10 spill events, all planned away in a
     clean compile) is compiled at ``-O3`` while liveness or
     available-expressions solutions are mutated, dropped or unsealed at
-    the seal point.  The planner re-verifies every solution's digest
+    the seal point.  The planner re-verifies every solution's seal
     before deriving directives, so a fault that fires must surface as a
     ``degraded_reason`` -- in ``stats["regalloc"]`` when the spill
     planner's own facts were hit, in ``stats["global"]`` when the CSE
@@ -829,7 +829,7 @@ def _inject_summaries(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
     (the global pass builds one per iteration; the spill planner builds
     one per probe), mutating a summary into the most dangerous possible
     lie (a routine that clobbers nothing), emptying the set, or wiping
-    the digest.  ``verify()`` runs before any call site is rewritten,
+    the seal.  ``verify()`` runs before any call site is rewritten,
     so a fired fault must surface as a ``degraded_reason`` in
     ``stats["global"]`` or ``stats["regalloc"]`` -- and the simulated
     output must stay byte-identical to the ``-O0`` reference.  Summary

@@ -3,13 +3,18 @@
 Structure (leaders, edges, skip spans, roots, degradation), each solver
 (liveness, reaching defs, def-use chains, memory deadness, available
 stores, available copies), the may-def modelling of branch index
-registers, fact-integrity seals with the chaos hook, and the
-effect-table coverage contract of both encoders.
+registers, fact-integrity seals with the chaos hook, the worklist's
+agreement with a round-robin reference solver and its transfer budget,
+the cross-rebuild item-effects memo, and the effect-table coverage
+contract of both encoders.
 """
 
 import pytest
 
+from repro.bench import workloads as W
+from repro.bench.codequality import quality_workloads
 from repro.core.codegen.emitter import (
+    Imm,
     AConSite,
     BranchSite,
     CodeBuffer,
@@ -21,15 +26,17 @@ from repro.core.codegen.emitter import (
     SkipSite,
     StmtMark,
 )
-from repro.core.effects import InstrEffects
+from repro.core.effects import BARRIER_EFFECTS, InstrEffects
 from repro.errors import DataflowError
 from repro.machines.s370.spec import machine_description
+from repro.opt import cfg as CFG
 from repro.opt import dataflow as DF
-from repro.opt.cfg import build_cfg, compute_skip_spans, to_dot
+from repro.opt.cfg import build_cfg, compute_skip_spans, item_effects, to_dot
 from repro.opt.dataflow import (
     CC,
     ENTRY,
     available_copies,
+    available_exprs,
     available_stores,
     def_use_chains,
     liveness,
@@ -38,6 +45,7 @@ from repro.opt.dataflow import (
     walk_live,
     walk_mem_dead,
 )
+from repro.pascal.compiler import compile_source
 
 ENC = machine_description().encoder
 
@@ -355,6 +363,53 @@ class TestAvailableFacts:
         assert (5, 4) not in before[3]  # the la killed the source
 
 
+#: The six solvers, each as ``cfg -> Solution``.
+SOLVERS = {
+    "liveness": lambda cfg: liveness(cfg).solution,
+    "reaching-defs": lambda cfg: reaching_defs(cfg).solution,
+    "memory-deadness": lambda cfg: memory_deadness(cfg).solution,
+    "available-stores": lambda cfg: available_stores(cfg).solution,
+    "available-copies": lambda cfg: available_copies(cfg).solution,
+    "available-exprs": lambda cfg: available_exprs(
+        cfg, ENC.expression_ops()
+    ).solution,
+}
+
+
+def _replace_fact(side):
+    bid = next(b for b, f in sorted(side.items()) if f is not None)
+    side[bid] = side[bid] | {("bogus", 99)}
+
+
+def _none_fact(side):
+    bid = next(b for b, f in sorted(side.items()) if f is not None)
+    side[bid] = None
+
+
+def _delete_key(side):
+    del side[max(side)]
+
+
+def _add_key(side):
+    side[max(side) + 1] = frozenset()
+
+
+FACT_DAMAGES = {
+    "replace": _replace_fact,
+    "none": _none_fact,
+    "delete": _delete_key,
+    "add": _add_key,
+}
+
+
+@pytest.fixture(scope="module")
+def real_cfg():
+    compiled = compile_source(W.call_heavy(3), opt_level=2)
+    cfg = build_cfg(compiled.generated.buffer, ENC)
+    assert cfg.ok and cfg.nblocks > 4
+    return cfg
+
+
 class TestSolutionIntegrity:
     def test_verify_passes_untouched(self):
         cfg = build_cfg(buf([Instr("ar", (R(1), R(2)))]), ENC)
@@ -381,6 +436,182 @@ class TestSolutionIntegrity:
         finally:
             DF.FAULT_HOOK = None
         assert calls == ["liveness"]
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_untouched_real_solution_verifies(self, solver, real_cfg):
+        SOLVERS[solver](real_cfg).verify()
+
+    @pytest.mark.parametrize("side", ["ins", "outs"])
+    @pytest.mark.parametrize("damage", sorted(FACT_DAMAGES))
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_fact_damage_fails_verify(self, solver, damage, side, real_cfg):
+        solution = SOLVERS[solver](real_cfg)
+        FACT_DAMAGES[damage](getattr(solution, side))
+        with pytest.raises(DataflowError, match="integrity"):
+            solution.verify()
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_cleared_outs_fail_verify(self, solver, real_cfg):
+        solution = SOLVERS[solver](real_cfg)
+        solution.outs.clear()
+        with pytest.raises(DataflowError, match="integrity"):
+            solution.verify()
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_unsealed_real_solution_fails_verify(self, solver, real_cfg):
+        solution = SOLVERS[solver](real_cfg)
+        solution.digest = ""
+        with pytest.raises(DataflowError, match="never sealed"):
+            solution.verify()
+
+
+def _round_robin(cfg, *, forward, boundary, transfer, join):
+    """The naive reference solver: sweep every block until nothing
+    changes (same initial state as :func:`DF.iterate`)."""
+    blocks = cfg.blocks
+    ins = {b.bid: join(()) for b in blocks}
+    outs = {b.bid: transfer(b, ins[b.bid]) for b in blocks}
+    changed = True
+    while changed:
+        changed = False
+        for block in blocks:
+            edges = block.preds if forward else block.succs
+            new_in = join([outs[p] for p in edges] + [boundary(block)])
+            new_out = transfer(block, new_in)
+            if new_in != ins[block.bid] or new_out != outs[block.bid]:
+                changed = True
+            ins[block.bid], outs[block.bid] = new_in, new_out
+    return ins, outs
+
+
+@pytest.fixture(scope="module")
+def worklist_runs():
+    """Every solve of every bench workload at -O2 and -O4 (plus
+    reaching defs over each final buffer), each checked against the
+    reference solver; returns ``(mismatches, solvers, transfers,
+    blocks)``."""
+    real_iterate = DF.iterate
+    mismatches, solvers = [], set()
+    counts = {"transfers": 0, "blocks": 0}
+
+    def checked(cfg, *, forward, boundary, transfer, join):
+        def counted(block, fact):
+            counts["transfers"] += 1
+            return transfer(block, fact)
+
+        solver = transfer.__qualname__.split(".")[0]
+        solvers.add(solver)
+        counts["blocks"] += cfg.nblocks
+        got = real_iterate(cfg, forward=forward, boundary=boundary,
+                           transfer=counted, join=join)
+        want = _round_robin(cfg, forward=forward, boundary=boundary,
+                            transfer=transfer, join=join)
+        if got != want:
+            mismatches.append(solver)
+        return got
+
+    DF.iterate = checked
+    try:
+        for _, source in quality_workloads():
+            for level in (2, 4):
+                compiled = compile_source(source, opt_level=level)
+                reaching_defs(build_cfg(compiled.generated.buffer, ENC))
+    finally:
+        DF.iterate = real_iterate
+    return mismatches, solvers, counts["transfers"], counts["blocks"]
+
+
+class TestWorklist:
+    def test_matches_round_robin_reference(self, worklist_runs):
+        mismatches, solvers, _, _ = worklist_runs
+        assert solvers == {
+            "liveness", "reaching_defs", "memory_deadness",
+            "available_stores", "available_copies", "available_exprs",
+        }
+        assert mismatches == []
+
+    def test_transfer_budget(self, worklist_runs):
+        """Visiting blocks in order settles most problems in one sweep
+        after the initial one: at most 2.5 transfers per block (a
+        last-block-first worklist took 3.86 on the opt_stress set)."""
+        _, _, transfers, blocks = worklist_runs
+        assert blocks > 1000
+        assert transfers <= 2.5 * blocks
+
+
+def _toy_instrs():
+    from repro.ir.linear import IFToken as T
+    from repro.machines.toy import build_toy
+    from repro.machines.toy.machine import R_DATA
+
+    tokens = []
+    for i in range(8):
+        tokens += [
+            T("assign"), T("fullword"), T("dsp", 4 * i), T("r", R_DATA),
+            T("iadd"), T("pos_constant"), T("val", i),
+            T("pos_constant"), T("val", 30),
+        ]
+    tokens += [
+        T("write_int"), T("imax"),
+        T("pos_constant"), T("val", 9), T("pos_constant"), T("val", 4),
+        T("program_end"),
+    ]
+    code = build_toy().code_generator.generate(tokens)
+    return [it for it in code.buffer.items if isinstance(it, Instr)]
+
+
+class TestEffectsMemo:
+    """``item_effects`` memoizes per ``(encoder, opcode, operands)``:
+    the memo must be invisible."""
+
+    @pytest.fixture(scope="class")
+    def workload_instrs(self):
+        instrs = []
+        for _, source in quality_workloads():
+            compiled = compile_source(source, opt_level=4)
+            instrs += [
+                it for it in compiled.generated.buffer.items
+                if isinstance(it, Instr)
+            ]
+        return instrs
+
+    @staticmethod
+    def fresh(encoder, instr):
+        return encoder.effects(instr) or BARRIER_EFFECTS
+
+    def test_s370_memo_matches_fresh_effects(self, workload_instrs):
+        for instr in workload_instrs:
+            for in_span in (False, True):
+                eff = item_effects(instr, ENC, in_span)
+                assert eff.effects == self.fresh(ENC, instr), instr
+                assert eff.may is in_span
+
+    def test_toy_memo_matches_fresh_effects(self, workload_instrs):
+        from repro.machines.toy.machine import ToyEncoder
+
+        toy = ToyEncoder()
+        toy_instrs = _toy_instrs()
+        assert toy_instrs
+        for instr in toy_instrs + workload_instrs:
+            eff = item_effects(instr, toy, False)
+            assert eff.effects == self.fresh(toy, instr), instr
+
+    def test_same_mnemonic_never_shares_an_entry(self):
+        from repro.machines.toy.machine import ToyEncoder
+
+        toy = ToyEncoder()
+        add = Instr("add", (R(1), R(2)))  # T16 only: S/370 has no "add"
+        assert item_effects(add, ENC, False).effects == BARRIER_EFFECTS
+        assert item_effects(add, toy, False).effects == toy.effects(add)
+        assert toy.effects(add) != BARRIER_EFFECTS
+        ldi = Instr("ldi", (R(3), Imm(5)))
+        assert item_effects(ldi, toy, False).effects == toy.effects(ldi)
+        assert item_effects(ldi, ENC, False).effects == BARRIER_EFFECTS
+
+    def test_memo_stays_within_its_bound(self):
+        for n in range(CFG.EFFECTS_MEMO_LIMIT + 100):
+            item_effects(Instr("la", (R(1), Mem(n, 0, 13))), ENC, False)
+            assert len(CFG._EFFECTS_MEMO) <= CFG.EFFECTS_MEMO_LIMIT
 
 
 class TestEffectCoverage:

@@ -4,7 +4,7 @@ call-boundary facts, and spill rematerialization.
 Covers summary computation on real compiled routines (clobbers,
 preserves, upward-exposed uses, linkage must-writes), conservative
 degradation on recursion and synthetic mutual-recursion SCCs, the
-digest seal/verify contract, rematerialization classification (constant
+seal/verify contract, rematerialization classification (constant
 forms always, register-dependent forms only while their inputs live,
 never across a redefinition), the -O4 differential gate over the bench
 workloads, the schema-tolerant ``--compare`` path, the compiler/service
@@ -210,6 +210,53 @@ class TestSealVerify:
         summary_set.digest = ""
         with pytest.raises(DataflowError):
             S.apply_summaries(cfg, summary_set)
+
+
+def _barrier_first(summaries):
+    label = min(summaries)
+    summaries[label] = S._barrier(label, "tampered")
+
+
+def _delete_last(summaries):
+    del summaries[max(summaries)]
+
+
+def _add_one(summaries):
+    label = max(summaries) + 1
+    summaries[label] = S._barrier(label, "added")
+
+
+SUMMARY_DAMAGES = {
+    "replace": _barrier_first,
+    "delete": _delete_last,
+    "add": _add_one,
+    "clear": lambda summaries: summaries.clear(),
+}
+
+
+class TestSealVerifyMultiRoutine:
+    """The seal over a real three-routine call graph catches every
+    damage the chaos injector can do, entry by entry."""
+
+    @pytest.fixture
+    def summary_set(self):
+        summary_set, _ = summaries_of(W.call_heavy(3))
+        assert summary_set.refined == 3
+        return summary_set
+
+    def test_untouched_set_verifies(self, summary_set):
+        summary_set.verify()
+
+    @pytest.mark.parametrize("damage", sorted(SUMMARY_DAMAGES))
+    def test_damage_fails_verify(self, summary_set, damage):
+        SUMMARY_DAMAGES[damage](summary_set.summaries)
+        with pytest.raises(DataflowError, match="integrity"):
+            summary_set.verify()
+
+    def test_unsealed_set_fails_verify(self, summary_set):
+        summary_set.digest = ""
+        with pytest.raises(DataflowError, match="never sealed"):
+            summary_set.verify()
 
 
 def _remat_fixture(items, victim, site, reads):
