@@ -59,7 +59,7 @@ CODES: Dict[str, str] = {
     "SL032": "constant operand has no value in the spec or machine",
     "SL033": "register class unknown to the machine description",
     "SL034": "semantic operator has no runtime handler",
-    "SL040": "template sequence the peephole pass always rewrites",
+    "SL040": "template the peephole always rewrites, or a self-move",
     "SL050": "generated code uses a register no definition reaches",
     "SL051": "generated store is provably never read on any path",
     "SL052": "generated basic block is unreachable from every root",

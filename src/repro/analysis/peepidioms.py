@@ -8,9 +8,10 @@ should express the improved sequence directly (the paper's section 5
 position: idioms belong in the grammar when the grammar can see them).
 
 This pass flags, per production, template sequences every -O1 compile
-rewrites unconditionally:
+rewrites unconditionally, plus one it never repairs:
 
-* ``LR x,x`` -- a self-move; the ``self_move`` rule deletes it on sight;
+* ``LR x,x`` -- a self-move; no optimizer pass removes it, so it costs
+  an instruction at every opt level;
 * ``ST r,m`` directly followed by ``L r',m`` (textually identical
   storage operand) -- the ``store_load`` rule forwards through the
   stored register and deletes the load;
@@ -24,8 +25,9 @@ semantic operator that emits) resets the window, because the peephole
 itself would then see intervening code and may not fire.
 
 Severity is ``warning``: the generated code is correct either way (and
-``-O1`` repairs it per compilation), but the spec is paying a peephole
-pass for something a better template would get for free.
+``-O1`` repairs the load idioms per compilation), but the spec is paying
+a peephole pass -- or, for the self-move, a wasted instruction -- for
+something a better template would get for free.
 """
 
 from __future__ import annotations
@@ -49,14 +51,18 @@ def _storage_operand(tmpl: TemplateAST) -> Optional[str]:
 
 
 def _diag(
-    prod: Production, tmpl: TemplateAST, rule: str, message: str
+    prod: Production, tmpl: TemplateAST, rule: Optional[str], message: str
 ) -> Diagnostic:
+    if rule is None:
+        cost = ("no optimizer pass removes it, so it costs an instruction "
+                "at every opt level; drop the template")
+    else:
+        cost = (f"peephole rule `{rule}` rewrites this on every -O1 "
+                f"compile; fold the improvement into the template")
     return Diagnostic(
         code="SL040",
         severity="warning",
-        message=f"in `{prod}`: {message} (peephole rule `{rule}` "
-                f"rewrites this on every -O1 compile; fold the "
-                f"improvement into the template)",
+        message=f"in `{prod}`: {message} ({cost})",
         line=tmpl.line,
         data={
             "pid": prod.pid,
@@ -80,7 +86,7 @@ def _check_production(
                 and str(tmpl.operands[0]) == str(tmpl.operands[1]):
             out.append(
                 _diag(
-                    prod, tmpl, "self_move",
+                    prod, tmpl, None,
                     f"template `{tmpl}` moves a register onto itself",
                 )
             )

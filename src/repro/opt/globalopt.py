@@ -17,8 +17,6 @@ pass                    rewrite
                         equal on every path -> delete
 ``g_test_fold``         ``LTR x,x`` / RR-compare operand rewritten to the
                         register ``x`` was copied from (frees the copy)
-``g_dead_cc``           compare/test whose condition code is dead across
-                        all successor paths -> delete
 ``g_dead_def``          instruction whose every result register is dead
                         (no memory write, cannot trap) -> delete
 ``g_dead_store``        store whose location is provably overwritten
@@ -79,7 +77,6 @@ ALL_PASSES = (
     "g_forward_copy",
     "g_copy_elim",
     "g_test_fold",
-    "g_dead_cc",
     "g_dead_def",
     "g_dead_store",
     "g_branch_flip",
@@ -335,12 +332,12 @@ class _Global:
                     changed += 1
         return changed
 
-    def _pass_dead_cc(self, cfg: Cfg) -> int:
-        """Liveness-driven deletion: compares/tests whose condition code
-        is dead over every successor path (``g_dead_cc``, subsuming the
-        window pass's ``dead_cc_test``), and instructions every result
-        register of which is dead (``g_dead_def`` -- classic global DCE,
-        excluding anything that can trap or touch memory)."""
+    def _pass_dead_def(self, cfg: Cfg) -> int:
+        """Liveness-driven deletion of instructions every result register
+        of which is dead (classic global DCE, excluding anything that can
+        trap, touch memory or set a condition code still read).  An
+        instruction whose only result is the condition code (``cc_only``:
+        compares and tests) is left alone."""
         live = D.liveness(cfg, self.nregs)
         live.solution.verify()
         changed = 0
@@ -358,18 +355,6 @@ class _Global:
                 if e.sets_cc and D.CC in live_after:
                     continue
                 if e.cc_only:
-                    if e.sets_cc:
-                        self._record("g_dead_cc", i, item, None)
-                        self._replace(cfg, i, None)
-                        changed += 1
-                    continue
-                if item.opcode == "ltr" and len(item.operands) == 2 \
-                        and item.operands[0] == item.operands[1] \
-                        and e.sets_cc:
-                    # LTR r,r: the def is an identity, only the CC counts.
-                    self._record("g_dead_cc", i, item, None)
-                    self._replace(cfg, i, None)
-                    changed += 1
                     continue
                 if not e.defs or item.opcode in _TRAP_OPS:
                     continue
@@ -592,7 +577,7 @@ class _Global:
             if self.level >= 3:
                 changed += self._pass_cse(cfg)
             changed += self._pass_copy_elim(cfg)
-            changed += self._pass_dead_cc(cfg)
+            changed += self._pass_dead_def(cfg)
             changed += self._pass_dead_store(cfg)
             changed += self._pass_branches(cfg)
             if not changed:

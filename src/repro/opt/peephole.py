@@ -17,19 +17,11 @@ rule                  rewrite
 ``store_load``        ``ST r1,m ... L r2,m`` -> delete the load (forwarding
                       through ``r1``, rewriting ``r2`` uses when ``r2 != r1``)
 ``load_load``         ``L r1,m ; L r2,m`` -> ``LR r2,r1`` (delete if equal)
-``self_move``         ``LR r,r`` -> (nothing)
 ``zero_clear``        ``LA r,0`` -> ``SR r,r`` (2 bytes shorter; needs a
                       dead condition code, SR sets it)
-``mult_pow2``         pair-multiply by a power-of-two constant -> ``SLA``
-``add_imm_la``        ``LA t,c ; AR d,t`` -> ``LA d,c(0,d)`` when every use
-                      of ``d`` until death is an address field (24-bit LA
-                      truncation is then unobservable: effective addresses
-                      are masked anyway)
 ``branch_chain``      branch to an unconditional branch -> branch to its
                       final target
 ``fallthrough_branch`` unconditional branch to the next location -> delete
-``dead_cc_test``      compare/test whose condition code is never read ->
-                      delete
 ====================  ======================================================
 
 **Safety machinery.**  Liveness comes from the register allocator's
@@ -75,11 +67,7 @@ from repro.machines.s370.isa import OPCODES
 ALL_RULES = (
     "store_load",
     "load_load",
-    "self_move",
-    "mult_pow2",
-    "add_imm_la",
     "zero_clear",
-    "dead_cc_test",
     "branch_chain",
     "fallthrough_branch",
 )
@@ -111,23 +99,6 @@ _BARRIER_OPS = frozenset(
 #: Mnemonics the shared table refines but no window rule targets; kept
 #: opaque here so the -O1 output is bit-for-bit what it always was.
 _WINDOW_OPAQUE = frozenset({"alr", "slr", "clcl"})
-
-
-def _reg_of(operand) -> Optional[int]:
-    """The register number an R (or register-denoting Imm) names."""
-    if isinstance(operand, R):
-        return operand.n
-    if isinstance(operand, Imm):
-        return operand.value
-    return None
-
-
-def _rr(ops, n):
-    """Register numbers of the first n operands (None on shape mismatch)."""
-    if len(ops) < n:
-        return None
-    regs = tuple(_reg_of(o) for o in ops[:n])
-    return None if any(r is None for r in regs) else regs
 
 
 def _facts(instr: Instr) -> _Facts:
@@ -430,25 +401,6 @@ class _Engine:
             j += 1
         return True  # fell off the end: nothing ever reads it
 
-    def _mention_free(self, lo: int, hi: int, reg: int) -> bool:
-        """No item strictly between lo and hi mentions ``reg`` at all
-        (explicitly, via an Imm register field, or as a pair sibling),
-        and the stretch is straight-line with no barrier."""
-        for k in range(lo + 1, min(hi, len(self.items))):
-            item = self.items[k]
-            if item is None or isinstance(item, StmtMark):
-                continue
-            if _is_flow(item):
-                return False
-            facts = self._facts(item)
-            if facts.barrier:
-                return False
-            if reg in facts.uses or reg in facts.defs:
-                return False
-            if _imm_reg_mention(item, reg):
-                return False
-        return True
-
     # ---- rules ------------------------------------------------------------
 
     def run_rule(self, rule: str) -> bool:
@@ -602,21 +554,6 @@ class _Engine:
             changed = True
         return changed
 
-    def _rule_self_move(self) -> bool:
-        changed = False
-        for i, item in enumerate(self.items):
-            if not (isinstance(item, Instr) and item.opcode == "lr"):
-                continue
-            regs = _rr(item.operands, 2)
-            if regs is None or regs[0] != regs[1]:
-                continue
-            if i in self.protected:
-                continue
-            self._record("self_move", i, item, None)
-            self.items[i] = None
-            changed = True
-        return changed
-
     def _rule_zero_clear(self) -> bool:
         changed = False
         for i, item in enumerate(self.items):
@@ -642,176 +579,6 @@ class _Engine:
             self.items[i] = replacement
             changed = True
         return changed
-
-    def _rule_mult_pow2(self) -> bool:
-        changed = False
-        items = self.items
-        for la_idx, item in enumerate(items):
-            shift = self._pow2_la(item)
-            if shift is None:
-                continue
-            rt = item.operands[0].n
-            mr_idx = self._find_consumer(la_idx, rt, "mr")
-            if mr_idx is None:
-                continue
-            mr = items[mr_idx]
-            regs = _rr(mr.operands, 2)
-            if regs is None or regs[1] != rt:
-                continue
-            re = regs[0]
-            if re % 2 or rt in (re, re + 1):
-                continue
-            if la_idx in self.protected or mr_idx in self.protected:
-                continue
-            # Both the constant and the even (high-word) half must die
-            # unread right after the multiply.
-            if not self._dies_unread(rt, mr_idx):
-                continue
-            if not self._dies_unread(re, mr_idx):
-                continue
-            if not self._cc_dead_after(mr_idx):  # SLA sets the CC, MR not
-                continue
-            replacement = Instr(
-                "sla", (R(re + 1), Imm(shift)), comment=mr.comment
-            )
-            self._record("mult_pow2", mr_idx, mr, replacement)
-            items[mr_idx] = replacement
-            items[la_idx] = None
-            changed = True
-        return changed
-
-    @staticmethod
-    def _pow2_la(item) -> Optional[int]:
-        """Shift amount when item is ``LA r,2^k`` with k >= 1."""
-        if not (isinstance(item, Instr) and item.opcode == "la"):
-            return None
-        if len(item.operands) != 2 or not isinstance(item.operands[0], R):
-            return None
-        target = item.operands[1]
-        if isinstance(target, Mem):
-            if target.index or target.base:
-                return None
-            value = target.disp
-        elif isinstance(target, Imm):
-            value = target.value
-        else:
-            return None
-        if value >= 2 and value & (value - 1) == 0:
-            return value.bit_length() - 1
-        return None
-
-    def _find_consumer(self, idx: int, reg: int, opcode: str):
-        """Next instruction of ``opcode`` with no other mention of reg,
-        barrier or flow in between."""
-        j = idx + 1
-        steps = 0
-        while j < len(self.items) and steps < _WINDOW:
-            item = self.items[j]
-            if item is None or isinstance(item, StmtMark):
-                j += 1
-                continue
-            if _is_flow(item):
-                return None
-            steps += 1
-            facts = self._facts(item)
-            if isinstance(item, Instr) and item.opcode == opcode \
-                    and reg in facts.uses:
-                return j
-            if facts.barrier:
-                return None
-            if reg in facts.uses or reg in facts.defs \
-                    or _imm_reg_mention(item, reg):
-                return None
-            j += 1
-        return None
-
-    def _dies_unread(self, reg: int, idx: int) -> bool:
-        """reg has a death after idx with no mention before it."""
-        death = self.deaths.first_after(reg, idx)
-        if death is None:
-            return False
-        return self._mention_free(idx, death, reg)
-
-    def _rule_add_imm_la(self) -> bool:
-        changed = False
-        items = self.items
-        for la_idx, item in enumerate(items):
-            const = self._small_const_la(item)
-            if const is None:
-                continue
-            rt = item.operands[0].n
-            ar_idx = self._find_consumer(la_idx, rt, "ar")
-            if ar_idx is None:
-                continue
-            ar = items[ar_idx]
-            regs = _rr(ar.operands, 2)
-            if regs is None or regs[1] != rt or regs[0] == rt:
-                continue
-            rd = regs[0]
-            if la_idx in self.protected or ar_idx in self.protected:
-                continue
-            if not self._dies_unread(rt, ar_idx):
-                continue
-            if not self._cc_dead_after(ar_idx):  # AR set it, LA will not
-                continue
-            # LA truncates to 24 bits, so the rewrite is only sound when
-            # the sum is consumed exclusively through address arithmetic
-            # (effective addresses are masked to 24 bits anyway).
-            if not self._address_only_span(rd, ar_idx):
-                continue
-            replacement = Instr(
-                "la", (R(rd), Mem(const, 0, rd)), comment=ar.comment
-            )
-            self._record("add_imm_la", ar_idx, ar, replacement)
-            items[ar_idx] = replacement
-            items[la_idx] = None
-            changed = True
-        return changed
-
-    @staticmethod
-    def _small_const_la(item) -> Optional[int]:
-        if not (isinstance(item, Instr) and item.opcode == "la"):
-            return None
-        if len(item.operands) != 2 or not isinstance(item.operands[0], R):
-            return None
-        target = item.operands[1]
-        if isinstance(target, Mem):
-            if target.index or target.base:
-                return None
-            value = target.disp
-        elif isinstance(target, Imm):
-            value = target.value
-        else:
-            return None
-        return value if 1 <= value <= 0xFFF else None
-
-    def _address_only_span(self, reg: int, idx: int) -> bool:
-        """Until its death, ``reg`` is only ever an address base/index."""
-        death = self.deaths.first_after(reg, idx)
-        if death is None:
-            return False
-        for k in range(idx + 1, min(death, len(self.items))):
-            item = self.items[k]
-            if item is None or isinstance(item, StmtMark):
-                continue
-            if _is_flow(item):
-                return False
-            facts = self._facts(item)
-            if facts.barrier:
-                return False
-            if reg in facts.defs:
-                return False
-            if _imm_reg_mention(item, reg):
-                return False
-            if reg not in facts.uses:
-                continue
-            # Used here: every occurrence must be inside a Mem operand.
-            for operand in item.operands:
-                if isinstance(operand, R) and operand.n == reg:
-                    return False
-            if facts.pair and reg in facts.uses:
-                return False
-        return True
 
     def _rule_branch_chain(self) -> bool:
         changed = False
@@ -871,28 +638,6 @@ class _Engine:
                 items[idx] = None
                 changed = True
         return changed
-
-    def _rule_dead_cc_test(self) -> bool:
-        changed = False
-        for i, item in enumerate(self.items):
-            if not isinstance(item, Instr):
-                continue
-            facts = self._facts(item)
-            cc_only = facts.cc_only
-            if not cc_only and item.opcode == "ltr":
-                regs = _rr(item.operands, 2)
-                cc_only = regs is not None and regs[0] == regs[1]
-            if not cc_only:
-                continue
-            if i in self.protected:
-                continue
-            if not self._cc_dead_after(i):
-                continue
-            self._record("dead_cc_test", i, item, None)
-            self.items[i] = None
-            changed = True
-        return changed
-
 
 def run_peephole(
     generated,

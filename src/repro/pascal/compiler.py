@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.cogg import BuildResult
-from repro.errors import CodeGenError
+from repro.errors import CodeGenError, ReproError
 from repro.core.codegen.emitter import Instr
 from repro.core.codegen.loader_records import ResolvedModule, resolve_module
 from repro.core.codegen.parser_rt import GeneratedCode
@@ -44,13 +44,20 @@ def default_opt_level() -> int:
     """The optimization level used when the caller passes none.
 
     ``REPRO_OPT_LEVEL`` overrides the built-in default of 1 (the CI
-    matrix runs the whole suite with it set to 3 to catch
-    level-dependent assumptions).
+    matrix runs the whole suite with it set to 2, 3 and 4 to catch
+    level-dependent assumptions).  Unset or empty means 1; any other
+    value than ``0``-``4`` raises :class:`~repro.errors.ReproError`
+    rather than quietly compiling at the default.
     """
     raw = os.environ.get("REPRO_OPT_LEVEL", "").strip()
-    if raw in ("0", "1", "2", "3", "4"):
-        return int(raw)
-    return 1
+    if not raw:
+        return 1
+    if raw not in ("0", "1", "2", "3", "4"):
+        raise ReproError(
+            f"REPRO_OPT_LEVEL={raw!r} is not an optimization level; "
+            f"use 0, 1, 2, 3 or 4"
+        )
+    return int(raw)
 
 
 def _count_spill_traffic(generated: GeneratedCode) -> Dict[str, int]:

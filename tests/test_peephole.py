@@ -4,9 +4,11 @@ Every rule gets a dedicated rewrite test and a does-not-fire negative;
 the safety machinery (death facts, skip-span protection, CC liveness)
 gets its own negatives; and the integration section proves the -O1
 default never changes program output while measurably shrinking the
-executed instruction count.
+executed instruction count.  Every window rule and global pass must
+also fire on at least one named program.
 """
 
+import functools
 import json
 
 import pytest
@@ -169,19 +171,6 @@ class TestLoadLoad:
         assert run_peephole(code, rules=["load_load"]).total == 0
 
 
-class TestSelfMove:
-    def test_deleted(self):
-        code = make_code([Instr("lr", (R(3), R(3)))])
-        result = run_peephole(code, rules=["self_move"])
-        assert result.hits["self_move"] == 1
-        assert ops(code) == []
-
-    def test_no_fire_on_real_move(self):
-        code = make_code([Instr("lr", (R(3), R(4)))])
-        assert run_peephole(code, rules=["self_move"]).total == 0
-        assert ops(code) == ["lr"]
-
-
 class TestZeroClear:
     def test_la_zero_becomes_sr(self):
         code = make_code([Instr("la", (R(5), Mem(0, 0, 0)))])
@@ -200,64 +189,6 @@ class TestZeroClear:
         ])
         assert run_peephole(code, rules=["zero_clear"]).total == 0
         assert ops(code) == ["c", "la", "branch", "L1"]
-
-
-class TestMultPow2:
-    def test_pair_multiply_becomes_shift(self):
-        code = make_code(
-            [Instr("la", (R(3), Mem(8, 0, 0))), Instr("mr", (R(6), R(3)))],
-            deaths=[(2, 3), (2, 6)],
-        )
-        result = run_peephole(code, rules=["mult_pow2"])
-        assert result.hits["mult_pow2"] == 1
-        [instr] = code.buffer.items
-        assert (instr.opcode, instr.operands) == ("sla", (R(7), Imm(3)))
-
-    def test_no_fire_on_non_power_of_two(self):
-        code = make_code(
-            [Instr("la", (R(3), Mem(6, 0, 0))), Instr("mr", (R(6), R(3)))],
-            deaths=[(2, 3), (2, 6)],
-        )
-        assert run_peephole(code, rules=["mult_pow2"]).total == 0
-
-    def test_no_fire_when_high_word_is_read(self):
-        # No death fact for the even register: the high word may be read.
-        code = make_code(
-            [Instr("la", (R(3), Mem(8, 0, 0))), Instr("mr", (R(6), R(3)))],
-            deaths=[(2, 3)],
-        )
-        assert run_peephole(code, rules=["mult_pow2"]).total == 0
-
-
-class TestAddImmLa:
-    def test_folds_into_addressing_la(self):
-        code = make_code(
-            [
-                Instr("la", (R(3), Mem(4, 0, 0))),
-                Instr("ar", (R(5), R(3))),
-                Instr("l", (R(6), Mem(0, 0, 5))),
-            ],
-            deaths=[(2, 3), (3, 5)],
-        )
-        result = run_peephole(code, rules=["add_imm_la"])
-        assert result.hits["add_imm_la"] == 1
-        assert ops(code) == ["la", "l"]
-        la = code.buffer.items[0]
-        assert (la.opcode, la.operands) == ("la", (R(5), Mem(4, 0, 5)))
-
-    def test_no_fire_when_sum_escapes_addressing(self):
-        # r5 is read as an arithmetic value after the AR: LA's 24-bit
-        # truncation would be observable, so the rule must stay away.
-        code = make_code(
-            [
-                Instr("la", (R(3), Mem(4, 0, 0))),
-                Instr("ar", (R(5), R(3))),
-                Instr("ar", (R(6), R(5))),
-            ],
-            deaths=[(2, 3), (3, 5)],
-        )
-        assert run_peephole(code, rules=["add_imm_la"]).total == 0
-        assert ops(code) == ["la", "ar", "ar"]
 
 
 class TestBranchChain:
@@ -306,32 +237,17 @@ class TestFallthroughBranch:
 
 
 class TestDeadCcTest:
-    def test_unread_compare_deleted(self):
-        code = make_code([
-            Instr("c", (R(1), MEM)),
-            Instr("lr", (R(2), R(3))),
-        ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
-        assert ops(code) == ["lr"]
-
-    def test_self_ltr_with_overwritten_cc_deleted(self):
-        code = make_code([
-            Instr("ltr", (R(4), R(4))),
-            Instr("ar", (R(1), R(2))),  # sets the CC before any read
-        ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
-        assert ops(code) == ["ar"]
+    """The CC-liveness scan, seen through ``zero_clear``: LA leaves the
+    condition code alone, SR sets it, so the rewrite needs a dead CC."""
 
     def test_no_fire_when_branch_reads_cc(self):
         code = make_code([
-            Instr("c", (R(1), MEM)),
+            Instr("la", (R(5), Mem(0, 0, 0))),
             BranchSite(cond=8, label=1, index_reg=0),
             LabelMark(1),
         ])
-        assert run_peephole(code, rules=["dead_cc_test"]).total == 0
-        assert ops(code) == ["c", "branch", "L1"]
+        assert run_peephole(code, rules=["zero_clear"]).total == 0
+        assert ops(code) == ["la", "branch", "L1"]
 
     def test_fires_across_label_when_join_overwrites(self):
         # Regression: the CC scan used to stop at every label even
@@ -339,60 +255,61 @@ class TestDeadCcTest:
         # only observe *this* CC when control came from here -- and the
         # join overwrites the CC before any read.
         code = make_code([
-            Instr("c", (R(1), MEM)),
+            Instr("la", (R(5), Mem(0, 0, 0))),
             LabelMark(4),
             Instr("ar", (R(2), R(3))),  # sets the CC at the join
         ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
-        assert ops(code) == ["L4", "ar"]
+        result = run_peephole(code, rules=["zero_clear"])
+        assert result.hits["zero_clear"] == 1
+        assert ops(code) == ["sr", "L4", "ar"]
 
     def test_fires_through_unconditional_branch(self):
         # Regression: the scan used to give up at *every* BranchSite;
         # an unconditional branch has a single successor, so the scan
         # now continues at its target.
         code = make_code([
-            Instr("ltr", (R(4), R(4))),
+            Instr("la", (R(5), Mem(0, 0, 0))),
             BranchSite(cond=15, label=7, index_reg=0),
             LabelMark(7),
-            Instr("sr", (R(5), R(5))),  # overwrites the CC at the target
+            Instr("ar", (R(1), R(2))),  # overwrites the CC at the target
         ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
-        assert ops(code) == ["branch", "L7", "sr"]
+        result = run_peephole(code, rules=["zero_clear"])
+        assert result.hits["zero_clear"] == 1
+        assert ops(code) == ["sr", "branch", "L7", "ar"]
 
     def test_no_fire_through_branch_when_target_reads(self):
         code = make_code([
-            Instr("ltr", (R(4), R(4))),
+            Instr("la", (R(5), Mem(0, 0, 0))),
             BranchSite(cond=15, label=7, index_reg=0),
             LabelMark(7),
             BranchSite(cond=8, label=9, index_reg=0),  # reads the CC
             LabelMark(9),
         ])
-        assert run_peephole(code, rules=["dead_cc_test"]).total == 0
+        assert run_peephole(code, rules=["zero_clear"]).total == 0
 
     def test_branch_cycle_without_reader_fires(self):
-        # An unconditional self-cycle never reads the CC: deletable.
+        # An unconditional cycle never reads the CC: SR is safe.
         code = make_code([
-            Instr("c", (R(1), MEM)),
+            Instr("la", (R(5), Mem(0, 0, 0))),
             LabelMark(2),
             Instr("lr", (R(3), R(4))),
             BranchSite(cond=15, label=2, index_reg=0),
         ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
+        result = run_peephole(code, rules=["zero_clear"])
+        assert result.hits["zero_clear"] == 1
 
 
 class TestSkipProtection:
     """Items inside a SkipSite's fixed byte span may not change size."""
 
-    def test_self_move_not_deleted_under_skip(self):
+    def test_duplicate_load_not_deleted_under_skip(self):
         code = make_code([
-            SkipSite(cond=8, halfwords=1, index_reg=0),
-            Instr("lr", (R(3), R(3))),
+            SkipSite(cond=8, halfwords=4, index_reg=0),
+            Instr("l", (R(1), MEM)),
+            Instr("l", (R(1), MEM)),
         ])
-        assert run_peephole(code, rules=["self_move"]).total == 0
-        assert ops(code) == ["skip", "lr"]
+        assert run_peephole(code, rules=["load_load"]).total == 0
+        assert ops(code) == ["skip", "l", "l"]
 
     def test_zero_clear_not_resized_under_skip(self):
         # LA (4 bytes) -> SR (2 bytes) would shrink the skipped window.
@@ -404,16 +321,16 @@ class TestSkipProtection:
         assert code.buffer.items[1].opcode == "la"
 
     def test_same_rewrite_fires_outside_the_span(self):
-        # The protected span is exactly 2*halfwords bytes: the LR after
-        # the covered LA is fair game again.
+        # The protected span is exactly 2*halfwords bytes: the LA after
+        # the covered one is fair game again.
         code = make_code([
             SkipSite(cond=8, halfwords=2, index_reg=0),
             Instr("la", (R(5), Mem(0, 0, 13))),
-            Instr("lr", (R(3), R(3))),
+            Instr("la", (R(3), Mem(0, 0, 0))),
         ])
-        result = run_peephole(code, rules=["self_move"])
-        assert result.hits["self_move"] == 1
-        assert ops(code) == ["skip", "la"]
+        result = run_peephole(code, rules=["zero_clear"])
+        assert result.hits["zero_clear"] == 1
+        assert ops(code) == ["skip", "la", "sr"]
 
 
 class TestEngine:
@@ -424,17 +341,17 @@ class TestEngine:
 
     def test_disabled_rules_do_not_fire(self):
         code = make_code([
-            Instr("lr", (R(3), R(3))),
+            Instr("la", (R(3), Mem(0, 0, 0))),
             Instr("l", (R(1), MEM)),
             Instr("l", (R(1), MEM)),
         ])
         result = run_peephole(code, rules=["load_load"])
-        assert result.hits["self_move"] == 0
+        assert result.hits["zero_clear"] == 0
         assert result.hits["load_load"] == 1
-        assert ops(code) == ["lr", "l"]
+        assert ops(code) == ["la", "l"]
 
     def test_as_dict_covers_every_rule(self):
-        code = make_code([Instr("lr", (R(3), R(3)))])
+        code = make_code([Instr("la", (R(3), Mem(0, 0, 0)))])
         stats = run_peephole(code).as_dict()
         assert set(stats) == {"total", "iterations", "hits"}
         assert set(stats["hits"]) == set(ALL_RULES)
@@ -443,13 +360,14 @@ class TestEngine:
     def test_compact_remaps_surviving_deaths(self):
         code = make_code(
             [
-                Instr("lr", (R(3), R(3))),  # deleted
+                Instr("l", (R(3), MEM)),
+                Instr("l", (R(3), MEM)),  # deleted
                 Instr("ar", (R(1), R(2))),
             ],
-            deaths=[(2, 1)],
+            deaths=[(3, 1)],
         )
-        run_peephole(code, rules=["self_move"])
-        assert code.buffer.deaths == [(1, 1)]
+        run_peephole(code, rules=["load_load"])
+        assert code.buffer.deaths == [(2, 1)]
 
     def test_rules_compose_to_fixpoint(self):
         # load_load's LR(r2,r2) output... never happens; instead check
@@ -537,11 +455,73 @@ class TestCompilerIntegration:
     def test_rule_subset_via_compiler(self):
         from repro.bench.workloads import chain_loop
 
-        compiled = _compile(chain_loop(10), peephole_rules=["self_move"])
+        compiled = _compile(chain_loop(10), peephole_rules=["zero_clear"])
         hits = compiled.stats["peephole"]["hits"]
         assert all(
-            count == 0 for rule, count in hits.items() if rule != "self_move"
+            count == 0 for rule, count in hits.items() if rule != "zero_clear"
         )
+
+
+# ---------------------------------------------------------------------------
+# Every rewrite pays: each window rule and global pass fires on a program.
+# ---------------------------------------------------------------------------
+
+
+#: rewrite -> (program, opt level) on which it fires.
+FIRES_ON = {
+    "branch_chain": ("random_program(0)", 1),
+    "fallthrough_branch": ("random_rich_program(0)", 1),
+    "store_load": ("appendix1_equation", 1),
+    "zero_clear": ("appendix1_fragment", 1),
+    "load_load": ("array_kernel(12)", 1),
+    "g_unreachable": ("random_program(1)", 2),
+    "g_branch_flip": ("random_program(47)", 2),
+    "g_fallthrough": ("random_program(164)", 2),
+    "g_forward_copy": ("appendix1_fragment", 2),
+    "g_forward_elim": ("straightline(60)", 2),
+    "g_copy_elim": ("straightline(60)", 2),
+    "g_dead_def": ("straightline(60)", 2),
+    "g_dead_store": ("straightline(60)", 2),
+    "g_test_fold": ("branch_ladder(40)", 3),
+    "g_cse_elim": ("appendix1_equation", 3),
+    "g_cse_copy": ("appendix1_equation", 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _fires_stats(program, level):
+    from helpers import random_program, random_rich_program
+    from repro.bench import workloads as W
+
+    sources = {
+        "random_program(0)": lambda: random_program(0),
+        "random_program(1)": lambda: random_program(1),
+        "random_program(47)": lambda: random_program(47),
+        "random_program(164)": lambda: random_program(164),
+        "random_rich_program(0)": lambda: random_rich_program(0),
+        "appendix1_equation": W.appendix1_equation,
+        "appendix1_fragment": W.appendix1_fragment,
+        "array_kernel(12)": lambda: W.array_kernel(12),
+        "straightline(60)": lambda: W.straightline(60, seed=3),
+        "branch_ladder(40)": lambda: W.branch_ladder(40),
+    }
+    return _compile(sources[program](), opt_level=level).stats
+
+
+class TestEveryRewriteFires:
+    """A rewrite no program triggers is dead weight: each one named in
+    the rule and pass tables must fire on its program here."""
+
+    def test_table_covers_every_rewrite(self):
+        from repro.opt.globalopt import ALL_PASSES
+
+        assert set(FIRES_ON) == set(ALL_RULES) | set(ALL_PASSES)
+
+    @pytest.mark.parametrize("rewrite", sorted(FIRES_ON))
+    def test_fires(self, rewrite):
+        stats = _fires_stats(*FIRES_ON[rewrite])
+        table = "global" if rewrite.startswith("g_") else "peephole"
+        assert stats[table]["hits"][rewrite] > 0
 
 
 # ---------------------------------------------------------------------------

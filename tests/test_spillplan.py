@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.codegen.emitter import CodeBuffer, Instr, Mem, R
 from repro.core.codegen.registers import SpillDirective, SpillEvent
-from repro.errors import BadRequestError
+from repro.errors import BadRequestError, ReproError
 from repro.machines.s370.spec import machine_description
 from repro.opt import dataflow as D
 from repro.opt import spillplan
@@ -420,7 +420,11 @@ class TestPlumbing:
     def test_env_var_selects_level(self, monkeypatch):
         monkeypatch.setenv("REPRO_OPT_LEVEL", "3")
         assert default_opt_level() == 3
-        monkeypatch.setenv("REPRO_OPT_LEVEL", "junk")
+        for bad in ("junk", "O3", "5"):
+            monkeypatch.setenv("REPRO_OPT_LEVEL", bad)
+            with pytest.raises(ReproError, match="use 0, 1, 2, 3 or 4"):
+                default_opt_level()
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "")
         assert default_opt_level() == 1
         monkeypatch.delenv("REPRO_OPT_LEVEL")
         assert default_opt_level() == 1
