@@ -1,7 +1,7 @@
 """Persistent build cache: CoGG table artifacts keyed by content hash.
 
 Table construction is the expensive half of a CoGG build (automaton
-~30ms, SLR resolution ~7ms, compression ~140ms for the full S/370 spec;
+~30ms, SLR resolution ~7ms, compression ~15ms for the full S/370 spec;
 spec parsing is ~25ms).  The paper's point is that the *tables* are the
 product -- so we persist them.  An **artifact** bundles everything a
 :class:`~repro.core.cogg.BuildResult` needs except the SDTS itself
@@ -310,11 +310,23 @@ def artifact_path(cache_dir: Path, fingerprint: str) -> Path:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    """No torn artifacts: write a sibling temp file, then rename over."""
+    """No torn files: write a sibling temp file, then rename over.
+
+    The one atomic writer for the cache directory (artifacts and
+    specialized modules alike), so both get the same umask-derived
+    mode.  Raises :class:`OSError`; the temp file never outlives it.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
 
 
 def cached_build(
@@ -328,7 +340,9 @@ def cached_build(
 
     The SDTS is always rebuilt from the spec text (cheap, and the
     emission runtime needs its templates and handlers); the expensive
-    table construction is skipped entirely when a valid artifact exists.
+    table construction is skipped entirely when a valid artifact exists,
+    and a miss builds the tables from that same SDTS, so every build
+    parses the spec exactly once.
     A warm start therefore performs **zero** automaton constructions --
     asserted in tests via :mod:`repro.core.buildstats` counters.
 
@@ -341,6 +355,7 @@ def cached_build(
         BuildResult,
         TABLE_MODES,
         build_code_generator,
+        build_from_sdts,
     )
     from repro.core.codegen.parser_rt import CodeGenerator
     from repro.core.machine import simple_machine
@@ -411,9 +426,7 @@ def cached_build(
             return build
 
     buildstats.bump("cache_misses")
-    build = build_code_generator(
-        spec_text, machine, extra_semops=extra_semops, table_mode=table_mode
-    )
+    build = build_from_sdts(sdts, machine, table_mode)
     meta = {
         "repro_version": getattr(repro, "__version__", "0"),
         "grammar_fingerprint": grammar_fp,

@@ -151,7 +151,15 @@ def build_code_generator(
     semops = merged_semops(extra_semops or [])
     spec = parse_spec(spec_text)
     symtab = check_spec(spec, semops)
-    sdts = build_sdts(spec, symtab)
+    return build_from_sdts(build_sdts(spec, symtab), machine, table_mode)
+
+
+def build_from_sdts(
+    sdts: SDTS, machine: MachineDescription, table_mode: str
+) -> BuildResult:
+    """The table half of :func:`build_code_generator`: automaton, SLR
+    tables, compression and the code generator for an already-built
+    SDTS (the persistent cache's miss path builds the SDTS itself)."""
     automaton = build_automaton(sdts)
     tables, conflicts = build_parse_tables(sdts, automaton)
     compressed = compress_tables(tables)

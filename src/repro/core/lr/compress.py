@@ -12,9 +12,11 @@ Three classic techniques, composed:
    after default extraction share one displacement.
 3. **Row displacement ("comb") packing with column check**: remaining
    entries overlay into one ``next``/``check`` array pair; ``check``
-   holds the *column*, so overlapping rows may even share identical
-   cells.  Placement bans are tracked so that a state's absent columns
-   can never collide with a later row's entries.
+   holds the *column*.  Every row group gets a displacement of its own,
+   so a check hit at ``base + col`` can only be the group's own entry
+   and an absent column always falls back to the default.  Each group
+   takes the first such displacement whose slots are free, found with
+   Python-int bitmasks rather than by trying every candidate in turn.
 
 The paper notes its compressed tables were "by no means minimally
 compressed"; ours aren't either -- the reproduced claim is the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import TableError
 from repro.core import buildstats
@@ -42,8 +44,8 @@ class CompressedTables:
     """Default + base/next/check representation of an action matrix.
 
     ``check`` holds the owning *column* of each packed slot (yacc
-    style), enabling cell and row sharing; ``lookup`` falls back to the
-    row default on a check miss.
+    style), enabling row overlap; ``lookup`` falls back to the row
+    default on a check miss.
     """
 
     symbols: List[str]
@@ -232,7 +234,6 @@ def _row_default(row: List[int]) -> int:
 def compress_tables(tables: ParseTables) -> CompressedTables:
     """Compress a dense action matrix; lookups remain O(1)."""
     buildstats.bump("compress_runs")
-    nsym = tables.nsymbols
     defaults: List[int] = [_row_default(row) for row in tables.matrix]
 
     # Group identical sparse rows so they share a displacement.
@@ -248,57 +249,34 @@ def compress_tables(tables: ParseTables) -> CompressedTables:
     next_arr: List[int] = []
     check_arr: List[int] = []
     base: List[int] = [0] * tables.nstates
-    #: columns that may never be claimed at a given slot (a placed
-    #: state's absent column maps there).
-    banned: Dict[int, Set[int]] = {}
-
-    def ensure(size: int) -> None:
-        while len(next_arr) < size:
-            next_arr.append(T.ERROR)
-            check_arr.append(-1)
-
-    def fits(disp: int, entries: Tuple[Tuple[int, int], ...]) -> bool:
-        for col, action in entries:
-            slot = disp + col
-            if slot < len(check_arr) and check_arr[slot] != -1:
-                if check_arr[slot] != col or next_arr[slot] != action:
-                    return False
-            if col in banned.get(slot, ()):
-                return False
-        # absent columns must not read someone else's entry
-        present = {col for col, _ in entries}
-        for col in range(nsym):
-            if col in present:
-                continue
-            slot = disp + col
-            if slot < len(check_arr) and check_arr[slot] == col:
-                return False
-        return True
+    # Python-int bitmasks: bit s of ``occupied`` marks a filled slot,
+    # bit d of ``taken`` a displacement some row group already uses.
+    occupied = 0
+    taken = 0
 
     order = sorted(groups.items(), key=lambda kv: -len(kv[0]))
     for entries, states in order:
         if not entries:
-            # Pure-default rows point at a displacement that can never
-            # produce a check hit for them: just past the array, which
-            # the absent-column bans below keep clean.
+            # Pure-default rows (one group, sorted last) point just past
+            # the array, where no check can ever hit.
             disp = len(next_arr)
-            for state in states:
-                base[state] = disp
-            for col in range(nsym):
-                banned.setdefault(disp + col, set()).add(col)
-            continue
-        disp = 0
-        while not fits(disp, entries):
-            disp += 1
-        ensure(disp + entries[-1][0] + 1)
-        for col, action in entries:
-            slot = disp + col
-            next_arr[slot] = action
-            check_arr[slot] = col
-        present = {col for col, _ in entries}
-        for col in range(nsym):
-            if col not in present:
-                banned.setdefault(disp + col, set()).add(col)
+        else:
+            # First fit: the lowest displacement no other group uses
+            # whose slots are free for every entry.
+            bad = taken
+            for col, _action in entries:
+                bad |= occupied >> col
+            disp = (~bad & (bad + 1)).bit_length() - 1
+            size = disp + entries[-1][0] + 1
+            if len(next_arr) < size:
+                grow = size - len(next_arr)
+                next_arr.extend([T.ERROR] * grow)
+                check_arr.extend([-1] * grow)
+            for col, action in entries:
+                next_arr[disp + col] = action
+                check_arr[disp + col] = col
+                occupied |= 1 << (disp + col)
+        taken |= 1 << disp
         for state in states:
             base[state] = disp
 

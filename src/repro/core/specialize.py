@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from pathlib import Path
+from types import CodeType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core import buildstats
+from repro.core import buildcache, buildstats
 from repro.errors import SpecializeError
 
 #: Bump when the shape of the generated module changes; part of the
@@ -2248,9 +2248,42 @@ def bind(gen):
 # ---- loading ----------------------------------------------------------------
 
 
+def _chunks(source: str):
+    """Split a module at its top-level ``def`` lines, yielding each
+    chunk with the 1-based line it starts on."""
+    start, line = 0, 1
+    while True:
+        cut = source.find("\ndef ", start)
+        if cut < 0:
+            yield line, source[start:]
+            return
+        yield line, source[start:cut + 1]
+        line += source.count("\n", start, cut + 1)
+        start = cut + 1
+
+
+def _relocate(code: CodeType, shift: int) -> CodeType:
+    """``code`` with every nested code object moved ``shift`` lines down."""
+    if not shift:
+        return code
+    consts = tuple(
+        _relocate(c, shift) if isinstance(c, CodeType) else c
+        for c in code.co_consts
+    )
+    return code.replace(
+        co_firstlineno=code.co_firstlineno + shift, co_consts=consts
+    )
+
+
 def load_module(source: str, expected_fingerprint: str) -> Dict[str, Any]:
     """Compile + exec a specialized module's source, verifying the
     whole-file checksum, magic, version, and content address.
+
+    The module is compiled one top-level definition at a time: one
+    ``compile()`` of the whole 1.6 MB source holds its entire AST at
+    once (a ~119 MB peak), one definition's AST is a few MB.  Chunks
+    keep their line numbers in the file, and every chunk compiles
+    before any chunk runs.
 
     Any damage -- truncation, bit flips, a stale specializer version, a
     module for a different build -- raises a typed
@@ -2272,10 +2305,13 @@ def load_module(source: str, expected_fingerprint: str) -> Dict[str, Any]:
             "specialized module failed its whole-file checksum",
             reason="bad-checksum",
         )
+    filename = f"<coggspec {expected_fingerprint[:12]}>"
+    codes = []
     try:
-        code = compile(
-            source, f"<coggspec {expected_fingerprint[:12]}>", "exec"
-        )
+        for line, chunk in _chunks(source):
+            codes.append(
+                _relocate(compile(chunk, filename, "exec"), line - 1)
+            )
     except (SyntaxError, ValueError) as error:
         raise SpecializeError(
             f"specialized module does not compile: {error}",
@@ -2285,7 +2321,8 @@ def load_module(source: str, expected_fingerprint: str) -> Dict[str, Any]:
         "__name__": f"repro_coggspec_{expected_fingerprint[:12]}",
     }
     try:
-        exec(code, namespace)
+        for code in codes:
+            exec(code, namespace)
     except SpecializeError:
         raise
     except Exception as error:  # a damaged body can raise anything
@@ -2317,22 +2354,6 @@ def load_module(source: str, expected_fingerprint: str) -> Dict[str, Any]:
             reason="no-bind",
         )
     return namespace
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
 
 
 def build_engine(build) -> Callable:
@@ -2403,7 +2424,10 @@ def attach(build, cache_dir, build_fingerprint: str) -> Dict[str, Any]:
             info["degraded_reason"] = str(error)
             return info
         buildstats.bump("specialize_emits")
-        _write_atomic(path, source)
+        try:
+            buildcache._write_atomic(path, source.encode("utf-8"))
+        except OSError:
+            pass  # an unwritable cache dir costs a re-emit, nothing more
     try:
         engine = namespace["bind"](gen)
     except SpecializeError as error:

@@ -245,6 +245,30 @@ class TestCachedBuild:
             BC.cached_build(text, machine, table_mode="sparse",
                             cache_dir=tmp_path)
 
+    def test_spec_parsed_once_per_build(self, toy, tmp_path, monkeypatch):
+        """A cold build and a warm build each parse the spec exactly
+        once, counted through both bindings of ``parse_spec``."""
+        import repro.core.cogg as cogg
+        import repro.core.speclang.parser as parser
+
+        real = parser.parse_spec
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_spec", counting)
+        monkeypatch.setattr(cogg, "parse_spec", counting)
+        text, machine = toy
+        before = buildstats.snapshot()
+        BC.cached_build(text, machine, cache_dir=tmp_path)
+        assert buildstats.get("cache_misses") == before["cache_misses"] + 1
+        assert len(calls) == 1
+        BC.cached_build(text, machine, cache_dir=tmp_path)
+        assert buildstats.get("cache_hits") == before["cache_hits"] + 1
+        assert len(calls) == 2
+
 
 # ---- warm start across processes -------------------------------------------------
 

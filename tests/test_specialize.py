@@ -20,11 +20,13 @@ Contract under test (see :mod:`repro.core.specialize`):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import py_compile
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -184,6 +186,41 @@ def test_bind_against_wrong_generator_rejected(toy_module_source, build):
     )
 
 
+def _rechecksum(source: str) -> str:
+    """``source`` with its checksum line recomputed over the body."""
+    body = source[: source.rfind('\nCHECKSUM = "') + 1]
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return body + f'CHECKSUM = "{digest}"\n'
+
+
+def test_full_engine_loads_in_bounded_memory(build):
+    """Compiling one definition at a time keeps the loader's peak far
+    below one ``compile()`` of the whole 1.6 MB module (~119 MB)."""
+    fingerprint = SP.specialize_fingerprint("memory-test")
+    source = SP.emit_module(build, fingerprint)
+    tracemalloc.start()
+    try:
+        SP.load_module(source, fingerprint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 1024 * 1024, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_damaged_chunk_rejected_before_any_chunk_runs(toy_module_source):
+    """A syntax error in a late definition is found before the module
+    header executes: the header here would raise if it ever ran."""
+    _, fingerprint, source = toy_module_source
+    damaged = source.replace(
+        "\nfrom collections import deque\n",
+        "\nraise RuntimeError('header ran')\nfrom collections import deque\n",
+        1,
+    ).replace("    def generate(", "    def generate((", 1)
+    with pytest.raises(SpecializeError) as exc:
+        SP.load_module(_rechecksum(damaged), fingerprint)
+    assert exc.value.reason == "syntax"
+
+
 # ---- cache behavior (attach) -----------------------------------------------------
 
 
@@ -210,6 +247,37 @@ def test_attach_cold_emits_then_warm_loads(tmp_path):
     assert after["specialize_emits"] == mid["specialize_emits"]
     assert after["specialize_cache_hits"] == mid["specialize_cache_hits"] + 1
     assert list(tmp_path.glob("*" + SP.MODULE_SUFFIX)) == modules
+
+
+def test_cached_engine_line_numbers_match_file(tmp_path):
+    """Code objects point at their ``def`` lines in the cached file, so
+    tracebacks and ``inspect`` read the right source."""
+    build = _toy_attach(tmp_path)
+    [path] = tmp_path.glob("*" + SP.MODULE_SUFFIX)
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    fingerprint = build.code_generator.specialize_info["fingerprint"]
+    namespace = SP.load_module(text, fingerprint)
+    names = [n for n in namespace if n.startswith("_mk_")] + ["bind"]
+    assert len(names) > 1
+    for name in names:
+        first = namespace[name].__code__.co_firstlineno
+        assert lines[first - 1].startswith(f"def {name}("), name
+    generate = build.code_generator.specialized.__code__
+    assert lines[generate.co_firstlineno - 1].startswith("    def generate(")
+
+
+def test_cached_engine_mode_matches_artifact(tmp_path):
+    """The engine file is written like the artifact, so every user of a
+    shared cache dir can read both."""
+    old = os.umask(0o022)
+    try:
+        _toy_attach(tmp_path)
+    finally:
+        os.umask(old)
+    [engine] = tmp_path.glob("*" + SP.MODULE_SUFFIX)
+    [artifact] = tmp_path.glob("*.coggart")
+    assert engine.stat().st_mode == artifact.stat().st_mode
 
 
 def test_corrupt_cached_module_deleted_and_rebuilt(tmp_path):
