@@ -108,6 +108,7 @@ def _measure_workload(
             "reloads": regalloc.get("reloads", 0),
             "regalloc_iterations": regalloc.get("iterations", 0),
             "remat_count": regalloc.get("remat_count", 0),
+            "degraded": compiled.stats["degraded"],
         }
         if opt_level >= 2:
             lanes[lane]["global"] = compiled.stats["global"]
@@ -277,6 +278,11 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
                     problems.append(f"{name}.{lane} missing {field!r}")
             if data.get("halted") is not True:
                 problems.append(f"{name}.{lane} did not halt")
+            for event in data.get("degraded", []):
+                problems.append(
+                    f"{name}.{lane} fell back to "
+                    f"-O{event['fell_back_to']}: {event['reason']}"
+                )
         o1_lane = lanes.get("table_O1", {})
         o2_lane = lanes.get("table_O2", {})
         o3_lane = lanes.get("table_O3", {})

@@ -27,11 +27,9 @@ Commands
 ``chaos``
     Seeded fault-injection campaign: corrupt parse tables, IF streams,
     register classes, object modules, build-cache artifacts, peephole
-    rule sets, dataflow facts and interprocedural effect summaries --
-    and fault a live compile server (the
-    ``server`` injector) -- asserting the pipeline always fails with a
-    typed error -- or, for the peephole injector, still produces
-    simulator-identical output (see
+    rule sets and sealed optimizer facts -- and fault a live compile
+    server (the ``server`` injector) -- asserting the pipeline always
+    fails with a typed error, or still produces correct code (see
     :mod:`repro.robustness.faultinject`).
 ``serve``
     Start the long-lived compile server (:mod:`repro.server`): tables
@@ -128,6 +126,20 @@ def _apply_specialize(args: argparse.Namespace) -> None:
     worker subprocesses, which copy the environment."""
     if getattr(args, "no_specialize", False):
         os.environ["REPRO_SPECIALIZE"] = "0"
+
+
+class _InjectorNames:
+    """``chaos --injector`` choices: the keys of
+    :data:`repro.robustness.faultinject.INJECTORS`, imported only when a
+    value is checked or help is shown (the harness is slow to import)."""
+
+    def __contains__(self, name: object) -> bool:
+        return name in list(self)
+
+    def __iter__(self):
+        from repro.robustness.faultinject import INJECTORS
+
+        return iter(sorted(INJECTORS))
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -259,12 +271,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--runs", type=int, default=100)
     chaos.add_argument("--injector", action="append", default=None,
-                       choices=("tables", "ifstream", "registers",
-                                "objmod", "buildcache", "specialize",
-                                "simcache", "peephole", "server",
-                                "dataflow", "regalloc", "summaries"),
-                       help="restrict to one injector (repeatable; "
-                            "default: all twelve)")
+                       choices=_InjectorNames(), metavar="NAME",
+                       help="restrict to one injector: %(choices)s "
+                            "(repeatable; default: all)")
     _add_variant(chaos)
 
     serve = sub.add_parser(
@@ -338,6 +347,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_degradations(compiled) -> None:
+    """One ``** degraded:`` stderr line per routine that fell back to the
+    baseline generator and per optimization level given up."""
+    from repro.pascal.compiler import describe_degradation
+
+    for event in compiled.fallback_events:
+        print(f"** degraded: {event}", file=sys.stderr)
+    for event in compiled.stats["degraded"]:
+        print(f"** degraded: {describe_degradation(event)}",
+              file=sys.stderr)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     source = args.file.read_text()
     if args.baseline:
@@ -371,8 +392,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             profiler=profiler,
             opt_level=_resolve_opt_level(args),
         )
-        for event in compiled.fallback_events:
-            print(f"** degraded: {event}", file=sys.stderr)
+        _report_degradations(compiled)
         if compiled.stats.get("specialize_degraded_reason"):
             print(
                 "** specialize degraded: "
@@ -430,8 +450,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         opt_level=_resolve_opt_level(args),
         peephole_trace=args.dump_asm,
     )
-    for event in compiled.fallback_events:
-        print(f"** degraded: {event}", file=sys.stderr)
+    _report_degradations(compiled)
     for key, value in compiled.stats.items():
         print(f"{key:16s} {value}")
     print(f"{'cse_groups':16s} {compiled.cse_count}")

@@ -170,13 +170,16 @@ class RegisterPressureError(CodeGenError):
 
 
 class DataflowError(CodeGenError):
-    """Global dataflow facts failed their integrity check.
+    """Optimizer facts failed their integrity check.
 
-    The -O2 pass seals every solved analysis (a snapshot of its facts)
-    and verifies it immediately before acting on the facts; any mismatch (bit-flips,
-    dropped facts, a fault injected by the chaos harness) raises this
-    instead of letting a corrupted analysis rewrite code.  ``analysis``
-    names the solution that failed.
+    Every solved dataflow analysis and every summary set is sealed (a
+    snapshot of its facts) and verified immediately before an optimizer
+    pass acts on it; any mismatch (dropped facts, a fault injected by
+    the chaos harness) raises this instead of letting a corrupted fact
+    rewrite code.  ``analysis`` names the fact set that failed.
+    :func:`repro.pascal.compiler.compile_program` catches it and
+    recompiles one optimization level lower, so it escapes a compile
+    only from code that calls the optimizer layers directly.
     """
 
     def __init__(self, message: str, analysis: str = ""):

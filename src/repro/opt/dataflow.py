@@ -22,17 +22,20 @@ barriers assume the worst, and ``exits`` blocks meet the all-live /
 nothing-available boundary.
 
 **Fact integrity.**  Every solved analysis is wrapped in a
-:class:`Solution` and sealed: since every fact is an immutable
-``frozenset`` or ``None``, the seal is a shallow copy of the ``ins`` and
-``outs`` maps, and verifying is one map comparison -- O(blocks), with
-each unchanged fact matched by identity.  Clients call
-:meth:`Solution.verify` immediately before acting on the facts and get a
+:class:`Solution` and sealed (:class:`Sealed`, the one seal of every
+optimizer fact object): since every fact is an immutable ``frozenset``
+or ``None``, the seal is a shallow copy of the ``ins`` and ``outs``
+maps, and verifying is one map comparison -- O(blocks), with each
+unchanged fact matched by identity.  Clients call
+:meth:`Sealed.verify` immediately before acting on the facts and get a
 typed :class:`~repro.errors.DataflowError` if any entry was replaced,
-dropped or added in between, or if the solution was never sealed.
-``FAULT_HOOK`` is the chaos harness's injection point: when set, it may
-mutate (corrupt/drop/unseal) the solution right after sealing --
-exactly what verification must catch, so a fault degrades the -O2 pass
-to -O1 output instead of silently rewriting code with bad facts.
+dropped or added in between, or if the solution was never sealed; the
+compiler then recompiles one level lower
+(:func:`repro.pascal.compiler.compile_program`).  ``FAULT_HOOK`` is the
+chaos harness's one injection point for optimizer facts: when set, it
+runs right after every solution and every
+:class:`~repro.opt.summaries.SummarySet` is sealed, and may damage it
+(corrupt/drop/unseal) -- exactly what verification must catch.
 
 **Visiting order.**  The worklist visits blocks in buffer order for
 forward problems and in reverse buffer order for backward ones, so most
@@ -42,7 +45,7 @@ per block on the bench workloads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
 )
@@ -57,49 +60,64 @@ CC = -1
 #: Pseudo def-site index for registers defined at entry (ABI bases).
 ENTRY = -1
 
-#: chaos injection point: ``FAULT_HOOK(solution)`` runs right after a
-#: solution is sealed (see module docstring); ``None`` outside chaos.
-FAULT_HOOK: Optional[Callable[["Solution"], None]] = None
+#: chaos injection point: ``FAULT_HOOK(facts)`` runs right after a
+#: solution or summary set is sealed (see module docstring); ``None``
+#: outside chaos.
+FAULT_HOOK: Optional[Callable[[object], None]] = None
 
 
 # ---------------------------------------------------------------------------
-# Sealed solutions.
+# Sealed facts.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Solution:
-    """A solved analysis: per-block in/out facts plus an integrity seal
-    (see "Fact integrity" above).  ``digest`` is non-empty once sealed;
-    clearing it unseals."""
+class Sealed:
+    """The integrity seal every optimizer fact object carries (see "Fact
+    integrity" above): :class:`Solution` here and
+    :class:`~repro.opt.summaries.SummarySet`.  Subclasses provide
+    ``name`` and :meth:`fact_maps`; ``digest`` is non-empty once sealed,
+    and clearing it unseals."""
 
     name: str
-    ins: Dict[int, object]
-    outs: Dict[int, object]
-    digest: str = ""
-    _snapshot: Optional[Tuple[Dict[int, object], Dict[int, object]]] = \
-        field(default=None, repr=False, compare=False)
+    digest = ""
+    _snapshot: Optional[Tuple[Dict[int, object], ...]] = None
 
-    def seal(self) -> "Solution":
-        self._snapshot = (dict(self.ins), dict(self.outs))
+    def fact_maps(self) -> Tuple[Dict[int, object], ...]:
+        raise NotImplementedError
+
+    def seal(self) -> "Sealed":
+        self._snapshot = tuple(dict(m) for m in self.fact_maps())
         self.digest = "sealed"
         if FAULT_HOOK is not None:
             FAULT_HOOK(self)
         return self
 
-    def verify(self) -> "Solution":
+    def verify(self) -> "Sealed":
         """Raise :class:`DataflowError` unless the facts still match the
         seal (and a seal exists at all)."""
         if not self.digest:
             raise DataflowError(
                 f"{self.name}: facts were never sealed", analysis=self.name
             )
-        if self._snapshot != (self.ins, self.outs):
+        if self._snapshot != self.fact_maps():
             raise DataflowError(
                 f"{self.name}: facts failed their integrity check",
                 analysis=self.name,
             )
         return self
+
+
+@dataclass
+class Solution(Sealed):
+    """A solved analysis: per-block in/out facts plus an integrity
+    seal."""
+
+    name: str
+    ins: Dict[int, object]
+    outs: Dict[int, object]
+
+    def fact_maps(self) -> Tuple[Dict[int, object], ...]:
+        return self.ins, self.outs
 
 
 # ---------------------------------------------------------------------------

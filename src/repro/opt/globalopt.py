@@ -38,13 +38,14 @@ found) by catching recomputations across basic-block boundaries, with
 the candidate set limited to the encoder's
 :meth:`~repro.core.machine.Encoder.expression_ops` whitelist.
 
-**Degradation contract.**  The pass never guesses: a structurally
-suspect CFG (``cfg.ok`` false) or a dataflow solution that fails its
-integrity check (:class:`~repro.errors.DataflowError` -- the chaos
-harness's ``dataflow`` injector triggers exactly this) rolls the buffer
-back to its pre-pass state and reports ``degraded_reason``, so -O2
-output is then bit-for-bit the -O1 output.  Items inside SkipSite fixed
-byte spans are never deleted or resized.
+**Degradation contract.**  The pass never guesses.  A structurally
+suspect CFG (``cfg.ok`` false) makes no rewrite and reports
+``degraded_reason``.  Every pass verifies its sealed solution
+immediately before rewriting, and a failed check raises
+:class:`~repro.errors.DataflowError` out of the pass, leaving the buffer
+half-rewritten: :func:`repro.pascal.compiler.compile_program` discards
+it and recompiles one level lower.  Items inside SkipSite fixed byte
+spans are never deleted or resized.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.errors import DataflowError
 from repro.core.codegen.emitter import (
     AConSite,
     BranchSite,
@@ -65,6 +65,7 @@ from repro.core.codegen.emitter import (
     StmtMark,
 )
 from repro.opt import dataflow as D
+from repro.opt import summaries as S
 from repro.opt.cfg import Cfg, build_cfg, item_effects
 
 _COND_ALWAYS = 15
@@ -112,8 +113,7 @@ class GlobalResult:
     iterations: int = 0
     degraded_reason: str = ""
     #: -O4 only: routines with a non-barrier summary / call sites whose
-    #: effect record the summaries refined (0 below -O4 or after the
-    #: summaries pass degraded).
+    #: effect record the summaries refined (0 below -O4).
     summary_routines: int = 0
     summary_sites: int = 0
 
@@ -170,8 +170,7 @@ class _Global:
             )
 
     def _replace(self, cfg: Cfg, index: int, new_item) -> None:
-        """Swap one item and refresh its effects entry (never mutate the
-        old object: the rollback snapshot shares it)."""
+        """Swap one item and refresh its effects entry."""
         self.buffer.items[index] = new_item
         cfg.item_effects[index] = item_effects(
             new_item, self.encoder, index in cfg.skip_spans
@@ -539,40 +538,32 @@ class _Global:
 
     # ---- driver -----------------------------------------------------------
 
-    def _cfg(self, use_summaries: bool) -> Cfg:
+    def _cfg(self) -> Cfg:
         """Build the CFG for one pass round; at -O4 additionally compute
-        and apply the interprocedural summaries (any integrity failure
-        raises :class:`DataflowError` and aborts the -O4 attempt)."""
-        if not use_summaries:
+        and apply the interprocedural summaries."""
+        if self.level < 4:
             return build_cfg(self.buffer, self.encoder)
-        from repro.opt import summaries as S
-
-        disjoint = (
-            self.encoder.disjoint_base_pairs()
-            if self.encoder is not None else frozenset()
-        )
         cfg = build_cfg(
-            self.buffer, self.encoder, disjoint_bases=disjoint
+            self.buffer, self.encoder,
+            disjoint_bases=self.encoder.disjoint_base_pairs(),
         )
         if cfg.ok:
-            summary_set = S.compute_summaries(cfg, self.encoder)
-            sites = S.apply_summaries(cfg, summary_set)
-            self.result.summary_routines = summary_set.refined
-            self.result.summary_sites = sites
+            self.result.summary_routines, self.result.summary_sites = \
+                S.refine_call_sites(cfg, self.encoder)
         return cfg
 
-    def _optimize(self, use_summaries: bool) -> None:
+    def run(self) -> GlobalResult:
         while self.result.iterations < _MAX_ITERATIONS:
             self.result.iterations += 1
             changed = 0
-            cfg = self._cfg(use_summaries)
+            cfg = self._cfg()
             if not cfg.ok:
                 if self.result.total == 0:
                     self.result.degraded_reason = cfg.reason
-                return
+                break
             changed += self._pass_unreachable(cfg)
             if changed:
-                cfg = self._cfg(use_summaries)
+                cfg = self._cfg()
             changed += self._pass_forward(cfg)
             if self.level >= 3:
                 changed += self._pass_cse(cfg)
@@ -582,34 +573,8 @@ class _Global:
             changed += self._pass_branches(cfg)
             if not changed:
                 break
-
-    def run(self) -> GlobalResult:
-        buffer = self.buffer
-        snapshot_items = list(buffer.items)
-        snapshot_deaths = list(buffer.deaths)
-        snapshot_origins = dict(buffer.origins)
-        # At -O4 the first attempt consumes interprocedural summaries;
-        # if their facts fail integrity mid-flight the buffer rolls back
-        # and the second attempt re-optimizes with barrier call sites --
-        # genuine -O3 output, with degraded_reason recording why.
-        attempts = (True, False) if self.level >= 4 else (False,)
-        for use_summaries in attempts:
-            try:
-                self._optimize(use_summaries)
-            except DataflowError as err:
-                buffer.items[:] = snapshot_items
-                buffer.deaths[:] = snapshot_deaths
-                buffer.origins = dict(snapshot_origins)
-                self.result.hits.clear()
-                self.result.events.clear()
-                self.result.iterations = 0
-                self.result.summary_routines = 0
-                self.result.summary_sites = 0
-                self.result.degraded_reason = str(err)
-                continue
-            break
         if self.result.total:
-            buffer.compact()
+            self.buffer.compact()
         return self.result
 
 
@@ -632,9 +597,9 @@ def run_global(
     enables the global-CSE passes (``g_cse_elim``/``g_cse_copy``);
     ``level >= 4`` feeds every pass interprocedural effect summaries
     (:mod:`repro.opt.summaries`) so facts survive refined call sites.
-    On any integrity failure the buffer is rolled back and
-    ``degraded_reason`` says why; a summaries-only failure falls back to
-    barrier call sites (genuine -O3 output) instead.
+    An unbuildable CFG makes no rewrite and sets ``degraded_reason``; a
+    fact that fails its integrity check raises
+    :class:`~repro.errors.DataflowError` with the buffer half-rewritten.
     """
     return _Global(
         generated, encoder, nregs, load_op, move_op, trace, level=level

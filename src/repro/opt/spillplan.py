@@ -12,8 +12,9 @@ generator twice:
    (byte-identical decisions to ``"lru"``), collecting the allocator's
    :class:`~repro.core.codegen.registers.SpillEvent` log.
 2. **Plan**: build the CFG of the probe output and solve *liveness* and
-   *available expressions* over it (both solutions seal-verified --
-   any tampering degrades the whole lane back to plain LRU).  For every
+   *available expressions* over it (both solutions seal-verified; a
+   failed check raises :class:`~repro.errors.DataflowError`, and the
+   compiler recompiles one level lower).  For every
    single-register eviction, rank the probe's eviction candidates by
    next use -- the probe victim's next use is the first read of its
    scratch slot -- preferring registers that are dead after the spill
@@ -52,8 +53,7 @@ outright and every reload re-executes the forming instruction
 (``remat spilled operand``).  Constants rematerialize unconditionally;
 register-dependent forms only when a same-block scan proves every input
 register survives from spill site to last reload -- a value whose
-inputs died is never rematerialized.  A summaries integrity failure
-costs only the refinement (-O3 planning facts), never the plan.
+inputs died is never rematerialized.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import DataflowError
 from repro.core.effects import may_alias
 from repro.core.codegen.registers import SpillDirective, SpillEvent
 from repro.opt import dataflow as D
+from repro.opt import summaries as S
 from repro.opt.cfg import Cfg, build_cfg
 
 #: Probe/plan rounds before accepting the plan as-is.  Each round fixes
@@ -296,48 +296,33 @@ def _derive(
     return keep, False
 
 
-def _probe_cfg(probe, encoder, level: int, notes: Optional[List[str]]
-               ) -> Cfg:
+def _probe_cfg(probe, encoder, level: int) -> Cfg:
     """The planning CFG; at -O4 with interprocedural summaries applied
-    so the intactness scans can see through refined call sites.  A
-    summaries integrity failure falls back to the plain (-O3) CFG --
-    degrading the refinement, never the whole lane -- and records why
-    in ``notes``."""
+    so the intactness scans can see through refined call sites."""
     if level < 4:
         return build_cfg(probe.buffer, encoder)
-    from repro.opt import summaries as S
-
-    try:
-        disjoint = (
-            encoder.disjoint_base_pairs()
-            if encoder is not None else frozenset()
-        )
-        cfg = build_cfg(probe.buffer, encoder, disjoint_bases=disjoint)
-        if cfg.ok:
-            summary_set = S.compute_summaries(cfg, encoder)
-            S.apply_summaries(cfg, summary_set)
-        return cfg
-    except DataflowError as error:
-        if notes is not None:
-            notes.append(f"spill plan summaries degraded: {error}")
-        return build_cfg(probe.buffer, encoder)
+    cfg = build_cfg(
+        probe.buffer, encoder, disjoint_bases=encoder.disjoint_base_pairs()
+    )
+    if cfg.ok:
+        S.refine_call_sites(cfg, encoder)
+    return cfg
 
 
 def build_plan(
     probe, encoder, current_plan: Tuple[SpillDirective, ...],
     nregs: int = 16, level: int = 3,
-    notes: Optional[List[str]] = None,
 ) -> Tuple[Tuple[SpillDirective, ...], str]:
     """Derive the next spill plan from a probe generation.
 
-    Returns ``(plan, degraded_reason)``; a nonempty reason means the
-    facts could not be trusted (unbuildable CFG, failed seal
-    verification) and the caller must fall back to plain LRU.
+    Returns ``(plan, degraded_reason)``; a nonempty reason means no plan
+    can be derived (unbuildable CFG, a probe that did not replay the
+    current plan) and the caller must fall back to plain LRU.  Facts
+    that fail their seal raise :class:`~repro.errors.DataflowError`.
     ``level >= 4`` plans against summary-refined call sites and may
-    rematerialize; a summaries failure only costs the refinement
-    (recorded in ``notes``), not the plan.
+    rematerialize.
     """
-    cfg = _probe_cfg(probe, encoder, level, notes)
+    cfg = _probe_cfg(probe, encoder, level)
     if not cfg.ok:
         return (), f"spill plan: CFG unavailable ({cfg.reason})"
     log = probe.stats.get("spill_log") or []
@@ -350,16 +335,13 @@ def build_plan(
         for e in log
         if e.scratch is not None
     )
-    try:
-        live = D.liveness(cfg, nregs=nregs)
-        live.solution.verify()
-        expr_ops = (
-            encoder.expression_ops() if encoder is not None else frozenset()
-        )
-        exprs = D.available_exprs(cfg, expr_ops, private=private)
-        exprs.solution.verify()
-    except DataflowError as error:
-        return (), f"spill plan: {error}"
+    live = D.liveness(cfg, nregs=nregs)
+    live.solution.verify()
+    expr_ops = (
+        encoder.expression_ops() if encoder is not None else frozenset()
+    )
+    exprs = D.available_exprs(cfg, expr_ops, private=private)
+    exprs.solution.verify()
     directives: List[SpillDirective] = []
     for i, event in enumerate(events):
         if event.ordinal != i:
@@ -388,12 +370,13 @@ def generate_with_liveness(
     """Generate code with the liveness-planned allocator.
 
     Returns ``(generated, info)`` where ``info`` is the JSON-safe
-    ``stats["regalloc"]`` payload for the compiler.  On any planning
-    failure the final generation runs with an empty plan -- decisions
-    byte-identical to ``strategy="lru"`` -- and ``degraded_reason``
-    records why.  ``level >= 4`` additionally plans against
-    interprocedural summaries and rematerializes cheap spilled values
-    (``remat_count``).
+    ``stats["regalloc"]`` payload for the compiler.  When no plan can be
+    derived or a plan fails to replay, the final generation runs with an
+    empty plan -- decisions byte-identical to ``strategy="lru"`` -- and
+    ``degraded_reason`` records why; facts that fail their seal raise
+    :class:`~repro.errors.DataflowError`.  ``level >= 4`` additionally
+    plans against interprocedural summaries and rematerializes cheap
+    spilled values (``remat_count``).
     """
     gen = build.code_generator
     encoder = build.machine.encoder
@@ -410,7 +393,6 @@ def generate_with_liveness(
     }
     if not isinstance(tokens, list):
         tokens = list(tokens)  # probed repeatedly
-    notes: List[str] = []
     plan: Tuple[SpillDirective, ...] = ()
     probe = gen.generate(
         tokens, frame=copy.deepcopy(frame), guards=guards,
@@ -424,7 +406,7 @@ def generate_with_liveness(
     for iteration in range(_MAX_ITERATIONS):
         info["plan_iterations"] = iteration + 1
         new_plan, reason = build_plan(
-            probe, encoder, plan, nregs=nregs, level=level, notes=notes,
+            probe, encoder, plan, nregs=nregs, level=level,
         )
         if reason:
             info["degraded_reason"] = reason
@@ -449,8 +431,6 @@ def generate_with_liveness(
     )
     if final.stats.get("plan_degraded_reason"):
         info["degraded_reason"] = final.stats["plan_degraded_reason"]
-    if notes and not info["degraded_reason"]:
-        info["degraded_reason"] = notes[0]
     log = final.stats.get("spill_log") or []
     info["spill_events"] = len(log)
     info["planned_evictions"] = sum(1 for e in log if e.planned)

@@ -34,35 +34,27 @@ Soundness rules, in the order they bite:
   dead across the call and the callee observes nothing) or the summary
   assumes the worst.
 
-**Fact integrity.**  A solved :class:`SummarySet` is sealed like every
-dataflow :class:`~repro.opt.dataflow.Solution`: the seal keeps each
-summary's canonical form, and verifying compares a fresh one;
-:func:`apply_summaries` re-verifies the seal immediately before
-rewriting any call-site record and raises a typed
-:class:`~repro.errors.DataflowError` on mismatch -- the -O4 clients then
-fall back to barrier call sites (genuine -O3 behavior) and record a
-``degraded_reason``.  ``FAULT_HOOK`` is the chaos harness's injection
-point, mirroring ``repro.opt.dataflow.FAULT_HOOK``.
+**Fact integrity.**  A solved :class:`SummarySet` carries the same seal
+as every dataflow solution (:class:`repro.opt.dataflow.Sealed`): a
+shallow copy of the summary map, exact because each
+:class:`RoutineSummary` is a frozen value.  :func:`apply_summaries`
+re-verifies it immediately before rewriting any call-site record and
+raises a typed :class:`~repro.errors.DataflowError` on mismatch;
+:func:`repro.pascal.compiler.compile_program` then recompiles at -O3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.errors import DataflowError
 from repro.core.codegen.emitter import (
     BranchSite, Instr, LabelMark, Mem, StmtMark,
 )
 from repro.core.effects import FLOW_CALL, InstrEffects, Loc
 from repro.core.machine import Encoder, LinkageInfo
+from repro.opt import dataflow as D
 from repro.opt.cfg import Cfg, ItemEffects
-
-#: chaos injection point: ``FAULT_HOOK(summary_set)`` runs right after
-#: the set is sealed; ``None`` outside chaos campaigns.
-FAULT_HOOK: Optional[Callable[["SummarySet"], None]] = None
 
 
 @dataclass(frozen=True)
@@ -89,51 +81,17 @@ class RoutineSummary:
     reads_cc: bool = True
     calls: Tuple[int, ...] = ()
 
-    def canon(self) -> tuple:
-        return (
-            self.label, self.barrier, self.reason,
-            frozenset(self.clobbers), frozenset(self.preserved),
-            frozenset(self.uses),
-            frozenset(self.reads), frozenset(self.writes),
-            frozenset(self.must_writes),
-            self.sets_cc, self.reads_cc, frozenset(self.calls),
-        )
-
 
 @dataclass
-class SummarySet:
-    """All routine summaries of one program, with an integrity seal.
+class SummarySet(D.Sealed):
+    """All routine summaries of one program, with an integrity seal."""
 
-    The seal keeps each summary's canonical form; ``digest`` is
-    non-empty once sealed, and clearing it unseals the set."""
+    name = "summaries"
 
     summaries: Dict[int, RoutineSummary] = field(default_factory=dict)
-    digest: str = ""
-    _snapshot: Optional[Dict[int, tuple]] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def _canonical(self) -> Dict[int, tuple]:
-        return {label: s.canon() for label, s in self.summaries.items()}
-
-    def seal(self) -> "SummarySet":
-        self._snapshot = self._canonical()
-        self.digest = "sealed"
-        if FAULT_HOOK is not None:
-            FAULT_HOOK(self)
-        return self
-
-    def verify(self) -> "SummarySet":
-        if not self.digest:
-            raise DataflowError(
-                "summaries: facts were never sealed", analysis="summaries"
-            )
-        if self._canonical() != self._snapshot:
-            raise DataflowError(
-                "summaries: facts failed their integrity check",
-                analysis="summaries",
-            )
-        return self
+    def fact_maps(self) -> Tuple[Dict[int, RoutineSummary], ...]:
+        return (self.summaries,)
 
     @property
     def refined(self) -> int:
@@ -400,6 +358,16 @@ def apply_summaries(cfg: Cfg, summary_set: SummarySet) -> int:
         cfg.item_effects[i] = ItemEffects(effects)
         applied += 1
     return applied
+
+
+def refine_call_sites(cfg: Cfg, encoder: Optional[Encoder]
+                      ) -> Tuple[int, int]:
+    """Compute the program's summaries over ``cfg`` and apply them: the
+    -O4 step the global passes and the spill planner share.  ``cfg``
+    should be built with the encoder's ``disjoint_base_pairs``.  Returns
+    ``(refined routines, refined call sites)``."""
+    summary_set = compute_summaries(cfg, encoder)
+    return summary_set.refined, apply_summaries(cfg, summary_set)
 
 
 def _render_locs(locs: Tuple[Loc, ...]) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.cogg import BuildResult
-from repro.errors import CodeGenError, ReproError
+from repro.errors import DataflowError, ReproError
 from repro.core.codegen.emitter import Instr
 from repro.core.codegen.loader_records import ResolvedModule, resolve_module
 from repro.core.codegen.parser_rt import GeneratedCode
@@ -186,26 +186,70 @@ def compile_program(
     the selector's output untouched, ``1`` (the default; overridable via
     ``REPRO_OPT_LEVEL``) runs the :mod:`repro.opt.peephole` pass first,
     ``2`` additionally runs the global CFG/dataflow optimizer
-    (:mod:`repro.opt.globalopt`; its per-pass hit counts land in
-    ``stats["global"]``, and any fact integrity failure degrades back to
-    the ``-O1`` output with a ``degraded_reason`` instead of risking
-    wrong code).  ``3`` adds the two remaining dataflow clients: code is
-    selected through the liveness-planned register allocator
-    (:mod:`repro.opt.spillplan`; ``stats["regalloc"]``) and the global
-    optimizer additionally runs its value-based CSE passes.  Both
-    degrade independently -- to plain LRU selection and to the ``-O2``
-    pass set -- whenever their facts fail verification.  ``4`` computes
-    interprocedural effect summaries (:mod:`repro.opt.summaries`): the
-    global passes keep facts alive across refined call sites and the
-    spill planner rematerializes cheap values instead of spilling them;
-    a summaries integrity failure degrades to genuine ``-O3`` output.
+    (:mod:`repro.opt.globalopt`; per-pass hit counts in
+    ``stats["global"]``).  ``3`` adds the global optimizer's value-based
+    CSE passes and selects code through the liveness-planned register
+    allocator (:mod:`repro.opt.spillplan`; ``stats["regalloc"]``).
+    ``4`` computes interprocedural effect summaries
+    (:mod:`repro.opt.summaries`): the global passes keep facts alive
+    across refined call sites and the spill planner rematerializes cheap
+    values instead of spilling them.
+
+    This is the one place that recovers from a bad optimizer fact: when
+    a compile at level ``N >= 2`` raises
+    :class:`~repro.errors.DataflowError`, it is discarded and the
+    program recompiled from the checked AST at ``N - 1``, level by level
+    (-O1 builds no facts).  Each step appends ``{"component", "reason",
+    "fell_back_to"}`` to ``stats["degraded"]``; the result is
+    byte-identical to a clean compile at the last ``fell_back_to``.
+
     ``peephole_rules`` narrows the peephole to a subset of
     :data:`repro.opt.peephole.ALL_RULES`; ``peephole_trace`` records
     every rewrite plus before/after listings (``compile --dump-asm``).
     """
-    prof = profiler if profiler is not None else NULL_PROFILER
     if opt_level is None:
         opt_level = default_opt_level()
+    degraded: List[Dict[str, object]] = []
+    while True:
+        try:
+            compiled = _compile_at(
+                program, opt_level, variant, optimize, checks, debug,
+                fallback, build, table_mode, profiler, peephole_rules,
+                peephole_trace,
+            )
+            break
+        except DataflowError as error:
+            if opt_level <= 1:
+                raise
+            opt_level -= 1
+            degraded.append({"component": error.analysis,
+                             "reason": str(error), "fell_back_to": opt_level})
+    compiled.stats["degraded"] = degraded
+    return compiled
+
+
+def describe_degradation(event: Dict[str, object]) -> str:
+    """One ``stats["degraded"]`` event as ``-O3 -> -O2 (reason)``."""
+    level = event["fell_back_to"]
+    return f"-O{level + 1} -> -O{level} ({event['reason']})"
+
+
+def _compile_at(
+    program: A.Program,
+    opt_level: int,
+    variant: str,
+    optimize: bool,
+    checks: bool,
+    debug: bool,
+    fallback: bool,
+    build: Optional[BuildResult],
+    table_mode: str,
+    profiler: Optional[PhaseProfiler],
+    peephole_rules: Optional[List[str]],
+    peephole_trace: bool,
+) -> CompiledProgram:
+    """One compile at exactly ``opt_level`` (see :func:`compile_program`)."""
+    prof = profiler if profiler is not None else NULL_PROFILER
     with prof.phase("shape"):
         ir = generate_ir(program, checks=checks, debug=debug)
         # The baseline fallback has no CSE support, so keep the

@@ -139,6 +139,8 @@ class BatchResult:
     error: str = ""
     seconds: float = 0.0
     fallback_routines: List[str] = field(default_factory=list)
+    #: optimization levels given up (``stats["degraded"]`` events).
+    degraded_events: List[Dict[str, object]] = field(default_factory=list)
     profile: Dict[str, float] = field(default_factory=dict)
     #: buildstats deltas in the worker that compiled this item
     #: (automaton_builds/table_builds/cache_hits since worker start).
@@ -196,6 +198,8 @@ class BatchReport:
         return profiler.as_dict()
 
     def render(self) -> str:
+        from repro.pascal.compiler import describe_degradation
+
         lines = [
             f"batch: {len(self.results)} programs, "
             f"jobs={self.jobs_used} ({self.mode}"
@@ -216,6 +220,10 @@ class BatchReport:
                 lines.append(
                     f"  ok   {result.name:<24s} "
                     f"({detail}, {result.seconds:.3f}s)"
+                )
+                lines.extend(
+                    f"       ** degraded: {describe_degradation(event)}"
+                    for event in result.degraded_events
                 )
             else:
                 reason = (

@@ -292,6 +292,7 @@ def _execute_baseline(
             program.object_records
         ).hexdigest(),
         "fallback_routines": [],
+        "degraded_events": [],
     }
     if request.return_object:
         payload["object_b64"] = base64.b64encode(
@@ -326,7 +327,10 @@ def execute_request(
     failure -- callers wanting an envelope instead of an exception wrap
     this with :func:`repro.errors.error_envelope`.  ``use_baseline``
     routes compile/run requests through the baseline generator (the
-    circuit breaker's degraded lane).
+    circuit breaker's degraded lane).  A compile/run payload's
+    ``degraded_events`` lists the optimization levels the compile gave
+    up (``stats["degraded"]``); it is a separate key from the server's
+    ``degraded`` flag, which marks the breaker's baseline lane.
     """
     request.validate()
     prof = profiler if profiler is not None else PhaseProfiler()
@@ -361,6 +365,7 @@ def execute_request(
             "fallback_routines": [
                 event.routine for event in compiled.fallback_events
             ],
+            "degraded_events": compiled.stats["degraded"],
         }
         if request.return_object:
             payload["object_b64"] = base64.b64encode(

@@ -7,7 +7,7 @@ pipeline either finishes or raises a typed*
 ``IndexError``/``KeyError``/``RecursionError``.  This module tests that
 contract the only way it can be tested: by damaging things on purpose.
 
-Twelve injectors, one per fragile layer:
+Ten injectors, one per fragile layer:
 
 ``tables``
     Corrupt random entries of the LR action matrix (flip to ERROR,
@@ -63,36 +63,17 @@ Twelve injectors, one per fragile layer:
     *any* subset of rules (each is individually toggleable) preserves
     program behavior; rule damage may cost code quality, never
     correctness.
-``dataflow``
-    Corrupt, drop or unseal the global optimizer's solved dataflow
-    facts (:data:`repro.opt.dataflow.FAULT_HOOK`) while the known-good
-    program compiles at ``-O2``.  The pass verifies every solution's
-    integrity seal immediately before acting on it, so a fault must
-    either degrade the compile to its -O1 output (with a recorded
-    ``degraded_reason``) or surface as a typed
-    :class:`~repro.errors.DataflowError` -- the simulated output must
-    match the ``-O0`` reference exactly in all cases.  Fact damage may
-    cost optimization, never correctness.
-``regalloc``
-    Corrupt the same dataflow facts while a register-pressure program
-    compiles at ``-O3``, where the liveness-driven spill planner
-    consumes them.  The planner verifies every solution's seal before
-    deriving spill directives and re-validates its plan against each
-    probe replay, so damage must surface as a recorded
-    ``degraded_reason`` (in the planner's or the global pass's stats)
-    with the compile falling back to plain LRU decisions -- and the
-    simulated output must match the ``-O0`` reference exactly.  Fact
-    damage may cost spill elimination, never correctness.
-``summaries``
-    Corrupt, drop or unseal the interprocedural effect summaries
-    (:data:`repro.opt.summaries.FAULT_HOOK`) while a multi-routine
-    program compiles at ``-O4``.  Every consumer verifies the seal of
-    the summary set immediately before refining a call site with it, so a
-    fault must surface as a recorded ``degraded_reason`` (the global
-    pass rolls back to its genuine -O3 output; the spill planner falls
-    back to an unrefined probe CFG) -- and the simulated output must
-    match the ``-O0`` reference exactly.  Summary damage may cost
-    call-boundary optimization, never correctness.
+``optimizer``
+    Damage the optimizer's sealed facts -- dataflow solutions and
+    interprocedural summary sets alike, through the one
+    :data:`repro.opt.dataflow.FAULT_HOOK` -- while a program compiles at
+    a random level from ``-O2`` to ``-O4``.  Every consumer verifies a
+    seal immediately before acting on the facts, and the compiler
+    answers a failed check by recompiling one level lower, so every
+    fired fault must show up as one ``stats["degraded"]`` event and the
+    object records must be byte-identical to a clean compile at the last
+    ``fell_back_to``.  Fact damage may cost optimization, never
+    correctness.
 ``server``
     Run faults against a *live* compile server (:mod:`repro.server`)
     over real sockets: worker crashes injected at a random pipeline
@@ -653,112 +634,57 @@ def _inject_peephole(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
     return action
 
 
-def _inject_dataflow(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
-    """Corrupt sealed dataflow facts mid ``-O2``; the output must stay
-    byte-identical to the reference, with the pass degrading (or
-    failing typed), never rewriting code with bad facts."""
-    expected = _peephole_reference(fx)
-    target = rng.choice([
-        "liveness", "reaching-defs", "memory-deadness",
-        "available-stores", "available-copies", "*",
-    ])
-    mode = rng.choice(["mutate", "drop", "unseal"])
-    probability = rng.uniform(0.4, 1.0)
-    hook_seed = rng.getrandbits(32)
-
-    def action() -> None:
-        from repro.opt import dataflow
-        from repro.pascal.compiler import compile_source
-
-        local = random.Random(hook_seed)
-        fired: List[str] = []
-
-        def hook(solution) -> None:
-            if target != "*" and solution.name != target:
-                return
-            if local.random() > probability:
-                return
-            if mode != "unseal" and not solution.outs:
-                return  # nothing to damage: dropping/mutating is a no-op
-            fired.append(solution.name)
-            if mode == "unseal":
-                solution.digest = ""
-            elif mode == "drop":
-                solution.outs.clear()
-            elif solution.outs:
-                bid = local.choice(sorted(solution.outs))
-                fact = solution.outs[bid]
-                if fact is None:
-                    solution.outs[bid] = frozenset()
-                elif isinstance(fact, frozenset):
-                    # A member no real analysis produces: any shape of
-                    # fact set changes, so the seal cannot match.
-                    solution.outs[bid] = fact | {("bogus", 99)}
-                else:
-                    solution.outs[bid] = None
-
-        dataflow.FAULT_HOOK = hook
-        try:
-            compiled = compile_source(
-                CHAOS_PROGRAM, variant=fx.variant, opt_level=2
-            )
-        finally:
-            dataflow.FAULT_HOOK = None
-        result = compiled.run(max_steps=CHAOS_SIM_STEPS)
-        stats = compiled.stats["global"]
-        if result.trap is not None or result.output != expected:
-            raise RuntimeError(
-                f"dataflow fault ({mode} on {target}) changed the "
-                f"program: trap={result.trap!r}, "
-                f"output {result.output!r} vs {expected!r}"
-            )
-        if fired and not stats["degraded_reason"]:
-            raise RuntimeError(
-                f"dataflow fault ({mode} on {fired[0]}) was silently "
-                "absorbed: the -O2 pass neither degraded nor failed"
-            )
-
-    return action
+#: Every fact set a compile seals, by the name the fault hook sees.
+_FACT_SETS = (
+    "liveness", "available-stores", "available-copies",
+    "memory-deadness", "available-exprs", "summaries",
+)
 
 
-_PRESSURE_REFERENCES: Dict[str, str] = {}
+def _damage_facts(facts, mode: str, rng: random.Random) -> bool:
+    """Damage one freshly sealed solution or summary set in place;
+    ``False`` when there is nothing to damage."""
+    if mode == "unseal":
+        facts.digest = ""
+        return True
+    table = facts.fact_maps()[-1]  # a solution's outs, or the summaries
+    if not table:
+        return False
+    key = rng.choice(sorted(table))
+    if mode == "drop":
+        table.clear()
+    elif facts.name == "summaries":
+        # The most dangerous lie: a routine that clobbers nothing.
+        table[key] = replace(
+            table[key], barrier=False, reason="chaos",
+            clobbers=frozenset(), writes=(), must_writes=(),
+            sets_cc=False, reads_cc=False,
+        )
+    elif table[key] is None:
+        table[key] = frozenset()
+    else:
+        # A member no real analysis produces.
+        table[key] = table[key] | {("bogus", 99)}
+    return True
 
 
-def _pressure_program() -> str:
+def _inject_optimizer(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
+    """Damage sealed optimizer facts mid ``-O2``..``-O4`` compile.
+
+    The chaos program gives the summaries a call graph; the
+    register-pressure program gives the spill planner ten spills to
+    plan.  Each fired fault must cost exactly one level, and the object
+    records must match a clean compile at the level the compile ended
+    at.
+    """
     from repro.bench.workloads import register_pressure
 
-    return register_pressure(20)
-
-
-def _pressure_reference(fx: _Fixture) -> str:
-    output = _PRESSURE_REFERENCES.get(fx.variant)
-    if output is None:
-        from repro.pascal.compiler import compile_source
-
-        compiled = compile_source(
-            _pressure_program(), variant=fx.variant, opt_level=0
-        )
-        output = compiled.run(max_steps=CHAOS_SIM_STEPS).output
-        _PRESSURE_REFERENCES[fx.variant] = output
-    return output
-
-
-def _inject_regalloc(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
-    """Corrupt the facts behind the ``-O3`` spill planner mid-compile.
-
-    A register-pressure program (10 spill events, all planned away in a
-    clean compile) is compiled at ``-O3`` while liveness or
-    available-expressions solutions are mutated, dropped or unsealed at
-    the seal point.  The planner re-verifies every solution's seal
-    before deriving directives, so a fault that fires must surface as a
-    ``degraded_reason`` -- in ``stats["regalloc"]`` when the spill
-    planner's own facts were hit, in ``stats["global"]`` when the CSE
-    passes' were -- and the simulated output must stay byte-identical
-    to the ``-O0`` reference: fact damage may cost spill elimination,
-    never correctness.
-    """
-    expected = _pressure_reference(fx)
-    target = rng.choice(["liveness", "available-exprs", "*"])
+    level = rng.randint(2, 4)
+    name, source = rng.choice([
+        ("chaos", CHAOS_PROGRAM),
+        ("register_pressure(20)", register_pressure(20)),
+    ])
+    target = rng.choice(_FACT_SETS + ("*",))
     mode = rng.choice(["mutate", "drop", "unseal"])
     probability = rng.uniform(0.4, 1.0)
     hook_seed = rng.getrandbits(32)
@@ -770,125 +696,34 @@ def _inject_regalloc(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
         local = random.Random(hook_seed)
         fired: List[str] = []
 
-        def hook(solution) -> None:
-            if target != "*" and solution.name != target:
+        def hook(facts) -> None:
+            if target != "*" and facts.name != target:
                 return
             if local.random() > probability:
                 return
-            if mode != "unseal" and not solution.outs:
-                return
-            fired.append(solution.name)
-            if mode == "unseal":
-                solution.digest = ""
-            elif mode == "drop":
-                solution.outs.clear()
-            elif solution.outs:
-                bid = local.choice(sorted(solution.outs))
-                fact = solution.outs[bid]
-                if fact is None:
-                    solution.outs[bid] = frozenset()
-                elif isinstance(fact, frozenset):
-                    solution.outs[bid] = fact | {("bogus", 99)}
-                else:
-                    solution.outs[bid] = None
+            if _damage_facts(facts, mode, local):
+                fired.append(facts.name)
 
         dataflow.FAULT_HOOK = hook
         try:
             compiled = compile_source(
-                _pressure_program(), variant=fx.variant, opt_level=3
+                source, variant=fx.variant, opt_level=level
             )
         finally:
             dataflow.FAULT_HOOK = None
-        result = compiled.run(max_steps=CHAOS_SIM_STEPS)
-        if result.trap is not None or result.output != expected:
+        fault = f"optimizer fault ({mode} on {target}) at -O{level} on {name}"
+        chain = [e["fell_back_to"] for e in compiled.stats["degraded"]]
+        if chain != list(range(level - 1, level - 1 - len(fired), -1)):
             raise RuntimeError(
-                f"regalloc fault ({mode} on {target}) changed the "
-                f"program: trap={result.trap!r}, "
-                f"output {result.output!r} vs {expected!r}"
+                f"{fault}: {len(fired)} fault(s) fired but the compile "
+                f"fell back along {chain}"
             )
-        degraded = (
-            compiled.stats["regalloc"].get("degraded_reason")
-            or compiled.stats["global"].get("degraded_reason")
-        )
-        if fired and not degraded:
+        final = chain[-1] if chain else level
+        clean = compile_source(source, variant=fx.variant, opt_level=final)
+        if compiled.object_records != clean.object_records:
             raise RuntimeError(
-                f"regalloc fault ({mode} on {fired[0]}) was silently "
-                "absorbed: neither the spill planner nor the global "
-                "pass degraded"
-            )
-
-    return action
-
-
-def _inject_summaries(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
-    """Corrupt the interprocedural effect summaries mid ``-O4`` compile.
-
-    The chaos program's procedure gives the summary pass a real call
-    graph to refine.  The hook fires at the seal point of every
-    :class:`~repro.opt.summaries.SummarySet` built during the compile
-    (the global pass builds one per iteration; the spill planner builds
-    one per probe), mutating a summary into the most dangerous possible
-    lie (a routine that clobbers nothing), emptying the set, or wiping
-    the seal.  ``verify()`` runs before any call site is rewritten,
-    so a fired fault must surface as a ``degraded_reason`` in
-    ``stats["global"]`` or ``stats["regalloc"]`` -- and the simulated
-    output must stay byte-identical to the ``-O0`` reference.  Summary
-    damage may cost call-boundary optimization, never correctness.
-    """
-    expected = _peephole_reference(fx)
-    mode = rng.choice(["corrupt", "drop", "unseal"])
-    probability = rng.uniform(0.4, 1.0)
-    hook_seed = rng.getrandbits(32)
-
-    def action() -> None:
-        from repro.opt import summaries as S
-        from repro.pascal.compiler import compile_source
-
-        local = random.Random(hook_seed)
-        fired: List[str] = []
-
-        def hook(summary_set) -> None:
-            if local.random() > probability:
-                return
-            if mode != "unseal" and not summary_set.summaries:
-                return  # nothing to damage: the fault is a no-op
-            fired.append(mode)
-            if mode == "unseal":
-                summary_set.digest = ""
-            elif mode == "drop":
-                summary_set.summaries.clear()
-            else:
-                label = local.choice(sorted(summary_set.summaries))
-                summary = summary_set.summaries[label]
-                summary_set.summaries[label] = replace(
-                    summary,
-                    barrier=False, reason="",
-                    clobbers=frozenset(), writes=frozenset(),
-                    sets_cc=False, reads_cc=False,
-                )
-
-        S.FAULT_HOOK = hook
-        try:
-            compiled = compile_source(
-                CHAOS_PROGRAM, variant=fx.variant, opt_level=4
-            )
-        finally:
-            S.FAULT_HOOK = None
-        result = compiled.run(max_steps=CHAOS_SIM_STEPS)
-        if result.trap is not None or result.output != expected:
-            raise RuntimeError(
-                f"summaries fault ({mode}) changed the program: "
-                f"trap={result.trap!r}, "
-                f"output {result.output!r} vs {expected!r}"
-            )
-        degraded = (
-            compiled.stats["global"].get("degraded_reason")
-            or compiled.stats["regalloc"].get("degraded_reason")
-        )
-        if fired and not degraded:
-            raise RuntimeError(
-                f"summaries fault ({mode}) was silently absorbed: "
-                "neither the global pass nor the spill planner degraded"
+                f"{fault}: object records differ from a clean -O{final} "
+                "compile"
             )
 
     return action
@@ -1115,10 +950,8 @@ INJECTORS = {
     "specialize": _inject_specialize,
     "simcache": _inject_simcache,
     "peephole": _inject_peephole,
+    "optimizer": _inject_optimizer,
     "server": _inject_server,
-    "dataflow": _inject_dataflow,
-    "regalloc": _inject_regalloc,
-    "summaries": _inject_summaries,
 }
 
 

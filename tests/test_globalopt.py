@@ -1,8 +1,8 @@
 """Unit + integration tests: the -O2 global optimizer (repro.opt.globalopt).
 
-One rewrite test and a does-not-fire negative per pass, the degradation
-/ rollback contract under injected fact corruption, the toy-target
-instantiation, and the integration gate: -O2 output is byte-identical
+One rewrite test and a does-not-fire negative per pass, the
+unbuildable-CFG degradation, the toy-target instantiation, and the
+integration gate: -O2 output is byte-identical
 to -O1 on every code-quality workload while never executing more
 instructions.
 """
@@ -24,7 +24,6 @@ from repro.core.codegen.emitter import (
 from repro.core.codegen.labels import LabelDictionary
 from repro.core.codegen.parser_rt import GeneratedCode
 from repro.machines.s370.spec import machine_description
-from repro.opt import dataflow as DF
 from repro.opt.globalopt import ALL_PASSES, run_global
 
 ENC = machine_description().encoder
@@ -335,46 +334,6 @@ class TestSkipSpans:
 
 
 class TestDegradation:
-    def _payload(self):
-        return [
-            Instr("st", (R(3), MEM)),
-            Instr("l", (R(3), MEM)),
-            Instr("lr", (R(1), R(3))),
-            Instr("svc", (Imm(1),)),
-            HALT,
-        ]
-
-    def test_corrupted_facts_roll_back(self):
-        code = make_code(self._payload())
-        before = list(code.buffer.items)
-
-        def corrupt(solution):
-            if solution.outs:
-                bid = sorted(solution.outs)[0]
-                solution.outs[bid] = None
-
-        DF.FAULT_HOOK = corrupt
-        try:
-            result = run_global(code, ENC)
-        finally:
-            DF.FAULT_HOOK = None
-        assert result.degraded_reason
-        assert result.total == 0
-        assert code.buffer.items == before
-
-    def test_unsealed_facts_roll_back(self):
-        code = make_code(self._payload())
-
-        def unseal(solution):
-            solution.digest = ""
-
-        DF.FAULT_HOOK = unseal
-        try:
-            result = run_global(code, ENC)
-        finally:
-            DF.FAULT_HOOK = None
-        assert "sealed" in result.degraded_reason
-
     def test_bad_cfg_degrades_without_rewrites(self):
         code = make_code([
             BranchSite(cond=15, label=42, index_reg=0),  # undefined label

@@ -7,8 +7,9 @@ degradation on recursion and synthetic mutual-recursion SCCs, the
 seal/verify contract, rematerialization classification (constant
 forms always, register-dependent forms only while their inputs live,
 never across a redefinition), the -O4 differential gate over the bench
-workloads, the schema-tolerant ``--compare`` path, the compiler/service
-plumbing for ``opt_level=4``, and the ``summaries`` chaos injector.
+workloads, the schema-tolerant ``--compare`` path, and the
+compiler/service plumbing for ``opt_level=4``.  Fact-integrity failures
+are covered by ``test_degradation_contract``.
 """
 
 from dataclasses import replace
@@ -458,9 +459,3 @@ class TestPlumbing:
         request = ServiceRequest(source=CALL_PROGRAM, opt_level=5)
         with pytest.raises(BadRequestError):
             request.validate()
-
-    def test_chaos_summaries_injector(self):
-        from repro.robustness.faultinject import run_chaos
-
-        report = run_chaos(seed=11, runs=6, injectors=["summaries"])
-        assert report.ok, report.render()
