@@ -59,6 +59,19 @@ def _mem_fields(operand: Operand, instr: Instr) -> Tuple[int, int, int]:
     return d, x, b
 
 
+def _base_fields(operand: Operand, instr: Instr) -> Tuple[int, int]:
+    """(d, b) for an address operand of a format with no index field
+    (RS, SI, SS): an index register there is rejected, not dropped, so
+    the bytes address what the effects table says they do."""
+    d, x, b = _mem_fields(operand, instr)
+    if x:
+        raise AssemblyError(
+            f"{instr.opcode}: {operand} has an index register, which "
+            "this format cannot encode"
+        )
+    return d, b
+
+
 def _want(instr: Instr, n: int) -> None:
     if len(instr.operands) != n:
         raise AssemblyError(
@@ -184,21 +197,21 @@ class S370Encoder(Encoder):
         if len(instr.operands) == 2:
             # Shift form: r1, shift-amount.
             r1 = _reg_field(instr.operands[0], instr)
-            d, _x, b = _mem_fields(instr.operands[1], instr)
+            d, b = _base_fields(instr.operands[1], instr)
             return bytes(
                 [info.opcode, r1 << 4, (b << 4) | (d >> 8), d & 0xFF]
             )
         _want(instr, 3)
         r1 = _reg_field(instr.operands[0], instr)
         r3 = _reg_field(instr.operands[1], instr)
-        d, _x, b = _mem_fields(instr.operands[2], instr)
+        d, b = _base_fields(instr.operands[2], instr)
         return bytes(
             [info.opcode, (r1 << 4) | r3, (b << 4) | (d >> 8), d & 0xFF]
         )
 
     def _si(self, info: OpInfo, instr: Instr) -> bytes:
         _want(instr, 2)
-        d, _x, b = _mem_fields(instr.operands[0], instr)
+        d, b = _base_fields(instr.operands[0], instr)
         i2 = instr.operands[1]
         if not isinstance(i2, Imm):
             raise AssemblyError(
@@ -225,7 +238,7 @@ class S370Encoder(Encoder):
                 f"{instr.opcode}: length {length} does not fit a byte"
             )
         d1, b1 = first.disp, first.base
-        d2, _x2, b2 = _mem_fields(instr.operands[1], instr)
+        d2, b2 = _base_fields(instr.operands[1], instr)
         if not 0 <= d1 <= 0xFFF:
             raise AssemblyError(
                 f"{instr.opcode}: displacement {d1} does not fit 12 bits"

@@ -53,8 +53,11 @@ from repro.core.codegen.emitter import (
     BranchSite,
     CodeBuffer,
     DataBlock,
+    Imm,
     Instr,
     LabelMark,
+    Mem,
+    R,
     SkipSite,
     StmtMark,
 )
@@ -62,20 +65,32 @@ from repro.core.machine import Encoder
 
 _COND_ALWAYS = 15
 
-#: Effects of one *item* (not just Instr): the instruction effects plus
-#: a ``may`` flag for skip-span items whose execution is conditional.
+
 @dataclass(frozen=True)
 class ItemEffects:
+    """Effects of one *item* (not just Instr): the instruction effects
+    plus a ``may`` flag for skip-span items whose execution is
+    conditional, and the per-shape data every solver step needs --
+    ``kills`` (``defs | may_defs``) and ``expr``, the item's
+    available-expression fact (:func:`expr_fact`) or ``None``."""
+
     effects: InstrEffects
     may: bool = False
+    expr: Optional[tuple] = None
+    kills: FrozenSet[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        e = self.effects
+        object.__setattr__(self, "kills", e.defs | e.may_defs)
 
 
 _NO_EFFECTS = ItemEffects(InstrEffects())
 _BARRIER_ITEM = ItemEffects(BARRIER_EFFECTS)
 
 #: ``(encoder, opcode, operands, may) -> ItemEffects`` across CFG
-#: rebuilds.  Sound because an encoder's effects depend only on the
-#: opcode and operands, and both effect records are frozen.  Cleared
+#: rebuilds.  Sound because an encoder's effects (and so the kill set
+#: and expression fact derived from them) depend only on the opcode and
+#: operands, and both effect records are frozen.  Cleared
 #: whole when it reaches :data:`EFFECTS_MEMO_LIMIT` entries.
 _EFFECTS_MEMO: Dict[tuple, ItemEffects] = {}
 EFFECTS_MEMO_LIMIT = 4096
@@ -177,6 +192,55 @@ def compute_skip_spans(
     return spans
 
 
+def _canon_part(operand) -> Optional[tuple]:
+    """Order-stable shape of one non-destination operand; ``None`` when
+    the operand kind cannot be value-numbered."""
+    if isinstance(operand, R):
+        return ("r", operand.n)
+    if isinstance(operand, Mem):
+        return ("m", operand.base, operand.index, operand.disp)
+    if isinstance(operand, Imm):
+        return ("i", operand.value)
+    return None
+
+
+def expr_fact(
+    item, e: InstrEffects, may: bool, expr_ops: FrozenSet[str]
+) -> Optional[tuple]:
+    """The ``(key, reads, dst)`` available-expression fact one item
+    generates, or ``None``.
+
+    ``key`` is a canonical value number: the opcode plus the shape of
+    every non-destination operand.  Eligibility is deliberately narrow:
+    a whitelisted pure opcode with exactly one must-defined register
+    that is not also read, no memory writes, no CC traffic, no
+    pair/barrier/flow behavior, and every dependent location exactly
+    tracked (no ``None`` reads)."""
+    if may or not isinstance(item, Instr):
+        return None
+    if item.opcode not in expr_ops:
+        return None
+    if (
+        e.barrier or e.flow or e.writes or e.may_writes or e.sets_cc
+        or e.reads_cc or e.pair or e.save_restore or e.may_defs
+    ):
+        return None
+    if len(e.defs) != 1:
+        return None
+    dst = next(iter(e.defs))
+    if dst in e.uses:
+        return None
+    if any(r is None for r in e.reads):
+        return None
+    if not item.operands or not isinstance(item.operands[0], R) \
+            or item.operands[0].n != dst:
+        return None
+    parts = tuple(_canon_part(o) for o in item.operands[1:])
+    if any(p is None for p in parts):
+        return None
+    return (item.opcode,) + parts, tuple(e.reads), dst
+
+
 def item_effects(
     item, encoder: Optional[Encoder], in_span: bool
 ) -> ItemEffects:
@@ -230,8 +294,12 @@ def item_effects(
     cached = _EFFECTS_MEMO.get(key)
     if cached is None:
         effects = encoder.effects(item)
+        if effects is None:
+            effects = BARRIER_EFFECTS
         cached = ItemEffects(
-            BARRIER_EFFECTS if effects is None else effects, may=in_span
+            effects, may=in_span,
+            expr=expr_fact(item, effects, in_span,
+                           encoder.expression_ops()),
         )
         if len(_EFFECTS_MEMO) >= EFFECTS_MEMO_LIMIT:
             _EFFECTS_MEMO.clear()

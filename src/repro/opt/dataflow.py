@@ -37,21 +37,29 @@ runs right after every solution and every
 :class:`~repro.opt.summaries.SummarySet` is sealed, and may damage it
 (corrupt/drop/unseal) -- exactly what verification must catch.
 
-**Visiting order.**  The worklist visits blocks in buffer order for
-forward problems and in reverse buffer order for backward ones, so most
-problems settle in one sweep after the initial one (about two transfers
-per block on the bench workloads).
+**Visiting order.**  Every fact starts at the meet identity, untransferred,
+and the worklist visits blocks in buffer order for forward problems and
+in reverse buffer order for backward ones, so most problems settle in
+one sweep: 1.02 transfers per block on the ``opt_stress`` programs
+(2.02 when every block was first transferred once from the identity).
+
+**Per-item cost.**  A step costs a few set operations: the kill set
+(``defs | may_defs``) and the available-expression fact of each item
+shape are derived once, with its memoized
+:class:`~repro.opt.cfg.ItemEffects`, and imports live at module level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple,
 )
 
 from repro.errors import DataflowError
-from repro.core.codegen.emitter import Instr
+from repro.core.codegen.emitter import Instr, Mem, R
+from repro.core.effects import may_alias
 from repro.opt.cfg import BasicBlock, Cfg, ItemEffects
 
 #: The condition code, as a pseudo-register in liveness fact sets.
@@ -146,12 +154,12 @@ def iterate(
     """
     blocks = cfg.blocks
     n = len(blocks)
-    ins: Dict[int, object] = {}
-    outs: Dict[int, object] = {}
     order = list(range(n)) if forward else list(range(n - 1, -1, -1))
-    for bid in order:
-        ins[bid] = join(())
-        outs[bid] = transfer(blocks[bid], ins[bid])
+    # Every fact starts at the meet identity, untransferred: the sweep
+    # below transfers each block at least once anyway.
+    identity = join(())
+    ins: Dict[int, object] = dict.fromkeys(order, identity)
+    outs: Dict[int, object] = dict(ins)
     pending = set(order)
     # Popped from the end, so blocks are visited in ``order``.
     worklist = order[::-1]
@@ -405,8 +413,6 @@ def _step_dead(fact: MemFact, eff: ItemEffects,
 
     ``may_writes`` need no handling here: a write that may not happen
     generates no deadness, and only ``reads`` revive locations."""
-    from repro.core.effects import may_alias
-
     e = eff.effects
     if e.barrier:
         return frozenset()  # the barrier may read anything
@@ -422,7 +428,7 @@ def _step_dead(fact: MemFact, eff: ItemEffects,
         else:
             dead = set()  # TOP minus an alias set: approximate down
         fact = frozenset(dead)
-    clobbered = e.defs | e.may_defs
+    clobbered = eff.kills
     if fact is not None and clobbered:
         # Redefining a base register changes what same-base locations
         # upstream denote: stop claiming they are dead.
@@ -510,12 +516,10 @@ def _step_avail(
     pairs: Set[Tuple[tuple, int]], i: int, item, eff: ItemEffects,
     disjoint: FrozenSet = frozenset(),
 ) -> Set[Tuple[tuple, int]]:
-    from repro.core.effects import may_alias
-
     e = eff.effects
     if e.barrier:
         return set()
-    clobbered = e.defs | e.may_defs
+    clobbered = eff.kills
     if clobbered:
         pairs = {
             (loc, reg) for (loc, reg) in pairs
@@ -541,16 +545,12 @@ def _step_avail(
             and e.writes[0] is not None
             and not e.defs
             and item.opcode == "st"  # full-word stores only (both ISAs)
+            and len(item.operands) == 2
+            and isinstance(item.operands[0], R)
+            and isinstance(item.operands[1], Mem)
         ):
-            from repro.core.codegen.emitter import Mem, R
-
-            if (
-                len(item.operands) == 2
-                and isinstance(item.operands[0], R)
-                and isinstance(item.operands[1], Mem)
-            ):
-                pairs = set(pairs)
-                pairs.add((e.writes[0], item.operands[0].n))
+            pairs = set(pairs)
+            pairs.add((e.writes[0], item.operands[0].n))
     return pairs
 
 
@@ -631,58 +631,8 @@ class AvailableExprs:
         return self.solution.outs
 
 
-def _canon_part(operand) -> Optional[tuple]:
-    """Order-stable shape of one non-destination operand; ``None`` when
-    the operand kind cannot be value-numbered."""
-    from repro.core.codegen.emitter import Imm, Mem, R
-
-    if isinstance(operand, R):
-        return ("r", operand.n)
-    if isinstance(operand, Mem):
-        return ("m", operand.base, operand.index, operand.disp)
-    if isinstance(operand, Imm):
-        return ("i", operand.value)
-    return None
-
-
-def expr_key(
-    item, eff: ItemEffects, expr_ops: FrozenSet[str]
-) -> Optional[Tuple[tuple, Tuple, int]]:
-    """The ``(key, reads, dst)`` fact one item generates, or ``None``.
-
-    Eligibility is deliberately narrow: a whitelisted pure opcode with
-    exactly one must-defined register that is not also read, no memory
-    writes, no CC traffic, no pair/barrier/flow behavior, and every
-    dependent location exactly tracked (no ``None`` reads)."""
-    e = eff.effects
-    if eff.may or not isinstance(item, Instr):
-        return None
-    if item.opcode not in expr_ops:
-        return None
-    if (
-        e.barrier or e.flow or e.writes or e.may_writes or e.sets_cc
-        or e.reads_cc or e.pair or e.save_restore or e.may_defs
-    ):
-        return None
-    if len(e.defs) != 1:
-        return None
-    dst = next(iter(e.defs))
-    if dst in e.uses:
-        return None
-    if any(r is None for r in e.reads):
-        return None
-    from repro.core.codegen.emitter import R
-
-    if not item.operands or not isinstance(item.operands[0], R) \
-            or item.operands[0].n != dst:
-        return None
-    parts = tuple(_canon_part(o) for o in item.operands[1:])
-    if any(p is None for p in parts):
-        return None
-    return (item.opcode,) + parts, tuple(e.reads), dst
-
-
-def _fact_regs(key: tuple) -> Set[int]:
+@lru_cache(maxsize=4096)
+def _fact_regs(key: tuple) -> FrozenSet[int]:
     """Registers the expression's value depends on (operand mentions)."""
     regs: Set[int] = set()
     for part in key[1:]:
@@ -695,25 +645,22 @@ def _fact_regs(key: tuple) -> Set[int]:
                 regs.add(part[1])
             if part[2]:
                 regs.add(part[2])
-    return regs
+    return frozenset(regs)
 
 
 def _step_exprs(
     facts: Set[Tuple[tuple, Tuple, int]],
-    item,
     eff: ItemEffects,
     expr_ops: FrozenSet[str],
     private: FrozenSet = frozenset(),
     disjoint: FrozenSet = frozenset(),
 ) -> Set[Tuple[tuple, Tuple, int]]:
-    from repro.core.effects import may_alias
-
     e = eff.effects
     if e.barrier or eff.may:
         # May-executed (skip-span) items are barriers for this analysis:
         # their defs might or might not have happened.
         return set()
-    clobbered = e.defs | e.may_defs
+    clobbered = eff.kills
     if clobbered:
         facts = {
             f for f in facts
@@ -733,8 +680,8 @@ def _step_exprs(
                 for w in stores for r in f[1]
             )
         }
-    gen = expr_key(item, eff, expr_ops)
-    if gen is not None:
+    gen = eff.expr
+    if gen is not None and gen[0][0] in expr_ops:
         facts = set(facts)
         # The def above killed any older fact mentioning dst, including
         # this same key bound to a stale register.
@@ -747,6 +694,8 @@ def available_exprs(
     private: FrozenSet = frozenset(),
 ) -> AvailableExprs:
     root_set = set(cfg.roots)
+    effects = cfg.item_effects
+    disjoint = cfg.disjoint_bases
 
     def boundary(block: BasicBlock):
         return frozenset() if block.bid in root_set else None
@@ -755,10 +704,9 @@ def available_exprs(
         if exprs_in is None:
             return None
         facts = set(exprs_in)
-        for i, item in cfg.block_items(block):
+        for i, _ in cfg.block_items(block):
             facts = _step_exprs(
-                facts, item, cfg.item_effects[i], expr_ops, private,
-                cfg.disjoint_bases,
+                facts, effects[i], expr_ops, private, disjoint
             )
         return frozenset(facts)
 
@@ -779,15 +727,28 @@ def available_exprs(
 
 
 def walk_exprs(cfg: Cfg, result: AvailableExprs, block: BasicBlock):
-    """Yield ``(index, item, facts_before)`` in forward block order."""
+    """Yield ``(index, item, facts_before)`` in forward block order.
+
+    A client may rewrite the yielded item (through ``buffer.items`` and
+    ``cfg.item_effects``) into one that leaves the same value in the
+    same register, as global CSE does: the walk then steps the
+    replacement and adds back the replaced item's own fact, reads
+    included, so a later aliasing store still kills it."""
     fact = result.exprs_in.get(block.bid)
     facts = set() if fact is None else set(fact)
+    items = cfg.buffer.items
+    effects = cfg.item_effects
     for i, item in cfg.block_items(block):
+        old = effects[i].expr
         yield i, item, frozenset(facts)
         facts = _step_exprs(
-            facts, item, cfg.item_effects[i], result.expr_ops,
-            result.private, cfg.disjoint_bases,
+            facts, effects[i], result.expr_ops, result.private,
+            cfg.disjoint_bases,
         )
+        if items[i] is not item and old is not None \
+                and old[0][0] in result.expr_ops:
+            facts = set(facts)
+            facts.add(old)
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +791,7 @@ def _step_copies(
     e = eff.effects
     if e.barrier:
         return set()
-    clobbered = e.defs | e.may_defs
+    clobbered = eff.kills
     if clobbered:
         pairs = {
             (dst, src) for (dst, src) in pairs

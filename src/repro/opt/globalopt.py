@@ -409,9 +409,7 @@ class _Global:
             for i, item, before in D.walk_exprs(cfg, avail, block):
                 if i in cfg.skip_spans:
                     continue
-                fact = D.expr_key(
-                    item, cfg.item_effects[i], self.expr_ops
-                )
+                fact = cfg.item_effects[i].expr
                 if fact is None:
                     continue
                 key, _, dst = fact

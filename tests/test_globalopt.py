@@ -322,6 +322,28 @@ class TestBranches:
         assert "branch" not in ops(code)
 
 
+class TestCse:
+    def test_copied_fact_keeps_its_alias_kill(self):
+        """After ``l r4,X`` becomes ``lr r4,r6``, "r4 holds X" must still
+        die at a store that may alias X: the last load stays a load."""
+        x = Mem(16, 0, 11)
+        code = make_code([
+            Instr("l", (R(6), x)),
+            Instr("ar", (R(2), R(6))),
+            Instr("l", (R(4), x)),
+            Instr("ar", (R(3), R(4))),
+            Instr("st", (R(9), Mem(0, 0, 1))),  # base r1: may alias X
+            Instr("l", (R(5), x)),
+            Instr("ar", (R(2), R(5))),
+            Instr("bcr", (Imm(15), R(14))),
+        ])
+        result = run_global(code, ENC, level=3)
+        assert result.hits["g_cse_copy"] == 1
+        items = code.buffer.items
+        assert items[2] == Instr("lr", (R(4), R(6)))
+        assert items[5] == Instr("l", (R(5), x))
+
+
 class TestSkipSpans:
     def test_span_items_never_deleted(self):
         code = make_code([

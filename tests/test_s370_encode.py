@@ -88,6 +88,15 @@ class TestRS:
             [0x98, 0x2C, 0xD0, 0x18]
         )
 
+    @pytest.mark.parametrize("operands", [
+        (R(2), Mem(0, 3, 5)),
+        (R(14), R(12), Mem(8, 3, 13)),
+    ])
+    def test_index_register_rejected(self, operands):
+        op = "sll" if len(operands) == 2 else "stm"
+        with pytest.raises(AssemblyError, match="index register"):
+            enc(op, *operands)
+
 
 class TestSI:
     def test_mvi(self):
@@ -108,6 +117,12 @@ class TestSI:
         with pytest.raises(AssemblyError):
             enc("mvi", Mem(0, 0, 13), R(1))
 
+    def test_index_register_rejected(self):
+        # SI has no index field: the effects table would count r3 in
+        # the address the bytes never use.
+        with pytest.raises(AssemblyError, match="index register"):
+            enc("mvi", Mem(0x50, 3, 13), Imm(1))
+
 
 class TestSS:
     def test_mvc_length_in_index_slot(self):
@@ -119,6 +134,10 @@ class TestSS:
     def test_first_operand_must_be_memory(self):
         with pytest.raises(AssemblyError):
             enc("mvc", R(1), Mem(0, 0, 2))
+
+    def test_second_operand_index_rejected(self):
+        with pytest.raises(AssemblyError, match="index register"):
+            enc("mvc", Mem(0, 11, 1), Mem(0, 3, 2))
 
 
 class TestSVC:
