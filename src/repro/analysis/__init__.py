@@ -27,6 +27,7 @@ SL031  template operand count impossible for the opcode          AssemblerError
 SL032  template constant with no value anywhere                  EmitError
 SL033  register class/member unknown to the machine              AllocationError
 SL034  semantic operator without a runtime handler               EmitError
+SL035  index register on an operand with no index slot           AssemblyError
 SL040  template the peephole always rewrites, or a self-move     (silent)
 SL050  generated code uses a register no definition reaches      (wrong code)
 SL051  generated store provably never read on any path           (silent)

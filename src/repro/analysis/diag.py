@@ -59,6 +59,7 @@ CODES: Dict[str, str] = {
     "SL032": "constant operand has no value in the spec or machine",
     "SL033": "register class unknown to the machine description",
     "SL034": "semantic operator has no runtime handler",
+    "SL035": "template puts an index register where the format has none",
     "SL040": "template the peephole always rewrites, or a self-move",
     "SL050": "generated code uses a register no definition reaches",
     "SL051": "generated store is provably never read on any path",

@@ -4,7 +4,7 @@ The speclint passes diagnose the *tables*; this pass diagnoses what the
 tables actually emitted.  It runs the CFG + dataflow framework
 (:mod:`repro.opt.cfg`, :mod:`repro.opt.dataflow`) over one compiled
 program's post-selection item stream and reports anomalies that are
-invisible to the window peephole and to spec-level analysis, each traced
+invisible to the -O1 peephole and to spec-level analysis, each traced
 back to the originating spec template through the code buffer's
 provenance tags (``CodeBuffer.origins``).
 

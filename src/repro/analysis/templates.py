@@ -1,4 +1,4 @@
-"""Template/ISA consistency (``SL030``-``SL034``).
+"""Template/ISA consistency (``SL030``-``SL035``).
 
 A template that can never encode is an error the assembler currently
 reports as a crash at *compile* time -- possibly long after the spec
@@ -8,6 +8,9 @@ target binding at lint time:
 * the mnemonic must be encodable by the target's encoder (``SL030``);
 * the operand count must be possible for the mnemonic's format, using
   the encoder's own arity table (``SL031``);
+* an index register may only sit on an operand whose format has an
+  index slot, per the encoder (``SL035``): RS, SI and SS addresses
+  have none, and the assembler rejects one there;
 * named constants must resolve to a value, in the spec's ``$Constants``
   section or the machine description's runtime conventions (``SL032``);
 * every register-class reference -- template operands, ``using``/``need``
@@ -26,6 +29,7 @@ from repro.core.grammar import SDTS, Production
 from repro.core.machine import MachineDescription
 from repro.core.speclang.ast import (
     Name,
+    Number,
     OperandAST,
     Ref,
     SymKind,
@@ -166,8 +170,51 @@ def _check_opcode_template(
                         },
                     )
                 )
+        _check_index_slots(out, sdts, machine, prod, tmpl)
     for operand in tmpl.operands:
         _check_operand_parts(out, sdts, machine, prod, tmpl, operand)
+
+
+def _check_index_slots(
+    out: List[Diagnostic],
+    sdts: SDTS,
+    machine: MachineDescription,
+    prod: Production,
+    tmpl: TemplateAST,
+) -> None:
+    """SL035: a ``d(x,b)`` operand whose ``x`` is not the constant 0, at
+    a position the encoder gives no index slot."""
+    indexed = machine.encoder.indexed_operands(tmpl.op)
+    if indexed is None:
+        return
+    for pos, operand in enumerate(tmpl.operands):
+        if operand.base_reg is None or pos in indexed:
+            continue
+        index = operand.index
+        if isinstance(index, Number) and index.value == 0:
+            continue
+        if isinstance(index, Name) \
+                and _constant_value(sdts, machine, index.name) == 0:
+            continue
+        out.append(
+            Diagnostic(
+                code="SL035",
+                severity="error",
+                message=(
+                    f"in `{prod}`: template `{tmpl}` puts index {index} "
+                    f"on operand {pos + 1} of {tmpl.op!r}, whose encoding "
+                    f"on {machine.name!r} has no index slot (the "
+                    f"assembler rejects it)"
+                ),
+                line=tmpl.line,
+                data={
+                    "pid": prod.pid,
+                    "template": str(tmpl),
+                    "opcode": tmpl.op,
+                    "operand": pos + 1,
+                },
+            )
+        )
 
 
 def _check_semop_template(
@@ -250,7 +297,7 @@ def _check_semop_template(
 def check_templates(
     sdts: SDTS, machine: MachineDescription
 ) -> List[Diagnostic]:
-    """SL030-SL034 over every template of every user production."""
+    """SL030-SL035 over every template of every user production."""
     out: List[Diagnostic] = []
     handlers = _known_handlers(machine)
     opcode_names = {

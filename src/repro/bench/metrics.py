@@ -115,11 +115,6 @@ def idiom_counts(listing: str) -> Counter:
     return counter
 
 
-def executed_instruction_count(sim_result) -> int:
-    """Instructions executed by a simulator run (both simulators)."""
-    return sim_result.steps
-
-
 def steps_per_second(steps: int, seconds: float) -> float:
     """Simulator dispatch throughput; 0.0 on degenerate timings."""
     return steps / seconds if seconds > 0 else 0.0

@@ -38,7 +38,7 @@ import subprocess
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 #: Bump when the JSON layout changes incompatibly.
 #: 2: added the ``simulator`` and ``end_to_end`` sections.
@@ -65,20 +65,6 @@ from typing import Any, Callable, Dict, List
 SCHEMA_VERSION = 7
 
 DEFAULT_REPORT = "BENCH_speed.json"
-
-
-def _median_times(fn: Callable[[], Any], iterations: int) -> Dict[str, Any]:
-    """Run ``fn`` N times; report median/min plus the raw samples."""
-    samples: List[float] = []
-    for _ in range(iterations):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return {
-        "median_s": statistics.median(samples),
-        "min_s": min(samples),
-        "samples_s": samples,
-    }
 
 
 def _machine_info() -> Dict[str, Any]:

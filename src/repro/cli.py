@@ -4,8 +4,8 @@ Commands
 --------
 ``run FILE``
     Compile a Pascal program with the table-driven code generator and
-    execute it on the S/370 simulator.  ``-O 0`` / ``--no-peephole``
-    skips the post-selection peephole pass (default ``-O 1``).
+    execute it on the S/370 simulator.  ``-O 0`` skips the
+    post-selection peephole pass (default ``-O 1``).
 ``compile FILE``
     Compile and show statistics; ``--listing`` prints the resolved
     assembly, ``--dump-asm`` the before/after peephole diff with
@@ -101,14 +101,6 @@ def _add_opt_level(parser: argparse.ArgumentParser) -> None:
              "allocation, 4 adds interprocedural effect summaries "
              "(call-boundary facts and spill rematerialization)",
     )
-    parser.add_argument(
-        "--no-peephole", action="store_true",
-        help="alias for -O 0",
-    )
-
-
-def _resolve_opt_level(args: argparse.Namespace) -> int:
-    return 0 if args.no_peephole else args.opt_level
 
 
 def _add_specialize(parser: argparse.ArgumentParser) -> None:
@@ -390,7 +382,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             fallback=args.fallback,
             table_mode=args.table_mode,
             profiler=profiler,
-            opt_level=_resolve_opt_level(args),
+            opt_level=args.opt_level,
         )
         _report_degradations(compiled)
         if compiled.stats.get("specialize_degraded_reason"):
@@ -447,7 +439,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         fallback=args.fallback,
         table_mode=args.table_mode,
         profiler=profiler,
-        opt_level=_resolve_opt_level(args),
+        opt_level=args.opt_level,
         peephole_trace=args.dump_asm,
     )
     _report_degradations(compiled)
@@ -520,7 +512,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         fallback=args.fallback,
         run=not args.no_run,
         profile=args.profile,
-        opt_level=_resolve_opt_level(args),
+        opt_level=args.opt_level,
     )
     # Program outputs on stdout, in input order, so a parallel batch is
     # byte-identical to a serial one; diagnostics go to stderr.

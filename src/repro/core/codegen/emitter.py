@@ -166,7 +166,6 @@ class CodeBuffer:
     """
 
     items: List[BufferItem] = field(default_factory=list)
-    _next_anon_label: int = -1
     deaths: List[Tuple[int, int]] = field(default_factory=list)
     origins: Dict[int, str] = field(default_factory=dict)
 
@@ -236,12 +235,6 @@ class CodeBuffer:
 
     def mark_statement(self, stmt: int) -> None:
         self.items.append(StmtMark(stmt))
-
-    def anonymous_label(self) -> int:
-        """Fresh negative label id (never clashes with shaper labels)."""
-        label = self._next_anon_label
-        self._next_anon_label -= 1
-        return label
 
     @property
     def instruction_count(self) -> int:

@@ -121,15 +121,6 @@ class SDTS:
         return [p for p in self.productions if not p.is_wrapper]
 
     @property
-    def all_symbols(self) -> Set[str]:
-        """Every grammar symbol, wrappers and end marker included."""
-        return (
-            self.nonterminals
-            | self.terminals
-            | {LAMBDA_SYMBOL, GOAL_SYMBOL, SEQ_SYMBOL, END_MARKER}
-        )
-
-    @property
     def parse_symbols(self) -> Set[str]:
         """Symbols encounterable in the IF during a parse.
 
@@ -150,9 +141,6 @@ class SDTS:
             symbol in self.nonterminals
             or symbol in (LAMBDA_SYMBOL, GOAL_SYMBOL, SEQ_SYMBOL)
         )
-
-    def productions_for(self, lhs: str) -> List[Production]:
-        return [p for p in self.productions if p.lhs == lhs]
 
     # ---- statistics for the paper's Table 1 -------------------------------
 

@@ -57,16 +57,6 @@ class RegisterClass:
             )
 
 
-@dataclass
-class InstrSpec:
-    """Static encoding facts for one opcode (provided by the target ISA)."""
-
-    mnemonic: str
-    format: str                # target-defined format tag ("RR", "RX", ...)
-    opcode: int
-    length: int                # bytes occupied in the code stream
-
-
 class Encoder:
     """Target encoding interface used by the loader record generator.
 
@@ -93,6 +83,11 @@ class Encoder:
 
     def operand_arity(self, mnemonic: str) -> Optional[Tuple[int, int]]:
         """Inclusive ``(min, max)`` operand count, or ``None`` if unknown."""
+        return None
+
+    def indexed_operands(self, mnemonic: str) -> Optional[FrozenSet[int]]:
+        """Operand positions whose address form may fill the index slot
+        (the ``x`` of ``d(x,b)``), or ``None`` if unknown."""
         return None
 
     # -- dataflow effects (repro.opt.cfg / repro.opt.dataflow) --------------

@@ -131,9 +131,5 @@ INVERT_COND: Dict[int, int] = {
 }
 
 
-def is_operator(name: str) -> bool:
-    return name in OPERATOR_ARITIES
-
-
 def is_terminal(name: str) -> bool:
     return name in TERMINALS

@@ -3,10 +3,10 @@
 This is the S/370 instantiation of the machine-neutral
 :class:`~repro.core.effects.InstrEffects` contract consumed by the CFG
 builder and the iterative dataflow solvers (:mod:`repro.opt.cfg`,
-:mod:`repro.opt.dataflow`).  The peephole optimizer's window rules share
-the same table (wrapping it with its own stricter barrier set), so
-local and global analyses can never disagree about what an instruction
-touches.
+:mod:`repro.opt.dataflow`).  The -O1 peephole's home-location map
+(:mod:`repro.opt.peephole`) reads the same records through the CFG
+layer's memo, so local and global analyses can never disagree about
+what an instruction touches.
 
 Every mnemonic in :data:`repro.machines.s370.isa.OPCODES` is covered
 (``tests/test_cfg_dataflow.py`` asserts it): instructions the analyses
@@ -14,15 +14,16 @@ cannot usefully model (``ex``, ``mvcl``, ``clcl``) are *deliberate*
 barriers, which is still an entry -- a mnemonic missing entirely would
 be an SL053 coverage gap.
 
-Refinements over the peephole's original facts:
+Beyond plain register and storage def/use, the table records:
 
-* ``stm``/``lm`` get real wrap-around register-range effects (marked
+* ``stm``/``lm`` wrap-around register-range effects (marked
   ``save_restore`` so the SL050 use-before-def check skips the
   callee-save traffic of routine prologues);
-* control transfers carry a ``flow`` classification (``bcr 15,x`` is an
+* a ``flow`` classification for control transfers (``bcr 15,x`` is an
   indirect jump, ``bal``/``balr``/``svc`` are calls, ``svc 0``/``svc 9``
   halt) so the CFG builder knows where blocks end;
-* ``bc``/``bcr``/``bct``/``bctr`` record whether they read the CC.
+* whether ``bc``/``bcr``/``bct``/``bctr`` read the CC;
+* which half of the pair a constant double shift by 32..63 reads.
 """
 
 from __future__ import annotations
@@ -186,6 +187,21 @@ def _multi_move(instr: Instr, is_store: bool) -> InstrEffects:
     )
 
 
+def _shift_inputs(op: str, r1: int, amount, regs) -> FrozenSet[int]:
+    """The registers a shift's result depends on.  The amount is the low
+    six bits of its address; a constant double shift by 32..63 moves one
+    register of the pair wholly out, so only the other one is read:
+    the even one for ``srda``/``srdl``, the odd one for ``slda``/``sldl``
+    (the simulator's ``slda`` keeps no sign bit and has no overflow)."""
+    if op not in _SHIFT_DOUBLE or _addr_regs(amount) \
+            or not isinstance(amount, (Mem, Imm)):
+        return regs
+    disp = amount.disp if isinstance(amount, Mem) else amount.value
+    if disp & 63 < 32:
+        return regs
+    return frozenset({r1} if op.startswith("sr") else {r1 + 1})
+
+
 def _branch_flow(mask: Optional[int]) -> str:
     if mask == 15:
         return FLOW_JUMP
@@ -345,7 +361,7 @@ def instr_effects(instr: Instr) -> Optional[InstrEffects]:
         regs = frozenset({r1, r1 + 1}) if op in _SHIFT_DOUBLE \
             else frozenset({r1})
         return InstrEffects(
-            uses=regs | amount_regs,
+            uses=_shift_inputs(op, r1, ops[1], regs) | amount_regs,
             defs=regs,
             sets_cc=op in ("sla", "sra", "slda", "srda"),
             pair=op in _SHIFT_DOUBLE,
@@ -452,27 +468,22 @@ def instr_effects(instr: Instr) -> Optional[InstrEffects]:
 COVERED: FrozenSet[str] = frozenset(OPCODES)
 
 
-def imm_reg_mention(instr: Instr, reg: int) -> bool:
-    """Does ``reg`` appear as an Imm-encoded register *field*?
-
-    Constants such as ``stack_base`` resolve to :class:`Imm` operands
-    but denote registers in register-field positions; renaming passes
-    must treat them as mentions.
-    """
-    info = OPCODES.get(instr.opcode)
-    if info is None:
-        return True  # unknown: assume the worst
-    if info.format == "RR":
-        positions = (0, 1)
-    elif info.format in ("RX",):
-        positions = (0,)
-    elif info.format == "RS":
-        positions = (0, 1) if len(instr.operands) == 3 else (0,)
-    else:
-        positions = ()
-    for pos in positions:
-        if pos < len(instr.operands):
-            operand = instr.operands[pos]
-            if isinstance(operand, Imm) and operand.value == reg:
-                return True
-    return False
+def renamed_operands(instr: Instr, old: int, new: int) -> tuple:
+    """``instr``'s operands with every register and address-field use of
+    ``old`` rewritten to ``new``.  An SS first operand's index slot holds
+    its length and is left alone; register-denoting :class:`Imm` fields
+    (constants such as ``stack_base``) are not renamed either, so a
+    renaming pass compares the effects before and after."""
+    length_slot = OPCODES[instr.opcode].format == "SS"
+    rewritten = []
+    for pos, operand in enumerate(instr.operands):
+        if isinstance(operand, R) and operand.n == old:
+            operand = R(new)
+        elif isinstance(operand, Mem):
+            index = operand.index
+            if index == old and not (length_slot and pos == 0):
+                index = new
+            base = new if operand.base == old else operand.base
+            operand = Mem(operand.disp, index, base)
+        rewritten.append(operand)
+    return tuple(rewritten)

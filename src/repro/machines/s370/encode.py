@@ -92,6 +92,14 @@ _FORMAT_ARITY = {
     "SVC": (1, 1),
 }
 
+#: Operand positions whose address has an index slot, per format: the
+#: RX storage operand, and the SS first operand, which carries its
+#: length there.  RS, SI and the SS second operand have none.
+_FORMAT_INDEXED = {
+    "RX": frozenset({1}),
+    "SS": frozenset({0}),
+}
+
 
 class S370Encoder(Encoder):
     """The `Encoder` implementation for System/370."""
@@ -106,6 +114,12 @@ class S370Encoder(Encoder):
         if info.mnemonic == "bctr":
             return (1, 2)
         return _FORMAT_ARITY.get(info.format)
+
+    def indexed_operands(self, mnemonic: str) -> Optional[FrozenSet[int]]:
+        info = OPCODES.get(mnemonic)
+        if info is None:
+            return None
+        return _FORMAT_INDEXED.get(info.format, frozenset())
 
     def effects(self, instr: Instr):
         from repro.machines.s370.effects import instr_effects

@@ -9,17 +9,18 @@ productions in the grammar (section 5); the peephole pass here covers
 the rest, the pairing Hjort Blindell's survey calls the standard
 table-driven design.
 
-The only module is :mod:`repro.opt.peephole`: a window-based rewrite
-engine over the emitter's symbolic instruction stream, run between
-selection and branch resolution so labels and relocation sites stay
-symbolic.
+At -O1 that is :mod:`repro.opt.peephole`: one forward pass over the
+emitter's symbolic instruction stream, run between selection and branch
+resolution so labels and relocation sites stay symbolic.  -O2..-O4 add
+the global passes of :mod:`repro.opt.globalopt`; both report through
+:class:`~repro.opt.peephole.RewriteResult`.
 """
 
 from repro.opt.peephole import (
     ALL_RULES,
-    PeepholeResult,
     RewriteEvent,
+    RewriteResult,
     run_peephole,
 )
 
-__all__ = ["ALL_RULES", "PeepholeResult", "RewriteEvent", "run_peephole"]
+__all__ = ["ALL_RULES", "RewriteEvent", "RewriteResult", "run_peephole"]

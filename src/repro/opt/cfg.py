@@ -159,8 +159,7 @@ class Cfg:
 
 
 def _item_min_size(item, encoder: Optional[Encoder]) -> int:
-    """Lower-bound byte size of one buffer item (skip-span accounting);
-    mirrors the peephole's accounting so both agree on span extents."""
+    """Lower-bound byte size of one buffer item (skip-span accounting)."""
     if item is None or isinstance(item, (LabelMark, StmtMark)):
         return 0
     if isinstance(item, Instr):

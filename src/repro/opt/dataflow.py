@@ -288,10 +288,6 @@ class ReachingDefs:
     def reach_in(self) -> Dict[int, FrozenSet[Tuple[int, int]]]:
         return self.solution.ins
 
-    @property
-    def reach_out(self) -> Dict[int, FrozenSet[Tuple[int, int]]]:
-        return self.solution.outs
-
 
 def _step_defs(
     defs: Set[Tuple[int, int]], i: int, eff: ItemEffects, nregs: int
@@ -399,10 +395,6 @@ class MemDeadness:
     solution: Solution
 
     @property
-    def dead_in(self) -> Dict[int, MemFact]:
-        return self.solution.outs  # backward: entry-side fact
-
-    @property
     def dead_out(self) -> Dict[int, MemFact]:
         return self.solution.ins
 
@@ -506,10 +498,6 @@ class AvailableStores:
     @property
     def avail_in(self) -> Dict[int, AvailFact]:
         return self.solution.ins
-
-    @property
-    def avail_out(self) -> Dict[int, AvailFact]:
-        return self.solution.outs
 
 
 def _step_avail(
@@ -768,10 +756,6 @@ class AvailableCopies:
     @property
     def copies_in(self) -> Dict[int, CopyFact]:
         return self.solution.ins
-
-    @property
-    def copies_out(self) -> Dict[int, CopyFact]:
-        return self.solution.outs
 
 
 def _is_reg_move(item, eff: ItemEffects, move_op: str) -> bool:

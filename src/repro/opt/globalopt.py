@@ -1,6 +1,6 @@
 """The -O2 lane: global optimizations over verified whole-CFG facts.
 
-Runs after the window peephole (:mod:`repro.opt.peephole`) on the same
+Runs after the -O1 peephole (:mod:`repro.opt.peephole`) on the same
 symbolic :class:`~repro.core.codegen.emitter.CodeBuffer` stream, but
 every rewrite is justified by a sealed dataflow solution
 (:mod:`repro.opt.dataflow`) instead of a local scan:
@@ -50,9 +50,8 @@ spans are never deleted or resized.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.codegen.emitter import (
     AConSite,
@@ -67,6 +66,7 @@ from repro.core.codegen.emitter import (
 from repro.opt import dataflow as D
 from repro.opt import summaries as S
 from repro.opt.cfg import Cfg, build_cfg, item_effects
+from repro.opt.peephole import RewriteEvent, RewriteResult
 
 _COND_ALWAYS = 15
 _MAX_ITERATIONS = 4
@@ -92,40 +92,19 @@ _TRAP_OPS = frozenset({"d", "dr", "divt"})
 
 
 @dataclass
-class GlobalEvent:
-    """One applied global rewrite (collected in trace mode)."""
+class GlobalResult(RewriteResult):
+    """The shared rewrite result plus the degradation state."""
 
-    rule: str
-    index: int
-    before: str
-    after: str
-
-    def render(self) -> str:
-        return f"[{self.rule}] @{self.index}: {self.before} -> {self.after}"
-
-
-@dataclass
-class GlobalResult:
-    """Per-pass hit counts, iteration count and the degradation state."""
-
-    hits: Counter = field(default_factory=Counter)
-    events: List[GlobalEvent] = field(default_factory=list)
-    iterations: int = 0
+    names: Tuple[str, ...] = ALL_PASSES
     degraded_reason: str = ""
     #: -O4 only: routines with a non-barrier summary / call sites whose
     #: effect record the summaries refined (0 below -O4).
     summary_routines: int = 0
     summary_sites: int = 0
 
-    @property
-    def total(self) -> int:
-        return sum(self.hits.values())
-
     def as_dict(self) -> Dict[str, object]:
         return {
-            "total": self.total,
-            "iterations": self.iterations,
-            "hits": {name: self.hits[name] for name in ALL_PASSES},
+            **super().as_dict(),
             "degraded_reason": self.degraded_reason,
             "summaries": {
                 "routines": self.summary_routines,
@@ -160,7 +139,7 @@ class _Global:
             from repro.core.codegen.parser_rt import _render_item
 
             self.result.events.append(
-                GlobalEvent(
+                RewriteEvent(
                     name,
                     index,
                     _render_item(before).strip(),

@@ -1,4 +1,4 @@
-"""A window-based peephole optimizer over symbolic S/370 code.
+"""The -O1 peephole optimizer: one forward pass over symbolic S/370 code.
 
 Runs between instruction selection and branch resolution, directly on
 the :class:`~repro.core.codegen.emitter.CodeBuffer` item stream, so
@@ -14,42 +14,41 @@ code-quality benchmark can attribute wins per rule.
 ====================  ======================================================
 rule                  rewrite
 ====================  ======================================================
-``store_load``        ``ST r1,m ... L r2,m`` -> delete the load (forwarding
-                      through ``r1``, rewriting ``r2`` uses when ``r2 != r1``)
-``load_load``         ``L r1,m ; L r2,m`` -> ``LR r2,r1`` (delete if equal)
+``store_load``        ``ST r1,m ... L r2,m`` -> delete the load (renaming
+                      ``r2`` to ``r1`` when ``r2 != r1``)
+``load_load``         ``L r1,m ... L r2,m`` -> ``LR r2,r1`` (delete if equal)
 ``zero_clear``        ``LA r,0`` -> ``SR r,r`` (2 bytes shorter; needs a
                       dead condition code, SR sets it)
-``branch_chain``      branch to an unconditional branch -> branch to its
-                      final target
+``branch_chain``      branch to an unconditional branch -> branch to the
+                      chain's final target
 ``fallthrough_branch`` unconditional branch to the next location -> delete
 ====================  ======================================================
 
-**Safety machinery.**  Liveness comes from the register allocator's
-death facts (``CodeBuffer.deaths``), not from guessing: the LRU
-allocator deliberately rotates registers, so a freed register is
-usually *not* re-picked and same-register ``ST x; L x`` windows are
-rare -- cross-register forwarding driven by ground-truth deaths is what
-actually fires.  Items covered by a ``SkipSite`` span (the fixed
-``2*halfwords``-byte windows of intra-template skips) are never deleted
-or resized.  Unknown mnemonics, calls, supervisor calls and multi-
-register moves are barriers; rewrites never cross a label, branch or
-skip site.
+**Home-location map.**  One forward sweep keeps, for each fullword home
+location, the registers known to hold its value (paper 4.1/4.4: the
+register manager knows what each register holds).  Each instruction
+first kills the entries its effects may touch -- a write that may alias
+the location, a redefinition of a holder or of an address register --
+and labels, branches, skip sites, control transfers and barriers clear
+the whole map.  A held ``L r2,m`` is then deleted (``r2`` holds ``m``),
+renamed away (an ``ST`` left ``r1`` dead, per the allocator's death
+facts ``CodeBuffer.deaths``: ``r2``'s live span reads ``r1`` instead)
+or turned into ``LR r2,r1`` (an ``L`` left ``r1`` live).  Then ``ST``
+and ``L`` record their associations, so a reuse counts as a hit of its
+holder's source rule.  Items in a ``SkipSite`` span (the fixed
+``2*halfwords`` bytes an intra-template skip hops over) execute
+conditionally: they are never deleted or resized and record nothing.
 """
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CodeGenError
 from repro.core.codegen.emitter import (
-    AConSite,
     BranchSite,
-    CodeBuffer,
-    DataBlock,
     Imm,
     Instr,
     LabelMark,
@@ -58,10 +57,10 @@ from repro.core.codegen.emitter import (
     SkipSite,
     StmtMark,
 )
-from repro.core.codegen.labels import LabelDictionary
-from repro.core.effects import BARRIER_EFFECTS, InstrEffects, may_alias
-from repro.machines.s370.effects import imm_reg_mention, instr_effects
-from repro.machines.s370.isa import OPCODES
+from repro.core.effects import may_alias
+from repro.machines.s370.effects import renamed_operands
+from repro.machines.s370.encode import S370Encoder
+from repro.opt.cfg import compute_skip_spans, item_effects
 
 #: Every rule the engine knows, in application order.
 ALL_RULES = (
@@ -73,42 +72,10 @@ ALL_RULES = (
 )
 
 _COND_ALWAYS = 15
-#: Forward-scan window (real items) for multi-instruction patterns.
-_WINDOW = 24
-_MAX_PASSES = 8
-
-
-# ---------------------------------------------------------------------------
-# Per-instruction facts: the shared S/370 effect table
-# (repro.machines.s370.effects), clamped back to this pass's stricter
-# barrier discipline so -O1 rewrites stay strictly window-local.
-# ---------------------------------------------------------------------------
-
-_Facts = InstrEffects
-_BARRIER = BARRIER_EFFECTS
-_may_alias = may_alias
-_imm_reg_mention = imm_reg_mention
-
-#: Control transfers, supervisor services and multi-register moves: the
-#: *window* pass assumes nothing about them even though the shared
-#: table models them (the global -O2 pass uses the refined effects).
-#: Unknown mnemonics join the club.
-_BARRIER_OPS = frozenset(
-    {"bc", "bcr", "bal", "balr", "bct", "svc", "stm", "lm", "mvcl", "ex"}
-)
-#: Mnemonics the shared table refines but no window rule targets; kept
-#: opaque here so the -O1 output is bit-for-bit what it always was.
-_WINDOW_OPAQUE = frozenset({"alr", "slr", "clcl"})
-
-
-def _facts(instr: Instr) -> _Facts:
-    """Conservative read/write/clobber facts for one instruction."""
-    if instr.opcode in _BARRIER_OPS or instr.opcode in _WINDOW_OPAQUE:
-        return _BARRIER
-    effects = instr_effects(instr)
-    if effects is None or effects.barrier or effects.flow:
-        return _BARRIER
-    return effects
+#: Effects come from the shared S/370 table through the CFG layer's memo.
+_ENCODER = S370Encoder()
+_MARKS = (StmtMark, LabelMark)
+_ZERO = (Mem(0, 0, 0), Imm(0))
 
 
 def _label_positions(items) -> Dict[int, int]:
@@ -120,117 +87,16 @@ def _label_positions(items) -> Dict[int, int]:
     }
 
 
-def _rename_reg(instr: Instr, old: int, new: int) -> None:
-    """Rewrite every R-operand and address-field use of ``old``."""
-    rewritten = []
-    for operand in instr.operands:
-        if isinstance(operand, R) and operand.n == old:
-            rewritten.append(R(new))
-        elif isinstance(operand, Mem) and old in (operand.base,
-                                                  operand.index):
-            rewritten.append(
-                Mem(
-                    operand.disp,
-                    new if operand.index == old else operand.index,
-                    new if operand.base == old else operand.base,
-                )
-            )
-        else:
-            rewritten.append(operand)
-    instr.operands = tuple(rewritten)
-
-
-def _item_min_size(item) -> int:
-    """Lower-bound byte size of one buffer item (skip-span accounting)."""
-    if item is None or isinstance(item, (LabelMark, StmtMark)):
-        return 0
-    if isinstance(item, Instr):
-        info = OPCODES.get(item.opcode)
-        return info.length if info is not None else 4
-    if isinstance(item, (BranchSite, SkipSite, AConSite)):
-        return 4
-    return len(item.data)  # DataBlock
-
-
-def _is_flow(item) -> bool:
-    return isinstance(
-        item, (LabelMark, BranchSite, SkipSite, AConSite, DataBlock)
-    )
-
-
-def _render(item) -> str:
-    from repro.core.codegen.parser_rt import _render_item
-
-    return _render_item(item).strip()
-
-
-# ---------------------------------------------------------------------------
-# Death facts: (d, r) means no item at index >= d reads r until r is next
-# defined.
-# ---------------------------------------------------------------------------
-
-_LAST_SLOT = sys.maxsize
-
-
-class _DeathIndex:
-    """``CodeBuffer.deaths`` indexed per register, for one run.
-
-    Each register maps to its ``(index, slot)`` entries in sorted order,
-    ``slot`` being the entry's position in the original list, so every
-    query is a bisect.  :meth:`to_list` writes back exactly what editing
-    the list in place would leave: removed entries dropped, moved
-    entries renamed where they stood, order otherwise unchanged.
-    """
-
-    def __init__(self, deaths: Sequence[Tuple[int, int]]):
-        self.indices = [d for d, _ in deaths]
-        self.regs: List[Optional[int]] = [r for _, r in deaths]
-        self.by_reg: Dict[int, List[Tuple[int, int]]] = {}
-        for slot, (d, r) in enumerate(deaths):
-            self.by_reg.setdefault(r, []).append((d, slot))
-        for entries in self.by_reg.values():
-            entries.sort()
-
-    def first_after(self, reg: int, idx: int) -> Optional[int]:
-        """The smallest death index of ``reg`` greater than ``idx``."""
-        entries = self.by_reg.get(reg, ())
-        pos = bisect_right(entries, (idx, _LAST_SLOT))
-        return entries[pos][0] if pos < len(entries) else None
-
-    def any_in(self, reg: int, lo: int, hi: int) -> bool:
-        """A death of ``reg`` with lo < index <= hi?"""
-        entries = self.by_reg.get(reg, ())
-        pos = bisect_right(entries, (lo, _LAST_SLOT))
-        return pos < len(entries) and entries[pos][0] <= hi
-
-    def remove(self, reg: int, lo: int, hi: int) -> None:
-        """Drop every death of ``reg`` with lo < index <= hi."""
-        entries = self.by_reg.get(reg, [])
-        start = bisect_right(entries, (lo, _LAST_SLOT))
-        stop = bisect_right(entries, (hi, _LAST_SLOT))
-        for _, slot in entries[start:stop]:
-            self.regs[slot] = None
-        del entries[start:stop]
-
-    def move(self, idx: int, old: int, new: int) -> None:
-        """Rename the earliest-listed ``(idx, old)`` to ``(idx, new)``."""
-        entries = self.by_reg.get(old, [])
-        pos = bisect_left(entries, (idx, -1))
-        if pos == len(entries) or entries[pos][0] != idx:
-            return
-        entry = entries.pop(pos)
-        self.regs[entry[1]] = new
-        insort(self.by_reg.setdefault(new, []), entry)
-
-    def to_list(self) -> List[Tuple[int, int]]:
-        return [
-            (d, r) for d, r in zip(self.indices, self.regs) if r is not None
-        ]
-
-
-# ---------------------------------------------------------------------------
-# Results.
-# ---------------------------------------------------------------------------
+def _home(instr: Instr) -> Optional[Tuple[int, tuple]]:
+    """``(r, loc)`` when ``instr`` is ``ST``/``L r,m`` on the fullword
+    home location ``m`` not addressed through ``r`` itself."""
+    if instr.opcode not in ("st", "l") or len(instr.operands) != 2:
+        return None
+    reg, mem = instr.operands
+    if not isinstance(reg, R) or not isinstance(mem, Mem) \
+            or reg.n in (mem.base, mem.index):
+        return None
+    return reg.n, (mem.base, mem.index, mem.disp, 4)
 
 
 @dataclass
@@ -247,9 +113,12 @@ class RewriteEvent:
 
 
 @dataclass
-class PeepholeResult:
-    """Per-rule hit counts and (in trace mode) the rewrite log."""
+class RewriteResult:
+    """Hit counts per rewrite in ``names``, the number of passes made
+    and (in trace mode) the rewrite log; the global passes
+    (:mod:`repro.opt.globalopt`) extend it."""
 
+    names: Tuple[str, ...] = ALL_RULES
     hits: Counter = field(default_factory=Counter)
     events: List[RewriteEvent] = field(default_factory=list)
     iterations: int = 0
@@ -262,394 +131,298 @@ class PeepholeResult:
         return {
             "total": self.total,
             "iterations": self.iterations,
-            "hits": {rule: self.hits[rule] for rule in ALL_RULES},
+            "hits": {name: self.hits[name] for name in self.names},
         }
-
-
-# ---------------------------------------------------------------------------
-# The engine.
-# ---------------------------------------------------------------------------
 
 
 class _Engine:
     """One peephole run over a buffer.
 
     Rules only rewrite items in place or tombstone them until
-    ``compact()``, so item positions -- and with them the label map --
-    hold for the whole run.  Instruction facts are memoized per run by
-    ``(opcode, operands)``, the only fields ``instr_effects`` reads; a
-    rename installs a new operand tuple, so an entry never goes stale.
+    ``compact()``, so item positions -- and with them the label map and
+    the skip spans -- hold for the whole run.  Slot ``s`` of the buffer's
+    death list dies at ``died[s]`` (clamped to the buffer's end) and
+    names register ``dead[s]`` (``None`` once consumed); ``dies_at``
+    maps an index to its slots.
     """
 
-    def __init__(
-        self,
-        buffer: CodeBuffer,
-        labels: LabelDictionary,
-        enabled: Set[str],
-        trace: bool,
-    ):
-        self.buffer = buffer
-        self.items = buffer.items
-        self.deaths = _DeathIndex(buffer.deaths)
-        self.label_pos = _label_positions(self.items)
-        self.facts_memo: Dict[Tuple[str, tuple], _Facts] = {}
-        self.labels = labels
+    def __init__(self, generated, enabled: Set[str], trace: bool):
+        self.items = generated.buffer.items
+        self.labels = generated.labels
         self.enabled = enabled
         self.trace = trace
-        self.result = PeepholeResult()
-        self.protected = self._compute_protected()
-
-    # ---- bookkeeping ------------------------------------------------------
-
-    def _compute_protected(self) -> Set[int]:
-        """Indices inside a SkipSite's fixed byte span: these items may
-        never be deleted or resized (the skip target is an offset)."""
-        protected: Set[int] = set()
-        for i, item in enumerate(self.items):
-            if not isinstance(item, SkipSite):
-                continue
-            remaining = 2 * item.halfwords
-            j = i + 1
-            while remaining > 0 and j < len(self.items):
-                protected.add(j)
-                remaining -= _item_min_size(self.items[j])
-                j += 1
-        return protected
+        self.result = RewriteResult(iterations=1)
+        self.spans = compute_skip_spans(self.items, _ENCODER)
+        self.label_pos = _label_positions(self.items)
+        end = len(self.items)
+        self.died = [min(d, end) for d, _ in generated.buffer.deaths]
+        self.dead = [r for _, r in generated.buffer.deaths]
+        self.dies_at: Dict[int, List[int]] = {}
+        for slot, d in enumerate(self.died):
+            self.dies_at.setdefault(d, []).append(slot)
 
     def _record(self, rule: str, index: int, before, after) -> None:
         self.result.hits[rule] += 1
         if self.trace:
-            self.result.events.append(
-                RewriteEvent(
-                    rule,
-                    index,
-                    _render(before) if before is not None else "(nothing)",
-                    _render(after) if after is not None else "(deleted)",
-                )
-            )
+            from repro.core.codegen.parser_rt import _render_item
 
-    def _facts(self, instr: Instr) -> _Facts:
-        key = (instr.opcode, instr.operands)
-        facts = self.facts_memo.get(key)
-        if facts is None:
-            facts = self.facts_memo[key] = _facts(instr)
-        return facts
+            if not isinstance(after, str):
+                after = "(deleted)" if after is None \
+                    else _render_item(after).strip()
+            self.result.events.append(RewriteEvent(
+                rule, index, _render_item(before).strip(), after
+            ))
 
-    # ---- scanning helpers -------------------------------------------------
+    # ---- store_load / load_load: the home-location map ---------------------
 
-    def _next_real(self, idx: int, skip_labels: bool = False):
-        """(index, item) of the next non-tombstone, non-StmtMark item."""
-        j = idx + 1
-        while j < len(self.items):
-            item = self.items[j]
-            if item is None or isinstance(item, StmtMark) or (
-                skip_labels and isinstance(item, LabelMark)
-            ):
-                j += 1
+    def forward(self) -> None:
+        """One sweep with ``held``: loc -> {reg: (index, source rule)}."""
+        dead = self.dead
+        record = {op: rule for op, rule in (("st", "store_load"),
+                                            ("l", "load_load"))
+                  if rule in self.enabled}
+        held: Dict[tuple, Dict[int, Tuple[int, str]]] = {}
+        #: reg -> slots of its deaths swept so far, in index order.
+        passed: Dict[int, List[int]] = {}
+        for i, item in enumerate(self.items):
+            for slot in self.dies_at.get(i, ()):
+                if dead[slot] is not None:
+                    passed.setdefault(dead[slot], []).append(slot)
+            if item is None or isinstance(item, StmtMark):
                 continue
-            return j, item
-        return None, None
+            if not isinstance(item, Instr) or i in self.spans:
+                held.clear()
+                continue
+            home = _home(item)
+            if home is None and not held:
+                continue  # nothing to kill, nothing to record
+            if home is not None and item.opcode == "l" and home[1] in held:
+                item = self._reuse(i, item, home, held[home[1]], passed)
+                if item is None:
+                    continue
+            fx = item_effects(item, _ENCODER, False)
+            effects, kills = fx.effects, fx.kills
+            if effects.barrier or effects.flow:
+                held.clear()
+                continue
+            writes = effects.writes + effects.may_writes \
+                if effects.may_writes else effects.writes
+            for loc in list(held) if kills or writes else ():
+                holders = held[loc]
+                for reg in kills:
+                    holders.pop(reg, None)
+                # (A redefined r0 drops an unbased location: harmless.)
+                if not holders or loc[0] in kills or loc[1] in kills \
+                        or writes and any(may_alias(w, loc) for w in writes):
+                    del held[loc]
+            # A load a reuse turned into LR r2,r1 records r2 like an L.
+            rule = "load_load" if item.opcode == "lr" \
+                else record.get(item.opcode)
+            if home is not None and rule is not None:
+                held.setdefault(home[1], {})[home[0]] = (i, rule)
+
+    def _dead_since(self, reg: int, since: int, passed) -> bool:
+        """A death of ``reg`` swept after index ``since``?"""
+        slots = passed.get(reg)
+        return bool(slots) and self.died[slots[-1]] > since
+
+    def _consume_deaths(self, reg: int, since: int, passed) -> None:
+        """Drop ``reg``'s swept deaths after ``since``: a rewrite made
+        ``reg`` read again up to the current item."""
+        slots = passed.get(reg, [])
+        while slots and self.died[slots[-1]] > since:
+            self.dead[slots.pop()] = None
+
+    def _reuse(self, i, load, home, holders, passed):
+        """Rewrite the held ``L r2,m`` at ``i``; returns the item now at
+        ``i`` (``None`` once deleted).
+
+        A store holder serves by renaming once dead, a load holder by a
+        copy while live.  A dead holder serves only the first load of
+        ``m`` after it: later loads copy the reloaded register, and the
+        -O2 passes still see the dead holder's value intact.
+        """
+        r2 = home[0]
+        if r2 in holders:
+            since, rule = holders[r2]
+            self._record(rule, i, load, None)
+            self.items[i] = None
+            # The deleted load was r2's next def: uses it fed now read
+            # the (identical) older value, so deaths in between are void.
+            self._consume_deaths(r2, since, passed)
+            return None
+        copy_from = None
+        for r1, (since, rule) in reversed(list(holders.items())):
+            if not self._dead_since(r1, since, passed):
+                if rule == "load_load" and copy_from is None:
+                    copy_from = r1
+            elif rule == "store_load" and self._rename_span(i, r1, r2):
+                self._record(rule, i, load, f"(deleted; r{r2} -> r{r1})")
+                self.items[i] = None
+                self._consume_deaths(r1, since, passed)
+                return None
+            else:
+                del holders[r1]
+        if copy_from is None:
+            return load
+        move = Instr("lr", (R(r2), R(copy_from)), comment=load.comment)
+        self._record("load_load", i, load, move)
+        self.items[i] = move
+        return move
+
+    def _rename_span(self, i: int, r1: int, r2: int) -> bool:
+        """Rename ``r2`` to the dead holder ``r1`` through ``r2``'s live
+        span after the load at ``i`` (up to ``r2``'s next death, whose
+        fact moves to ``r1``).  The span must be straight-line
+        instructions that leave ``r1`` alone and name ``r2`` only in
+        fields a rename can rewrite; otherwise nothing changes."""
+        renames = []
+        k = i + 1
+        while True:
+            slot = next((s for s in self.dies_at.get(k, ())
+                         if self.dead[s] == r2), None)
+            if slot is not None:
+                break
+            if k >= len(self.items):
+                return False
+            item = self.items[k]
+            k += 1
+            if item is None or isinstance(item, StmtMark):
+                continue
+            if not isinstance(item, Instr):
+                return False
+            fx = item_effects(item, _ENCODER, False)
+            touched = fx.kills | fx.effects.uses
+            if fx.effects.barrier or fx.effects.flow or r1 in touched:
+                return False
+            if r2 in touched:
+                operands = renamed_operands(item, r2, r1)
+                after = item_effects(Instr(item.opcode, operands), _ENCODER,
+                                     False)
+                if fx.effects.pair or r2 in after.kills | after.effects.uses:
+                    return False  # an implicit or Imm-encoded use of r2
+                renames.append((item, operands))
+        for item, operands in renames:
+            item.operands = operands
+        self.dead[slot] = r1
+        return True
+
+    # ---- the single sweeps ------------------------------------------------
 
     def _cc_dead_after(self, idx: int) -> bool:
         """No later reader can observe the condition code set at idx.
 
         The scan follows the single execution path leaving ``idx``: an
         unconditional branch continues at its target's label, a
-        never-taken branch (cond 0) falls through, and labels are
-        crossed freely -- whoever else jumps to the label, the reader
-        past it sees *this* CC only when control came from here.  A
-        real conditional branch or skip reads the CC; calls, barriers
-        and in-stream data assume the worst.
+        never-taken branch or skip (cond 0) falls through, and labels
+        are crossed freely -- whoever else jumps to the label, the
+        reader past it sees *this* CC only when control came from here.
+        A real conditional reads the CC; calls, control transfers,
+        barriers and in-stream data assume the worst.
         """
-        label_pos = self.label_pos
         visited: Set[int] = set()
         j = idx + 1
-        while j < len(self.items):
-            if j in visited:
-                # A cycle of CC-neutral items: no reader on the path.
-                return True
+        while j < len(self.items) and j not in visited:
             visited.add(j)
             item = self.items[j]
-            if item is None or isinstance(item, (StmtMark, LabelMark)):
-                j += 1
+            j += 1
+            if item is None or isinstance(item, _MARKS):
                 continue
-            if isinstance(item, BranchSite):
-                if item.link_reg is not None:
-                    return False  # the callee may inspect the CC
-                if item.cond == 0:
-                    j += 1  # never taken: pure fall-through
-                    continue
-                if item.cond == _COND_ALWAYS:
-                    target = label_pos.get(item.label)
-                    if target is None:
-                        return False
-                    j = target
-                    continue
-                return False  # a real conditional: reads the CC
-            if isinstance(item, SkipSite):
-                if item.cond == 0:
-                    j += 1  # never skips: the span simply executes
-                    continue
-                return False
+            if isinstance(item, BranchSite) and item.link_reg is None \
+                    and item.cond == _COND_ALWAYS \
+                    and item.label in self.label_pos:
+                j = self.label_pos[item.label]
+                continue
+            if isinstance(item, (BranchSite, SkipSite)) and item.cond == 0 \
+                    and getattr(item, "link_reg", None) is None:
+                continue  # never taken: pure fall-through
             if not isinstance(item, Instr):
-                return False  # data in the stream: assume the worst
-            facts = self._facts(item)
-            if facts.barrier:
+                return False  # a CC reader, a call or in-stream data
+            effects = item_effects(item, _ENCODER, False).effects
+            if effects.barrier or effects.flow or effects.reads_cc:
                 return False
-            if facts.sets_cc:
+            if effects.sets_cc:
                 return True  # overwritten before any read
-            j += 1
-        return True  # fell off the end: nothing ever reads it
+        return True  # the end, or a cycle of CC-neutral items
 
-    # ---- rules ------------------------------------------------------------
-
-    def run_rule(self, rule: str) -> bool:
-        return getattr(self, f"_rule_{rule}")()
-
-    def _rule_store_load(self) -> bool:
-        changed = False
-        items = self.items
-        for st_idx, item in enumerate(items):
-            if not (isinstance(item, Instr) and item.opcode == "st"):
-                continue
-            if len(item.operands) != 2 \
-                    or not isinstance(item.operands[0], R) \
-                    or not isinstance(item.operands[1], Mem):
-                continue
-            r1 = item.operands[0].n
-            m = item.operands[1]
-            if r1 in (m.base, m.index):
-                continue
-            loc = (m.base, m.index, m.disp, 4)
-            load_idx, r2 = self._find_forwardable_load(st_idx, r1, m, loc)
-            if load_idx is None:
-                continue
-            if self._apply_store_load(st_idx, load_idx, r1, r2, m):
-                changed = True
-        return changed
-
-    def _find_forwardable_load(self, st_idx, r1, m, loc):
-        """The first ``L rX,m`` after the store with a clean window."""
-        items = self.items
-        j = st_idx + 1
-        steps = 0
-        while j < len(items) and steps < _WINDOW:
-            item = items[j]
-            if item is None or isinstance(item, StmtMark):
-                j += 1
-                continue
-            if _is_flow(item):
-                return None, None
-            steps += 1
-            facts = self._facts(item)
-            if facts.barrier:
-                return None, None
-            if isinstance(item, Instr) and item.opcode == "l" \
-                    and len(item.operands) == 2 \
-                    and isinstance(item.operands[0], R) \
-                    and item.operands[1] == m:
-                return j, item.operands[0].n
-            if any(_may_alias(w, loc) for w in facts.writes):
-                return None, None
-            if r1 in facts.defs:
-                return None, None
-            if (m.base and m.base in facts.defs) \
-                    or (m.index and m.index in facts.defs):
-                return None, None
-            j += 1
-        return None, None
-
-    def _apply_store_load(self, st_idx, load_idx, r1, r2, m) -> bool:
-        items = self.items
-        load = items[load_idx]
-        if load_idx in self.protected:  # the load gets deleted: no resize
-            return False
-        if r1 == r2:
-            # The reload target still holds the stored value.
-            self._record("store_load", load_idx, load, None)
-            items[load_idx] = None
-            # The deleted load was the next def: uses it fed now read the
-            # (identical) pre-death value, so consume any death in between.
-            self.deaths.remove(r1, st_idx, load_idx)
-            return True
-        if r2 in (m.base, m.index):
-            return False  # the load addresses through its own target
-        # Cross-register forwarding: r1 must be dead at the load (so its
-        # copy of m survives unread) and r2's whole live span must be a
-        # renameable straight-line stretch.
-        if not self.deaths.any_in(r1, st_idx, load_idx):
-            return False
-        d2 = self.deaths.first_after(r2, load_idx)
-        if d2 is None:
-            return False
-        span = range(load_idx + 1, min(d2, len(items)))
-        for k in span:
-            item = items[k]
-            if item is None or isinstance(item, StmtMark):
-                continue
-            if _is_flow(item):
-                return False
-            facts = self._facts(item)
-            if facts.barrier:
-                return False
-            if r1 in facts.defs or r1 in facts.uses:
-                return False
-            if facts.pair and (r2 in facts.uses or r2 in facts.defs):
-                return False
-            if _imm_reg_mention(item, r2):
-                return False
-        self._record(
-            "store_load", load_idx, load,
-            Instr("*", (), comment=f"forward r{r1} over {len(span)} items"),
-        )
-        if self.trace:
-            self.result.events[-1].after = (
-                f"(deleted; r{r2} -> r{r1} through index {d2})"
-            )
-        items[load_idx] = None
-        for k in span:
-            item = items[k]
-            if isinstance(item, Instr):
-                _rename_reg(item, r2, r1)
-        # r1 is live again until d2; r2's span no longer exists.
-        self.deaths.remove(r1, st_idx, load_idx)
-        self.deaths.move(d2, r2, r1)
-        return True
-
-    def _rule_load_load(self) -> bool:
-        changed = False
-        items = self.items
-        for i, first in enumerate(items):
-            if not (isinstance(first, Instr) and first.opcode == "l"):
-                continue
-            if len(first.operands) != 2 \
-                    or not isinstance(first.operands[0], R) \
-                    or not isinstance(first.operands[1], Mem):
-                continue
-            r1 = first.operands[0].n
-            m = first.operands[1]
-            if r1 in (m.base, m.index):
-                continue  # the first load changes its own address regs
-            j, second = self._next_real(i)
-            if not (isinstance(second, Instr) and second.opcode == "l"):
-                continue
-            if len(second.operands) != 2 \
-                    or not isinstance(second.operands[0], R) \
-                    or second.operands[1] != m:
-                continue
-            if j in self.protected:
-                continue  # delete or RR-resize either way
-            r2 = second.operands[0].n
-            if r1 == r2:
-                self._record("load_load", j, second, None)
-                items[j] = None
-                self.deaths.remove(r1, i, j)
-                changed = True
-                continue
-            if self.deaths.any_in(r1, i, j):
-                continue  # r1 not live at the second load: no new read
-            replacement = Instr("lr", (R(r2), R(r1)), comment=second.comment)
-            self._record("load_load", j, second, replacement)
-            items[j] = replacement
-            changed = True
-        return changed
-
-    def _rule_zero_clear(self) -> bool:
-        changed = False
+    def zero_clear(self) -> None:
         for i, item in enumerate(self.items):
-            if not (isinstance(item, Instr) and item.opcode == "la"):
-                continue
-            if len(item.operands) != 2 \
+            if not isinstance(item, Instr) or item.opcode != "la" \
+                    or len(item.operands) != 2 \
                     or not isinstance(item.operands[0], R):
                 continue
             target = item.operands[1]
-            is_zero = (
-                isinstance(target, Mem)
-                and (target.disp, target.index, target.base) == (0, 0, 0)
-            ) or (isinstance(target, Imm) and target.value == 0)
-            if not is_zero:
-                continue
-            if i in self.protected:  # RX -> RR shrinks the skip span
-                continue
+            if target not in _ZERO or i in self.spans:
+                continue  # RX -> RR would also shrink a skip span
             if not self._cc_dead_after(i):  # SR sets the CC, LA does not
                 continue
             reg = item.operands[0].n
             replacement = Instr("sr", (R(reg), R(reg)), comment=item.comment)
             self._record("zero_clear", i, item, replacement)
             self.items[i] = replacement
-            changed = True
-        return changed
 
-    def _rule_branch_chain(self) -> bool:
-        changed = False
+    def _jump_at(self, label: int) -> Optional[BranchSite]:
+        """The unconditional branch first executed at ``label``, if any."""
         items = self.items
-        label_pos = self.label_pos
-        for idx, site in enumerate(items):
-            if not isinstance(site, BranchSite) or site.link_reg is not None:
-                continue
-            mark_idx = label_pos.get(site.label)
-            if mark_idx is None:
-                continue
-            j, nxt = self._next_real(mark_idx, skip_labels=True)
-            if not isinstance(nxt, BranchSite):
-                continue
-            if nxt.cond != _COND_ALWAYS or nxt.link_reg is not None:
-                continue
-            if nxt.label == site.label or j == idx:
-                continue  # self-loop: nothing to collapse
-            if idx in self.protected:
-                continue  # retarget could flip short->long inside a skip
-            self._record("branch_chain", idx, site, nxt)
-            if self.trace:
-                self.result.events[-1].after = (
-                    f"retarget L{site.label} -> L{nxt.label}"
-                )
-            site.label = nxt.label
-            self.labels.reference(nxt.label)
-            changed = True
-        return changed
+        j = self.label_pos.get(label, len(items)) + 1
+        while j < len(items) and (items[j] is None
+                                  or isinstance(items[j], _MARKS)):
+            j += 1
+        site = items[j] if j < len(items) else None
+        if isinstance(site, BranchSite) and site.cond == _COND_ALWAYS \
+                and site.link_reg is None:
+            return site
+        return None
 
-    def _rule_fallthrough_branch(self) -> bool:
-        changed = False
+    def branch_chain(self) -> None:
+        for idx, site in enumerate(self.items):
+            if not isinstance(site, BranchSite) or site.link_reg is not None \
+                    or idx in self.spans:
+                continue  # a retarget could flip short->long in a skip
+            target, seen = site.label, {site.label}
+            jump = self._jump_at(target)
+            while jump is not None and jump.label not in seen:
+                target = jump.label
+                seen.add(target)
+                jump = self._jump_at(target)
+            if target != site.label:
+                self._record("branch_chain", idx, site,
+                             f"retarget L{site.label} -> L{target}")
+                site.label = target
+                self.labels.reference(target)
+
+    def fallthrough_branch(self) -> None:
+        """Backwards, so a deletion exposes the branch before it."""
         items = self.items
-        for idx, site in enumerate(items):
-            if not isinstance(site, BranchSite) or site.link_reg is not None:
-                continue
-            if site.cond != _COND_ALWAYS:
-                continue
-            if idx in self.protected:
+        for idx in range(len(items) - 1, -1, -1):
+            site = items[idx]
+            if not isinstance(site, BranchSite) or site.link_reg is not None \
+                    or site.cond != _COND_ALWAYS or idx in self.spans:
                 continue
             j = idx + 1
-            falls_through = False
-            while j < len(items):
-                item = items[j]
-                if item is None or isinstance(item, StmtMark):
-                    j += 1
-                    continue
-                if isinstance(item, LabelMark):
-                    if item.label == site.label:
-                        falls_through = True
-                        break
-                    j += 1
-                    continue
-                break
-            if falls_through:
-                self._record("fallthrough_branch", idx, site, None)
-                items[idx] = None
-                changed = True
-        return changed
+            while j < len(items) and (items[j] is None
+                                      or isinstance(items[j], _MARKS)):
+                if isinstance(items[j], LabelMark) \
+                        and items[j].label == site.label:
+                    self._record("fallthrough_branch", idx, site, None)
+                    items[idx] = None
+                    break
+                j += 1
+
 
 def run_peephole(
     generated,
     rules: Optional[Sequence[str]] = None,
     trace: bool = False,
-) -> PeepholeResult:
+) -> RewriteResult:
     """Optimize a :class:`~repro.core.codegen.parser_rt.GeneratedCode`
     in place (its buffer is compacted; labels stay symbolic).
 
     ``rules`` selects a subset of :data:`ALL_RULES` (default: all).
     ``trace`` collects a :class:`RewriteEvent` per application for
-    ``compile --dump-asm``.
+    ``compile --dump-asm``.  The rules compose in one pass: forwarding
+    never touches a branch or a label, and chains resolve to their final
+    target before fall-throughs are deleted.
     """
     enabled = set(ALL_RULES if rules is None else rules)
     unknown = enabled.difference(ALL_RULES)
@@ -658,14 +431,15 @@ def run_peephole(
             f"unknown peephole rules: {sorted(unknown)}; "
             f"known: {list(ALL_RULES)}"
         )
-    engine = _Engine(generated.buffer, generated.labels, enabled, trace)
-    changed = True
-    while changed and engine.result.iterations < _MAX_PASSES:
-        changed = False
-        engine.result.iterations += 1
-        for rule in ALL_RULES:
-            if rule in enabled and engine.run_rule(rule):
-                changed = True
-    generated.buffer.deaths = engine.deaths.to_list()
+    engine = _Engine(generated, enabled, trace)
+    if enabled & {"store_load", "load_load"}:
+        engine.forward()
+    for rule in ("zero_clear", "branch_chain", "fallthrough_branch"):
+        if rule in enabled:
+            getattr(engine, rule)()
+    generated.buffer.deaths = [
+        (d, r) for (d, _), r in zip(generated.buffer.deaths, engine.dead)
+        if r is not None
+    ]
     generated.buffer.compact()
     return engine.result

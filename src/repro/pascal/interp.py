@@ -443,9 +443,3 @@ def interpret_source(
     program = check_program(parse_source(source))
     return Interpreter(program, input_values=input_values).run()
 
-
-def interpret_program(
-    program: A.Program, input_values: Optional[List[int]] = None
-) -> str:
-    """Interpret an already-checked program."""
-    return Interpreter(program, input_values=input_values).run()

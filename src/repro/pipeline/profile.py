@@ -13,7 +13,7 @@ phase                 covers
 ``shape``             IF generation (storage shaping) + the CSE optimizer
 ``linearize``         prefix-form linearization with interned symbol codes
 ``select``            the table-driven code generator (the skeletal parse)
-``peephole``          the post-selection window optimizer (``-O1``)
+``peephole``          the post-selection peephole pass (``-O1``)
 ``assemble``          branch resolution, encoding, object-record emission
 ``simulate``          the S/370 simulator run
 ====================  =====================================================

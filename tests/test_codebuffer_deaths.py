@@ -8,11 +8,8 @@ optimizer passes lean on: where ``note_death`` anchors the fact, how
 dead span, that items protected by a ``SkipSite`` span are never
 rewritten even when the death facts would justify it, that the
 global forwarder scrubs death facts it invalidates, and that the
-peephole's per-register death index answers and writes back exactly
-what scanning the list would.
+deaths the -O1 peephole writes back still hold.
 """
-
-import random
 
 from repro.core.codegen.cse import CseManager
 from repro.core.codegen.emitter import (
@@ -24,13 +21,13 @@ from repro.core.codegen.emitter import (
     Mem,
     R,
     SkipSite,
+    StmtMark,
 )
 from repro.core.codegen.labels import LabelDictionary
 from repro.core.codegen.parser_rt import GeneratedCode
 from repro.machines.s370.spec import machine_description
-from repro.opt import peephole, run_peephole
+from repro.opt import run_peephole
 from repro.opt.globalopt import run_global
-from repro.opt.peephole import _DeathIndex
 
 MEM = Mem(100, 0, 13)
 
@@ -208,96 +205,29 @@ class TestGlobalForwarderScrub:
         assert all(r != 3 for _, r in code.buffer.deaths)
 
 
-class ListScanDeaths:
-    """Reference model: the death bookkeeping as plain list scans."""
-
-    def __init__(self, deaths):
-        self.deaths = list(deaths)
-
-    def first_after(self, reg, idx):
-        found = [d for d, r in self.deaths if r == reg and d > idx]
-        return min(found) if found else None
-
-    def any_in(self, reg, lo, hi):
-        return any(r == reg and lo < d <= hi for d, r in self.deaths)
-
-    def remove(self, reg, lo, hi):
-        self.deaths = [
-            (d, r) for d, r in self.deaths if not (r == reg and lo < d <= hi)
-        ]
-
-    def move(self, idx, old, new):
-        for pos, (d, r) in enumerate(self.deaths):
-            if (d, r) == (idx, old):
-                self.deaths[pos] = (d, new)
-                return
-
-    def to_list(self):
-        return list(self.deaths)
-
-
-class TestDeathIndex:
-    def test_duplicate_entries_kept_and_removed_together(self):
-        index = _DeathIndex([(3, 1), (3, 1), (5, 2)])
-        assert index.first_after(1, 0) == 3
-        assert index.to_list() == [(3, 1), (3, 1), (5, 2)]
-        index.remove(1, 2, 3)
-        assert index.first_after(1, 0) is None
-        assert index.to_list() == [(5, 2)]
-
-    def test_removal_range_is_lo_exclusive_hi_inclusive(self):
-        deaths = [(2, 1), (3, 1), (4, 1), (5, 1)]
-        index = _DeathIndex(deaths)
-        assert not index.any_in(1, 5, 9)
-        assert index.any_in(1, 4, 5)
-        index.remove(1, 2, 4)
-        assert index.to_list() == [(2, 1), (5, 1)]
-
-    def test_move_renames_earliest_list_entry_in_place(self):
-        # Two (4, 1) entries: only the first listed moves, and it keeps
-        # its position in the list.
-        index = _DeathIndex([(6, 3), (4, 1), (2, 1), (4, 1)])
-        index.move(4, 1, 7)
-        assert index.to_list() == [(6, 3), (4, 7), (2, 1), (4, 1)]
-        assert index.first_after(7, 0) == 4
-        assert index.first_after(1, 2) == 4
-        index.move(9, 1, 7)   # no such entry: nothing happens
-        assert index.to_list() == [(6, 3), (4, 7), (2, 1), (4, 1)]
-
-    def test_matches_list_scan_model_on_random_edits(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            deaths = [
-                (rng.randrange(12), rng.randrange(1, 5))
-                for _ in range(rng.randrange(12))
-            ]
-            index, model = _DeathIndex(deaths), ListScanDeaths(deaths)
-            for _ in range(15):
-                reg, lo, hi = rng.randrange(1, 5), rng.randrange(-1, 12), \
-                    rng.randrange(12)
-                assert index.first_after(reg, lo) == model.first_after(reg, lo)
-                assert index.any_in(reg, lo, hi) == model.any_in(reg, lo, hi)
-                if rng.random() < 0.5:
-                    index.remove(reg, lo, hi)
-                    model.remove(reg, lo, hi)
-                else:
-                    new = rng.randrange(1, 5)
-                    index.move(hi, reg, new)
-                    model.move(hi, reg, new)
-                assert index.to_list() == model.to_list()
-
-    def test_written_back_deaths_match_model_after_compact(self, monkeypatch):
-        # A whole -O1 run with the list-scan model in the index's place:
-        # the compacted deaths and the code are the same.
+class TestWrittenBackDeaths:
+    def test_every_death_holds_on_its_straight_line_path(self):
+        # A whole -O1 run: after forwarding consumed, moved and kept
+        # deaths and compact() remapped them, each (d, r) still promises
+        # no read of r from item d on, up to r's next definition.
         from repro.bench.workloads import chain_loop, straightline
         from repro.pascal.compiler import compile_source
 
+        enc = machine_description().encoder
         for source in (straightline(120), chain_loop(20)):
-            indexed = compile_source(source, opt_level=1)
-            with monkeypatch.context() as patch:
-                patch.setattr(peephole, "_DeathIndex", ListScanDeaths)
-                scanned = compile_source(source, opt_level=1)
-            assert indexed.stats["peephole"]["hits"]["store_load"] > 0
-            assert indexed.generated.buffer.deaths == \
-                scanned.generated.buffer.deaths
-            assert indexed.object_records == scanned.object_records
+            compiled = compile_source(source, opt_level=1)
+            assert compiled.stats["peephole"]["hits"]["store_load"] > 0
+            buffer = compiled.generated.buffer
+            for d, reg in buffer.deaths:
+                for k in range(d, len(buffer.items)):
+                    item = buffer.items[k]
+                    if isinstance(item, StmtMark):
+                        continue
+                    if not isinstance(item, Instr):
+                        break  # the straight-line path ends here
+                    effects = enc.effects(item)
+                    if effects.barrier or effects.flow:
+                        break
+                    assert reg not in effects.uses, (d, reg, k, item)
+                    if reg in effects.defs:
+                        break

@@ -314,12 +314,6 @@ class TestCli:
         assert out_o0 == out_o1
         assert "55" in out_o1
 
-    def test_no_peephole_flag_means_o0(self, tmp_path, capsys):
-        path = tmp_path / "p.pas"
-        path.write_text(PROGRAM)
-        assert main(["compile", str(path), "--no-peephole"]) == 0
-        assert "opt_level        0" in capsys.readouterr().out
-
     def test_dump_asm_shows_annotated_diff(self, tmp_path, capsys):
         path = tmp_path / "p.pas"
         path.write_text(PROGRAM)

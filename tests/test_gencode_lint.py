@@ -236,3 +236,40 @@ class TestShippedPipeline:
                      "--fail-on", "error"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
+
+
+class TestDoubleShiftEffects:
+    """A double shift by a constant 32..63 moves one register of the
+    pair wholly out, so it reads only the other one; the sign-extend
+    idiom ``srda dbl,32`` before a divide must not count as a use of
+    the odd register."""
+
+    @pytest.mark.parametrize(
+        "op, amount, uses",
+        [
+            ("srda", Imm(31), {6, 7}),
+            ("srda", Imm(32), {6}),
+            ("srdl", Mem(63, 0, 0), {6}),
+            ("srda", Imm(96), {6}),       # the amount is its low 6 bits
+            ("srda", Imm(64), {6, 7}),
+            ("slda", Imm(32), {7}),
+            ("sldl", Mem(40, 0, 0), {7}),
+            ("sldl", Imm(12), {6, 7}),
+            ("srda", Mem(32, 0, 3), {3, 6, 7}),   # amount in a register
+            ("slda", Mem(0, 0, 3), {3, 6, 7}),
+        ],
+    )
+    def test_effect_entry_per_amount_form(self, op, amount, uses):
+        effects = ENC.effects(Instr(op, (R(6), amount)))
+        assert effects.uses == frozenset(uses)
+        assert effects.defs == frozenset({6, 7})
+        assert effects.pair
+
+    @pytest.mark.parametrize("opt_level", [0, 1, 2, 3, 4])
+    def test_sl050_clean_on_straightline(self, opt_level):
+        from repro.bench.workloads import straightline
+        from repro.pascal.compiler import compile_source
+
+        compiled = compile_source(straightline(400), opt_level=opt_level)
+        report = run_gencode_lint(compiled.generated, ENC)
+        assert "SL050" not in report.codes()

@@ -4,7 +4,7 @@ Every rule gets a dedicated rewrite test and a does-not-fire negative;
 the safety machinery (death facts, skip-span protection, CC liveness)
 gets its own negatives; and the integration section proves the -O1
 default never changes program output while measurably shrinking the
-executed instruction count.  Every window rule and global pass must
+executed instruction count.  Every peephole rule and global pass must
 also fire on at least one named program.
 """
 
@@ -171,6 +171,66 @@ class TestLoadLoad:
         assert run_peephole(code, rules=["load_load"]).total == 0
 
 
+class TestHomeLocationMap:
+    """One forward sweep: associations last until an effect kills them,
+    not for a fixed window."""
+
+    def test_store_forwards_past_any_distance(self):
+        filler = [Instr("ar", (R(4), R(5))) for _ in range(40)]
+        code = make_code(
+            [Instr("st", (R(1), MEM)), *filler,
+             Instr("l", (R(2), MEM)), Instr("ar", (R(3), R(2)))],
+            deaths=[(1, 1), (43, 2)],
+        )
+        result = run_peephole(code, rules=["store_load"])
+        assert result.hits["store_load"] == 1
+        assert code.buffer.items[-1].operands == (R(3), R(1))
+
+    def test_load_copies_a_live_earlier_load(self):
+        code = make_code([
+            Instr("l", (R(1), MEM)),
+            Instr("ar", (R(4), R(5))),
+            Instr("l", (R(2), MEM)),
+        ])
+        result = run_peephole(code, rules=["load_load"])
+        assert result.hits["load_load"] == 1
+        assert ops(code) == ["l", "ar", "lr"]
+
+    def test_redefined_address_register_kills_the_entry(self):
+        code = make_code([
+            Instr("l", (R(1), MEM)),
+            Instr("la", (R(13), Mem(8, 0, 13))),
+            Instr("l", (R(2), MEM)),
+        ])
+        assert run_peephole(code, rules=["load_load"]).total == 0
+
+    def test_label_clears_the_map(self):
+        code = make_code([
+            Instr("l", (R(1), MEM)),
+            LabelMark(1),
+            Instr("l", (R(1), MEM)),
+        ])
+        assert run_peephole(code, rules=["load_load"]).total == 0
+
+    def test_load_inside_a_skip_span_records_nothing(self):
+        # The skip may hop over the first load: r1 need not hold m.
+        code = make_code([
+            SkipSite(cond=8, halfwords=2, index_reg=0),
+            Instr("l", (R(1), MEM)),
+            Instr("l", (R(2), MEM)),
+        ])
+        assert run_peephole(code, rules=["load_load"]).total == 0
+
+    def test_one_pass(self):
+        code = make_code([
+            Instr("st", (R(1), MEM)),
+            Instr("l", (R(1), MEM)),
+            BranchSite(cond=15, label=9, index_reg=0),
+            LabelMark(9),
+        ])
+        assert run_peephole(code).iterations == 1
+
+
 class TestZeroClear:
     def test_la_zero_becomes_sr(self):
         code = make_code([Instr("la", (R(5), Mem(0, 0, 0)))])
@@ -297,6 +357,14 @@ class TestDeadCcTest:
         ])
         result = run_peephole(code, rules=["zero_clear"])
         assert result.hits["zero_clear"] == 1
+
+    def test_skip_site_other_than_never_is_a_reader(self):
+        code = make_code([
+            Instr("la", (R(5), Mem(0, 0, 0))),
+            SkipSite(cond=15, halfwords=2, index_reg=0),
+            Instr("ar", (R(1), R(2))),
+        ])
+        assert run_peephole(code, rules=["zero_clear"]).total == 0
 
 
 class TestSkipProtection:
@@ -463,7 +531,7 @@ class TestCompilerIntegration:
 
 
 # ---------------------------------------------------------------------------
-# Every rewrite pays: each window rule and global pass fires on a program.
+# Every rewrite pays: each peephole rule and global pass fires on a program.
 # ---------------------------------------------------------------------------
 
 
@@ -535,7 +603,8 @@ class TestLinearBookkeeping:
 
     def _counts(self, monkeypatch, assignments):
         from repro.bench.workloads import straightline
-        from repro.opt import peephole
+        from repro.machines.s370 import effects as s370_effects
+        from repro.opt import cfg, peephole
 
         generated = _compile(straightline(assignments), opt_level=0).generated
         calls = {
@@ -545,7 +614,7 @@ class TestLinearBookkeeping:
                 isinstance(item, Instr) for item in generated.buffer.items
             ),
         }
-        real_effects = peephole.instr_effects
+        real_effects = s370_effects.instr_effects
         real_labels = peephole._label_positions
 
         def counting_effects(instr):
@@ -556,7 +625,9 @@ class TestLinearBookkeeping:
             calls["label_maps"] += 1
             return real_labels(items)
 
-        monkeypatch.setattr(peephole, "instr_effects", counting_effects)
+        # A fresh shared effects memo, so the count covers this run only.
+        monkeypatch.setattr(cfg, "_EFFECTS_MEMO", {})
+        monkeypatch.setattr(s370_effects, "instr_effects", counting_effects)
         monkeypatch.setattr(peephole, "_label_positions", counting_labels)
         result = run_peephole(generated)
         monkeypatch.undo()
@@ -568,8 +639,8 @@ class TestLinearBookkeeping:
         large = self._counts(monkeypatch, 400)
         assert small["instr_effects"] > 0
         assert large["instr_effects"] <= 2.3 * small["instr_effects"]
-        # Memoized per run: never more than one per selected instruction,
-        # however many rules and passes ask.
+        # Memoized: never more than one per selected instruction, however
+        # many rules ask.
         assert large["instr_effects"] <= large["instructions"]
 
     def test_one_label_map_per_run(self, monkeypatch):

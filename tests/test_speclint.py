@@ -38,6 +38,7 @@ FIXTURE_CASES = {
         {"SL020", "SL023", "SL024", "SL030", "SL031", "SL032", "SL033"},
     ),
     "peepidiom": ([], 0, {"SL040"}),
+    "noindexslot": (["--target", "s370"], 1, {"SL035"}),
 }
 
 
