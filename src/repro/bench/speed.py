@@ -5,10 +5,10 @@ writes a versioned ``BENCH_speed.json`` so successive commits leave a
 comparable trajectory:
 
 * **tokens/second** through the skeletal parser on the straightline(250)
-  workload, in three lanes: the dense-coded runtime, the
-  compressed-table runtime, and (schema 5) the **specialized** lane --
-  the tables compiled to straight-line Python by
-  :mod:`repro.core.specialize`;
+  workload, in three lanes (schema 8): ``reference`` runs every
+  reduction through the generic reducer, ``tiered`` has the reducers
+  compiled by :mod:`repro.core.specialize` installed, and
+  ``compressed`` is ``tiered`` over the compressed tables;
 * **table construction** phase times (spec parse, automaton, SLR
   resolution, compression);
 * **cold vs. warm start** through the persistent build cache, including
@@ -62,7 +62,15 @@ from typing import Any, Dict, List
 #:    which replaced predecoded dispatch) and ``reference`` (the
 #:    decode-every-step loop), and ``speedup_predecode_vs_legacy`` is
 #:    ``speedup_blocks_vs_reference``.
-SCHEMA_VERSION = 7
+#: 8: the codegen lanes time what they name.  Up to 7 the ``dense``
+#:    lane called the generator the build cache had attached the
+#:    ahead-of-time engine to, so ``dense`` and ``specialized`` timed
+#:    the same engine.  The lanes are now ``reference`` (generic
+#:    reducer only), ``tiered`` (compiled reducers installed) and
+#:    ``compressed`` (``tiered`` over the compressed tables), with
+#:    ``speedup_tiered_vs_reference`` and ``tiered_first_call_s``, the
+#:    first generate of a fresh generator, which compiles the reducers.
+SCHEMA_VERSION = 8
 
 DEFAULT_REPORT = "BENCH_speed.json"
 
@@ -129,18 +137,18 @@ def measure_codegen(
     seed: int = 9,
     variant: str = "full",
 ) -> Dict[str, Any]:
-    """Tokens/second in the dense, compressed and specialized runtime
-    lanes.
+    """Tokens/second through the code generator in three lanes.
 
-    All lanes generate the same workload with the same build's SDTS on
-    the same machine in the same process, so the reported ratios
-    isolate the runtime representation -- not machine load or Python
-    startup.  The ``specialized`` lane is the table-compiled engine
-    from :mod:`repro.core.specialize` (built in-memory here, so the
-    bench never depends on cache state).  The harness asserts every
-    lane emits an identical instruction stream before timing anything.
+    ``reference`` keeps every reduction on the generic reducer,
+    ``tiered`` runs with the compiled reducers installed, and
+    ``compressed`` is ``tiered`` over the compressed tables.  Each lane
+    gets its own generator for the build's SDTS, all in one process,
+    so the ratios isolate the reducers and the table representation --
+    not machine load or Python startup.  The harness asserts every
+    lane emits an identical instruction stream before timing anything;
+    that first call of the ``tiered`` lane, which compiles its
+    reducers, is reported as ``tiered_first_call_s``.
     """
-    from repro.core import specialize
     from repro.core.codegen.parser_rt import CodeGenerator
     from repro.bench.workloads import straightline
     from repro.pascal.compiler import cached_build
@@ -149,10 +157,12 @@ def measure_codegen(
     from repro.pascal.sema import check_program
 
     build = cached_build(variant)
+    reference_gen = CodeGenerator(build.sdts, build.tables, build.machine)
+    reference_gen.compile_threshold = None
+    tiered_gen = CodeGenerator(build.sdts, build.tables, build.machine)
     compressed_gen = CodeGenerator(
         build.sdts, build.compressed, build.machine
     )
-    engine = specialize.build_engine(build)
 
     program = check_program(parse_source(straightline(assignments, seed=seed)))
     ir = generate_ir(program)
@@ -161,31 +171,25 @@ def measure_codegen(
     ntokens = len(dense_tokens)
     frame = ir.spill_frame
 
-    def _interp(gen, toks):
-        return gen.generate(list(toks), frame=frame)
-
-    def _spec(_engine, toks):
-        return _engine(list(toks), frame=frame)
-
     lanes = {
-        "dense": (build.code_generator, dense_tokens, _interp),
-        "compressed": (compressed_gen, compressed_tokens, _interp),
-        "specialized": (engine, dense_tokens, _spec),
+        "reference": (reference_gen, dense_tokens),
+        "tiered": (tiered_gen, dense_tokens),
+        "compressed": (compressed_gen, compressed_tokens),
     }
 
     # Correctness gate: identical instruction streams across lanes.
-    streams = {
-        name: [
-            str(item)
-            for item in call(gen, toks).buffer.items
-        ]
-        for name, (gen, toks, call) in lanes.items()
-    }
-    reference = streams["dense"]
+    streams = {}
+    first_call: Dict[str, float] = {}
+    for name, (gen, toks) in lanes.items():
+        start = time.perf_counter()
+        generated = gen.generate(list(toks), frame=frame)
+        first_call[name] = time.perf_counter() - start
+        streams[name] = [str(item) for item in generated.buffer.items]
+    reference = streams["reference"]
     for name, stream in streams.items():
         if stream != reference:
             raise AssertionError(
-                f"lane {name!r} diverged from the dense lane "
+                f"lane {name!r} diverged from the reference lane "
                 f"({len(stream)} vs {len(reference)} items)"
             )
 
@@ -195,15 +199,16 @@ def measure_codegen(
         "instructions": len(reference),
         "iterations": iterations,
         "lanes_identical": True,
+        "tiered_first_call_s": first_call["tiered"],
     }
     # Interleave the lanes round-robin so slow machine drift (thermal
     # throttling, a background process) lands on every lane equally
     # instead of biasing whichever lane happened to run last.
     samples: Dict[str, List[float]] = {name: [] for name in lanes}
     for _ in range(iterations):
-        for name, (gen, toks, call) in lanes.items():
+        for name, (gen, toks) in lanes.items():
             start = time.perf_counter()
-            call(gen, toks)
+            gen.generate(list(toks), frame=frame)
             samples[name].append(time.perf_counter() - start)
     for name, lane_samples in samples.items():
         median = statistics.median(lane_samples)
@@ -213,8 +218,8 @@ def measure_codegen(
             "samples_s": lane_samples,
             "tokens_per_s": ntokens / median,
         }
-    result["speedup_specialized_vs_compressed"] = (
-        result["compressed"]["median_s"] / result["specialized"]["median_s"]
+    result["speedup_tiered_vs_reference"] = (
+        result["reference"]["median_s"] / result["tiered"]["median_s"]
     )
     return result
 
@@ -515,6 +520,9 @@ def write_report(report: Dict[str, Any], path: Path) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
+_CODEGEN_LANES = ("reference", "tiered", "compressed")
+
+
 def validate_report(report: Dict[str, Any]) -> List[str]:
     """Schema check for CI: returns a list of problems (empty = valid)."""
     problems: List[str] = []
@@ -528,7 +536,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
         if key not in report:
             problems.append(f"missing top-level key {key!r}")
     codegen = report.get("codegen", {})
-    for lane in ("dense", "compressed", "specialized"):
+    for lane in _CODEGEN_LANES:
         timing = codegen.get(lane)
         if not isinstance(timing, dict):
             problems.append(f"missing codegen lane {lane!r}")
@@ -536,12 +544,9 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
         for field in ("median_s", "min_s", "samples_s", "tokens_per_s"):
             if field not in timing:
                 problems.append(f"codegen.{lane} missing {field!r}")
-    if not isinstance(
-        codegen.get("speedup_specialized_vs_compressed"), (int, float)
-    ):
-        problems.append(
-            "codegen.speedup_specialized_vs_compressed missing or non-numeric"
-        )
+    for field in ("speedup_tiered_vs_reference", "tiered_first_call_s"):
+        if not isinstance(codegen.get(field), (int, float)):
+            problems.append(f"codegen.{field} missing or non-numeric")
     if codegen.get("lanes_identical") is not True:
         problems.append("codegen.lanes_identical is not true")
     cache = report.get("build_cache", {})
@@ -646,7 +651,7 @@ def render_summary(report: Dict[str, Any]) -> str:
         "",
         "lane               tokens/s      median",
     ]
-    for lane in ("specialized", "dense", "compressed"):
+    for lane in _CODEGEN_LANES:
         t = cg[lane]
         lines.append(
             f"{lane:<16s} {t['tokens_per_s']:>10,.0f}  "
@@ -654,8 +659,8 @@ def render_summary(report: Dict[str, Any]) -> str:
         )
     lines += [
         "",
-        f"specialized vs compressed: "
-        f"{cg['speedup_specialized_vs_compressed']:.2f}x",
+        f"tiered vs reference: {cg['speedup_tiered_vs_reference']:.2f}x "
+        f"(first tiered call {1000 * cg['tiered_first_call_s']:.0f} ms)",
         f"table build: {1000 * tb['total_s']:.0f} ms "
         f"(automaton {1000 * tb['automaton_s']:.0f}, "
         f"slr {1000 * tb['slr_tables_s']:.0f}, "

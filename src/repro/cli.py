@@ -46,8 +46,8 @@ Commands
     and pool failure degrades gracefully to serial.
 ``bench [speed|codequality]``
     Benchmark trajectories.  ``speed`` (the default): tokens/second
-    through the dense-coded, compressed and specialized runtime
-    lanes, steps/second through the simulator's compiled blocks
+    through the code generator with and without compiled reducers and
+    over compressed tables, steps/second through the simulator's compiled blocks
     against its reference loop, end-to-end per-phase medians and batch
     throughput, table-build phase times, and cold-vs-warm build-cache
     start; writes ``BENCH_speed.json`` (see :mod:`repro.bench.speed`).
@@ -64,7 +64,6 @@ assemble -> simulate) after the normal output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -101,23 +100,6 @@ def _add_opt_level(parser: argparse.ArgumentParser) -> None:
              "allocation, 4 adds interprocedural effect summaries "
              "(call-boundary facts and spill rematerialization)",
     )
-
-
-def _add_specialize(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-specialize", action="store_true",
-        help="disable the specialized table-compiled generator engine "
-             "(same as REPRO_SPECIALIZE=0): always run the interpreted "
-             "table lane",
-    )
-
-
-def _apply_specialize(args: argparse.Namespace) -> None:
-    """``--no-specialize`` maps onto the environment switch the build
-    cache consults, so every attach point inherits it -- including
-    worker subprocesses, which copy the environment."""
-    if getattr(args, "no_specialize", False):
-        os.environ["REPRO_SPECIALIZE"] = "0"
 
 
 class _InjectorNames:
@@ -162,7 +144,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      help="integers consumed by read/readln")
     run.add_argument("--profile", action="store_true",
                      help="print per-phase wall times after the run")
-    _add_specialize(run)
     _add_opt_level(run)
 
     comp = sub.add_parser("compile", help="compile and inspect")
@@ -185,7 +166,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     comp.add_argument("--dump-asm", action="store_true",
                       help="print the before/after peephole unified diff "
                            "with per-rule annotations")
-    _add_specialize(comp)
     comp.add_argument("--dump-cfg", action="store_true",
                       help="print the control-flow graph as Graphviz DOT "
                            "with per-block register/CC liveness")
@@ -213,7 +193,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "generator instead of failing that program")
     batch.add_argument("--no-run", action="store_true",
                        help="compile only; skip the simulator")
-    _add_specialize(batch)
     batch.add_argument("--profile", action="store_true",
                        help="print the batch's summed per-phase times")
     _add_opt_level(batch)
@@ -293,7 +272,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fallback", action="store_true",
                        help="default per-routine baseline fallback for "
                             "requests that don't specify one")
-    _add_specialize(serve)
     serve.add_argument("--metrics-file", type=Path, default=None,
                        help="write the final metrics snapshot here on "
                             "drain")
@@ -385,12 +363,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             opt_level=args.opt_level,
         )
         _report_degradations(compiled)
-        if compiled.stats.get("specialize_degraded_reason"):
-            print(
-                "** specialize degraded: "
-                f"{compiled.stats['specialize_degraded_reason']}",
-                file=sys.stderr,
-            )
         result = compiled.run(input_values=args.input, profiler=profiler)
         if profiler is not None:
             print(profiler.render(), file=sys.stderr)
@@ -732,7 +704,6 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    _apply_specialize(args)
     try:
         return _COMMANDS[args.command](args)
     except ReproError as error:

@@ -312,9 +312,7 @@ def artifact_path(cache_dir: Path, fingerprint: str) -> Path:
 def _write_atomic(path: Path, data: bytes) -> None:
     """No torn files: write a sibling temp file, then rename over.
 
-    The one atomic writer for the cache directory (artifacts and
-    specialized modules alike), so both get the same umask-derived
-    mode.  Raises :class:`OSError`; the temp file never outlives it.
+    Raises :class:`OSError`; the temp file never outlives it.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
@@ -350,7 +348,6 @@ def cached_build(
     version) is deleted and replaced by a fresh build: the cache can
     cost time, never correctness.
     """
-    from repro.core import specialize
     from repro.core.cogg import (
         BuildResult,
         TABLE_MODES,
@@ -409,7 +406,7 @@ def cached_build(
                 compressed if table_mode == "compressed" else tables
             )
             generator = CodeGenerator(sdts, runtime_tables, machine)
-            build = BuildResult(
+            return BuildResult(
                 sdts=sdts,
                 tables=tables,
                 compressed=compressed,
@@ -419,11 +416,6 @@ def cached_build(
                 automaton=None,
                 table_mode=table_mode,
             )
-            # Warm start: the specialized module loads from its cache
-            # file next to the artifact -- zero regeneration, proven by
-            # the specialize_emits counter staying flat.
-            specialize.attach(build, cache_dir, fingerprint)
-            return build
 
     buildstats.bump("cache_misses")
     build = build_from_sdts(sdts, machine, table_mode)
@@ -445,7 +437,4 @@ def cached_build(
         buildstats.bump("cache_writes")
     except OSError:  # pragma: no cover - unwritable cache dir is non-fatal
         pass
-    # Cold start: emit + compile the specialized module once, cached
-    # next to the artifact for every later process to import.
-    specialize.attach(build, cache_dir, fingerprint)
     return build

@@ -22,13 +22,6 @@ _COUNTERS: Dict[str, int] = {
     "cache_misses": 0,       # no usable artifact; built fresh
     "cache_corrupt": 0,      # artifact present but rejected
     "cache_writes": 0,       # artifact (re)written
-    # Specialized-module lane (repro.core.specialize): a warm start
-    # must keep specialize_emits at zero -- the module is emitted and
-    # compiled once, then imported from its cache file ever after.
-    "specialize_emits": 0,         # module source emitted + compiled
-    "specialize_cache_hits": 0,    # cached module reused
-    "specialize_cache_corrupt": 0, # cached module rejected + deleted
-    "specialize_degraded": 0,      # fell back to the interpreted lane
 }
 
 

@@ -21,7 +21,7 @@ a fixpoint; growth is monotone, so termination is immediate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import LoaderError
 from repro.core.machine import Encoder, MachineDescription
@@ -41,14 +41,33 @@ from repro.core.codegen.emitter import (
 from repro.core.codegen.parser_rt import GeneratedCode
 
 
-@dataclass
 class ListingLine:
-    """One line of the post-resolution assembly listing."""
+    """One line of the post-resolution assembly listing.
 
-    address: int
-    data: bytes
-    text: str
-    comment: str = ""
+    ``text`` may be given as an :class:`Instr`, whose opcode and operands
+    are kept and formatted on the first read of ``text``: most resolved
+    modules are never listed.
+    """
+
+    __slots__ = ("address", "data", "comment", "_text")
+
+    def __init__(
+        self, address: int, data: bytes, text: Union[str, Instr],
+        comment: str = "",
+    ):
+        self.address = address
+        self.data = data
+        self.comment = comment
+        self._text: Union[str, Tuple[str, tuple]] = (
+            text if isinstance(text, str) else (text.opcode, text.operands)
+        )
+
+    @property
+    def text(self) -> str:
+        text = self._text
+        if not isinstance(text, str):
+            text = self._text = str(Instr(*text))
+        return text
 
     def render(self) -> str:
         hexes = self.data.hex().upper()
@@ -191,12 +210,9 @@ def resolve_module(
                     literals.append(multiple)
                     changed = True
         if not changed:
+            # Nothing grew: this iteration's layout is the final one.
             break
 
-    pool_size = 4 * len(literals)
-    addresses, labels = _layout(
-        items, encoder, long_flags, pool_size, sizes
-    )
     if entry_label is not None:
         if entry_label not in labels:
             raise LoaderError(f"entry label {entry_label} is not defined")
@@ -229,7 +245,7 @@ def resolve_module(
         data = encoder.encode(instr, address)
         out.extend(data)
         module.listing_lines.append(
-            ListingLine(address, data, str(instr), comment or instr.comment)
+            ListingLine(address, data, instr, comment or instr.comment)
         )
 
     for index, item in enumerate(items):

@@ -25,19 +25,18 @@ symbol.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Tuple, Union,
+)
 
 from repro.errors import (
     ChainLoopError,
     CodeGenBlockedError,
     CodeGenError,
     RegisterPressureError,
-    SpecializeError,
     StepBudgetError,
 )
-from repro.core import buildstats
 from repro.core import tables as T
 from repro.core.grammar import END_MARKER, LAMBDA_SYMBOL, SDTS, Production
 from repro.core.machine import ClassKind, MachineDescription
@@ -814,12 +813,30 @@ class _ProdPlan:
         )
 
 
+#: Reductions of one production, counted per generator, after which its
+#: slot swaps the generic :meth:`CodeGenerator._reduce` for a reducer
+#: compiled from the production's plan by :mod:`repro.core.specialize`.
+#: A compiled reducer costs a few milliseconds to emit and compile and
+#: saves a few microseconds per reduction, so only productions that keep
+#: being reduced are worth it; a small program compiles none.
+COMPILE_THRESHOLD = 16
+
+
 class CodeGenerator:
     """A ready-to-run table-driven code generator for one machine.
 
     ``tables`` may be dense (:class:`~repro.core.tables.ParseTables`) or
     compressed (:class:`~repro.core.lr.compress.CompressedTables`); both
     expose the same coded-lookup contract the skeletal parser drives.
+
+    Reductions run in two tiers.  Every production that needs the
+    emission routine owns a reducer slot, which starts as the generic
+    :meth:`_reduce`.  A production's :data:`COMPILE_THRESHOLD`-th
+    reduction replaces its slot with a straight-line reducer compiled
+    from its :class:`_ProdPlan` (:mod:`repro.core.specialize`); the two
+    emit identical code.  ``compile_threshold = None`` keeps every slot
+    generic: that is the reference the compiled reducers are tested
+    against, not a user-facing option.
     """
 
     def __init__(
@@ -833,14 +850,7 @@ class CodeGenerator:
         self.tables = tables
         self.machine = machine
         self.allocation_strategy = allocation_strategy
-        #: Optional compiled engine from :mod:`repro.core.specialize`
-        #: (attached by the build cache).  ``None`` means interpret the
-        #: tables; a mid-run :class:`~repro.errors.SpecializeError`
-        #: demotes back to ``None`` with ``specialize_degraded_reason``
-        #: recorded -- specialization is never a correctness dependency.
-        self.specialized: Optional[Any] = None
-        self.specialize_degraded_reason: Optional[str] = None
-        self.specialize_info: Dict[str, Any] = {}
+        self.compile_threshold: Optional[int] = COMPILE_THRESHOLD
         self.handlers = dict(STANDARD_HANDLERS)
         self.handlers.update(machine.semop_handlers)
         self._opcode_names = {
@@ -853,19 +863,96 @@ class CodeGenerator:
         self._end_token = IFToken(
             END_MARKER, code=sym_index.get(END_MARKER, -1)
         )
-        #: Per-column shift dispatch: 0 = plain symbol (AttrValue or no
-        #: value), 1 = anything needing the validating slow path
-        #: (register classes, lambda).  Indexed by interned code.
-        self._shift_kinds = [
-            1 if (machine.register_class(sym) is not None
-                  or sym == LAMBDA_SYMBOL)
-            else 0
-            for sym in tables.symbols
-        ]
+        #: Action rows indexed ``[state][column]``: the dense matrix
+        #: itself, or per-state views over the compressed arrays.
+        self._rows = (
+            tables.matrix if type(tables) is ParseTables
+            else tables.row_views()
+        )
+        #: Per-column shift-value dispatch: ``None`` for a plain symbol
+        #: (an attribute or no value), else ``(tag, members)`` with tag
+        #: 0 = register class, 1 = pair class, 2 = condition code,
+        #: 3 = lambda.  Register tokens outside ``members`` go through
+        #: :meth:`_shift_value` for its diagnostics.
+        shift_fast: List[Optional[Tuple[int, Any]]] = []
+        for sym in tables.symbols:
+            cls = machine.register_class(sym)
+            if cls is None:
+                shift_fast.append((3, None) if sym == LAMBDA_SYMBOL else None)
+            elif cls.kind is ClassKind.CC:
+                shift_fast.append((2, None))
+            else:
+                shift_fast.append((
+                    1 if cls.kind is ClassKind.PAIR else 0,
+                    frozenset(cls.members),
+                ))
+        self._shift_fast = shift_fast
         self._plans = [
             _ProdPlan(prod, self, sym_index.get)
             for prod in sdts.productions
         ]
+        #: 0 = wrapper, 1 = chain (both inlined in the main loop),
+        #: 2 = a reduction through the production's reducer slot.
+        self._kinds = [
+            0 if p.wrapper_token is not None else (1 if p.is_chain else 2)
+            for p in self._plans
+        ]
+        self._nrhs = [p.nrhs for p in self._plans]
+        #: (code, symbol, value) of a wrapper's LHS; (code, symbol, None)
+        #: of a chain's.
+        self._gotos: List[Optional[Tuple[int, str, StackValue]]] = [
+            (p.wrapper_token.code, p.lhs_symbol, p.wrapper_token.sem)
+            if p.wrapper_token is not None
+            else (p.lhs_code, p.lhs_symbol, None) if p.is_chain
+            else None
+            for p in self._plans
+        ]
+        self._reducers: List[Optional[Callable]] = [None] * len(self._plans)
+        self.drop_compiled_reducers()
+
+    # ---- reducer slots ---------------------------------------------------------------
+
+    def drop_compiled_reducers(self) -> None:
+        """Put every reducer slot back on the generic :meth:`_reduce`,
+        with its reduction count at zero.  The slots are replaced in
+        place, so a ``generate`` call in flight sees the change at its
+        next reduction."""
+        self._reducers[:] = [
+            self._generic_slot(pid) if kind else None
+            for pid, kind in enumerate(self._kinds)
+        ]
+
+    def _generic_slot(self, pid: int) -> Callable:
+        plan = self._plans[pid]
+        reduce = self._reduce
+        if self._kinds[pid] == 1:
+            # A chain reaches its slot only with a spilled or unbound
+            # value; nothing there is worth compiling.
+            return lambda run, stack, front: reduce(run, front, plan)
+        # Threads share the slots without a lock: a lost count delays a
+        # compile, and two threads crossing the threshold together each
+        # install an equivalent reducer.
+        count = 0
+
+        def generic(run, stack, front):
+            nonlocal count
+            count += 1
+            threshold = self.compile_threshold
+            if threshold is not None and count >= threshold:
+                compiled = self._compile_reducer(pid)
+                self._reducers[pid] = compiled
+                return compiled(run, stack, front)
+            return reduce(run, front, plan)
+
+        return generic
+
+    def _compile_reducer(self, pid: int) -> Callable:
+        # Imported lazily: the specializer imports this module.
+        from repro.core import specialize
+
+        return specialize.load_module(
+            specialize.emit_module(self, pid), self, pid
+        )
 
     # ---- value construction on shift ------------------------------------------------
 
@@ -926,80 +1013,35 @@ class CodeGenerator:
 
         The loop runs on interned symbol codes: every token is stamped
         with its parse-table column on intake (or arrives pre-stamped by
-        ``linearize(..., codes=tables.sym_index)``), the action decode is
-        inlined arithmetic on the halfword encoding, and symbol strings
-        surface only on the error paths.
-
-        When the build cache attached a specialized engine
-        (:mod:`repro.core.specialize`) and the emission targets are not
-        caller-shared, the call runs through the compiled module
-        instead; a :class:`~repro.errors.SpecializeError` from the
-        engine demotes this generator to the interpreted lane for good
-        and regenerates from scratch, stamping ``degraded_reason`` into
-        the result's stats.  Output is byte-identical either way.
+        ``linearize(..., codes=tables.sym_index)``), and symbol strings
+        surface only on the error paths.  The input is read by index;
+        tokens a reduction prefixes (its LHS, or what semantic operators
+        push) wait on a LIFO list in front of it.  When the LHS's action
+        in the uncovered state is a shift, the reduction and that shift
+        run as one iteration (``steps`` and the chain watchdog advance
+        by two, as for the two iterations they stand for).
         """
-        engine = self.specialized
-        if (
-            engine is not None
-            and buffer is None and labels is None and cse is None
-            # Strategy/plan overrides need the interpreted runtime's
-            # spill-log instrumentation; the compiled engine has none.
-            and strategy is None and not spill_plan
-        ):
-            if not isinstance(tokens, list):
-                # The fallback path must be able to re-read the stream.
-                tokens = list(tokens)
-            try:
-                generated = engine(
-                    tokens, frame=frame, guards=guards, stats=stats
-                )
-            except SpecializeError as error:
-                self.specialized = None
-                self.specialize_degraded_reason = str(error)
-                buildstats.bump("specialize_degraded")
-            else:
-                generated.stats["specialized"] = True
-                return generated
-        generated = self._generate_coded(
-            tokens, frame=frame, guards=guards, buffer=buffer,
-            labels=labels, cse=cse, stats=stats,
-            strategy=strategy, spill_plan=spill_plan,
-        )
-        if self.specialize_degraded_reason:
-            generated.stats["specialized"] = False
-            generated.stats["degraded_reason"] = (
-                self.specialize_degraded_reason
-            )
-        return generated
-
-    def _generate_coded(
-        self,
-        tokens: Iterable[IFToken],
-        frame: Optional[Frame] = None,
-        guards: Optional[ParserGuards] = None,
-        buffer: Optional[CodeBuffer] = None,
-        labels: Optional[LabelDictionary] = None,
-        cse: Optional[CseManager] = None,
-        stats: Optional[Dict[str, Any]] = None,
-        strategy: Optional[str] = None,
-        spill_plan: Tuple[SpillDirective, ...] = (),
-    ) -> GeneratedCode:
-        """The interpreted coded hot loop (the behavioral reference the
-        specialized lane is gated against)."""
         run = _Run(
             self, frame, buffer=buffer, labels=labels, cse=cse, stats=stats,
             strategy=strategy, spill_plan=spill_plan,
         )
-        code_get = self._code_get
-        # Intake: stamp interned codes once so the hot loop never hashes
-        # a symbol string.  Pre-stamped codes must come from this
-        # generator's own tables (columns are a per-build assignment);
-        # every in-repo producer linearizes against build.tables.
-        pending: Deque[IFToken] = deque(
-            t if t.code is not None
-            else IFToken(t.symbol, t.value, t.sem, code_get(t.symbol, -1))
-            for t in tokens
-        )
+        # Intake: pre-stamped codes must come from this generator's own
+        # tables (columns are a per-build assignment); every in-repo
+        # producer linearizes against build.tables.
+        toks = tokens if type(tokens) is list else list(tokens)
+        for t in toks:
+            if t.code is None:
+                code_get = self._code_get
+                toks = [
+                    t if t.code is not None
+                    else IFToken(t.symbol, t.value, t.sem,
+                                 code_get(t.symbol, -1))
+                    for t in toks
+                ]
+                break
+        ntoks = len(toks)
+        i = 0
+        front: List[IFToken] = []
         stack = run.stack
         stack.append((0, "<bottom>", None))
         reductions = 0
@@ -1007,37 +1049,34 @@ class CodeGenerator:
         guards = guards if guards is not None else DEFAULT_GUARDS
         budget = guards.step_budget
         if budget is None:
-            budget = max(10_000, 64 * (len(pending) + 1))
+            budget = max(10_000, 64 * (ntoks + 1))
         chain_limit = guards.chain_limit
         steps = 0
-        #: prefixed (synthetic) tokens currently at the head of `pending`;
-        #: popping one of those is not input progress.
-        synthetic_front = 0
         #: steps since the parse last made real progress (consumed an
         #: original token or reached a new stack-depth minimum).
         chain_steps = 0
-        min_depth = len(stack)
-        nstates = self.tables.nstates
-        plans = self._plans
-        nproductions = len(plans)
+        min_depth = 1
+        rows = self._rows
+        nstates = len(rows)
+        #: Shift actions encode state s as 2 + 2s.
+        shift_end = 2 + 2 * nstates
+        kinds = self._kinds
+        nrhs = self._nrhs
+        gotos = self._gotos
+        nproductions = len(kinds)
+        reducers = self._reducers
+        shift_fast = self._shift_fast
         end_token = self._end_token
-        lookup_coded = self.tables.lookup_coded
-        # Dense tables get their matrix indexed inline (two subscripts,
-        # no call); the compressed representation goes through its
-        # lookup_coded method.
-        matrix = (
-            self.tables.matrix
-            if type(self.tables) is ParseTables else None
-        )
-        shift_kinds = self._shift_kinds
+        annotate = self._annotate
         alloc = run.alloc
         state = 0
+        row = rows[0]
 
         while True:
             if steps >= budget:
                 raise StepBudgetError(
                     f"parse exceeded its step budget of {budget} "
-                    f"(state {state}, {len(pending)} tokens "
+                    f"(state {state}, {ntoks - i + len(front)} tokens "
                     f"unconsumed): corrupted tables or malformed IF?",
                     budget=budget,
                 )
@@ -1052,116 +1091,138 @@ class CodeGenerator:
                     stack=[(s, sym) for s, sym, _ in stack],
                     steps=chain_steps,
                 )
-            lookahead = pending[0] if pending else end_token
+            lookahead = front[-1] if front else (
+                toks[i] if i < ntoks else end_token
+            )
             col = lookahead.code
-            if col < 0:
-                action = T.ERROR
-            elif matrix is not None:
-                action = matrix[state][col]
-            else:
-                action = lookup_coded(state, col)
+            action = row[col] if col >= 0 else T.ERROR
             if action >= 2:
                 if not action & 1:
                     # SHIFT (even >= 2): covers terminals, operators and
                     # the goto-as-shift of prefixed non-terminals.
-                    next_state = (action - 2) >> 1
-                    if next_state >= nstates:
-                        raise self._annotate(
+                    if action >= shift_end:
+                        raise annotate(
                             CodeGenError(
                                 f"corrupt parse table: shift to state "
-                                f"{next_state} of {nstates}"
+                                f"{(action - 2) >> 1} of {nstates}"
                             ),
                             run, lookahead,
                         )
-                    sem = lookahead.sem
-                    if sem is not None:
-                        value = sem
-                    elif shift_kinds[col]:
-                        # Register classes and lambda: validating path.
-                        try:
-                            value = self._shift_value(lookahead)
-                        except CodeGenError as error:
-                            raise self._annotate(error, run, lookahead)
-                    else:
+                    value = lookahead.sem
+                    if value is None:
+                        fast = shift_fast[col]
                         v = lookahead.value
-                        value = (
-                            AttrValue(lookahead.symbol, v)
-                            if v is not None else None
-                        )
-                    stack.append((next_state, lookahead.symbol, value))
-                    state = next_state
-                    if pending:
-                        pending.popleft()
-                        if synthetic_front:
-                            synthetic_front -= 1
-                            chain_steps += 1
+                        if fast is None:
+                            if v is not None:
+                                value = AttrValue(lookahead.symbol, v)
                         else:
-                            chain_steps = 0
-                            min_depth = len(stack)
+                            tag, members = fast
+                            if tag < 2 and v is not None and v in members:
+                                value = (
+                                    RegValue(v, lookahead.symbol) if tag == 0
+                                    else PairValue(v, lookahead.symbol)
+                                )
+                            elif tag == 2:
+                                value = CCValue()
+                            elif tag == 3:
+                                value = LambdaValue()
+                            else:
+                                try:
+                                    value = self._shift_value(lookahead)
+                                except CodeGenError as error:
+                                    raise annotate(error, run, lookahead)
+                    state = (action - 2) >> 1
+                    row = rows[state]
+                    stack.append((state, lookahead.symbol, value))
+                    if front:
+                        del front[-1]
+                        chain_steps += 1
+                    elif i < ntoks:
+                        i += 1
+                        chain_steps = 0
+                        min_depth = len(stack)
                     else:
                         chain_steps += 1
                     continue
                 # REDUCE (odd >= 3)
                 pid = (action - 3) >> 1
                 if pid >= nproductions:
-                    raise self._annotate(
+                    raise annotate(
                         CodeGenError(
                             f"corrupt parse table: reduce by unknown "
                             f"production {pid} of {nproductions}"
                         ),
                         run, lookahead,
                     )
-                plan = plans[pid]
-                n = plan.nrhs
-                if n >= len(stack):
-                    raise self._annotate(
+                if nrhs[pid] >= len(stack):
+                    raise annotate(
                         CodeGenError(
                             f"corrupt parse table: reduce by production "
                             f"{pid} pops below the stack bottom"
                         ),
                         run, lookahead,
                     )
-                if plan.wrapper_token is not None:
-                    # Wrapper fast path: no templates, no allocation --
-                    # pop the RHS and prefix the (shared, precoded) LHS.
+                # Every branch leaves (code, symbol, value) of the LHS to
+                # shift next, or code None once the tokens to re-parse
+                # are on ``front``.
+                kind = kinds[pid]
+                if kind == 0:
+                    # Wrapper: no templates, no allocation -- pop the RHS
+                    # and shift the LHS with its shared lambda value.
+                    n = nrhs[pid]
                     if n:
                         del stack[-n:]
-                    pending.appendleft(plan.wrapper_token)
-                    synthetic_front += 1
+                    code, symbol, value = gotos[pid]
                 elif (
-                    plan.is_chain
-                    and stack[-1][2] is not None
+                    kind == 1 and stack[-1][2] is not None
                     and type(stack[-1][2]) is not SpilledValue
                 ):
-                    # Chain fast path: the popped value rides through
-                    # under the LHS symbol.  Spilled values and unbound
-                    # (None) values take the full path for its reload
-                    # and error handling.
-                    value = stack[-1][2]
-                    del stack[-1:]
+                    # Chain: the popped value rides through under the
+                    # LHS symbol.
+                    code, symbol, _ = gotos[pid]
+                    value = stack.pop()[2]
                     alloc.global_index += 1  # begin_reduction
-                    pending.appendleft(
-                        IFToken(plan.lhs_symbol, None, value, plan.lhs_code)
-                    )
-                    synthetic_front += 1
                 else:
-                    before = len(pending)
+                    # The production's reducer slot.  A chain's slot is
+                    # the generic reducer, for the reload of a spilled
+                    # value and the error on an unbound (None) one.
                     try:
-                        self._reduce(run, pending, plan)
+                        goto = reducers[pid](run, stack, front)
                     except CodeGenError as error:
-                        raise self._annotate(error, run, lookahead)
-                    synthetic_front += len(pending) - before
-                state = stack[-1][0]
+                        raise annotate(error, run, lookahead)
+                    if goto is None:
+                        code = None
+                    else:
+                        code, symbol, value = goto
                 reductions += 1
-                if len(stack) < min_depth:
-                    min_depth = len(stack)
+                depth = len(stack)
+                if code is not None:
+                    fused = rows[stack[-1][0]][code] if code >= 0 else 0
+                    # A corrupt shift target takes the unfused path, whose
+                    # next iteration reports it.
+                    if fused >= 2 and not fused & 1 and fused < shift_end:
+                        state = (fused - 2) >> 1
+                        row = rows[state]
+                        stack.append((state, symbol, value))
+                        steps += 1
+                        if depth < min_depth:
+                            min_depth = depth
+                            chain_steps = 1
+                        else:
+                            chain_steps += 2
+                        continue
+                    front.append(IFToken(symbol, None, value, code))
+                state = stack[-1][0]
+                row = rows[state]
+                if depth < min_depth:
+                    min_depth = depth
                     chain_steps = 0
                 else:
                     chain_steps += 1
                 continue
             if action == T.ACCEPT:
-                if pending:
-                    raise self._annotate(
+                if front or i < ntoks:
+                    raise annotate(
                         CodeGenError(
                             "accepted before the IF stream was exhausted"
                         ),
@@ -1226,8 +1287,16 @@ class CodeGenerator:
     # ---- the code emission routine --------------------------------------------------------
 
     def _reduce(
-        self, run: _Run, pending: Deque[IFToken], plan: _ProdPlan
-    ) -> None:
+        self, run: _Run, front: List[IFToken], plan: _ProdPlan
+    ) -> Optional[Tuple[int, str, StackValue]]:
+        """The generic reducer: the paper's emission routine, driven by
+        the production's plan.
+
+        Returns ``(code, symbol, value)`` of the LHS for the main loop
+        to shift, or ``None`` after pushing the tokens to re-parse --
+        what semantic operators prefixed, then the LHS -- onto
+        ``front`` (LIFO: the last one pushed is read first).
+        """
         stack = run.stack
         n = plan.nrhs
         values = [v for (_, _, v) in stack[-n:]] if n else []
@@ -1279,10 +1348,10 @@ class CodeGenerator:
                     handler(ctx, payload)
             # Epilogue (paper 4.1): push back the LHS, release RHS uses.
             prod = ctx.prod
-            prefix = ctx.prefix
-            lhs_token: Optional[IFToken] = None
+            goto: Optional[Tuple[int, str, StackValue]] = None
             if plan.lambda_token is not None:
-                lhs_token = plan.lambda_token
+                token = plan.lambda_token
+                goto = (token.code, token.symbol, token.sem)
             elif not ctx.ignore_lhs:
                 lhs_ref = prod.lhs_ref
                 assert lhs_ref is not None
@@ -1297,7 +1366,7 @@ class CodeGenerator:
                     tv = type(lhs_value)
                 if tv is RegValue or tv is PairValue:
                     alloc.acquire(lhs_value)
-                lhs_token = IFToken(prod.lhs, None, lhs_value, plan.lhs_code)
+                goto = (plan.lhs_code, plan.lhs_symbol, lhs_value)
 
             # Consume the RHS operands: "When a register is allocated,
             # its use count is decremented" -- each consumed stack
@@ -1315,14 +1384,16 @@ class CodeGenerator:
                 if tv is RegValue or tv is PairValue:
                     alloc.release(value)
 
-            # Most reductions prefix exactly one LHS token; skip the
-            # list-reverse dance for that case.
-            if prefix:
-                if lhs_token is not None:
-                    prefix.append(lhs_token)
-                pending.extendleft(reversed(prefix))
-            elif lhs_token is not None:
-                pending.appendleft(lhs_token)
+            # Most reductions prefix nothing and hand the LHS straight
+            # back to the main loop.
+            prefix = ctx.prefix
+            if not prefix:
+                return goto
+            if goto is not None:
+                code, symbol, value = goto
+                prefix.append(IFToken(symbol, None, value, code))
+            front.extend(reversed(prefix))
+            return None
         finally:
             run.active_ctx = None
             alloc.unpin_all()

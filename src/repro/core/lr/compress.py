@@ -94,6 +94,14 @@ class CompressedTables:
             return self.next[slot]
         return self.default[state]
 
+    def row_views(self) -> List["_RowView"]:
+        """One read-only ``[col]`` view per state, so the skeletal
+        parser indexes a compressed row exactly like a dense one."""
+        return [
+            _RowView(base, default, self.next, self.check)
+            for base, default in zip(self.base, self.default)
+        ]
+
     def expected_symbols(self, state: int) -> List[str]:
         """Symbols with a non-ERROR action (diagnostics for blocking).
 
@@ -209,6 +217,27 @@ class CompressedTables:
             next=nxt,
             check=check,
         )
+
+
+class _RowView:
+    """:meth:`CompressedTables.lookup_coded` for one state, as
+    ``row[col]``."""
+
+    __slots__ = ("base", "default", "next", "check", "size")
+
+    def __init__(self, base: int, default: int, next_: List[int],
+                 check: List[int]):
+        self.base = base
+        self.default = default
+        self.next = next_
+        self.check = check
+        self.size = len(next_)
+
+    def __getitem__(self, col: int) -> int:
+        slot = self.base + col
+        if 0 <= slot < self.size and self.check[slot] == col:
+            return self.next[slot]
+        return self.default
 
 
 def compressed_equal(a: CompressedTables, b: CompressedTables) -> bool:

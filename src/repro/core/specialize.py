@@ -1,26 +1,21 @@
-"""Build-time specialization: compile the LR tables to a Python module.
+"""Compiled reducers: one production's reduction as straight-line Python.
 
-The paper's premise is that CoGG is a *generator* -- the tables are the
-product.  This module goes one level further in the same spirit: at
-table-build time it emits a specialized Python module per (spec,
-machine) pair, in which
+The generic reducer (:meth:`repro.core.codegen.parser_rt.CodeGenerator._reduce`)
+walks a production's :class:`~repro.core.codegen.parser_rt._ProdPlan`
+on every reduction.  Once a production has been reduced
+:data:`~repro.core.codegen.parser_rt.COMPILE_THRESHOLD` times, the code
+generator asks this module for a reducer compiled from that live plan
+and installs it in the production's slot.  In the compiled reducer
 
-* the action matrix is a flat tuple-of-tuples of ints indexed by
-  ``[state][column]`` with **no dict lookups and no bounds checks** in
-  the hot loop (every action is statically validated at emission time),
-* each non-wrapper production's reduction plan -- RHS pops, pins,
-  ``using``/``need`` allocation with the class name and binding key
-  baked in as literals, the template sequence, and the LHS epilogue --
-  is unrolled into a straight-line reducer function; productions
-  without semantic-operator handlers skip the ``EmissionContext``
-  entirely and resolve every template operand inline from locals (the
-  interned ``R`` operand table indexed directly, constant operands
-  prebuilt and shared), and
-* the reduce -> prefix-LHS -> re-shift round-trip of the skeletal
-  parser is fused into a direct goto-as-shift: when the LHS's action in
-  the uncovered state is a shift, the reducer's result is pushed onto
-  the parse stack immediately, skipping the pending-queue round-trip
-  and (for chain rules) the ``IFToken`` allocation entirely.
+* the RHS pops, pins, ``using``/``need`` allocation with the class name
+  and binding key baked in as literals, the template sequence and the
+  LHS epilogue are unrolled into one function;
+* productions without semantic-operator handlers skip the
+  ``EmissionContext`` entirely and resolve every template operand
+  inline from locals (the interned ``R`` operand table indexed
+  directly, constant operands prebuilt and shared); and
+* the register allocator's LRU scans, pins and releases are inlined as
+  field operations on its register pool.
 
 Skipping the ``EmissionContext`` for handler-free productions is safe
 because the context exists for two consumers only: semantic-operator
@@ -30,108 +25,18 @@ the current reduction, since every register bound during a reduction
 (RHS operands and fresh allocations alike) is pinned before anything
 can allocate, and pinned registers are never spill victims.  Spilled
 *incoming* operands still need the context's reload machinery, so the
-fast reducers guard on ``SpilledValue`` and fall back to the
-interpreted ``_reduce`` for that reduction.
+fast reducers guard on ``SpilledValue`` and hand that reduction to the
+generic reducer.
 
-The generated source is content-addressed and cached next to the
-``CoGGart1`` artifact (``<fingerprint40>.coggspec.py``), guarded by a
-whole-file checksum, compiled once, and imported on warm start;
-:mod:`repro.core.buildstats` counters (``specialize_emits``,
-``specialize_cache_hits``, ``specialize_cache_corrupt``) prove zero
-regeneration across processes.  Every failure mode -- corrupt file,
-stale specializer version, structural mismatch against the live
-generator -- degrades to the interpreted table lane with a
-``degraded_reason``; specialization is a pure accelerator and never a
-correctness dependency.  Output is gated byte-identical against the
-interpreted lanes over every bench workload (``repro.bench.speed``
-schema 5, ``tests/test_specialize.py``).
+A compiled reducer has the generic one's contract: it returns
+``(code, symbol, value)`` of the LHS for the main loop to shift, or
+``None`` after pushing the tokens to re-parse onto ``front``.  The two
+emit identical code (``tests/test_specialize.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-from pathlib import Path
-from types import CodeType
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.core import buildcache, buildstats
-from repro.errors import SpecializeError
-
-#: Bump when the shape of the generated module changes; part of the
-#: content address, so old modules are never loaded, just regenerated.
-SPECIALIZER_VERSION = 1
-
-#: Embedded magic; a module without it is not ours.
-MODULE_MAGIC = "CoGGspec1"
-
-#: The EmissionContext slot layout the ctx reducers' unrolled
-#: constructor stores assume.  Factories compare this against the live
-#: class and degrade on any drift.
-_EC_SLOTS = (
-    "gen", "run", "prod", "values", "machine", "alloc", "cse",
-    "labels", "buffer", "stats", "ignore_lhs", "prefix", "allocated",
-    "_suppressed", "bindings",
-)
-
-#: Cache filename suffix (next to the ``.coggart`` artifact).
-MODULE_SUFFIX = ".coggspec.py"
-
-#: Action-encoding constants mirrored from :mod:`repro.core.tables`.
-_ERROR, _ACCEPT = 0, 1
-
-
-def enabled() -> bool:
-    """Specialization switch (default on): ``REPRO_SPECIALIZE=0`` or
-    the ``--no-specialize`` CLI flag turns the lane off."""
-    return os.environ.get("REPRO_SPECIALIZE", "1") != "0"
-
-
-# ---- fingerprinting ---------------------------------------------------------
-
-_DIGEST_CACHE: Dict[str, str] = {}
-
-
-def _specializer_digest() -> str:
-    """SHA-256 over the modules whose behavior the generated code bakes
-    in: this specializer, the parser runtime it mirrors, the register
-    allocator whose pin/release protocol the fast reducers replicate,
-    and the semantic-operator registry its reducers classify against.
-    Editing any of them invalidates every cached module."""
-    cached = _DIGEST_CACHE.get("digest")
-    if cached is not None:
-        return cached
-    import repro.core.codegen.parser_rt as parser_rt
-    import repro.core.codegen.registers as registers
-    import repro.core.codegen.semantic_ops as semantic_ops
-    import sys
-
-    h = hashlib.sha256()
-    for mod in (sys.modules[__name__], parser_rt, registers, semantic_ops):
-        h.update(Path(mod.__file__).read_bytes())
-    digest = h.hexdigest()
-    _DIGEST_CACHE["digest"] = digest
-    return digest
-
-
-def specialize_fingerprint(build_fingerprint: str) -> str:
-    """Content address of the specialized module for one build.
-
-    Covers the build fingerprint (spec text, machine, table-builder
-    digests -- see :func:`repro.core.buildcache.build_fingerprint`),
-    the specializer version, and the specializer-module digests.
-    """
-    h = hashlib.sha256()
-    h.update(MODULE_MAGIC.encode("ascii") + b"\n")
-    h.update(build_fingerprint.encode("ascii") + b"\n")
-    h.update(str(SPECIALIZER_VERSION).encode("ascii") + b"\n")
-    h.update(_specializer_digest().encode("ascii") + b"\n")
-    return h.hexdigest()
-
-
-def module_path(cache_dir: Path, fingerprint: str) -> Path:
-    """Where the specialized module for ``fingerprint`` lives."""
-    return Path(cache_dir) / f"{fingerprint[:40]}{MODULE_SUFFIX}"
 
 
 # ---- emission: inline operand resolution ------------------------------------
@@ -141,7 +46,7 @@ def module_path(cache_dir: Path, fingerprint: str) -> Path:
 # on the fast reducer's locals instead of closures over ctx.bindings.
 # Error messages are reproduced exactly; runtime values are spliced via
 # string concatenation so arbitrary spec text never breaks the f-string
-# quoting of the generated module.
+# quoting of the generated reducer.
 
 
 def _inline_int(primary, tmpl, prod, gen, env):
@@ -532,73 +437,13 @@ def _ctx_operand(t, j, operand, tmpl, prod, gen, factory, konsts, env):
     return ctx_imm_writer, f"Imm({v_expr})"
 
 
-# ---- emission: reducer factories --------------------------------------------
-
-
-def _mm(pid: int, what: str) -> str:
-    return (
-        f"specialized module out of date: production {pid} {what} does "
-        f"not match the live generator"
-    )
-
-
-def _verify_common(pid: int, plan, steps, out) -> None:
-    """Bind-time structural verification shared by every factory: each
-    decision baked at emission time is re-checked against the live plan
-    once, so a drifted runtime degrades instead of misbehaving."""
-    from repro.core.codegen.parser_rt import _MISSING_HANDLER  # noqa: F401
-
-    n = plan.nrhs
-    is_lambda = plan.lambda_token is not None
-    out(f"    if plan.nrhs != {n} or plan.is_chain != {plan.is_chain!r}:")
-    out(f"        raise SpecializeError({_mm(pid, 'arity')!r}, "
-        f"reason='plan-mismatch')")
-    out(f"    if (plan.lambda_token is not None) != {is_lambda!r}:")
-    out(f"        raise SpecializeError({_mm(pid, 'lambda')!r}, "
-        f"reason='plan-mismatch')")
-    out(f"    if len(plan.exec_steps) != {len(plan.exec_steps)}:")
-    out(f"        raise SpecializeError({_mm(pid, 'templates')!r}, "
-        f"reason='plan-mismatch')")
-    out(f"    if len(plan.alloc_steps) != {len(plan.alloc_steps)}:")
-    out(f"        raise SpecializeError({_mm(pid, 'allocation')!r}, "
-        f"reason='plan-mismatch')")
-    for kind, i, op in steps:
-        if kind == "emit":
-            out(f"    if plan.exec_steps[{i}][0] is not None:")
-            out(f"        raise SpecializeError({_mm(pid, 'templates')!r}, "
-                f"reason='plan-mismatch')")
-        elif kind == "handler":
+def _bind_handlers(plan, steps, out) -> None:
+    """Factory locals ``h{i}``/``t{i}``: handler and template of each
+    semantic-operator step, for the reducer to call."""
+    for kind, i, _ in steps:
+        if kind == "handler":
             out(f"    h{i} = plan.exec_steps[{i}][0]")
             out(f"    t{i} = plan.exec_steps[{i}][1]")
-            out(f"    if h{i} is None or h{i} is _MISSING_HANDLER:")
-            out(f"        raise SpecializeError({_mm(pid, 'templates')!r}, "
-                f"reason='plan-mismatch')")
-        else:
-            out(f"    if plan.exec_steps[{i}][0] is not _MISSING_HANDLER:")
-            out(f"        raise SpecializeError({_mm(pid, 'templates')!r}, "
-                f"reason='plan-mismatch')")
-    for i, (is_using, ref) in enumerate(plan.alloc_steps):
-        out(f"    if (plan.alloc_steps[{i}][0] != {is_using!r} or "
-            f"plan.alloc_steps[{i}][1].name != {ref.name!r} or "
-            f"plan.alloc_steps[{i}][1].index != {ref.index!r}):")
-        out(f"        raise SpecializeError({_mm(pid, 'allocation')!r}, "
-            f"reason='plan-mismatch')")
-
-
-def _verify_lhs(pid: int, plan, out) -> None:
-    out(f"    if (plan.lhs_key != {plan.lhs_key!r} or "
-        f"plan.lhs_code != {plan.lhs_code!r} or "
-        f"plan.lhs_symbol != {plan.lhs_symbol!r}):")
-    out(f"        raise SpecializeError({_mm(pid, 'lhs')!r}, "
-        f"reason='plan-mismatch')")
-
-
-_DELEGATE = [
-    "        d = deque()",
-    "        _slow(run, d, plan)",
-    "        front.extend(reversed(d))",
-    "        return None",
-]
 
 
 # ---- inline register-allocator operations -----------------------------------
@@ -607,15 +452,9 @@ _DELEGATE = [
 # allocate bodies (repro.core.codegen.registers) into the generated
 # reducers as straight-line field operations on the shared RegState
 # pool, eliminating the method-call and class-resolution overhead the
-# interpreted lane pays per operation.  Fidelity contract:
-#
-# * every reducer first checks ``alloc.__class__ is _RA`` and delegates
-#   the whole reduction to the interpreted ``_reduce`` for any subclass
-#   (a subclass's overrides must keep winning);
-# * the slow paths stay slow: eviction (no free register), unknown
-#   register classes, and non-LRU strategies call the real allocator;
-# * registers.py is part of the specializer digest, so editing the
-#   allocator invalidates every cached module.
+# generic reducer pays per operation.  The slow paths stay slow:
+# eviction (no free register), unknown register classes, and non-LRU
+# strategies call the real allocator.
 #
 # Reducer-local names bound once per reduction: ``pget`` =
 # ``alloc._pool_by_nt.get``, ``epoch`` = ``alloc._pin_epoch``, ``onf`` =
@@ -692,7 +531,7 @@ def _release_dyn(
     ``guard`` is an optional extra condition (the epilogue's
     suppression check) applied inside each register-type branch, so
     non-register values never evaluate it -- exactly like the
-    interpreted epilogue's check order.  ``pre`` lines (computing the
+    generic epilogue's check order.  ``pre`` lines (computing the
     guard's inputs) are emitted inside each branch just before it.
     ``pool_var`` reuses a pool local stored by the matching
     ``_pin_dyn`` (valid because the nt-to-pool mapping and the value
@@ -748,33 +587,6 @@ def _alloc_kind(gen, name: str):
     if cls.kind is ClassKind.CC:
         return "cc", None
     return None, None
-
-
-def _verify_alloc_classes(pid: int, plan, gen, out) -> None:
-    """Factory-level checks that the live machine still matches every
-    register-class fact baked into the inline allocation scans."""
-    from repro.core.machine import ClassKind  # noqa: F401 (doc anchor)
-
-    seen = set()
-    for _, ref in plan.alloc_steps:
-        name = ref.name
-        if name in seen:
-            continue
-        seen.add(name)
-        kind, regs = _alloc_kind(gen, name)
-        if kind is None:
-            continue
-        msg = _mm(pid, f"register class {name!r}")
-        out(f"    _c = gen.machine.classes.get({name!r})")
-        if kind == "gpr":
-            out(f"    if (_c is None or _c.kind is not ClassKind.GPR or")
-            out(f"            tuple(_c.allocatable) != {regs!r}):")
-        elif kind == "pair":
-            out(f"    if (_c is None or _c.kind is not ClassKind.PAIR or")
-            out(f"            tuple(_c.allocatable) != {regs!r}):")
-        else:
-            out("    if _c is None or _c.kind is not ClassKind.CC:")
-        out(f"        raise SpecializeError({msg!r}, reason='plan-mismatch')")
 
 
 def _alloc_step_inline(
@@ -878,31 +690,14 @@ def _alloc_step_inline(
     out(f"{ind}    alloc.pin({target})")
 
 
-def _emit_chain_reducer(pid: int, plan, gen) -> List[str]:
-    """Chain productions reach their reducer only on the slow path
-    (spilled or unbound value): delegate to the interpreted ``_reduce``
-    for its reload and error handling."""
-    w: List[str] = []
-    out = w.append
-    out(f"def _mk_{pid}(gen, plan):")
-    _verify_common(pid, plan, [], out)
-    out("    _slow = gen._reduce")
-    out("    def _reduce(run, stack, front):")
-    w.extend(_DELEGATE)
-    out("    return _reduce")
-    out("")
-    out("")
-    return w
-
-
-def _emit_fast_reducer(pid: int, plan, gen, steps) -> List[str]:
+def _emit_fast_reducer(plan, gen, steps) -> List[str]:
     """The no-context straight-line reducer for a production without
     semantic-operator handlers (allocation steps allowed).
 
     RHS values live in locals; pins, ``using``/``need`` allocation,
     inline operand resolution, emission, and the LHS/release epilogue
     are all unrolled.  Any incoming ``SpilledValue`` falls back to the
-    interpreted ``_reduce`` (reload needs the context machinery).
+    generic ``_reduce`` (reload needs the context machinery).
     """
     prod = plan.prod
     n = plan.nrhs
@@ -933,23 +728,13 @@ def _emit_fast_reducer(pid: int, plan, gen, steps) -> List[str]:
 
     w: List[str] = []
     out = w.append
-    out(f"def _mk_{pid}(gen, plan):")
-    out("    prod = plan.prod")
-    _verify_common(pid, plan, steps, out)
-    out(f"    if plan.needs_pins != {bool(nalloc)!r}:")
-    out(f"        raise SpecializeError({_mm(pid, 'pins')!r}, "
-        f"reason='plan-mismatch')")
-    out(f"    if plan.binding_refs != {plan.binding_refs!r}:")
-    out(f"        raise SpecializeError({_mm(pid, 'bindings')!r}, "
-        f"reason='plan-mismatch')")
-    _verify_alloc_classes(pid, plan, gen, out)
+    out("def _mk(gen, plan):")
     if is_lambda:
         out("    lam_token = plan.lambda_token")
         out("    lam_goto = (lam_token.code, lam_token.symbol, "
             "lam_token.sem)")
-    else:
-        _verify_lhs(pid, plan, out)
-    out("    _slow = gen._reduce")
+    if n:
+        out("    _slow = gen._reduce")
 
     # Inline template bodies are generated into `body` first so the
     # constant-operand factory lines land before `def _reduce`.
@@ -1016,23 +801,14 @@ def _emit_fast_reducer(pid: int, plan, gen, steps) -> List[str]:
     for pos in range(n):
         out(f"        v{pos} = stack[{pos - n}][2]")
         out(f"        tv{pos} = type(v{pos})")
-    # SpilledValue operands need the context's reload machinery, and a
-    # non-standard allocator must keep its overrides: both delegate the
-    # whole reduction to the interpreted _reduce.
-    guards = [f"tv{pos} is SpilledValue" for pos in range(n)]
-    if n or nalloc:
-        out("        alloc = run.alloc")
-        guards.append("alloc.__class__ is not _RA")
-    if guards:
-        out(f"        if {' or '.join(guards)}:")
-        out("            d = deque()")
-        out("            _slow(run, d, plan)")
-        out("            front.extend(reversed(d))")
-        out("            return None")
+    # SpilledValue operands need the context's reload machinery: the
+    # generic _reduce takes the whole reduction.
     if n:
+        guards = " or ".join(f"tv{pos} is SpilledValue" for pos in range(n))
+        out(f"        if {guards}:")
+        out("            return _slow(run, front, plan)")
         out(f"        del stack[-{n}:]")
-    if not (n or nalloc):
-        out("        alloc = run.alloc")
+    out("        alloc = run.alloc")
     out("        alloc.global_index += 1")
     if n or nalloc:
         out("        pget = alloc._pool_by_nt.get")
@@ -1109,8 +885,7 @@ def _push_half_inline(out, i: int, keep: str, tmpl, prod,
     half, type-convert the kept half to the underlying GPR class,
     suppress the pair's release, and prefix the converted register for
     re-parse.  Messages and the binding key are baked from the
-    emission-time template; the factory pins the live handler to the
-    stock function, so drift degrades instead of diverging.  When the
+    emission-time template (only the stock handler is inlined).  When the
     operand is a this-reduction allocation local (``static``), the
     binding fetch / reload / type dispatch collapse: the local is a
     pinned PairValue by construction."""
@@ -1216,10 +991,10 @@ def _modifies_inline(out, i: int, tmpl, prod, static=None) -> None:
 
 def _load_odd_inline(out, i: int, opcode: str, tmpl, prod, pair,
                      static=None) -> None:
-    """Inline ``semantic_ops._load_odd``: the mapped opcode is baked
-    (the factory re-checks the machine's mapping), the pair binding is
+    """Inline ``semantic_ops._load_odd``: the mapped opcode is baked,
+    the pair binding is
     fetched through the shared prelude, and the source operand reuses
-    the emit-step operand writers.  No origin tag: the interpreted
+    the emit-step operand writers.  No origin tag: the stock
     handler emits through ``emit_instr`` without ``note_origin``.
     With a ``static`` allocation local the binding fetch and type
     dispatch disappear entirely."""
@@ -1245,7 +1020,7 @@ def _load_odd_inline(out, i: int, opcode: str, tmpl, prod, pair,
         f"{tmpl.comment!r}))")
 
 
-def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
+def _emit_ctx_reducer(plan, gen, steps) -> List[str]:
     """The straight-line reducer for a production with semantic-operator
     handlers: the ``EmissionContext`` survives (handlers receive it and
     the allocator's patching hook reaches through it), but the step
@@ -1256,7 +1031,6 @@ def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
 
     prod = plan.prod
     n = plan.nrhs
-    has_handlers = any(kind == "handler" for kind, _, _ in steps)
     is_lambda = plan.lambda_token is not None
     akinds = [_alloc_kind(gen, ref.name) for _, ref in plan.alloc_steps]
     any_gpr_scan = any(
@@ -1278,23 +1052,9 @@ def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
 
     w: List[str] = []
     out = w.append
-    out(f"def _mk_{pid}(gen, plan):")
+    out("def _mk(gen, plan):")
     out("    prod = plan.prod")
-    _verify_common(pid, plan, steps, out)
-    out("    if not plan.needs_pins:")
-    out(f"        raise SpecializeError({_mm(pid, 'pins')!r}, "
-        f"reason='plan-mismatch')")
-    _verify_alloc_classes(pid, plan, gen, out)
-    # The context is built with __new__ + explicit slot stores, so the
-    # slot layout and binding positions the stores assume must still be
-    # the live ones; any drift degrades to the interpreted lane.
-    out(f"    if EmissionContext.__slots__ != {_EC_SLOTS!r}:")
-    out(f"        raise SpecializeError({_mm(pid, 'ctx-slots')!r}, "
-        f"reason='plan-mismatch')")
-    out(f"    if tuple(plan.binding_refs) != "
-        f"{tuple(plan.binding_refs)!r}:")
-    out(f"        raise SpecializeError({_mm(pid, 'bindings')!r}, "
-        f"reason='plan-mismatch')")
+    _bind_handlers(plan, steps, out)
     out("    _ECn = EmissionContext.__new__")
     out("    _machine = gen.machine")
     # Opcode templates are inlined rather than dispatched through the
@@ -1304,10 +1064,8 @@ def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
         t for t in prod.templates if t.op not in ("using", "need")
     ]
     # Stock handlers with fixed, side-effect-transparent bodies are
-    # inlined into the reducer instead of dispatched: the factory
-    # verifies the live plan still binds the exact semantic_ops
-    # function (an override degrades the whole module to the
-    # interpreted lane via plan-mismatch, never misbehaves).
+    # inlined into the reducer instead of dispatched; a machine that
+    # overrides one binds another function and keeps the call.
     hinline: Dict[int, Tuple[str, Optional[str]]] = {}
     for kind, i, op in steps:
         if kind != "handler":
@@ -1348,11 +1106,6 @@ def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
         )
     if static_push:
         factory.append("    cget = gen._code_get")
-    _INLINE_FNAME = {
-        "ignore": "h_ignore_lhs",
-        "modifies": "h_modifies",
-        "load_odd": "_load_odd",
-    }
     hstatic: Dict[int, object] = {}
     for kind, i, op in steps:
         if kind == "handler" and i in hinline:
@@ -1368,32 +1121,10 @@ def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
                         hstatic[i] = (var, f"_p_{var}")
                     elif tag != "modifies" and stv == "PairValue":
                         hstatic[i] = var
-            fname = _INLINE_FNAME.get(tag) or f"h_push_{arg}"
-            factory.append(f"    if h{i} is not _SEMOPS.{fname}:")
-            factory.append(
-                f"        raise SpecializeError("
-                f"{_mm(pid, 'handlers')!r}, reason='plan-mismatch')"
-            )
             tmpl = exec_tmpls[i]
             if tag in ("push", "modifies", "load_odd"):
-                factory.append(
-                    f"    if t{i}.op != {tmpl.op!r} or not t{i}.operands:"
-                )
-                factory.append(
-                    f"        raise SpecializeError("
-                    f"{_mm(pid, 'templates')!r}, reason='plan-mismatch')"
-                )
                 factory.append(f"    _h{i} = t{i}.operands[0].base")
             if tag == "load_odd":
-                factory.append(
-                    f"    if (len(t{i}.operands) != 2 or "
-                    f"gen.machine.semop_opcodes.get({tmpl.op!r}) "
-                    f"!= {arg!r}):"
-                )
-                factory.append(
-                    f"        raise SpecializeError("
-                    f"{_mm(pid, 'templates')!r}, reason='plan-mismatch')"
-                )
                 factory.append(f"    _xt{i} = _xts[{i}]")
                 lodd_plans[i] = _ctx_operand(
                     i, 1, tmpl.operands[1], tmpl, prod, gen, factory,
@@ -1416,14 +1147,6 @@ def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
             continue
         tmpl = exec_tmpls[i]
         factory.append(f"    _xt{i} = _xts[{i}]")
-        factory.append(
-            f"    if _xt{i}.op != {tmpl.op!r} or "
-            f"len(_xt{i}.operands) != {len(tmpl.operands)}:"
-        )
-        factory.append(
-            f"        raise SpecializeError({_mm(pid, 'templates')!r}, "
-            f"reason='plan-mismatch')"
-        )
         emit_plans[i] = (tmpl, [
             _ctx_operand(
                 i, j, operand, tmpl, prod, gen, factory, konsts,
@@ -1438,18 +1161,11 @@ def _emit_ctx_reducer(pid: int, plan, gen, steps) -> List[str]:
         out("    lam_goto = (lam_token.code, lam_token.symbol, "
             "lam_token.sem)")
     else:
-        _verify_lhs(pid, plan, out)
         out("    lhs_ref = prod.lhs_ref")
         out("    first_tmpl = plan.first_tmpl")
-    out("    _slow = gen._reduce")
 
     out("    def _reduce(run, stack, front):")
     out("        alloc = run.alloc")
-    out("        if alloc.__class__ is not _RA:")
-    out("            d = deque()")
-    out("            _slow(run, d, plan)")
-    out("            front.extend(reversed(d))")
-    out("            return None")
     # Small arities get per-position locals (v0..v3): the pin and
     # release loops below unroll over them, and the bindings display
     # reads them without re-indexing the list.
@@ -1768,12 +1484,13 @@ def _ctx_releases(rhs_suppress: bool, n: int, alloc_static=None
     return w
 
 
-def _emit_reducer(pid: int, plan, gen) -> List[str]:
-    """Source lines of the reducer factory for one non-wrapper
-    production, choosing the deepest specialization the production's
-    shape allows."""
+def emit_module(gen, pid: int) -> str:
+    """Source of the reducer factory ``_mk(gen, plan)`` for production
+    ``pid`` of ``gen``, choosing the deepest specialization the
+    production's shape allows."""
     from repro.core.codegen.parser_rt import _MISSING_HANDLER
 
+    plan = gen._plans[pid]
     steps = []  # ("emit", i, None) | ("handler", i, None) | ("missing", i, op)
     for i, (handler, payload) in enumerate(plan.exec_steps):
         if handler is None:
@@ -1782,8 +1499,6 @@ def _emit_reducer(pid: int, plan, gen) -> List[str]:
             steps.append(("missing", i, payload.op))
         else:
             steps.append(("handler", i, None))
-    if plan.is_chain:
-        return _emit_chain_reducer(pid, plan, gen)
     handler_free = all(kind == "emit" for kind, _, _ in steps)
     lhs_ok = plan.lambda_token is not None or plan.lhs_key is not None
     # NEED (reserve) steps disqualify the context-free path: reserving a
@@ -1792,650 +1507,39 @@ def _emit_reducer(pid: int, plan, gen) -> List[str]:
     # EmissionContext, not locals.
     using_only = all(is_using for is_using, _ in plan.alloc_steps)
     if handler_free and lhs_ok and using_only:
-        return _emit_fast_reducer(pid, plan, gen, steps)
-    return _emit_ctx_reducer(pid, plan, gen, steps)
+        lines = _emit_fast_reducer(plan, gen, steps)
+    else:
+        lines = _emit_ctx_reducer(plan, gen, steps)
+    return "\n".join(lines) + "\n"
 
 
-def emit_module(build, fingerprint: str) -> str:
-    """Generate the specialized module's source for one build.
+#: The names the emitted reducers use, bound once on first use.
+_GLOBALS: Dict[str, Any] = {}
 
-    Every action in the (dense) matrix is validated here, so the
-    generated hot loop carries **no** per-step shift/reduce bounds
-    checks; only the pops-below-bottom guard (reachable from a
-    malformed IF stream, not just a corrupt table) survives, hoisted to
-    once per reduction.
-    """
-    gen = build.code_generator
-    if gen is None:
-        raise SpecializeError(
-            "build carries no code generator to specialize",
-            reason="no-generator",
+
+def _globals() -> Dict[str, Any]:
+    if not _GLOBALS:
+        from repro.core.codegen.emitter import Imm, Instr, Mem, R, R_INTERNED
+        from repro.core.codegen.operand import (
+            AttrValue, CCValue, PairValue, RegValue, SpilledValue,
         )
-    tables = build.tables
-    plans = gen._plans
-    nstates = tables.nstates
-    nsymbols = tables.nsymbols
-    nprods = len(plans)
-    for state, row in enumerate(tables.matrix):
-        if len(row) != nsymbols:
-            raise SpecializeError(
-                f"emit: action row {state} has {len(row)} columns, "
-                f"expected {nsymbols}",
-                reason="bad-tables",
-            )
-        for col, action in enumerate(row):
-            if action in (_ERROR, _ACCEPT):
-                continue
-            if action & 1:
-                if (action - 3) >> 1 >= nprods:
-                    raise SpecializeError(
-                        f"emit: state {state} col {col} reduces by "
-                        f"unknown production",
-                        reason="bad-tables",
-                    )
-            elif (action - 2) >> 1 >= nstates or action < 2:
-                raise SpecializeError(
-                    f"emit: state {state} col {col} shifts to "
-                    f"unknown state",
-                    reason="bad-tables",
-                )
+        from repro.core.codegen.parser_rt import EmissionContext
+        from repro.errors import CodeGenError
+        from repro.ir.linear import IFToken
 
-    kinds = tuple(
-        0 if p.wrapper_token is not None else (1 if p.is_chain else 2)
-        for p in plans
-    )
-    nrhs = tuple(p.nrhs for p in plans)
-
-    w: List[str] = []
-    out = w.append
-    out('"""Specialized table-driven code generator (machine-generated).')
-    out("")
-    out(f"Emitted by repro.core.specialize v{SPECIALIZER_VERSION} for one")
-    out("(spec, machine) build; do not edit.  The interpreted lane in")
-    out("repro.core.codegen.parser_rt is the behavioral reference.")
-    out('"""')
-    out("")
-    out("from collections import deque")
-    out("")
-    out("from repro.core.grammar import LAMBDA_SYMBOL")
-    out("from repro.core.machine import ClassKind")
-    out("from repro.core.codegen.emitter import (")
-    out("    Imm, Instr, Mem, R, R_INTERNED,")
-    out(")")
-    out("from repro.core.codegen.operand import (")
-    out("    AttrValue, CCValue, LambdaValue, PairValue, RegValue,")
-    out("    SpilledValue,")
-    out(")")
-    out("from repro.core.codegen.parser_rt import (")
-    out("    DEFAULT_GUARDS, EmissionContext, GeneratedCode,")
-    out("    _MISSING_HANDLER, _Run,")
-    out(")")
-    out("from repro.core.codegen.registers import "
-        "RegisterAllocator as _RA")
-    out("from repro.core.codegen import semantic_ops as _SEMOPS")
-    out("from repro.errors import (")
-    out("    ChainLoopError, CodeGenError, SpecializeError, StepBudgetError,")
-    out(")")
-    out("from repro.ir.linear import IFToken")
-    out("")
-    out("_NRT = len(R_INTERNED)")
-    out("")
-    out(f'MAGIC = "{MODULE_MAGIC}"')
-    out(f"SPECIALIZER_VERSION = {SPECIALIZER_VERSION}")
-    out(f'FINGERPRINT = "{fingerprint}"')
-    out(f"NSTATES = {nstates}")
-    out(f"NSYMBOLS = {nsymbols}")
-    out(f"NPRODUCTIONS = {nprods}")
-    out(f"SYMBOLS = {tuple(tables.symbols)!r}")
-    out("")
-    out("#: 0 = wrapper, 1 = chain, 2 = full reduction plan.")
-    out(f"KINDS = {kinds!r}")
-    out(f"NRHS = {nrhs!r}")
-    out("")
-    out("#: The dense action matrix as flat int tuples: ERROR=0, ACCEPT=1,")
-    out("#: even>=2 shifts to (a-2)>>1, odd>=3 reduces by (a-3)>>1.  All")
-    out("#: entries pre-validated at emission; the loop indexes blind.")
-    out("ACTIONS = (")
-    for row in tables.matrix:
-        out(f"    {tuple(row)!r},")
-    out(")")
-    out("")
-    out("")
-    for pid, plan in enumerate(plans):
-        if kinds[pid] != 0:
-            w.extend(_emit_reducer(pid, plan, gen))
-    factories = ", ".join(
-        "None" if kinds[pid] == 0 else f"_mk_{pid}"
-        for pid in range(nprods)
-    )
-    out(f"FACTORIES = ({factories}{',' if nprods == 1 else ''})")
-    out("")
-    out("")
-    w.extend(_ENGINE_SOURCE.splitlines())
-    source = "\n".join(w) + "\n"
-    checksum = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return source + f'CHECKSUM = "{checksum}"\n'
-
-
-# The bind()/generate() engine is identical for every build (all
-# per-build facts live in the module constants above), so it ships as a
-# literal block.  It mirrors repro.core.codegen.parser_rt's interpreted
-# loop exactly -- same watchdog bookkeeping, same error messages, same
-# annotation points -- with three departures that change no observable
-# behavior: the pending deque becomes an index into the input list plus
-# a LIFO list of synthetic (prefixed) tokens, shift-value construction
-# is dispatched through a per-column table built at bind time, and
-# reduce+goto-shift pairs execute as one fused iteration (steps and
-# chain_steps advance by 2 to keep the watchdog accounting aligned).
-_ENGINE_SOURCE = '''\
-def bind(gen):
-    """Verify this module against a live generator and return its
-    specialized ``generate`` engine.
-
-    Raises :class:`repro.errors.SpecializeError` on any mismatch --
-    different symbol interning, table shape, or production plans --
-    so a stale module degrades instead of miscompiling.
-    """
-    tables = gen.tables
-    if tuple(tables.symbols) != SYMBOLS:
-        raise SpecializeError(
-            "specialized module out of date: symbol interning differs "
-            "from the live generator", reason="symbol-mismatch",
+        _GLOBALS.update(
+            Imm=Imm, Instr=Instr, Mem=Mem, R=R, R_INTERNED=R_INTERNED,
+            _NRT=len(R_INTERNED), AttrValue=AttrValue, CCValue=CCValue,
+            PairValue=PairValue, RegValue=RegValue,
+            SpilledValue=SpilledValue, EmissionContext=EmissionContext,
+            CodeGenError=CodeGenError, IFToken=IFToken,
         )
-    if tables.nstates != NSTATES:
-        raise SpecializeError(
-            "specialized module out of date: table shape differs from "
-            "the live generator", reason="shape-mismatch",
-        )
-    plans = gen._plans
-    if len(plans) != NPRODUCTIONS:
-        raise SpecializeError(
-            "specialized module out of date: production count differs "
-            "from the live generator", reason="plan-mismatch",
-        )
-    for pid in range(NPRODUCTIONS):
-        plan = plans[pid]
-        kind = (
-            0 if plan.wrapper_token is not None
-            else (1 if plan.is_chain else 2)
-        )
-        if kind != KINDS[pid] or plan.nrhs != NRHS[pid]:
-            raise SpecializeError(
-                "specialized module out of date: production plans "
-                "differ from the live generator", reason="plan-mismatch",
-            )
-    reducers = tuple(
-        None if KINDS[pid] == 0 else FACTORIES[pid](gen, plans[pid])
-        for pid in range(NPRODUCTIONS)
-    )
-    lhs_codes = tuple(p.lhs_code for p in plans)
-    lhs_syms = tuple(p.lhs_symbol for p in plans)
-    wrapper_tokens = tuple(p.wrapper_token for p in plans)
-    wrapper_sems = tuple(
-        t.sem if t is not None else None for t in wrapper_tokens
-    )
-    # Per-column shift-value dispatch, built from the live machine:
-    # None = plain attribute column; else (tag, members) with
-    # 0 = single register class, 1 = pair class, 2 = condition code,
-    # 3 = lambda.  Malformed register tokens route through the
-    # interpreted _shift_value for its exact diagnostics.
-    machine = gen.machine
-    sfast = []
-    for sym in SYMBOLS:
-        cls = machine.register_class(sym)
-        if cls is not None:
-            if cls.kind is ClassKind.CC:
-                sfast.append((2, None))
-            elif cls.kind is ClassKind.PAIR:
-                sfast.append((1, frozenset(cls.members)))
-            else:
-                sfast.append((0, frozenset(cls.members)))
-        elif sym == LAMBDA_SYMBOL:
-            sfast.append((3, None))
-        else:
-            sfast.append(None)
-    sfast = tuple(sfast)
-    end_token = gen._end_token
-    code_get = gen._code_get
-    shift_value = gen._shift_value
-    annotate = gen._annotate
-    signal_error = gen._signal_error
-
-    def generate(tokens, frame=None, guards=None, stats=None):
-        run = _Run(gen, frame, stats=stats)
-        toks = tokens if type(tokens) is list else list(tokens)
-        for t in toks:
-            if t.code is None:
-                toks = [
-                    t if t.code is not None
-                    else IFToken(
-                        t.symbol, t.value, t.sem, code_get(t.symbol, -1)
-                    )
-                    for t in toks
-                ]
-                break
-        ntoks = len(toks)
-        i = 0
-        front = []  # synthetic (prefixed) tokens, consumed LIFO
-        stack = run.stack
-        stack.append((0, "<bottom>", None))
-        reductions = 0
-        guards = guards if guards is not None else DEFAULT_GUARDS
-        budget = guards.step_budget
-        if budget is None:
-            budget = max(10_000, 64 * (ntoks + 1))
-        chain_limit = guards.chain_limit
-        steps = 0
-        chain_steps = 0
-        min_depth = 1
-        actions = ACTIONS
-        kinds_t = KINDS
-        nrhs_t = NRHS
-        reducers_t = reducers
-        sfast_t = sfast
-        alloc = run.alloc
-        state = 0
-        row = actions[0]
-
-        while True:
-            if steps >= budget:
-                raise StepBudgetError(
-                    f"parse exceeded its step budget of {budget} "
-                    f"(state {state}, {ntoks - i + len(front)} tokens "
-                    f"unconsumed): corrupted tables or malformed IF?",
-                    budget=budget,
-                )
-            steps += 1
-            if chain_steps >= chain_limit:
-                recent = " ".join(sym for _, sym, _ in stack[-8:])
-                raise ChainLoopError(
-                    f"chain-rule loop: {chain_steps} steps without "
-                    f"consuming input in state {state} "
-                    f"(stack ... {recent})",
-                    state=state,
-                    stack=[(s, sym) for s, sym, _ in stack],
-                    steps=chain_steps,
-                )
-            lookahead = front[-1] if front else (
-                toks[i] if i < ntoks else end_token
-            )
-            col = lookahead.code
-            action = row[col] if col >= 0 else 0
-            if action >= 2:
-                if not action & 1:
-                    # SHIFT (even >= 2); pre-validated, no bounds check.
-                    state = (action - 2) >> 1
-                    row = actions[state]
-                    sem = lookahead.sem
-                    if sem is not None:
-                        value = sem
-                    else:
-                        sf = sfast_t[col]
-                        if sf is None:
-                            v = lookahead.value
-                            value = (
-                                AttrValue(lookahead.symbol, v)
-                                if v is not None else None
-                            )
-                        else:
-                            tag = sf[0]
-                            if tag == 0:
-                                v = lookahead.value
-                                if v is not None and v in sf[1]:
-                                    value = RegValue(v, lookahead.symbol)
-                                else:
-                                    try:
-                                        value = shift_value(lookahead)
-                                    except CodeGenError as error:
-                                        raise annotate(
-                                            error, run, lookahead
-                                        )
-                            elif tag == 2:
-                                value = CCValue()
-                            elif tag == 1:
-                                v = lookahead.value
-                                if v is not None and v in sf[1]:
-                                    value = PairValue(v, lookahead.symbol)
-                                else:
-                                    try:
-                                        value = shift_value(lookahead)
-                                    except CodeGenError as error:
-                                        raise annotate(
-                                            error, run, lookahead
-                                        )
-                            else:
-                                value = LambdaValue()
-                    stack.append((state, lookahead.symbol, value))
-                    if front:
-                        del front[-1]
-                        chain_steps += 1
-                    elif i < ntoks:
-                        i += 1
-                        chain_steps = 0
-                        min_depth = len(stack)
-                    else:
-                        chain_steps += 1
-                    continue
-                # REDUCE (odd >= 3); the production index is
-                # pre-validated, only the stack-bottom guard remains.
-                pid = (action - 3) >> 1
-                if nrhs_t[pid] >= len(stack):
-                    raise annotate(
-                        CodeGenError(
-                            f"corrupt parse table: reduce by production "
-                            f"{pid} pops below the stack bottom"
-                        ),
-                        run, lookahead,
-                    )
-                # Each reduction kind carries its own fused goto-as-shift
-                # epilogue: the reduce iteration and the synthetic
-                # re-shift iteration of the interpreted lane collapse
-                # into one (steps and chain_steps advance by two to keep
-                # the watchdogs aligned), and the chain/wrapper paths
-                # never build an intermediate tuple.  A non-shift action
-                # on the LHS (error/accept/reduce) falls back to the
-                # generic prefix so diagnostics and bookkeeping match
-                # the interpreted lane exactly.
-                kind = kinds_t[pid]
-                if kind == 2:
-                    try:
-                        r = reducers_t[pid](run, stack, front)
-                    except CodeGenError as error:
-                        raise annotate(error, run, lookahead)
-                    reductions += 1
-                    if type(r) is tuple:
-                        code2, sym2, value2 = r
-                        depth = len(stack)
-                        a2 = actions[stack[-1][0]][code2] if code2 >= 0 else 0
-                        if a2 >= 2 and not a2 & 1:
-                            state = (a2 - 2) >> 1
-                            row = actions[state]
-                            stack.append((state, sym2, value2))
-                            steps += 1
-                            if depth < min_depth:
-                                min_depth = depth
-                                chain_steps = 1
-                            else:
-                                chain_steps += 2
-                            continue
-                        front.append(IFToken(sym2, None, value2, code2))
-                elif kind == 1:
-                    # Chain fast path: the value rides through under the
-                    # LHS symbol; spilled/unbound values take the full
-                    # reducer for its reload and error handling.
-                    value = stack[-1][2]
-                    if value is not None and type(value) is not SpilledValue:
-                        del stack[-1:]
-                        alloc.global_index += 1
-                        reductions += 1
-                        code2 = lhs_codes[pid]
-                        depth = len(stack)
-                        a2 = actions[stack[-1][0]][code2] if code2 >= 0 else 0
-                        if a2 >= 2 and not a2 & 1:
-                            state = (a2 - 2) >> 1
-                            row = actions[state]
-                            stack.append((state, lhs_syms[pid], value))
-                            steps += 1
-                            if depth < min_depth:
-                                min_depth = depth
-                                chain_steps = 1
-                            else:
-                                chain_steps += 2
-                            continue
-                        front.append(
-                            IFToken(lhs_syms[pid], None, value, code2)
-                        )
-                    else:
-                        try:
-                            reducers_t[pid](run, stack, front)
-                        except CodeGenError as error:
-                            raise annotate(error, run, lookahead)
-                        reductions += 1
-                else:
-                    # Wrapper: pop the RHS, push back the shared token.
-                    npop = nrhs_t[pid]
-                    if npop:
-                        del stack[-npop:]
-                    reductions += 1
-                    code2 = lhs_codes[pid]
-                    depth = len(stack)
-                    a2 = actions[stack[-1][0]][code2] if code2 >= 0 else 0
-                    if a2 >= 2 and not a2 & 1:
-                        state = (a2 - 2) >> 1
-                        row = actions[state]
-                        stack.append(
-                            (state, lhs_syms[pid], wrapper_sems[pid])
-                        )
-                        steps += 1
-                        if depth < min_depth:
-                            min_depth = depth
-                            chain_steps = 1
-                        else:
-                            chain_steps += 2
-                        continue
-                    front.append(wrapper_tokens[pid])
-                state = stack[-1][0]
-                row = actions[state]
-                if len(stack) < min_depth:
-                    min_depth = len(stack)
-                    chain_steps = 0
-                else:
-                    chain_steps += 1
-                continue
-            if action == 1:
-                if front or i < ntoks:
-                    raise annotate(
-                        CodeGenError(
-                            "accepted before the IF stream was exhausted"
-                        ),
-                        run, lookahead,
-                    )
-                break
-            signal_error(run, lookahead)
-
-        return GeneratedCode(
-            buffer=run.buffer,
-            labels=run.labels,
-            cse=run.cse,
-            stats=run.stats,
-            reductions=reductions,
-        )
-
-    return generate
-'''
+    return _GLOBALS
 
 
-# ---- loading ----------------------------------------------------------------
-
-
-def _chunks(source: str):
-    """Split a module at its top-level ``def`` lines, yielding each
-    chunk with the 1-based line it starts on."""
-    start, line = 0, 1
-    while True:
-        cut = source.find("\ndef ", start)
-        if cut < 0:
-            yield line, source[start:]
-            return
-        yield line, source[start:cut + 1]
-        line += source.count("\n", start, cut + 1)
-        start = cut + 1
-
-
-def _relocate(code: CodeType, shift: int) -> CodeType:
-    """``code`` with every nested code object moved ``shift`` lines down."""
-    if not shift:
-        return code
-    consts = tuple(
-        _relocate(c, shift) if isinstance(c, CodeType) else c
-        for c in code.co_consts
-    )
-    return code.replace(
-        co_firstlineno=code.co_firstlineno + shift, co_consts=consts
-    )
-
-
-def load_module(source: str, expected_fingerprint: str) -> Dict[str, Any]:
-    """Compile + exec a specialized module's source, verifying the
-    whole-file checksum, magic, version, and content address.
-
-    The module is compiled one top-level definition at a time: one
-    ``compile()`` of the whole 1.6 MB source holds its entire AST at
-    once (a ~119 MB peak), one definition's AST is a few MB.  Chunks
-    keep their line numbers in the file, and every chunk compiles
-    before any chunk runs.
-
-    Any damage -- truncation, bit flips, a stale specializer version, a
-    module for a different build -- raises a typed
-    :class:`~repro.errors.SpecializeError`; the caller deletes the file
-    and regenerates (mirroring the ``CoGGart1`` corrupt-artifact path).
-    """
-    marker = '\nCHECKSUM = "'
-    cut = source.rfind(marker)
-    if cut < 0:
-        raise SpecializeError(
-            "specialized module is truncated: no checksum line",
-            reason="truncated",
-        )
-    body = source[: cut + 1]
-    recorded = source[cut + len(marker):].split('"', 1)[0]
-    actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if recorded != actual:
-        raise SpecializeError(
-            "specialized module failed its whole-file checksum",
-            reason="bad-checksum",
-        )
-    filename = f"<coggspec {expected_fingerprint[:12]}>"
-    codes = []
-    try:
-        for line, chunk in _chunks(source):
-            codes.append(
-                _relocate(compile(chunk, filename, "exec"), line - 1)
-            )
-    except (SyntaxError, ValueError) as error:
-        raise SpecializeError(
-            f"specialized module does not compile: {error}",
-            reason="syntax",
-        )
-    namespace: Dict[str, Any] = {
-        "__name__": f"repro_coggspec_{expected_fingerprint[:12]}",
-    }
-    try:
-        for code in codes:
-            exec(code, namespace)
-    except SpecializeError:
-        raise
-    except Exception as error:  # a damaged body can raise anything
-        raise SpecializeError(
-            f"specialized module failed to execute: "
-            f"{type(error).__name__}: {error}",
-            reason="exec",
-        )
-    if namespace.get("MAGIC") != MODULE_MAGIC:
-        raise SpecializeError(
-            "specialized module carries the wrong magic",
-            reason="bad-magic",
-        )
-    if namespace.get("SPECIALIZER_VERSION") != SPECIALIZER_VERSION:
-        raise SpecializeError(
-            f"specialized module was emitted by specializer "
-            f"v{namespace.get('SPECIALIZER_VERSION')}, this is "
-            f"v{SPECIALIZER_VERSION}",
-            reason="stale-version",
-        )
-    if namespace.get("FINGERPRINT") != expected_fingerprint:
-        raise SpecializeError(
-            "specialized module belongs to a different build",
-            reason="stale-fingerprint",
-        )
-    if not callable(namespace.get("bind")):
-        raise SpecializeError(
-            "specialized module has no bind() entry point",
-            reason="no-bind",
-        )
-    return namespace
-
-
-def build_engine(build) -> Callable:
-    """Emit + bind a specialized engine in memory (no cache file).
-
-    Used by the bench harness and tests; raises
-    :class:`~repro.errors.SpecializeError` on any failure.
-    """
-    fingerprint = hashlib.sha256(b"in-memory").hexdigest()
-    source = emit_module(build, fingerprint)
-    namespace = load_module(source, fingerprint)
-    return namespace["bind"](build.code_generator)
-
-
-# ---- the buildcache attach hook ---------------------------------------------
-
-
-def attach(build, cache_dir, build_fingerprint: str) -> Dict[str, Any]:
-    """Attach a specialized engine to ``build``'s code generator,
-    emitting or loading the cached module next to the artifact.
-
-    Called by :func:`repro.core.buildcache.cached_build` on both the
-    hit and miss paths.  Never raises: every failure degrades to the
-    interpreted lane, recording ``specialize_degraded_reason`` on the
-    generator and bumping the ``specialize_degraded`` counter.
-    """
-    gen = build.code_generator
-    info: Dict[str, Any] = {"attached": False}
-    if gen is None or not enabled():
-        return info
-    fingerprint = specialize_fingerprint(build_fingerprint)
-    path = module_path(cache_dir, fingerprint)
-    info["fingerprint"] = fingerprint
-    info["path"] = str(path)
-    source: Optional[str] = None
-    namespace: Optional[Dict[str, Any]] = None
-    decodable = True
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError:
-        source = None
-    except UnicodeDecodeError:
-        # Bytes that are not even UTF-8 any more: corruption, same as
-        # a failed checksum.
-        source = None
-        decodable = False
-    if source is not None:
-        try:
-            namespace = load_module(source, fingerprint)
-            buildstats.bump("specialize_cache_hits")
-        except SpecializeError:
-            namespace = None
-    if not decodable or (source is not None and namespace is None):
-        # Corrupt / stale cached module: delete and regenerate,
-        # exactly like a corrupt CoGGart1 artifact.
-        buildstats.bump("specialize_cache_corrupt")
-        try:
-            path.unlink()
-        except OSError:
-            pass
-    if namespace is None:
-        try:
-            source = emit_module(build, fingerprint)
-            namespace = load_module(source, fingerprint)
-        except SpecializeError as error:
-            gen.specialize_degraded_reason = str(error)
-            buildstats.bump("specialize_degraded")
-            info["degraded_reason"] = str(error)
-            return info
-        buildstats.bump("specialize_emits")
-        try:
-            buildcache._write_atomic(path, source.encode("utf-8"))
-        except OSError:
-            pass  # an unwritable cache dir costs a re-emit, nothing more
-    try:
-        engine = namespace["bind"](gen)
-    except SpecializeError as error:
-        gen.specialize_degraded_reason = str(error)
-        buildstats.bump("specialize_degraded")
-        info["degraded_reason"] = str(error)
-        return info
-    gen.specialized = engine
-    gen.specialize_info = info
-    info["attached"] = True
-    return info
+def load_module(source: str, gen, pid: int) -> Callable:
+    """Compile :func:`emit_module`'s ``source`` and bind it to
+    production ``pid`` of ``gen``: the reducer for its slot."""
+    namespace = dict(_globals())
+    exec(compile(source, f"<reducer {pid}>", "exec"), namespace)
+    return namespace["_mk"](gen, gen._plans[pid])

@@ -60,25 +60,6 @@ class BuildCacheError(ReproError):
         super().__init__(message)
 
 
-class SpecializeError(ReproError):
-    """A specialized (table-compiled) module could not be used.
-
-    Raised -- and normally caught by the specializer or the generator
-    itself, which degrade to the interpreted table lane -- when a
-    cached generated module is truncated, corrupted, was emitted by a
-    different specializer version, or no longer matches the live
-    generator's tables and plans.  ``reason`` is a short
-    machine-readable tag: ``"truncated"``, ``"bad-checksum"``,
-    ``"bad-magic"``, ``"stale-version"``, ``"stale-fingerprint"``,
-    ``"syntax"``, ``"exec"``, ``"no-bind"``, ``"symbol-mismatch"``,
-    ``"shape-mismatch"``, ``"plan-mismatch"``, ``"bad-tables"``.
-    """
-
-    def __init__(self, message: str, reason: str = "corrupt"):
-        self.reason = reason
-        super().__init__(message)
-
-
 class IFError(ReproError):
     """Malformed intermediate-form input (bad tree, bad linearization)."""
 
@@ -347,7 +328,6 @@ ERROR_CODES = {
     "TableError": ("E_TABLE", 500, False),
     "GrammarError": ("E_GRAMMAR", 500, False),
     "BuildCacheError": ("E_BUILD_CACHE", 500, True),
-    "SpecializeError": ("E_SPECIALIZE", 500, True),
     "IFError": ("E_IF", 422, False),
     "ShapeError": ("E_SHAPE", 422, False),
     "CodeGenBlockedError": ("E_CODEGEN_BLOCKED", 422, False),
@@ -384,7 +364,6 @@ _CONTEXT_FIELDS = {
     "SpecSyntaxError": ("line",),
     "SpecTypeError": ("line",),
     "BuildCacheError": ("reason",),
-    "SpecializeError": ("reason",),
     "CodeGenBlockedError": ("state", "lookahead", "stack", "expected"),
     "ChainLoopError": ("state", "stack", "steps"),
     "StepBudgetError": ("budget",),

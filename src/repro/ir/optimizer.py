@@ -56,14 +56,6 @@ _BOUNDARY_OPS = frozenset({"label_def", "branch_op", "procedure_entry",
 Path = Tuple[int, ...]
 
 
-def _is_pure(tree: IFTree) -> bool:
-    if isinstance(tree, Leaf):
-        return True
-    if tree.op not in PURE_OPS:
-        return False
-    return all(_is_pure(c) for c in tree.children)
-
-
 @dataclass(frozen=True)
 class _Read:
     """One memory location a candidate depends on; base < 0 = unknown."""
@@ -95,19 +87,6 @@ def _reads(tree: IFTree, out: Set[_Read]) -> None:
             out.add(_UNKNOWN_READ)
     for child in tree.children:
         _reads(child, out)
-
-
-def _key(tree: IFTree) -> str:
-    if isinstance(tree, Leaf):
-        return f"{tree.symbol}:{tree.value}"
-    inner = ",".join(_key(c) for c in tree.children)
-    return f"{tree.op}({inner})"
-
-
-def _size(tree: IFTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return 1 + sum(_size(c) for c in tree.children)
 
 
 @dataclass
@@ -144,31 +123,61 @@ def _write_of(assign: Node) -> _Write:
     return _Write(base.value, dsp.value, size)
 
 
-def _contains_call(tree: IFTree) -> bool:
-    if isinstance(tree, Leaf):
-        return False
-    if tree.op in _CALL_OPS:
-        return True
-    return any(_contains_call(c) for c in tree.children)
-
-
 @dataclass
 class _Group:
     key: str
     tree: IFTree
+    size: int
     occurrences: List[Tuple[int, Path]] = field(default_factory=list)
     reads: Set[_Read] = field(default_factory=set)
 
 
-def _collect_candidates(tree: IFTree, path: Path, out) -> None:
-    """Pure subtrees of size >= 4 tokens (cheaper ones aren't worth a
-    register's pressure) in preorder."""
+#: One candidate: (path, subtree, key, size in tokens).
+_Candidate = Tuple[Path, IFTree, str, int]
+
+
+def _walk(
+    tree: IFTree, path: Path, out: List[_Candidate], collect: bool = True
+) -> Tuple[bool, int, str, bool]:
+    """``(pure, size, key, contains_call)`` of ``tree`` in one bottom-up
+    walk, appending its candidates to ``out`` in preorder.
+
+    Candidates are pure subtrees of size >= 4 tokens (cheaper ones
+    aren't worth a register's pressure); with ``collect`` false the
+    subtree itself is skipped but its descendants are not.
+    """
     if isinstance(tree, Leaf):
-        return
-    if tree.op in PURE_OPS and _is_pure(tree) and _size(tree) >= 4:
-        out.append((path, tree))
+        return True, 1, f"{tree.symbol}:{tree.value}", False
+    start = len(out)
+    pure = tree.op in PURE_OPS
+    calls = tree.op in _CALL_OPS
+    size = 1
+    keys = []
     for i, child in enumerate(tree.children):
-        _collect_candidates(child, path + (i,), out)
+        c_pure, c_size, c_key, c_calls = _walk(child, path + (i,), out)
+        pure = pure and c_pure
+        size += c_size
+        keys.append(c_key)
+        calls = calls or c_calls
+    key = f"{tree.op}({','.join(keys)})"
+    if collect and pure and size >= 4:
+        out.insert(start, (path, tree, key, size))
+    return pure, size, key, calls
+
+
+def _statement_candidates(stmt: IFTree, out: List[_Candidate]) -> bool:
+    """Candidates of one statement; returns whether it contains a call.
+
+    The *target reference* of an assignment is a store shape the grammar
+    matches literally (``assign fullword dsp.1 r.1 r.2``), so it must
+    never be replaced -- but its index expression and pointer base
+    subtrees are ordinary value computations and are fair game.
+    """
+    if isinstance(stmt, Node) and stmt.op == "assign":
+        target, value = stmt.children
+        calls = _walk(target, (0,), out, collect=False)[3]
+        return _walk(value, (1,), out)[3] or calls
+    return _walk(stmt, (), out)[3]
 
 
 def _replace(tree: IFTree, path: Path, new: IFTree) -> IFTree:
@@ -217,45 +226,23 @@ class CseOptimizer:
             return block
         return self._rewrite(block, chosen)
 
-    @staticmethod
-    def _statement_candidates(
-        stmt: IFTree, out: List[Tuple[Path, IFTree]]
-    ) -> None:
-        """Candidates of one statement.
-
-        The *target reference* of an assignment is a store shape the
-        grammar matches literally (``assign fullword dsp.1 r.1 r.2``), so
-        it must never be replaced -- but its index expression and pointer
-        base subtrees are ordinary value computations and are fair game.
-        """
-        if isinstance(stmt, Node) and stmt.op == "assign":
-            target = stmt.children[0]
-            if isinstance(target, Node):
-                for i, child in enumerate(target.children):
-                    if isinstance(child, Node):
-                        _collect_candidates(child, (0, i), out)
-            _collect_candidates(stmt.children[1], (1,), out)
-            return
-        _collect_candidates(stmt, (), out)
-
     def _find_groups(self, block: List[IFTree]) -> List[_Group]:
         available: Dict[str, _Group] = {}
         finished: List[_Group] = []
         for stmt_idx, stmt in enumerate(block):
-            candidates: List[Tuple[Path, IFTree]] = []
-            self._statement_candidates(stmt, candidates)
+            candidates: List[_Candidate] = []
+            calls = _statement_candidates(stmt, candidates)
             # Reads first: the RHS of an assignment is evaluated before
             # the store happens.
-            for path, tree in candidates:
-                key = _key(tree)
+            for path, tree, key, size in candidates:
                 group = available.get(key)
                 if group is None:
-                    group = _Group(key, tree)
+                    group = _Group(key, tree, size)
                     _reads(tree, group.reads)
                     available[key] = group
                 group.occurrences.append((stmt_idx, path))
             # Then the statement's effects.
-            if _contains_call(stmt):
+            if calls:
                 finished.extend(available.values())
                 available.clear()
                 continue
@@ -280,7 +267,7 @@ class CseOptimizer:
 
         chosen: List[_Group] = []
         taken: List[Tuple[int, Path]] = []
-        for group in sorted(groups, key=lambda g: -_size(g.tree)):
+        for group in sorted(groups, key=lambda g: -g.size):
             if any(
                 overlaps(occ, t)
                 for occ in group.occurrences

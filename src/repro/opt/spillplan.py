@@ -22,10 +22,13 @@ generator twice:
    whether its store can be skipped: either the slot is never read
    (dead value) or the value is still available at the home it was
    loaded from (clean value; reloads are redirected there).
-3. **Final**: re-generate against the real frame with the converged
-   plan.  Every directive carries the probe's eviction ordinal and
-   global-index guard; the allocator abandons the plan (pure LRU from
-   then on, ``plan_degraded_reason`` set) on any mismatch.
+3. **Final**: the generation with the converged plan.  That is the last
+   probe, which already ran the plan against a copy of the frame; the
+   real frame adopts the copy's state.  Only an unconverged or
+   abandoned plan is generated once more against the real frame.  Every
+   directive carries the probe's eviction ordinal and global-index
+   guard; the allocator abandons the plan (pure LRU from then on,
+   ``plan_degraded_reason`` set) on any mismatch.
 
 Soundness notes.  Evicting *any* unpinned busy register is correct (the
 runtime patches the translation stack), so a victim override can never
@@ -394,8 +397,9 @@ def generate_with_liveness(
     if not isinstance(tokens, list):
         tokens = list(tokens)  # probed repeatedly
     plan: Tuple[SpillDirective, ...] = ()
+    probe_frame = copy.deepcopy(frame)
     probe = gen.generate(
-        tokens, frame=copy.deepcopy(frame), guards=guards,
+        tokens, frame=probe_frame, guards=guards,
         strategy="liveness", spill_plan=plan,
     )
     log = probe.stats.get("spill_log") or []
@@ -403,6 +407,7 @@ def generate_with_liveness(
         # No spills: nothing to plan, and the deep-copied frame was
         # never consulted for scratch slots, so the probe IS the result.
         return probe, info
+    converged = False
     for iteration in range(_MAX_ITERATIONS):
         info["plan_iterations"] = iteration + 1
         new_plan, reason = build_plan(
@@ -413,10 +418,12 @@ def generate_with_liveness(
             plan = ()
             break
         if new_plan == plan:
+            converged = True
             break
         plan = new_plan
+        probe_frame = copy.deepcopy(frame)
         probe = gen.generate(
-            tokens, frame=copy.deepcopy(frame), guards=guards,
+            tokens, frame=probe_frame, guards=guards,
             strategy="liveness", spill_plan=plan,
         )
         reason = probe.stats.get("plan_degraded_reason") or ""
@@ -425,10 +432,17 @@ def generate_with_liveness(
             info["degraded_reason"] = reason
             plan = ()
             break
-    final = gen.generate(
-        tokens, frame=frame, guards=guards,
-        strategy="liveness", spill_plan=plan,
-    )
+    if converged:
+        # Generation is deterministic: the last probe, with this plan
+        # and a copy of this frame, is the final generation.
+        final = probe
+        if frame is not None:
+            vars(frame).update(vars(probe_frame))
+    else:
+        final = gen.generate(
+            tokens, frame=frame, guards=guards,
+            strategy="liveness", spill_plan=plan,
+        )
     if final.stats.get("plan_degraded_reason"):
         info["degraded_reason"] = final.stats["plan_degraded_reason"]
     log = final.stats.get("spill_log") or []

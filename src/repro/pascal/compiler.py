@@ -355,12 +355,6 @@ def _compile_at(
             "long_branches": module.long_branches,
             "fallback_routines": [e.routine for e in fallback_events],
             "opt_level": opt_level,
-            "specialized": getattr(generated, "stats", {}).get(
-                "specialized", False
-            ),
-            "specialize_degraded_reason": getattr(
-                generated, "stats", {}
-            ).get("degraded_reason", ""),
             "peephole": peephole_stats,
             "global": global_stats,
             "regalloc": regalloc_stats,

@@ -36,17 +36,14 @@ Ten injectors, one per fragile layer:
     cached build must degrade to a fresh table construction that
     produces the pristine tables -- a damaged cache may cost time,
     never correctness.
-``specialize``
-    Damage the cached specialized-engine module
-    (:mod:`repro.core.specialize`) -- truncate, bit-flip, rewrite its
-    embedded version to a stale one, smash it with garbage -- then
-    build through the damaged cache; or sabotage the *live* attached
-    engine so it fails mid-generation.  The loader must reject file
-    damage as corruption (delete + re-emit), a mid-run failure must
-    demote the generator to the interpreted lane with a recorded
-    ``degraded_reason``, and in every case the generated code must be
-    byte-identical to the interpreted reference.  Specialization
-    damage may cost speed, never correctness.
+``reducers``
+    Compile the code generator's reducers after one to four reductions
+    (:mod:`repro.core.specialize`), optionally with every reduced
+    production compiled up front, then drop all compiled reducers at
+    random points mid-generate.  Slots fall back to the generic reducer
+    and compile again; the generated code must be byte-identical to a
+    generate that never compiles a reducer.  Reducer damage may cost
+    speed, never correctness.
 ``simcache``
     Run the known-good program in random-length chunks, each ended by
     the step limit, and damage the simulator's compiled-block state
@@ -94,6 +91,7 @@ contract -- typed envelopes only, recovery afterwards -- is stable.)
 
 from __future__ import annotations
 
+import copy
 import random
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -386,132 +384,56 @@ def _inject_buildcache(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
     return action
 
 
-def _inject_specialize(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
-    """Damage the cached specialized module (or the live engine); the
-    generator must degrade or regenerate -- identical code, no crash."""
-    from repro.core import buildcache, buildstats, specialize
-    from repro.errors import SpecializeError
+class _DroppingItems(list):
+    """A code buffer's item list that drops every compiled reducer of
+    ``gen`` as soon as it holds ``at[0]`` items (then ``at[1]``, ...)."""
 
-    text, machine, extra, fingerprint, pristine = _buildcache_artifact(
-        fx.variant
-    )
-    # 0-4: file damage before a warm build; 5: live-engine sabotage.
-    op = rng.randrange(6)
-    flips = rng.randint(1, 16)
-    junk = bytes(rng.randrange(256) for _ in range(rng.randint(1, 64)))
-    cut_frac = rng.uniform(0.1, 0.9)
-    fail_reason = rng.choice(
-        ["truncated", "bad-checksum", "stale-version", "corrupt"]
-    )
+    def __init__(self, gen: CodeGenerator, at: List[int]):
+        super().__init__()
+        self.gen = gen
+        self.at = at
 
-    def _reference(gen) -> List[str]:
-        engine = gen.specialized
-        gen.specialized = None
-        try:
-            generated = gen.generate(
-                list(fx.tokens), frame=fx.ir.spill_frame,
-                guards=CHAOS_GUARDS,
-            )
-        finally:
-            gen.specialized = engine
-        if generated.stats.get("specialized"):
-            raise RuntimeError("interpreted reference ran specialized")
+    def append(self, item) -> None:
+        super().append(item)
+        if self.at and len(self) >= self.at[0]:
+            del self.at[0]
+            self.gen.drop_compiled_reducers()
+
+
+def _inject_reducers(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
+    """Compile reducers early and drop them mid-generate; the code must
+    match a generate that never compiles one."""
+    from repro.core.codegen.emitter import CodeBuffer
+
+    threshold = rng.randint(1, 4)
+    warm = rng.random() < 0.5
+    drops = rng.randint(1, 6)
+
+    def render(gen: CodeGenerator, buffer=None) -> List[str]:
+        generated = gen.generate(
+            list(fx.tokens), frame=copy.deepcopy(fx.ir.spill_frame),
+            guards=CHAOS_GUARDS, buffer=buffer,
+        )
         return [str(item) for item in generated.buffer.items]
 
     def action() -> None:
-        with tempfile.TemporaryDirectory(prefix="repro-chaos-spec-") as tmp:
-            cache_dir = Path(tmp)
-            apath = buildcache.artifact_path(cache_dir, fingerprint)
-            apath.parent.mkdir(parents=True, exist_ok=True)
-            apath.write_bytes(pristine)
-            build = buildcache.cached_build(
-                text, machine, extra_semops=extra, cache_dir=cache_dir
+        gen = CodeGenerator(fx.build.sdts, fx.build.tables, fx.build.machine)
+        gen.compile_threshold = None
+        expected = render(gen)
+        gen.compile_threshold = threshold
+        if warm:
+            # Start with every reduced production already compiled.
+            render(gen)
+        buffer = CodeBuffer()
+        buffer.items = _DroppingItems(
+            gen, sorted(rng.sample(range(1, len(expected) + 1),
+                                   min(drops, len(expected)))),
+        )
+        if render(gen, buffer) != expected:
+            raise RuntimeError(
+                "dropping compiled reducers mid-generate changed the "
+                "generated code"
             )
-            gen = build.code_generator
-            if gen.specialized is None:
-                # Specialization disabled (e.g. REPRO_SPECIALIZE=0):
-                # nothing to damage -- vacuous survival.
-                return
-            expected = _reference(gen)
-            spec_fp = specialize.specialize_fingerprint(fingerprint)
-            mpath = specialize.module_path(cache_dir, spec_fp)
-            if op == 5:
-                # Sabotage the live engine mid-generation.
-                def broken(tokens, frame=None, guards=None, stats=None):
-                    raise SpecializeError(
-                        "chaos: engine failed mid-run",
-                        reason=fail_reason,
-                    )
-
-                gen.specialized = broken
-                degraded_before = buildstats.get("specialize_degraded")
-                generated = gen.generate(
-                    list(fx.tokens), frame=fx.ir.spill_frame,
-                    guards=CHAOS_GUARDS,
-                )
-                items = [str(i) for i in generated.buffer.items]
-                if items != expected:
-                    raise RuntimeError(
-                        "mid-run engine failure changed the generated "
-                        "code"
-                    )
-                if generated.stats.get("specialized") is not False:
-                    raise RuntimeError(
-                        "degraded generate still claims specialized"
-                    )
-                if not generated.stats.get("degraded_reason"):
-                    raise RuntimeError(
-                        "mid-run degrade recorded no degraded_reason"
-                    )
-                if buildstats.get("specialize_degraded") == degraded_before:
-                    raise RuntimeError(
-                        "mid-run degrade did not bump specialize_degraded"
-                    )
-                return
-            blob = bytearray(mpath.read_bytes())
-            if op == 0:
-                del blob[int(len(blob) * cut_frac):]
-            elif op == 1:
-                for _ in range(flips):
-                    blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
-            elif op == 2:
-                # Stale version: the embedded version line changes, so
-                # the whole-file checksum no longer matches either way.
-                blob = bytearray(
-                    bytes(blob).replace(
-                        b"SPECIALIZER_VERSION", b"SPECIALIZER_VERSIOM"
-                    )
-                )
-            elif op == 3:
-                blob.extend(junk)
-            else:
-                blob = bytearray(junk)
-            mpath.write_bytes(bytes(blob))
-            corrupt_before = buildstats.get("specialize_cache_corrupt")
-            build2 = buildcache.cached_build(
-                text, machine, extra_semops=extra, cache_dir=cache_dir
-            )
-            gen2 = build2.code_generator
-            if buildstats.get("specialize_cache_corrupt") == corrupt_before:
-                raise RuntimeError(
-                    "module damage was not detected as corruption"
-                )
-            generated = gen2.generate(
-                list(fx.tokens), frame=fx.ir.spill_frame,
-                guards=CHAOS_GUARDS,
-            )
-            items = [str(i) for i in generated.buffer.items]
-            if items != expected:
-                raise RuntimeError(
-                    "damaged specialized module changed the generated "
-                    "code"
-                )
-            if gen2.specialized is not None and not generated.stats.get(
-                "specialized"
-            ):
-                raise RuntimeError(
-                    "re-emitted engine was attached but did not run"
-                )
 
     return action
 
@@ -947,7 +869,7 @@ INJECTORS = {
     "registers": _inject_registers,
     "objmod": _inject_objmod,
     "buildcache": _inject_buildcache,
-    "specialize": _inject_specialize,
+    "reducers": _inject_reducers,
     "simcache": _inject_simcache,
     "peephole": _inject_peephole,
     "optimizer": _inject_optimizer,

@@ -141,9 +141,7 @@ class CompileServer:
         self.startup_builds = {
             key: after.get(key, 0) - before.get(key, 0)
             for key in ("automaton_builds", "table_builds",
-                        "cache_hits", "cache_misses",
-                        "specialize_emits", "specialize_cache_hits",
-                        "specialize_degraded")
+                        "cache_hits", "cache_misses")
         }
         # The serving-time baseline is *after* warm-up: any build from
         # here on is a rebuild the warm-table claim says cannot happen.

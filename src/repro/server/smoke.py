@@ -135,13 +135,6 @@ def main() -> int:
                 f"startup warm-loaded from the persistent cache "
                 f"(got {startup})",
             )
-            check(
-                startup.get("specialize_emits") == 0
-                and startup.get("specialize_cache_hits", 0) >= 1
-                and startup.get("specialize_degraded") == 0,
-                f"startup loaded the specialized engine from its "
-                f"cached module without regenerating (got {startup})",
-            )
 
             # 3. Concurrent compile/run across both variants.
             jobs: List[Tuple[str, str, str]] = [

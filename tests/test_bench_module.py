@@ -162,17 +162,18 @@ def _lane(rate_key):
 
 
 def _valid_report():
-    """The smallest report validate_report accepts (schema 7)."""
+    """The smallest report validate_report accepts (schema 8)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "git_rev": "abc1234",
         "timestamp": "2026-01-01T00:00:00",
         "machine": {},
         "codegen": {
-            "dense": _lane("tokens_per_s"),
+            "reference": _lane("tokens_per_s"),
+            "tiered": _lane("tokens_per_s"),
             "compressed": _lane("tokens_per_s"),
-            "specialized": _lane("tokens_per_s"),
-            "speedup_specialized_vs_compressed": 2.1,
+            "speedup_tiered_vs_reference": 1.7,
+            "tiered_first_call_s": 0.05,
             "lanes_identical": True,
         },
         "table_build": {},
@@ -224,10 +225,16 @@ class TestSchemaValidation:
         report["simulator"]["lanes_identical"] = False
         assert any("lanes_identical" in p for p in validate_report(report))
 
-    def test_missing_specialized_lane_rejected(self):
+    def test_missing_tiered_lane_rejected(self):
         report = _valid_report()
-        del report["codegen"]["specialized"]
-        assert any("specialized" in p for p in validate_report(report))
+        del report["codegen"]["tiered"]
+        assert any("tiered" in p for p in validate_report(report))
+        report = _valid_report()
+        del report["codegen"]["speedup_tiered_vs_reference"]
+        assert any(
+            "speedup_tiered_vs_reference" in p
+            for p in validate_report(report)
+        )
 
     def test_diverged_codegen_lanes_rejected(self):
         report = _valid_report()

@@ -34,11 +34,6 @@ CASES = [
         E.BuildCacheError("artifact truncated", reason="truncated"),
         {"reason": "truncated"},
     ),
-    (
-        E.SpecializeError("specialized module failed its checksum",
-                          reason="bad-checksum"),
-        {"reason": "bad-checksum"},
-    ),
     (E.IFError("dangling operand in linearized form"), {}),
     (E.ShapeError("no address for temporary t3"), {}),
     (

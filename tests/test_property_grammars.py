@@ -143,6 +143,13 @@ class TestRandomGrammars:
         # outs == statement count, always
         outs = sum(1 for i in code.instructions() if i.opcode == "out")
         assert outs == len(statements)
+        # Reducers compiled on first use emit what the generic one does.
+        listings = []
+        for threshold in (None, 1):
+            gen = CodeGenerator(build.sdts, build.tables, build.machine)
+            gen.compile_threshold = threshold
+            listings.append(gen.generate(tokens).listing())
+        assert listings[0] == listings[1]
 
     @given(grammar_and_programs())
     @settings(max_examples=25, **_SETTINGS)

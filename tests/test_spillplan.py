@@ -378,6 +378,39 @@ class TestGenerateWithLiveness:
         assert info["plan_iterations"] == 2  # skip-only plans converge
         assert info["degraded_reason"] == ""
 
+    def test_converged_plan_returns_the_last_probe(
+        self, pressure, monkeypatch
+    ):
+        """A converged plan costs two generations, not three: the last
+        probe is the result, and the caller's frame ends in the state a
+        final generation with that plan would have left it in."""
+        build, tokens, frame = pressure
+        gen = build.code_generator
+        calls, plans = [], []
+        generate, plan_of = gen.generate, spillplan.build_plan
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("spill_plan"))
+            return generate(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            result = plan_of(*args, **kwargs)
+            plans.append(result[0])
+            return result
+
+        monkeypatch.setattr(gen, "generate", counting)
+        monkeypatch.setattr(spillplan, "build_plan", recording)
+        mine = copy.deepcopy(frame)
+        generated, info = generate_with_liveness(build, tokens, frame=mine)
+        assert len(calls) == 2 and info["plan_iterations"] == 2
+        monkeypatch.undo()
+        theirs = copy.deepcopy(frame)
+        final = gen.generate(
+            tokens, frame=theirs, strategy="liveness", spill_plan=plans[-1]
+        )
+        assert generated.listing() == final.listing()
+        assert mine.alloc_temp(4) == theirs.alloc_temp(4)
+
     def test_spill_free_program_returns_the_probe(self):
         compiled = compile_source(W.appendix1_fragment(), opt_level=0)
         build = cached_build("full")
