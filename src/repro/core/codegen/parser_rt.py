@@ -185,7 +185,7 @@ class EmissionContext:
         run: "_Run",
         prod: Production,
         values: List[StackValue],
-        plan: Optional["_ProdPlan"] = None,
+        plan: "_ProdPlan",
     ):
         self.gen = gen
         self.run = run
@@ -202,13 +202,8 @@ class EmissionContext:
         self.allocated: List[Union[RegValue, PairValue, CCValue]] = []
         self._suppressed: List[StackValue] = []
         bindings: Dict[Tuple[str, int], StackValue] = {}
-        if plan is not None:
-            for key, pos in plan.binding_refs:
-                bindings[key] = values[pos]
-        else:
-            for pos, ref in enumerate(prod.rhs_refs):
-                if ref is not None:
-                    bindings[(ref.name, ref.index)] = values[pos]
+        for key, pos in plan.binding_refs:
+            bindings[key] = values[pos]
         self.bindings = bindings
 
     # ---- bindings -------------------------------------------------------------
@@ -441,11 +436,11 @@ class _Run:
                 self.cse.lookup(record.cse_id).reg = new
 
     def _on_spill(self, cls_nt: str, reg: int) -> None:
-        state = self.alloc.state(cls_nt, reg)
         event = self.alloc.last_event
         old = RegValue(reg, cls_nt)
-        if state.cse is not None:
-            record = self.cse.lookup(state.cse)
+        cse_id = self.alloc.cse_of(old)
+        if cse_id is not None:
+            record = self.cse.lookup(cse_id)
             store = "st" if record.size == "full" else (
                 "sth" if record.size == "half" else "stc"
             )
@@ -453,16 +448,16 @@ class _Run:
                 store,
                 R(reg),
                 Mem(record.disp, 0, record.base),
-                comment=f"spill CSE {state.cse}",
+                comment=f"spill CSE {cse_id}",
             )
-            self.cse.evict(state.cse)
+            self.cse.evict(cse_id)
             self._patch_values(
                 old, SpilledValue(cls_nt, record.disp, record.base)
             )
             # A CSE's home slot must always be written (later FIND_COMMON
             # reductions read it), so directives never skip this store.
             if event is not None:
-                event.cse = state.cse
+                event.cse = cse_id
                 event.store_index = len(self.buffer.items) - 1
                 event.scratch = (record.disp, record.base)
             return

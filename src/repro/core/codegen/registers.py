@@ -125,6 +125,9 @@ class RegisterAllocator:
     description at construction: the skeletal parser pins, acquires and
     releases registers thousands of times per compilation unit, so every
     per-call trip through ``machine.register_class`` was measurable.
+    Both reducer tiers -- the generic reducer and the compiled reducers
+    of :mod:`repro.core.specialize` -- make those calls; no other code
+    reads or writes a :class:`RegState`.
     """
 
     __slots__ = (
@@ -134,7 +137,7 @@ class RegisterAllocator:
         "pending_directive", "last_event", "_spill_ordinal",
         "_pools", "_pin_epoch", "_cls_by_nt", "_pool_by_nt",
         "_pool_name_by_nt", "_pool_by_cls_name", "_gpr_nt_by_cls_name",
-        "_split_info_by_nt",
+        "_split_info_by_nt", "_scan_by_nt",
     )
 
     def __init__(
@@ -193,6 +196,21 @@ class RegisterAllocator:
         #: name map above must be complete first.
         self._split_info_by_nt: Dict[str, Tuple[str, Dict[int, RegState]]] = {
             nt: (self._gpr_nonterminal(cls), self._pool_by_nt[nt])
+            for nt, cls in machine.classes.items()
+            if cls.kind is not ClassKind.CC
+        }
+        #: What ``allocate`` scans, per non-terminal: the pool, the
+        #: class's allocatable registers (pair evens) in ascending order,
+        #: and whether the class is a pair class.  Ascending order makes
+        #: a strict ``<`` on stamps keep the ``(stamp, number)``
+        #: tie-break, whatever order the machine lists the set in.
+        self._scan_by_nt: Dict[
+            str, Tuple[Dict[int, RegState], Tuple[int, ...], bool]
+        ] = {
+            nt: (
+                self._pool_by_nt[nt], tuple(sorted(cls.allocatable)),
+                cls.kind is ClassKind.PAIR,
+            )
             for nt, cls in machine.classes.items()
             if cls.kind is not ClassKind.CC
         }
@@ -265,22 +283,39 @@ class RegisterAllocator:
             return name
         return self.machine.gpr_class_of(self._cls(nonterminal)).name
 
-    @staticmethod
-    def _value_regs(value: Union[RegValue, PairValue]) -> List[int]:
-        if isinstance(value, PairValue):
-            return [value.even, value.odd]
-        return [value.reg]
-
     # ---- allocation (USING) --------------------------------------------------
 
     def allocate(self, nonterminal: str) -> Union[RegValue, PairValue, CCValue]:
         """USING: any free register (or pair) of the class, LRU first."""
-        cls = self._cls(nonterminal)
-        if cls.kind is ClassKind.CC:
+        scan = self._scan_by_nt.get(nonterminal)
+        if scan is None:
+            self._cls(nonterminal)  # raises for an unknown non-terminal
             return CCValue()
-        if cls.kind is ClassKind.PAIR:
-            return self._allocate_pair(nonterminal, cls)
-        return self._allocate_single(nonterminal, cls)
+        pool, regs, pair = scan
+        if pair:
+            even = self._best_free_pair(pool, regs)
+            if even is None:
+                cls = self._cls(nonterminal)
+                self._evict_for_pair(nonterminal, cls)
+                even = self._best_free_pair(pool, regs)
+                if even is None:
+                    raise self._pressure(
+                        f"no {cls.name!r} pair can be freed", cls
+                    )
+            self._mark_allocated(pool[even])
+            self._mark_allocated(pool[even + 1])
+            return PairValue(even, nonterminal)
+        state = self._best_free(pool, regs)
+        if state is None:
+            cls = self._cls(nonterminal)
+            self._evict_one(nonterminal, cls)
+            state = self._best_free(pool, regs)
+            if state is None:
+                raise self._pressure(
+                    f"no register of class {cls.name!r} can be freed", cls
+                )
+        self._mark_allocated(state)
+        return RegValue(state.number, nonterminal)
 
     def _free_candidates(self, cls: RegisterClass) -> List[RegState]:
         pool = self._pool(cls)
@@ -292,69 +327,46 @@ class RegisterAllocator:
         return free
 
     def _best_free(
-        self, cls: RegisterClass, exclude: Optional[int] = None
+        self, pool: Dict[int, RegState], regs: Tuple[int, ...]
     ) -> Optional[RegState]:
-        """The register :meth:`_free_candidates` would rank first.
-
-        The hot paths only ever take the head of the sorted free list,
-        so this scans for the minimum instead of building and sorting it.
-        """
-        pool = self._pool(cls)
-        lru = self.strategy != "fixed"
+        """The register :meth:`_free_candidates` would rank first, found
+        by one scan over ``regs`` (ascending, from ``_scan_by_nt``)."""
+        if self.strategy == "fixed":
+            for n in regs:
+                state = pool[n]
+                if not state.busy:
+                    return state
+            return None
         best: Optional[RegState] = None
-        best_key = None
-        for n in cls.allocatable:
+        stamp = 0
+        for n in regs:
             state = pool[n]
-            if state.busy or n == exclude:
-                continue
-            key = (state.stamp, n) if lru else n
-            if best is None or key < best_key:
-                best, best_key = state, key
+            if not state.busy and (best is None or state.stamp < stamp):
+                best = state
+                stamp = state.stamp
         return best
 
-    def _allocate_single(
-        self, nonterminal: str, cls: RegisterClass
-    ) -> RegValue:
-        state = self._best_free(cls)
-        if state is None:
-            self._evict_one(nonterminal, cls)
-            state = self._best_free(cls)
-            if state is None:
-                raise self._pressure(
-                    f"no register of class {cls.name!r} can be freed", cls
-                )
-        self._mark_allocated(state)
-        return RegValue(state.number, nonterminal)
-
-    def _best_free_pair(self, cls: RegisterClass) -> Optional[int]:
+    @staticmethod
+    def _best_free_pair(
+        pool: Dict[int, RegState], evens: Tuple[int, ...]
+    ) -> Optional[int]:
         """The least-recently-used fully-free pair (lowest even number on
-        ties) -- the head of the sorted candidate list, found by scan."""
-        pool = self._pool(cls)
+        ties, whatever the strategy), found by one scan over ``evens``
+        (ascending)."""
         best: Optional[int] = None
-        best_key = None
-        for even in cls.allocatable:
+        best_stamp = 0
+        for even in evens:
             s0 = pool[even]
-            s1 = pool[even + 1]
-            if s0.busy or s1.busy:
+            if s0.busy:
                 continue
-            key = (s0.stamp if s0.stamp > s1.stamp else s1.stamp, even)
-            if best is None or key < best_key:
-                best, best_key = even, key
+            s1 = pool[even + 1]
+            if s1.busy:
+                continue
+            stamp = s0.stamp if s0.stamp > s1.stamp else s1.stamp
+            if best is None or stamp < best_stamp:
+                best = even
+                best_stamp = stamp
         return best
-
-    def _allocate_pair(self, nonterminal: str, cls: RegisterClass) -> PairValue:
-        pool = self._pool(cls)
-        even = self._best_free_pair(cls)
-        if even is None:
-            self._evict_for_pair(nonterminal, cls)
-            even = self._best_free_pair(cls)
-            if even is None:
-                raise self._pressure(
-                    f"no {cls.name!r} pair can be freed", cls
-                )
-        self._mark_allocated(pool[even])
-        self._mark_allocated(pool[even + 1])
-        return PairValue(even, nonterminal)
 
     def _mark_allocated(self, state: RegState) -> None:
         state.busy = True
@@ -396,7 +408,9 @@ class RegisterAllocator:
                 f"register {state.number} of {cls.name!r} is busy and no "
                 f"move hook is installed", cls
             )
-        target = self._best_free(cls, exclude=state.number)
+        # ``state`` is busy, so the scan never picks it.
+        pool, regs, _ = self._scan_by_nt[nonterminal]
+        target = self._best_free(pool, regs)
         if target is None:
             raise self._pressure(
                 f"need: register {state.number} is busy and class "
@@ -594,11 +608,12 @@ class RegisterAllocator:
         pool = self._pool_by_nt.get(value.cls)
         if pool is None:
             pool = self._pools[self._pool_name(value.cls)]
-        regs = (
-            (value.even, value.odd)
-            if type(value) is PairValue else (value.reg,)
-        )
-        for n in regs:
+        if type(value) is not PairValue:
+            state = pool[value.reg]
+            state.busy = True
+            state.use_count += count
+            return
+        for n in (value.even, value.odd):
             state = pool[n]
             state.busy = True
             state.use_count += count
@@ -610,15 +625,22 @@ class RegisterAllocator:
         pool = self._pool_by_nt.get(value.cls)
         if pool is None:
             pool = self._pools[self._pool_name(value.cls)]
-        regs = (
-            (value.even, value.odd)
-            if type(value) is PairValue else (value.reg,)
-        )
-        for n in regs:
-            state = pool[n]
-            was_busy = state.busy
+        if type(value) is not PairValue:
+            state = pool[value.reg]
             state.use_count -= count
             if state.use_count <= 0:
+                was_busy = state.busy
+                state.busy = False
+                state.use_count = 0
+                state.cse = None
+                if was_busy and self.on_free is not None:
+                    self.on_free(value.reg)
+            return
+        for n in (value.even, value.odd):
+            state = pool[n]
+            state.use_count -= count
+            if state.use_count <= 0:
+                was_busy = state.busy
                 state.busy = False
                 state.use_count = 0
                 state.cse = None
@@ -660,14 +682,27 @@ class RegisterAllocator:
         pool = self._pool_by_nt.get(value.cls)
         if pool is None:
             pool = self._pools[self._pool_name(value.cls)]
+        if type(value) is not PairValue:
+            state = pool[value.reg]
+            state.stamp = self.global_index
+            cse_id = state.cse
+            if cse_id is None:
+                return []
+            state.cse = None
+            return [cse_id]
         invalidated: List[int] = []
-        for n in self._value_regs(value):
+        for n in (value.even, value.odd):
             state = pool[n]
             state.stamp = self.global_index
             if state.cse is not None:
                 invalidated.append(state.cse)
                 state.cse = None
         return invalidated
+
+    def uses(self, value: RegValue) -> Tuple[int, Optional[int]]:
+        """``(use count, bound CSE id)`` of a plain register."""
+        state = self.state(value.cls, value.reg)
+        return state.use_count, state.cse
 
     def bind_cse(self, value: RegValue, cse_id: int) -> None:
         self.state(value.cls, value.reg).cse = cse_id

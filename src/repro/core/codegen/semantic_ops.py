@@ -69,14 +69,12 @@ def h_modifies(ctx: "EmissionContext", tmpl: "TemplateAST") -> None:
     ref = operand.base
     value = ctx.reg_binding(ref, tmpl)
 
-    if isinstance(value, RegValue):
-        state = ctx.alloc.state(value.cls, value.reg)
-        consumed_here = ctx.values.count(value)
-        cse_id = state.cse
+    if type(value) is RegValue:
+        use_count, cse_id = ctx.alloc.uses(value)
         remaining = (
             ctx.cse.lookup(cse_id).remaining if cse_id is not None else 0
         )
-        live_elsewhere = state.use_count - consumed_here - remaining
+        live_elsewhere = use_count - ctx.values.count(value) - remaining
         if live_elsewhere > 0:
             # Relocate the destination; the old register keeps the value.
             fresh = ctx.alloc.allocate(value.cls)

@@ -1,5 +1,7 @@
 """Unit tests: the LRU register allocator (paper section 4.1)."""
 
+import random
+
 import pytest
 
 from repro.errors import CodeGenError, RegisterPressureError
@@ -239,3 +241,195 @@ class TestSpill:
             a.pin(a.allocate("r"))
         with pytest.raises(RegisterPressureError):
             a.allocate("r")
+
+
+# ---- the fast paths against a slow reference -------------------------------
+
+
+def shuffled_machine():
+    """``machine()`` with both allocatable sets listed out of order."""
+    gpr = RegisterClass(
+        "register", ClassKind.GPR,
+        members=tuple(range(8)), allocatable=(5, 3, 1, 4, 2),
+    )
+    dbl = RegisterClass(
+        "pair", ClassKind.PAIR,
+        members=(2, 4, 6), allocatable=(6, 2, 4), pair_of="r",
+    )
+    cc = RegisterClass("condition", ClassKind.CC)
+    return MachineDescription(
+        name="m", classes={"r": gpr, "dbl": dbl, "cc": cc}
+    )
+
+
+MACHINES = {"ascending": machine, "shuffled": shuffled_machine}
+STRATEGIES = ("lru", "liveness", "fixed")
+CASES = 300
+
+
+def _random_state(rng):
+    """Per-register ``(busy, use_count, stamp, cse)`` with few distinct
+    stamps, so ties are common."""
+    state = []
+    for _ in range(8):
+        busy = rng.random() < 0.5
+        state.append((
+            busy,
+            rng.randrange(1, 4) if busy else 0,
+            rng.randrange(0, 5),
+            rng.choice((None, None, 7)) if busy else None,
+        ))
+    return state
+
+
+def _twin(make, strategy, state, global_index):
+    """An allocator in pool state ``state`` and the list its ``on_free``
+    hook appends to."""
+    freed = []
+    a = RegisterAllocator(make(), strategy=strategy, on_free=freed.append)
+    a.global_index = global_index
+    for n, (busy, use_count, stamp, cse) in enumerate(state):
+        s = a.state("r", n)
+        s.busy, s.use_count, s.stamp, s.cse = busy, use_count, stamp, cse
+    return a, freed
+
+
+def _snapshot(a):
+    return [
+        (s.busy, s.use_count, s.stamp, s.cse, s.pin_epoch)
+        for s in (a.state("r", n) for n in range(8))
+    ]
+
+
+def _ref_release(a, regs, count, freed):
+    for n in regs:
+        s = a.state("r", n)
+        was_busy = s.busy
+        s.use_count -= count
+        if s.use_count <= 0:
+            s.busy = False
+            s.use_count = 0
+            s.cse = None
+            if was_busy:
+                freed.append(n)
+
+
+def _ref_acquire(a, regs, count, freed):
+    for n in regs:
+        s = a.state("r", n)
+        s.busy = True
+        s.use_count += count
+
+
+def _cases(shape, strategy):
+    rng = random.Random(f"{shape}/{strategy}")
+    for _ in range(CASES):
+        yield rng, _random_state(rng), rng.randrange(5, 50)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("shape", sorted(MACHINES))
+class TestFastPathsMatchReference:
+    """Seeded random pool states: ``allocate``'s one-pass scans pick
+    what the sorted candidate lists put first, and the single-register
+    ``release``/``acquire``/``split_pair`` paths match a literal
+    per-register loop, ``on_free`` order included."""
+
+    def test_allocate_gpr_is_head_of_free_candidates(self, shape, strategy):
+        make = MACHINES[shape]
+        for _, state, gi in _cases(shape, strategy):
+            a, _ = _twin(make, strategy, state, gi)
+            ref, _ = _twin(make, strategy, state, gi)
+            free = ref._free_candidates(ref.machine.classes["r"])
+            if not free:
+                with pytest.raises(RegisterPressureError):
+                    a.allocate("r")
+                continue
+            head = free[0]
+            head.busy, head.use_count, head.stamp, head.cse = True, 1, gi, None
+            assert a.allocate("r") == RegValue(head.number, "r")
+            assert _snapshot(a) == _snapshot(ref)
+
+    def test_allocate_pair_is_sorted_free_pair(self, shape, strategy):
+        make = MACHINES[shape]
+        for _, state, gi in _cases(shape, strategy):
+            a, _ = _twin(make, strategy, state, gi)
+            ref, _ = _twin(make, strategy, state, gi)
+            pairs = sorted(
+                (max(ref.state("r", e).stamp, ref.state("r", e + 1).stamp), e)
+                for e in ref.machine.classes["dbl"].allocatable
+                if not ref.state("r", e).busy
+                and not ref.state("r", e + 1).busy
+            )
+            if not pairs:
+                with pytest.raises(RegisterPressureError):
+                    a.allocate("dbl")
+                continue
+            even = pairs[0][1]
+            for n in (even, even + 1):
+                s = ref.state("r", n)
+                s.busy, s.use_count, s.stamp, s.cse = True, 1, gi, None
+            assert a.allocate("dbl") == PairValue(even, "dbl")
+            assert _snapshot(a) == _snapshot(ref)
+
+    @pytest.mark.parametrize("op", ["release", "acquire"])
+    def test_use_counts_match_per_register_loop(self, shape, strategy, op):
+        make = MACHINES[shape]
+        reference = _ref_release if op == "release" else _ref_acquire
+        for rng, state, gi in _cases(shape, strategy):
+            a, freed = _twin(make, strategy, state, gi)
+            ref, ref_freed = _twin(make, strategy, state, gi)
+            if rng.random() < 0.5:
+                value = RegValue(rng.randrange(8), "r")
+                regs = (value.reg,)
+            else:
+                value = PairValue(rng.choice((2, 4, 6)), "dbl")
+                regs = (value.even, value.odd)
+            count = rng.randrange(1, 4)
+            getattr(a, op)(value, count)
+            reference(ref, regs, count, ref_freed)
+            assert _snapshot(a) == _snapshot(ref)
+            assert freed == ref_freed
+
+    def test_split_pair_matches_per_register_loop(self, shape, strategy):
+        make = MACHINES[shape]
+        for rng, state, gi in _cases(shape, strategy):
+            a, freed = _twin(make, strategy, state, gi)
+            ref, ref_freed = _twin(make, strategy, state, gi)
+            pair = PairValue(rng.choice((2, 4, 6)), "dbl")
+            keep = rng.choice(("even", "odd"))
+            kept, dropped = (
+                (pair.even, pair.odd) if keep == "even"
+                else (pair.odd, pair.even)
+            )
+            assert a.split_pair(pair, keep) == RegValue(kept, "r")
+            s = ref.state("r", dropped)
+            was_busy = s.busy
+            s.busy, s.use_count, s.cse = False, 0, None
+            if was_busy:
+                ref_freed.append(dropped)
+            s = ref.state("r", kept)
+            s.busy, s.use_count, s.stamp = True, 1, gi
+            assert _snapshot(a) == _snapshot(ref)
+            assert freed == ref_freed
+
+    def test_mark_modified_matches_per_register_loop(self, shape, strategy):
+        make = MACHINES[shape]
+        for rng, state, gi in _cases(shape, strategy):
+            a, _ = _twin(make, strategy, state, gi)
+            ref, _ = _twin(make, strategy, state, gi)
+            if rng.random() < 0.5:
+                value = RegValue(rng.randrange(8), "r")
+                regs = (value.reg,)
+            else:
+                value = PairValue(rng.choice((2, 4, 6)), "dbl")
+                regs = (value.even, value.odd)
+            expected = []
+            for n in regs:
+                s = ref.state("r", n)
+                s.stamp = gi
+                if s.cse is not None:
+                    expected.append(s.cse)
+                    s.cse = None
+            assert a.mark_modified(value) == expected
+            assert _snapshot(a) == _snapshot(ref)

@@ -13,7 +13,9 @@ Contract under test (see :mod:`repro.core.specialize` and
   generic one for that reduction;
 * the watchdogs raise the same errors either way;
 * threads installing and dropping reducers on one shared generator
-  still emit single-threaded code.
+  still emit single-threaded code;
+* the emitted reducers leave register state to the allocator: their
+  source names none of its pools or ``RegState`` fields.
 """
 
 from __future__ import annotations
@@ -338,6 +340,33 @@ def test_emitted_module_py_compiles(build, tmp_path):
             path = tmp_path / f"reducer_{pid}.py"
             path.write_text(SP.emit_module(gen, pid), encoding="utf-8")
             py_compile.compile(str(path), doraise=True)
+
+
+#: What only :mod:`repro.core.codegen.registers` may name: the
+#: allocator's pool maps and pin epoch, and the ``RegState`` fields.
+ALLOCATOR_INTERNALS = (
+    "_pool_by_nt", "_pin_epoch", "_split_info_by_nt",
+    ".use_count", ".pin_epoch", ".stamp", ".busy",
+)
+
+
+@pytest.mark.parametrize(
+    "target", ["s370:minimal", "s370:medium", "s370:full", "toy"]
+)
+def test_reducers_leave_register_state_to_the_allocator(target):
+    """Compiled reducers call the register allocator; none reads or
+    writes its register pools itself."""
+    if target == "toy":
+        gen = build_toy().code_generator
+    else:
+        gen = cached_build(target.split(":")[1]).code_generator
+    found = {
+        (pid, name)
+        for pid in _reducible(gen)
+        for name in ALLOCATOR_INTERNALS
+        if name in SP.emit_module(gen, pid)
+    }
+    assert found == set()
 
 
 def test_emitted_module_loads_and_binds():
