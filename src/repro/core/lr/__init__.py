@@ -3,7 +3,7 @@
 The paper relies on "well understood algorithms ... for constructing the
 code generator's tables" (section 1).  We implement:
 
-* :mod:`items` -- LR(0) items and closure/goto;
+* :mod:`items` -- LR(0) items and closure;
 * :mod:`automaton` -- the canonical LR(0) collection;
 * :mod:`slr` -- SLR(1) action/goto table construction with Glanville's
   conflict-resolution policy (shift preferred over reduce; longer
@@ -13,14 +13,13 @@ code generator's tables" (section 1).  We implement:
 """
 
 from repro.core.lr.automaton import LRAutomaton, build_automaton
-from repro.core.lr.items import Item, closure, goto_kernel
+from repro.core.lr.items import Item, closure
 from repro.core.lr.slr import ConflictRecord, build_parse_tables, first_sets, follow_sets
 from repro.core.lr.compress import CompressedTables, compress_tables
 
 __all__ = [
     "Item",
     "closure",
-    "goto_kernel",
     "LRAutomaton",
     "build_automaton",
     "ConflictRecord",

@@ -7,7 +7,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from repro.core import buildstats
 from repro.core.grammar import SDTS
-from repro.core.lr.items import Item, closure, goto_kernel, item_next_symbol
+from repro.core.lr.items import Item, closure
 
 
 @dataclass
@@ -17,59 +17,61 @@ class LRAutomaton:
     ``transitions[(state, symbol)] -> state`` covers both terminal shifts
     and non-terminal gotos; the distinction only matters to the runtime,
     which treats gotos as shifts of prefixed non-terminals (paper section
-    3: "prefix LHS to input stream").
+    3: "prefix LHS to input stream").  ``complete[state]`` lists the ids
+    of the productions whose item is complete in that state, in pid order.
     """
 
     sdts: SDTS
     states: List[FrozenSet[Item]] = field(default_factory=list)
     kernels: List[FrozenSet[Item]] = field(default_factory=list)
     transitions: Dict[Tuple[int, str], int] = field(default_factory=dict)
+    complete: List[List[int]] = field(default_factory=list)
 
     @property
     def nstates(self) -> int:
         return len(self.states)
 
-    def complete_items(self, state: int) -> List[Item]:
-        """Items with the dot at the end (reduction candidates)."""
-        return [
-            item
-            for item in self.states[state]
-            if item_next_symbol(self.sdts, item) is None
-        ]
-
 
 def build_automaton(sdts: SDTS) -> LRAutomaton:
-    """Breadth-first construction of the canonical LR(0) collection.
+    """Depth-first construction of the canonical LR(0) collection.
 
     States are identified by their *kernel* item sets, so the closure of
-    each state is computed exactly once.
+    each state is computed exactly once, and one pass over a closed state
+    partitions its items by the symbol after the dot: each bucket is the
+    kernel of that symbol's goto state.  Symbols are visited in sorted
+    order off a work stack, which fixes the state numbering.
     """
     buildstats.bump("automaton_builds")
     automaton = LRAutomaton(sdts)
+    rhs_of = [prod.rhs for prod in sdts.productions]
     start_kernel: FrozenSet[Item] = frozenset({(0, 0)})
     index: Dict[FrozenSet[Item], int] = {start_kernel: 0}
     automaton.kernels.append(start_kernel)
     automaton.states.append(closure(sdts, start_kernel))
+    automaton.complete.append([])
 
     work = [0]
     while work:
         state = work.pop()
-        items = automaton.states[state]
-        symbols = sorted(
-            {
-                sym
-                for item in items
-                if (sym := item_next_symbol(sdts, item)) is not None
-            }
-        )
-        for symbol in symbols:
-            kernel = goto_kernel(sdts, items, symbol)
+        buckets: Dict[str, List[Item]] = {}
+        complete = []
+        for pid, dot in automaton.states[state]:
+            rhs = rhs_of[pid]
+            if dot < len(rhs):
+                buckets.setdefault(rhs[dot], []).append((pid, dot + 1))
+            else:
+                complete.append(pid)
+        complete.sort()
+        automaton.complete[state] = complete
+        for symbol in sorted(buckets):
+            kernel = frozenset(buckets[symbol])
             target = index.get(kernel)
             if target is None:
                 target = len(automaton.states)
                 index[kernel] = target
                 automaton.kernels.append(kernel)
                 automaton.states.append(closure(sdts, kernel))
+                automaton.complete.append([])
                 work.append(target)
             automaton.transitions[(state, symbol)] = target
     return automaton

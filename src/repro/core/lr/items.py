@@ -1,4 +1,4 @@
-"""LR(0) items, closure and goto.
+"""LR(0) items and closure.
 
 The SDTS grammar has no epsilon productions (the spec parser rejects empty
 right-hand sides), which keeps closure computation simple: no nullable
@@ -23,33 +23,27 @@ def item_next_symbol(sdts: SDTS, item: Item) -> Optional[str]:
 
 
 def closure(sdts: SDTS, kernel: Iterable[Item]) -> FrozenSet[Item]:
-    """LR(0) closure of a kernel item set."""
+    """LR(0) closure of a kernel item set.
+
+    Each non-terminal is expanded at most once: expanding it adds the
+    initial item of every production it heads.
+    """
     by_lhs = _productions_by_lhs(sdts)
-    todo: List[Item] = list(kernel)
-    seen = set(todo)
+    prods = sdts.productions
+    items = set(kernel)
+    todo = [
+        rhs[dot] for pid, dot in items if dot < len(rhs := prods[pid].rhs)
+    ]
+    expanded = set()
     while todo:
-        item = todo.pop()
-        sym = item_next_symbol(sdts, item)
-        if sym is None or not sdts.is_nonterminal(sym):
+        sym = todo.pop()
+        if sym in expanded:
             continue
+        expanded.add(sym)
         for prod in by_lhs.get(sym, ()):
-            new = (prod.pid, 0)
-            if new not in seen:
-                seen.add(new)
-                todo.append(new)
-    return frozenset(seen)
-
-
-def goto_kernel(
-    sdts: SDTS, items: Iterable[Item], symbol: str
-) -> FrozenSet[Item]:
-    """Kernel of the goto state: advance the dot over ``symbol``."""
-    kernel = set()
-    for pid, dot in items:
-        rhs = sdts.productions[pid].rhs
-        if dot < len(rhs) and rhs[dot] == symbol:
-            kernel.add((pid, dot + 1))
-    return frozenset(kernel)
+            items.add((prod.pid, 0))
+            todo.append(prod.rhs[0])
+    return frozenset(items)
 
 
 def _productions_by_lhs(sdts: SDTS) -> Dict[str, List[Production]]:

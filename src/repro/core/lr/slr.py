@@ -164,39 +164,48 @@ def build_parse_tables(
         automaton = build_automaton(sdts)
     follow = follow_sets(sdts)
     symbols = sorted(sdts.parse_symbols)
-    parse_syms = set(symbols)
     tables = ParseTables.empty(symbols, automaton.nstates)
+    sym_index = tables.sym_index
     conflicts: List[ConflictRecord] = []
 
-    def put(state: int, symbol: str, action: int) -> None:
-        col = tables.sym_index[symbol]
-        existing = tables.matrix[state][col]
+    def put(state: int, col: int, action: int) -> None:
+        row = tables.matrix[state]
+        existing = row[col]
+        if existing == T.ERROR:
+            row[col] = action
+            return
         winner, kind = _prefer(sdts, existing, action)
         if kind is not None:
             loser = action if winner == existing else existing
             conflicts.append(
                 ConflictRecord(
                     state=state,
-                    symbol=symbol,
+                    symbol=symbols[col],
                     kind=kind,
                     chosen_action=winner,
                     rejected_action=loser,
                 )
             )
-        tables.matrix[state][col] = winner
+        row[col] = winner
 
     for (state, symbol), target in automaton.transitions.items():
-        if symbol in parse_syms:
-            put(state, symbol, T.encode_shift(target))
+        col = sym_index.get(symbol)
+        if col is not None:
+            put(state, col, T.encode_shift(target))
 
-    for state in range(automaton.nstates):
-        for pid, _dot in automaton.complete_items(state):
-            prod = sdts.productions[pid]
-            if prod.pid == 0:
-                put(state, END_MARKER, T.ACCEPT)
+    # Reductions in pid order, lookaheads in column order: the conflict
+    # list comes out the same under every PYTHONHASHSEED.
+    follow_cols = {
+        lhs: sorted(sym_index[s] for s in follow_set if s in sym_index)
+        for lhs, follow_set in follow.items()
+    }
+    accept_col = sym_index[END_MARKER]
+    for state, complete in enumerate(automaton.complete):
+        for pid in complete:
+            if pid == 0:
+                put(state, accept_col, T.ACCEPT)
                 continue
-            for lookahead in follow[prod.lhs]:
-                if lookahead in parse_syms:
-                    put(state, lookahead, T.encode_reduce(pid))
+            for col in follow_cols[sdts.productions[pid].lhs]:
+                put(state, col, T.encode_reduce(pid))
 
     return tables, conflicts

@@ -7,10 +7,11 @@ from typing import Iterator, List
 
 from repro.core.speclang.tokens import TokKind, Token
 
+#: Blanks and tabs separate tokens and match no group, so ``finditer``
+#: skips them; the junk group matches any other text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t]+)
-  | (?P<defines>::=)
+    (?P<defines>::=)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
   | (?P<section>\$[A-Za-z_-]+)
@@ -19,6 +20,14 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+_GROUP_KINDS = {
+    "ident": TokKind.IDENT,
+    "int": TokKind.INT,
+    "defines": TokKind.DEFINES,
+    "section": TokKind.SECTION,
+    "junk": TokKind.JUNK,
+}
 
 _PUNCT_KINDS = {
     "=": TokKind.EQUALS,
@@ -65,30 +74,16 @@ def lex_line(raw: str, number: int) -> List[Token]:
     after template operands and declarations) or a syntax error.
     """
     tokens: List[Token] = []
-    pos = 0
-    while pos < len(raw):
-        m = _TOKEN_RE.match(raw, pos)
-        assert m is not None, "the junk group matches any non-space text"
-        if m.lastgroup == "ws":
-            pos = m.end()
-            continue
+    for m in _TOKEN_RE.finditer(raw):
+        group = m.lastgroup
         text = m.group()
-        column = pos + 1
-        if m.lastgroup == "ident":
-            kind = TokKind.IDENT
-        elif m.lastgroup == "int":
-            kind = TokKind.INT
-        elif m.lastgroup == "defines":
-            kind = TokKind.DEFINES
-        elif m.lastgroup == "section":
-            kind = TokKind.SECTION
-            text = text[1:]  # strip the "$"
-        elif m.lastgroup == "junk":
-            kind = TokKind.JUNK
-        else:
+        if group == "punct":
             kind = _PUNCT_KINDS[text]
-        tokens.append(Token(kind, text, number, column))
-        pos = m.end()
+        else:
+            kind = _GROUP_KINDS[group]
+            if kind is TokKind.SECTION:
+                text = text[1:]  # strip the "$"
+        tokens.append(Token(kind, text, number, m.start() + 1))
     tokens.append(Token(TokKind.EOL, "", number, len(raw) + 1))
     return tokens
 

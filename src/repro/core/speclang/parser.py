@@ -29,10 +29,11 @@ from repro.core.speclang.ast import (
     SpecAST,
     TemplateAST,
 )
-from repro.core.speclang.lexer import Line, lex_line, lex_spec
+from repro.core.speclang.lexer import Line, lex_spec
 from repro.core.speclang.tokens import TokKind, Token
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_SECOND_FIELD_RE = re.compile(r"\s*\S+\s+(\S+)")
 
 #: Paper section 2: "Currently up to eight machine instructions may be
 #: emitted during a single reduction."
@@ -105,23 +106,14 @@ def _parse_operand(cur: _TokenCursor) -> OperandAST:
     return OperandAST(base, index, base_reg)
 
 
-def _parse_operand_field(field: str, line_no: int) -> Tuple[OperandAST, ...]:
+def _parse_operand_field(tokens: List[Token]) -> Tuple[OperandAST, ...]:
     """Parse one blank-free operand field, e.g. ``dsp.1(r.3,r.1),r.2``."""
-    cur = _TokenCursor(lex_line(field, line_no))
+    cur = _TokenCursor(tokens)
     operands = [_parse_operand(cur)]
     while cur.accept(TokKind.COMMA):
         operands.append(_parse_operand(cur))
     cur.expect(TokKind.EOL, "end of operand list")
     return tuple(operands)
-
-
-def _looks_like_operands(field: str) -> bool:
-    """Heuristic used only to separate operands from trailing comments."""
-    try:
-        _parse_operand_field(field, 0)
-    except SpecSyntaxError:
-        return False
-    return True
 
 
 def _parse_template_line(line: Line) -> TemplateAST:
@@ -131,9 +123,17 @@ def _parse_template_line(line: Line) -> TemplateAST:
         raise SpecSyntaxError(f"bad template operation {op!r}", line.number)
     operands: Tuple[OperandAST, ...] = ()
     comment_fields = fields[1:]
-    if len(fields) > 1 and _looks_like_operands(fields[1]):
-        operands = _parse_operand_field(fields[1], line.number)
-        comment_fields = fields[2:]
+    if len(fields) > 1:
+        # Parse the operand field from the line's own tokens; a field
+        # that does not parse starts the trailing comment.
+        start, end = _SECOND_FIELD_RE.match(line.raw).span(1)
+        tokens = [t for t in line.tokens if start < t.column <= end]
+        tokens.append(Token(TokKind.EOL, "", line.number, end + 1))
+        try:
+            operands = _parse_operand_field(tokens)
+            comment_fields = fields[2:]
+        except SpecSyntaxError:
+            pass
     return TemplateAST(
         op=op,
         operands=operands,

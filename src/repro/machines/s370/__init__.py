@@ -8,18 +8,18 @@ Public surface:
 * :mod:`~repro.machines.s370.objmod` -- ESD/TXT/RLD/END object records;
 * :class:`~repro.machines.s370.simulator.Simulator` -- subset emulator;
 * :mod:`~repro.machines.s370.runtime` -- linkage conventions and the
-  runtime support area (entry_code, check handlers, SVC services).
+  runtime support area (entry_code, check handlers, SVC services);
+* :mod:`~repro.machines.s370.disasm` -- the disassembler, imported from
+  its module only (no compile or run needs it).
 """
 
 from repro.machines.s370.spec import machine_description, spec_text
 from repro.machines.s370.simulator import Simulator
 from repro.machines.s370.encode import S370Encoder
-from repro.machines.s370.disasm import disassemble
 
 __all__ = [
     "machine_description",
     "spec_text",
     "Simulator",
     "S370Encoder",
-    "disassemble",
 ]

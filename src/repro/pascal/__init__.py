@@ -14,7 +14,6 @@ arrays, the usual statements (``:=``, ``if``, ``while``, ``repeat``,
 """
 
 from repro.pascal.compiler import CompiledProgram, compile_source, run_source
-from repro.pascal.interp import interpret_source
 
 __all__ = [
     "CompiledProgram",
@@ -22,3 +21,12 @@ __all__ = [
     "run_source",
     "interpret_source",
 ]
+
+
+def __getattr__(name: str):
+    # No compile or run uses the reference interpreter: import on use.
+    if name == "interpret_source":
+        from repro.pascal.interp import interpret_source
+
+        return interpret_source
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,27 +23,12 @@ for throughput-oriented use:
   over that pool, with deterministic output ordering and graceful
   degradation to serial execution (single-core hosts skip the pool
   entirely) when the pool cannot help.
+
+Only the profiler, which every compile threads through, is re-exported
+here; the other modules are imported by name, so a compile loads none
+of them.
 """
 
-from repro.pipeline.batch import (
-    BatchReport,
-    BatchResult,
-    compile_batch,
-)
 from repro.pipeline.profile import PHASES, PhaseProfiler
-from repro.pipeline.service import (
-    RequestProfiler,
-    ServiceRequest,
-    execute_request,
-)
 
-__all__ = [
-    "BatchReport",
-    "BatchResult",
-    "PHASES",
-    "PhaseProfiler",
-    "RequestProfiler",
-    "ServiceRequest",
-    "compile_batch",
-    "execute_request",
-]
+__all__ = ["PHASES", "PhaseProfiler"]

@@ -55,6 +55,11 @@ from repro.errors import (
     RequestTooLargeError,
     ServerOverloadedError,
 )
+from repro.pipeline.service import (
+    RequestProfiler,
+    ServiceRequest,
+    execute_request,
+)
 from repro.server import wire
 from repro.server.breaker import CircuitBreaker
 from repro.server.telemetry import Telemetry
@@ -168,8 +173,6 @@ class CompileServer:
 
     def _run_job(self, request, deadline: float) -> Dict[str, object]:
         """Executed on a worker thread: one fault-isolated request."""
-        from repro.pipeline.service import RequestProfiler, execute_request
-
         profiler = RequestProfiler(
             deadline=deadline, fault_hook=self.config.fault_hook
         )
@@ -250,8 +253,6 @@ class CompileServer:
     async def _dispatch_work(
         self, kind: str, body: bytes
     ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
-        from repro.pipeline.service import ServiceRequest
-
         telemetry = self.telemetry
         config = self.config
         assert telemetry is not None and self._slots is not None

@@ -312,3 +312,45 @@ def test_warm_process_skips_table_construction(tmp_path):
     assert warm["compress_runs"] == 0
     assert warm["cache_hits"] == 1
     assert warm["cache_corrupt"] == 0
+
+
+# ---- artifacts independent of the hash seed ----------------------------------
+
+
+_ARTIFACTS_SNIPPET = """
+import sys
+from pathlib import Path
+from repro.core import buildcache as BC
+from repro.machines.s370 import spec as s370
+from repro.machines.toy import spec as toy
+
+cache_dir = Path(sys.argv[1])
+for variant in s370.VARIANTS:
+    BC.cached_build(s370.spec_text(variant), s370.machine_description(),
+                    extra_semops=s370.extra_semops(), cache_dir=cache_dir)
+BC.cached_build(toy.spec_text(), toy.machine_description(),
+                cache_dir=cache_dir)
+"""
+
+
+def test_artifacts_identical_under_different_hash_seeds(tmp_path):
+    """Tables, compressed tables and the conflict list are built in an
+    order that no ``PYTHONHASHSEED`` changes, so two processes write
+    byte-identical artifacts for every shipped spec."""
+    written = []
+    for seed in ("1", "2"):
+        cache_dir = tmp_path / f"seed{seed}"
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                   PYTHONHASHSEED=seed)
+        env.pop("REPRO_BUILD_CACHE", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _ARTIFACTS_SNIPPET, str(cache_dir)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append({
+            path.name: path.read_bytes()
+            for path in sorted(cache_dir.glob("*.coggart"))
+        })
+    assert len(written[0]) == 4
+    assert written[0] == written[1]

@@ -1,20 +1,28 @@
 """Unit tests: LR(0) automaton and SLR(1) construction."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import tables as T
 from repro.core.grammar import END_MARKER, build_sdts
 from repro.core.lr.automaton import build_automaton
-from repro.core.lr.items import closure, goto_kernel, item_next_symbol
+from repro.core.lr.items import closure, item_next_symbol
 from repro.core.lr.slr import (
     build_parse_tables,
     first_sets,
     follow_sets,
 )
 from repro.core.speclang.parser import parse_spec
+from repro.core.speclang.semops import merged_semops
 from repro.core.speclang.typecheck import check_spec
+from repro.machines.s370 import spec as s370_spec
+from repro.machines.toy import spec as toy_spec
 
 from helpers import TINY_SPEC
+from test_property_grammars import build_spec
+
+FIXTURES = Path(__file__).parent / "fixtures" / "speclint"
 
 AMBIG_SPEC = """
 $Non-terminals
@@ -43,9 +51,102 @@ lambda ::= iadd r.1 r.2
 """
 
 
-def sdts_of(text):
+def sdts_of(text, semops=None):
     spec = parse_spec(text)
-    return build_sdts(spec, check_spec(spec))
+    return build_sdts(spec, check_spec(spec, semops))
+
+
+# ---- the textbook construction, as a reference ------------------------------
+
+
+def reference_closure(sdts, kernel):
+    """Closure one item at a time, re-checking every production."""
+    todo = list(kernel)
+    seen = set(todo)
+    while todo:
+        sym = item_next_symbol(sdts, todo.pop())
+        if sym is None or not sdts.is_nonterminal(sym):
+            continue
+        for prod in sdts.productions:
+            if prod.lhs == sym and (prod.pid, 0) not in seen:
+                seen.add((prod.pid, 0))
+                todo.append((prod.pid, 0))
+    return frozenset(seen)
+
+
+def goto_kernel(sdts, items, symbol):
+    """Kernel of the goto state: advance the dot over ``symbol``."""
+    return frozenset(
+        (pid, dot + 1)
+        for pid, dot in items
+        if item_next_symbol(sdts, (pid, dot)) == symbol
+    )
+
+
+def reference_automaton(sdts):
+    """``closure`` plus one ``goto_kernel`` scan per outgoing symbol,
+    numbering states in the work-stack order ``build_automaton`` keeps."""
+    states = [reference_closure(sdts, {(0, 0)})]
+    kernels = [frozenset({(0, 0)})]
+    transitions = {}
+    work = [0]
+    while work:
+        state = work.pop()
+        items = states[state]
+        symbols = {item_next_symbol(sdts, item) for item in items} - {None}
+        for symbol in sorted(symbols):
+            kernel = goto_kernel(sdts, items, symbol)
+            if kernel not in kernels:
+                kernels.append(kernel)
+                states.append(reference_closure(sdts, kernel))
+                work.append(len(states) - 1)
+            transitions[(state, symbol)] = kernels.index(kernel)
+    return states, kernels, transitions
+
+
+def _s370(variant):
+    semops = merged_semops(s370_spec.extra_semops())
+    return lambda: sdts_of(s370_spec.spec_text(variant), semops)
+
+
+def _text(text):
+    return lambda: sdts_of(text)
+
+
+#: Every shipped grammar, every speclint fixture, and every grammar the
+#: generator of ``test_property_grammars`` can draw.
+REFERENCE_GRAMMARS = {
+    **{f"s370:{v}": _s370(v) for v in s370_spec.VARIANTS},
+    "toy": _text(toy_spec.spec_text()),
+    "tiny": _text(TINY_SPEC),
+    "ambig": _text(AMBIG_SPEC),
+    **{
+        f"speclint:{path.stem}": _text(path.read_text())
+        for path in sorted(FIXTURES.glob("*.spec"))
+    },
+    **{
+        f"random:{u}u{b}b{'f' if fused else ''}": _text(
+            build_spec(u, b, fused))
+        for u in range(4)
+        for b in range(1, 5)
+        for fused in (False, True)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAMMARS))
+def test_automaton_matches_textbook_construction(name):
+    sdts = REFERENCE_GRAMMARS[name]()
+    automaton = build_automaton(sdts)
+    states, kernels, transitions = reference_automaton(sdts)
+    assert automaton.kernels == kernels
+    assert automaton.states == states
+    assert automaton.transitions == transitions
+    assert automaton.complete == [
+        sorted(pid for pid, dot in items
+               if item_next_symbol(sdts, (pid, dot)) is None)
+        for items in states
+    ]
 
 
 class TestItems:
@@ -59,12 +160,12 @@ class TestItems:
 
     def test_goto_advances_dot(self):
         sdts = sdts_of(TINY_SPEC)
-        items = closure(sdts, {(0, 0)})
+        automaton = build_automaton(sdts)
         store_pid = [
             p.pid for p in sdts.user_productions if p.rhs[0] == "store"
         ][0]
-        kernel = goto_kernel(sdts, items, "store")
-        assert (store_pid, 1) in kernel
+        target = automaton.transitions[(0, "store")]
+        assert (store_pid, 1) in automaton.kernels[target]
 
     def test_item_next_symbol_complete(self):
         sdts = sdts_of(TINY_SPEC)
@@ -91,10 +192,7 @@ class TestAutomaton:
     def test_complete_items_found(self):
         sdts = sdts_of(TINY_SPEC)
         automaton = build_automaton(sdts)
-        total = sum(
-            len(automaton.complete_items(s))
-            for s in range(automaton.nstates)
-        )
+        total = sum(len(complete) for complete in automaton.complete)
         assert total >= len(sdts.productions) - 1  # goal completes too
 
 

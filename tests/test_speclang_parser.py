@@ -1,10 +1,16 @@
 """Unit tests: specification-language parser."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SpecSyntaxError
+from repro.core.speclang import lexer
+from repro.core.speclang import parser as spec_parser
 from repro.core.speclang.ast import Name, Number, Ref, SymKind
 from repro.core.speclang.parser import parse_spec
+from repro.machines.s370 import spec as s370_spec
+from repro.machines.toy import spec as toy_spec
 
 BASE = """
 $Non-terminals
@@ -154,3 +160,96 @@ class TestTemplates:
     def test_str_roundtrips_shape(self):
         tmpl = self.template(" l r.2,dsp.1(zero,r.1)")
         assert str(tmpl) == "l r.2,dsp.1(zero,r.1)"
+
+
+# ---- one lexing pass per line --------------------------------------------------
+
+#: Templates whose second field is, or is not, an operand field.
+COMMENT_TEMPLATES = """\
+r.1 ::= iadd r.1 r.2
+ l r.2,d.1 Load ole' B(J) *
+ a ole' B(J) *
+ l\tr.2,d.1(zero,r.1)\tLoad  it
+ a r.1, r.2
+ a r.1,r.2)
+ a -3,dsp.1(,r.1) bad index
+ ignore_lhs   * nothing here
+"""
+
+SPEC_TEXTS = {
+    **{f"s370:{v}": s370_spec.spec_text(v) for v in s370_spec.VARIANTS},
+    "toy": toy_spec.spec_text(),
+    "comments": BASE + "$Productions\n" + COMMENT_TEMPLATES,
+    **{
+        f"speclint:{path.stem}": path.read_text()
+        for path in sorted(
+            (Path(__file__).parent / "fixtures" / "speclint").glob("*.spec")
+        )
+    },
+}
+
+
+def reference_template(raw: str):
+    """(operands, comment) by lexing the second field on its own: the
+    field holds the operands if it parses, else it starts the comment."""
+    fields = raw.split()
+    if len(fields) > 1:
+        tokens = lexer.lex_line(fields[1], 0)
+        try:
+            return spec_parser._parse_operand_field(tokens), fields[2:]
+        except SpecSyntaxError:
+            pass
+    return (), fields[1:]
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_TEXTS))
+def test_templates_match_separate_field_parse(name):
+    text = SPEC_TEXTS[name]
+    lines = text.splitlines()
+    templates = [
+        t for p in parse_spec(text).productions for t in p.templates
+    ]
+    assert templates
+    for template in templates:
+        operands, comment = reference_template(lines[template.line - 1])
+        assert template.operands == operands
+        assert template.comment == " ".join(comment)
+
+
+def test_comment_templates():
+    spec = parse(COMMENT_TEMPLATES)
+    shapes = [
+        ([str(o) for o in t.operands], t.comment)
+        for t in spec.productions[0].templates
+    ]
+    assert shapes == [
+        (["r.2", "d.1"], "Load ole' B(J) *"),
+        ([], "ole' B(J) *"),
+        (["r.2", "d.1(zero,r.1)"], "Load it"),
+        ([], "r.1, r.2"),
+        ([], "r.1,r.2)"),
+        ([], "-3,dsp.1(,r.1) bad index"),
+        ([], "* nothing here"),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_TEXTS))
+def test_each_line_lexed_once(name, monkeypatch):
+    """``parse_spec`` lexes every meaningful line exactly once: operand
+    fields are parsed from the line's own tokens, not re-lexed."""
+    real = lexer.lex_line
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lexer, "lex_line", counting)
+    monkeypatch.setattr(spec_parser, "lex_line", counting, raising=False)
+    text = SPEC_TEXTS[name]
+    parse_spec(text)
+    meaningful = [
+        line for line in text.splitlines()
+        if line.strip() and not line.strip().startswith("*")
+    ]
+    assert len(calls) == len(meaningful)
