@@ -26,11 +26,9 @@ Commands
     mismatches; ``--json`` emits the machine-readable report.
 ``chaos``
     Seeded fault-injection campaign: corrupt parse tables, IF streams,
-    register classes, object modules, build-cache artifacts, peephole
-    rule sets and sealed optimizer facts -- and fault a live compile
-    server (the ``server`` injector) -- asserting the pipeline always
-    fails with a typed error, or still produces correct code (see
-    :mod:`repro.robustness.faultinject`).
+    register classes, object modules and build-cache artifacts,
+    asserting the pipeline always fails with a typed error, or still
+    produces correct code (see :mod:`repro.robustness.faultinject`).
 ``serve``
     Start the long-lived compile server (:mod:`repro.server`): tables
     built once at startup, then ``POST /compile``, ``POST /run``,

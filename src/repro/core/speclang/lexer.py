@@ -94,9 +94,12 @@ def lex_spec(text: str) -> Iterator[Line]:
     Comment lines (first non-blank char ``*``) and blank lines are dropped
     here, exactly as the paper's spec header describes ("Lines beginning
     with '*' are comments. Blank lines are ignored. All others are
-    examined!").
+    examined!").  Lines end at ``\\n`` (or ``\\r\\n``) only, so a vertical
+    tab, form feed or Unicode line separator stays inside its line,
+    where the parser can report it with the right line number.
     """
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.rstrip("\r")
         stripped = raw.strip()
         if not stripped or stripped.startswith("*"):
             continue

@@ -7,7 +7,9 @@ original CoGG input (paper Appendix 2):
 * inside ``$Productions`` a line starting in column one is a production,
   and indented lines are its templates;
 * template operands never contain blanks, so everything after the operand
-  field of a template line is a trailing comment.
+  field of a template line is a trailing comment;
+* a template line's fields are separated by blanks and tabs, as the
+  lexer's tokens are; any other whitespace in it is a syntax error.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from repro.core.speclang.lexer import Line, lex_spec
 from repro.core.speclang.tokens import TokKind, Token
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_SECOND_FIELD_RE = re.compile(r"\s*\S+\s+(\S+)")
+#: A template line's fields are separated by blanks and tabs only, the
+#: characters that separate the lexer's tokens.
+_FIELD_RE = re.compile(r"[^ \t]+")
+_OTHER_SPACE_RE = re.compile(r"[^\S \t]")
 
 #: Paper section 2: "Currently up to eight machine instructions may be
 #: emitted during a single reduction."
@@ -117,7 +122,15 @@ def _parse_operand_field(tokens: List[Token]) -> Tuple[OperandAST, ...]:
 
 
 def _parse_template_line(line: Line) -> TemplateAST:
-    fields = line.raw.split()
+    other = _OTHER_SPACE_RE.search(line.raw)
+    if other is not None:
+        raise SpecSyntaxError(
+            f"whitespace {other.group()!r} in a template line; separate "
+            f"fields with blanks or tabs",
+            line.number,
+        )
+    spans = [m.span() for m in _FIELD_RE.finditer(line.raw)]
+    fields = [line.raw[start:end] for start, end in spans]
     op = fields[0]
     if _IDENT_RE.match(op) is None:
         raise SpecSyntaxError(f"bad template operation {op!r}", line.number)
@@ -126,7 +139,7 @@ def _parse_template_line(line: Line) -> TemplateAST:
     if len(fields) > 1:
         # Parse the operand field from the line's own tokens; a field
         # that does not parse starts the trailing comment.
-        start, end = _SECOND_FIELD_RE.match(line.raw).span(1)
+        start, end = spans[1]
         tokens = [t for t in line.tokens if start < t.column <= end]
         tokens.append(Token(TokKind.EOL, "", line.number, end + 1))
         try:

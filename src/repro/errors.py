@@ -151,16 +151,14 @@ class RegisterPressureError(CodeGenError):
 
 
 class DataflowError(CodeGenError):
-    """Optimizer facts failed their integrity check.
+    """An optimizer layer failed during a compile.
 
-    Every solved dataflow analysis and every summary set is sealed (a
-    snapshot of its facts) and verified immediately before an optimizer
-    pass acts on it; any mismatch (dropped facts, a fault injected by
-    the chaos harness) raises this instead of letting a corrupted fact
-    rewrite code.  ``analysis`` names the fact set that failed.
-    :func:`repro.pascal.compiler.compile_program` catches it and
-    recompiles one optimization level lower, so it escapes a compile
-    only from code that calls the optimizer layers directly.
+    :func:`repro.pascal.compiler.compile_program` raises this for any
+    exception escaping the spill planner or the global passes;
+    ``analysis`` names the layer (``"spillplan"`` or ``"globalopt"``)
+    and the message carries the original type and message.  The
+    compiler catches it and recompiles one optimization level lower, so
+    it never escapes a compile at -O2..-O4.
     """
 
     def __init__(self, message: str, analysis: str = ""):

@@ -78,8 +78,8 @@ class Simulator:
 
     ``predecode=False`` runs :meth:`step` alone and never compiles
     anything.  It is the reference semantics the blocks are tested
-    against -- by ``tests/test_simulator_predecode.py`` and the
-    ``simcache`` chaos injector -- and is not a user-facing option.
+    against by ``tests/test_simulator_predecode.py`` -- and is not a
+    user-facing option.
     Both produce identical :class:`SimResult` values (output, step
     count, instruction counts), registers, condition code and traps.
     Registers always hold unsigned 32-bit values.

@@ -21,21 +21,8 @@ registers) kill must-facts without generating liveness, calls and
 barriers assume the worst, and ``exits`` blocks meet the all-live /
 nothing-available boundary.
 
-**Fact integrity.**  Every solved analysis is wrapped in a
-:class:`Solution` and sealed (:class:`Sealed`, the one seal of every
-optimizer fact object): since every fact is an immutable ``frozenset``
-or ``None``, the seal is a shallow copy of the ``ins`` and ``outs``
-maps, and verifying is one map comparison -- O(blocks), with each
-unchanged fact matched by identity.  Clients call
-:meth:`Sealed.verify` immediately before acting on the facts and get a
-typed :class:`~repro.errors.DataflowError` if any entry was replaced,
-dropped or added in between, or if the solution was never sealed; the
-compiler then recompiles one level lower
-(:func:`repro.pascal.compiler.compile_program`).  ``FAULT_HOOK`` is the
-chaos harness's one injection point for optimizer facts: when set, it
-runs right after every solution and every
-:class:`~repro.opt.summaries.SummarySet` is sealed, and may damage it
-(corrupt/drop/unseal) -- exactly what verification must catch.
+Every solved analysis is returned as a :class:`Solution`: its name and
+its per-block ``ins`` and ``outs`` facts.
 
 **Visiting order.**  Every fact starts at the meet identity, untransferred,
 and the worklist visits blocks in buffer order for forward problems and
@@ -57,7 +44,6 @@ from typing import (
     Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple,
 )
 
-from repro.errors import DataflowError
 from repro.core.codegen.emitter import Instr, Mem, R
 from repro.core.effects import may_alias
 from repro.opt.cfg import BasicBlock, Cfg, ItemEffects
@@ -68,64 +54,19 @@ CC = -1
 #: Pseudo def-site index for registers defined at entry (ABI bases).
 ENTRY = -1
 
-#: chaos injection point: ``FAULT_HOOK(facts)`` runs right after a
-#: solution or summary set is sealed (see module docstring); ``None``
-#: outside chaos.
-FAULT_HOOK: Optional[Callable[[object], None]] = None
-
 
 # ---------------------------------------------------------------------------
-# Sealed facts.
+# Solutions.
 # ---------------------------------------------------------------------------
-
-
-class Sealed:
-    """The integrity seal every optimizer fact object carries (see "Fact
-    integrity" above): :class:`Solution` here and
-    :class:`~repro.opt.summaries.SummarySet`.  Subclasses provide
-    ``name`` and :meth:`fact_maps`; ``digest`` is non-empty once sealed,
-    and clearing it unseals."""
-
-    name: str
-    digest = ""
-    _snapshot: Optional[Tuple[Dict[int, object], ...]] = None
-
-    def fact_maps(self) -> Tuple[Dict[int, object], ...]:
-        raise NotImplementedError
-
-    def seal(self) -> "Sealed":
-        self._snapshot = tuple(dict(m) for m in self.fact_maps())
-        self.digest = "sealed"
-        if FAULT_HOOK is not None:
-            FAULT_HOOK(self)
-        return self
-
-    def verify(self) -> "Sealed":
-        """Raise :class:`DataflowError` unless the facts still match the
-        seal (and a seal exists at all)."""
-        if not self.digest:
-            raise DataflowError(
-                f"{self.name}: facts were never sealed", analysis=self.name
-            )
-        if self._snapshot != self.fact_maps():
-            raise DataflowError(
-                f"{self.name}: facts failed their integrity check",
-                analysis=self.name,
-            )
-        return self
 
 
 @dataclass
-class Solution(Sealed):
-    """A solved analysis: per-block in/out facts plus an integrity
-    seal."""
+class Solution:
+    """A solved analysis: per-block in/out facts."""
 
     name: str
     ins: Dict[int, object]
     outs: Dict[int, object]
-
-    def fact_maps(self) -> Tuple[Dict[int, object], ...]:
-        return self.ins, self.outs
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +194,7 @@ def liveness(cfg: Cfg, nregs: int = 16) -> Liveness:
         cfg, forward=False, boundary=boundary, transfer=transfer, join=join
     )
     return Liveness(
-        solution=Solution("liveness", ins, outs).seal(),
+        solution=Solution("liveness", ins, outs),
         all_facts=all_facts,
     )
 
@@ -334,7 +275,7 @@ def reaching_defs(cfg: Cfg, nregs: int = 16,
         cfg, forward=True, boundary=boundary, transfer=transfer, join=join
     )
     return ReachingDefs(
-        solution=Solution("reaching-defs", ins, outs).seal(), nregs=nregs
+        solution=Solution("reaching-defs", ins, outs), nregs=nregs
     )
 
 
@@ -467,7 +408,7 @@ def memory_deadness(cfg: Cfg) -> MemDeadness:
     ins, outs = iterate(
         cfg, forward=False, boundary=boundary, transfer=transfer, join=join
     )
-    return MemDeadness(Solution("memory-deadness", ins, outs).seal())
+    return MemDeadness(Solution("memory-deadness", ins, outs))
 
 
 def walk_mem_dead(cfg: Cfg, result: MemDeadness, block: BasicBlock):
@@ -570,7 +511,7 @@ def available_stores(cfg: Cfg) -> AvailableStores:
     ins, outs = iterate(
         cfg, forward=True, boundary=boundary, transfer=transfer, join=join
     )
-    return AvailableStores(Solution("available-stores", ins, outs).seal())
+    return AvailableStores(Solution("available-stores", ins, outs))
 
 
 def walk_avail(cfg: Cfg, result: AvailableStores, block: BasicBlock):
@@ -710,7 +651,7 @@ def available_exprs(
         cfg, forward=True, boundary=boundary, transfer=transfer, join=join
     )
     return AvailableExprs(
-        Solution("available-exprs", ins, outs).seal(), expr_ops, private
+        Solution("available-exprs", ins, outs), expr_ops, private
     )
 
 
@@ -816,7 +757,7 @@ def available_copies(cfg: Cfg, move_op: str = "lr") -> AvailableCopies:
         cfg, forward=True, boundary=boundary, transfer=transfer, join=join
     )
     return AvailableCopies(
-        Solution("available-copies", ins, outs).seal(), move_op
+        Solution("available-copies", ins, outs), move_op
     )
 
 

@@ -1,8 +1,8 @@
-"""The -O2 lane: global optimizations over verified whole-CFG facts.
+"""The -O2 lane: global optimizations over whole-CFG facts.
 
 Runs after the -O1 peephole (:mod:`repro.opt.peephole`) on the same
 symbolic :class:`~repro.core.codegen.emitter.CodeBuffer` stream, but
-every rewrite is justified by a sealed dataflow solution
+every rewrite is justified by a dataflow solution
 (:mod:`repro.opt.dataflow`) instead of a local scan:
 
 ======================  ====================================================
@@ -40,12 +40,11 @@ the candidate set limited to the encoder's
 
 **Degradation contract.**  The pass never guesses.  A structurally
 suspect CFG (``cfg.ok`` false) makes no rewrite and reports
-``degraded_reason``.  Every pass verifies its sealed solution
-immediately before rewriting, and a failed check raises
-:class:`~repro.errors.DataflowError` out of the pass, leaving the buffer
-half-rewritten: :func:`repro.pascal.compiler.compile_program` discards
-it and recompiles one level lower.  Items inside SkipSite fixed byte
-spans are never deleted or resized.
+``degraded_reason``.  Any exception that escapes a pass reaches
+:func:`repro.pascal.compiler.compile_program` as a
+:class:`~repro.errors.DataflowError`; the compiler discards the
+half-rewritten buffer and recompiles one level lower.  Items inside
+SkipSite fixed byte spans are never deleted or resized.
 """
 
 from __future__ import annotations
@@ -193,7 +192,6 @@ class _Global:
         ``(m, r)`` available means memory at ``m`` equals the current
         value of ``r`` on *every* path reaching this point."""
         avail = D.available_stores(cfg)
-        avail.solution.verify()
         changed = 0
         scrub: Set[int] = set()
         for block in cfg.blocks:
@@ -252,7 +250,6 @@ class _Global:
           between equal registers is always sound).
         """
         copies = D.available_copies(cfg, self.move_op)
-        copies.solution.verify()
         changed = 0
         for block in cfg.blocks:
             if block.bid not in cfg.reachable:
@@ -317,7 +314,6 @@ class _Global:
         instruction whose only result is the condition code (``cc_only``:
         compares and tests) is left alone."""
         live = D.liveness(cfg, self.nregs)
-        live.solution.verify()
         changed = 0
         for block in cfg.blocks:
             if block.bid not in cfg.reachable:
@@ -347,7 +343,6 @@ class _Global:
         """Global DSE: delete stores whose written location is provably
         overwritten before any aliasing read on every path onward."""
         dead = D.memory_deadness(cfg)
-        dead.solution.verify()
         changed = 0
         for block in cfg.blocks:
             if block.bid not in cfg.reachable:
@@ -379,7 +374,6 @@ class _Global:
         if not self.expr_ops:
             return 0
         avail = D.available_exprs(cfg, self.expr_ops)
-        avail.solution.verify()
         changed = 0
         scrub: Set[int] = set()
         for block in cfg.blocks:
@@ -574,9 +568,7 @@ def run_global(
     enables the global-CSE passes (``g_cse_elim``/``g_cse_copy``);
     ``level >= 4`` feeds every pass interprocedural effect summaries
     (:mod:`repro.opt.summaries`) so facts survive refined call sites.
-    An unbuildable CFG makes no rewrite and sets ``degraded_reason``; a
-    fact that fails its integrity check raises
-    :class:`~repro.errors.DataflowError` with the buffer half-rewritten.
+    An unbuildable CFG makes no rewrite and sets ``degraded_reason``.
     """
     return _Global(
         generated, encoder, nregs, load_op, move_op, trace, level=level

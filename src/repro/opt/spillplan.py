@@ -12,13 +12,11 @@ generator twice:
    (byte-identical decisions to ``"lru"``), collecting the allocator's
    :class:`~repro.core.codegen.registers.SpillEvent` log.
 2. **Plan**: build the CFG of the probe output and solve *liveness* and
-   *available expressions* over it (both solutions seal-verified; a
-   failed check raises :class:`~repro.errors.DataflowError`, and the
-   compiler recompiles one level lower).  For every
-   single-register eviction, rank the probe's eviction candidates by
-   next use -- the probe victim's next use is the first read of its
-   scratch slot -- preferring registers that are dead after the spill
-   site, then the farthest-used.  When the probe victim stands, decide
+   *available expressions* over it.  For every single-register
+   eviction, rank the probe's eviction candidates by next use -- the
+   probe victim's next use is the first read of its scratch slot --
+   preferring registers that are dead after the spill site, then the
+   farthest-used.  When the probe victim stands, decide
    whether its store can be skipped: either the slot is never read
    (dead value) or the value is still available at the home it was
    loaded from (clean value; reloads are redirected there).
@@ -320,8 +318,7 @@ def build_plan(
 
     Returns ``(plan, degraded_reason)``; a nonempty reason means no plan
     can be derived (unbuildable CFG, a probe that did not replay the
-    current plan) and the caller must fall back to plain LRU.  Facts
-    that fail their seal raise :class:`~repro.errors.DataflowError`.
+    current plan) and the caller must fall back to plain LRU.
     ``level >= 4`` plans against summary-refined call sites and may
     rematerialize.
     """
@@ -339,12 +336,10 @@ def build_plan(
         if e.scratch is not None
     )
     live = D.liveness(cfg, nregs=nregs)
-    live.solution.verify()
     expr_ops = (
         encoder.expression_ops() if encoder is not None else frozenset()
     )
     exprs = D.available_exprs(cfg, expr_ops, private=private)
-    exprs.solution.verify()
     directives: List[SpillDirective] = []
     for i, event in enumerate(events):
         if event.ordinal != i:
@@ -376,8 +371,7 @@ def generate_with_liveness(
     ``stats["regalloc"]`` payload for the compiler.  When no plan can be
     derived or a plan fails to replay, the final generation runs with an
     empty plan -- decisions byte-identical to ``strategy="lru"`` -- and
-    ``degraded_reason`` records why; facts that fail their seal raise
-    :class:`~repro.errors.DataflowError`.  ``level >= 4`` additionally
+    ``degraded_reason`` records why.  ``level >= 4`` additionally
     plans against interprocedural summaries and rematerializes cheap
     spilled values (``remat_count``).
     """

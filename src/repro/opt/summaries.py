@@ -33,14 +33,6 @@ Soundness rules, in the order they bite:
   block either sets the CC before reading it (then the caller's CC is
   dead across the call and the callee observes nothing) or the summary
   assumes the worst.
-
-**Fact integrity.**  A solved :class:`SummarySet` carries the same seal
-as every dataflow solution (:class:`repro.opt.dataflow.Sealed`): a
-shallow copy of the summary map, exact because each
-:class:`RoutineSummary` is a frozen value.  :func:`apply_summaries`
-re-verifies it immediately before rewriting any call-site record and
-raises a typed :class:`~repro.errors.DataflowError` on mismatch;
-:func:`repro.pascal.compiler.compile_program` then recompiles at -O3.
 """
 
 from __future__ import annotations
@@ -53,7 +45,6 @@ from repro.core.codegen.emitter import (
 )
 from repro.core.effects import FLOW_CALL, InstrEffects, Loc
 from repro.core.machine import Encoder, LinkageInfo
-from repro.opt import dataflow as D
 from repro.opt.cfg import Cfg, ItemEffects
 
 
@@ -83,15 +74,10 @@ class RoutineSummary:
 
 
 @dataclass
-class SummarySet(D.Sealed):
-    """All routine summaries of one program, with an integrity seal."""
-
-    name = "summaries"
+class SummarySet:
+    """All routine summaries of one program."""
 
     summaries: Dict[int, RoutineSummary] = field(default_factory=dict)
-
-    def fact_maps(self) -> Tuple[Dict[int, RoutineSummary], ...]:
-        return (self.summaries,)
 
     @property
     def refined(self) -> int:
@@ -265,7 +251,7 @@ def compute_summaries(cfg: Cfg, encoder: Optional[Encoder]) -> SummarySet:
     """
     result = SummarySet()
     if not cfg.ok or encoder is None:
-        return result.seal()
+        return result
 
     targets: Set[int] = set()
     for item in cfg.buffer.items:
@@ -309,7 +295,7 @@ def compute_summaries(cfg: Cfg, encoder: Optional[Encoder]) -> SummarySet:
         result.summaries[label] = _barrier(
             label, "on a call cycle (recursion)", calls_of[label]
         )
-    return result.seal()
+    return result
 
 
 def call_site_effects(
@@ -339,12 +325,9 @@ def call_site_effects(
 def apply_summaries(cfg: Cfg, summary_set: SummarySet) -> int:
     """Rewrite refined call-site records into ``cfg.item_effects``.
 
-    Verifies the seal first (raising :class:`DataflowError` on any
-    mismatch) so a corrupted summary can cost optimization, never
-    correctness.  Returns the number of call sites refined; sites whose
-    callee kept a barrier summary are left untouched.
+    Returns the number of call sites refined; sites whose callee kept a
+    barrier summary are left untouched.
     """
-    summary_set.verify()
     applied = 0
     for i, item in enumerate(cfg.buffer.items):
         if not isinstance(item, BranchSite) or item.link_reg is None:

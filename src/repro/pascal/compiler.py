@@ -161,7 +161,6 @@ def compile_program(
     table_mode: str = "dense",
     profiler: Optional[PhaseProfiler] = None,
     opt_level: Optional[int] = None,
-    peephole_rules: Optional[List[str]] = None,
     peephole_trace: bool = False,
 ) -> CompiledProgram:
     """Compile a checked AST with the table-driven code generator.
@@ -195,17 +194,18 @@ def compile_program(
     across refined call sites and the spill planner rematerializes cheap
     values instead of spilling them.
 
-    This is the one place that recovers from a bad optimizer fact: when
-    a compile at level ``N >= 2`` raises
-    :class:`~repro.errors.DataflowError`, it is discarded and the
-    program recompiled from the checked AST at ``N - 1``, level by level
-    (-O1 builds no facts).  Each step appends ``{"component", "reason",
-    "fell_back_to"}`` to ``stats["degraded"]``; the result is
-    byte-identical to a clean compile at the last ``fell_back_to``.
+    This is the one place that recovers from a failing optimizer: any
+    exception escaping the spill planner (-O3/-O4) or the global passes
+    (-O2..-O4) is raised as :class:`~repro.errors.DataflowError`
+    (``analysis`` ``"spillplan"`` or ``"globalopt"``), the compile is
+    discarded and the program recompiled from the checked AST at
+    ``N - 1``, level by level (-O1 builds no facts).  Each step appends
+    ``{"component", "reason", "fell_back_to"}`` to
+    ``stats["degraded"]``; the result is byte-identical to a clean
+    compile at the last ``fell_back_to``.
 
-    ``peephole_rules`` narrows the peephole to a subset of
-    :data:`repro.opt.peephole.ALL_RULES`; ``peephole_trace`` records
-    every rewrite plus before/after listings (``compile --dump-asm``).
+    ``peephole_trace`` records every rewrite plus before/after listings
+    (``compile --dump-asm``).
     """
     if opt_level is None:
         opt_level = default_opt_level()
@@ -214,8 +214,7 @@ def compile_program(
         try:
             compiled = _compile_at(
                 program, opt_level, variant, optimize, checks, debug,
-                fallback, build, table_mode, profiler, peephole_rules,
-                peephole_trace,
+                fallback, build, table_mode, profiler, peephole_trace,
             )
             break
         except DataflowError as error:
@@ -234,6 +233,19 @@ def describe_degradation(event: Dict[str, object]) -> str:
     return f"-O{level + 1} -> -O{level} ({event['reason']})"
 
 
+def _guarded(analysis: str, layer, *args, **kwargs):
+    """Run one optimizer layer; an exception escaping it is raised as a
+    :class:`~repro.errors.DataflowError` naming the layer and carrying
+    the original type and message (see :func:`compile_program`)."""
+    try:
+        return layer(*args, **kwargs)
+    except Exception as error:
+        raise DataflowError(
+            f"{analysis}: {type(error).__name__}: {error}",
+            analysis=analysis,
+        ) from error
+
+
 def _compile_at(
     program: A.Program,
     opt_level: int,
@@ -245,7 +257,6 @@ def _compile_at(
     build: Optional[BuildResult],
     table_mode: str,
     profiler: Optional[PhaseProfiler],
-    peephole_rules: Optional[List[str]],
     peephole_trace: bool,
 ) -> CompiledProgram:
     """One compile at exactly ``opt_level`` (see :func:`compile_program`)."""
@@ -291,8 +302,9 @@ def _compile_at(
         elif opt_level >= 3:
             from repro.opt.spillplan import generate_with_liveness
 
-            generated, regalloc_stats = generate_with_liveness(
-                build, tokens, frame=ir.spill_frame, level=opt_level
+            generated, regalloc_stats = _guarded(
+                "spillplan", generate_with_liveness,
+                build, tokens, frame=ir.spill_frame, level=opt_level,
             )
         else:
             generated = build.code_generator.generate(
@@ -310,16 +322,15 @@ def _compile_at(
         with prof.phase("peephole"):
             if peephole_trace:
                 asm_before = generated.listing()
-            peep = run_peephole(
-                generated, rules=peephole_rules, trace=peephole_trace
-            )
+            peep = run_peephole(generated, trace=peephole_trace)
             peephole_events = peep.events
             peephole_stats = peep.as_dict()
     if opt_level >= 2:
         from repro.opt.globalopt import run_global
 
         with prof.phase("globalopt"):
-            glob = run_global(
+            glob = _guarded(
+                "globalopt", run_global,
                 generated, build.machine.encoder, trace=peephole_trace,
                 level=opt_level,
             )
@@ -377,7 +388,6 @@ def compile_source(
     table_mode: str = "dense",
     profiler: Optional[PhaseProfiler] = None,
     opt_level: Optional[int] = None,
-    peephole_rules: Optional[List[str]] = None,
     peephole_trace: bool = False,
 ) -> CompiledProgram:
     """Compile Pascal source text end to end."""
@@ -388,7 +398,7 @@ def compile_source(
         program, variant=variant, optimize=optimize, checks=checks,
         debug=debug, fallback=fallback, build=build,
         table_mode=table_mode, profiler=profiler, opt_level=opt_level,
-        peephole_rules=peephole_rules, peephole_trace=peephole_trace,
+        peephole_trace=peephole_trace,
     )
 
 

@@ -14,8 +14,8 @@ through every pipeline phase:
   the phase.  The server's asyncio watchdog is the hard backstop; this
   is the soft one that actually stops the worker at the next phase
   boundary instead of letting it burn CPU on an abandoned request.
-* **Fault hooks** -- the same phase-boundary callback is how the chaos
-  harness injects worker crashes and per-phase latency into a live
+* **Fault hooks** -- the same phase-boundary callback is how the fault
+  drill (:mod:`repro.server.drill`) injects worker crashes and per-phase latency into a live
   server without patching pipeline internals.
 
 A typed pipeline failure propagates as the :class:`~repro.errors.ReproError`
@@ -46,7 +46,7 @@ class RequestProfiler(PhaseProfiler):
 
     ``deadline`` is an absolute :func:`time.monotonic` timestamp (or
     ``None`` for no deadline).  ``fault_hook``, when set, is called with
-    the phase name on entry to every phase -- the chaos harness's
+    the phase name on entry to every phase -- the fault drill's
     injection point for crashes and latency.  The hook runs *before*
     the deadline check, so injected latency in one phase is detected on
     entry to the next (or by the server's watchdog).

@@ -14,7 +14,8 @@ recovered condition:
   the event, so a whole compilation never dies on one bad subtree.
 * :mod:`repro.robustness.faultinject` -- a deterministic, seed-driven
   chaos harness that corrupts LR tables, mutates IF streams, shrinks
-  register classes and truncates object modules, asserting that the
+  register classes, truncates object modules and damages build-cache
+  artifacts, asserting that the
   pipeline always ends in a typed :class:`~repro.errors.ReproError`,
   never a hang or an uncaught raw exception.
 

@@ -19,7 +19,7 @@ Modules:
   the baseline generator.
 * :mod:`repro.server.telemetry` -- the ``/metrics`` counters.
 * :mod:`repro.server.harness` -- background-thread server handle for
-  tests, chaos runs and CI smoke.
+  tests, the fault drill and CI smoke.
 * :mod:`repro.server.drill` -- the scripted fault drill (chaos storm,
   typed-envelopes-only contract, breaker recovery, byte-identical
   post-drill compile).

@@ -100,7 +100,7 @@ class ServerConfig:
     fallback: bool = False
     #: write the final metrics snapshot here on drain (optional).
     metrics_path: Optional[str] = None
-    #: chaos injection point: called with the phase name at every
+    #: fault-drill injection point: called with the phase name at every
     #: pipeline phase boundary of every worker (in-process use only).
     fault_hook: Optional[Callable[[str], None]] = None
 
@@ -110,7 +110,7 @@ class CompileServer:
 
     ``startup()`` warms the tables and snapshots buildstats;
     ``dispatch()`` is the transport-independent request router (tests
-    and the chaos harness call it directly); ``serve_forever()`` binds
+    and the fault drill call it directly); ``serve_forever()`` binds
     the socket and runs until SIGTERM/``request_shutdown()``.
     """
 
@@ -208,9 +208,9 @@ class CompileServer:
     ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
         """Route one request; returns ``(status, body, headers)``.
 
-        This is the whole server minus HTTP framing -- the chaos
-        harness and unit tests drive it directly; the socket handler
-        adds byte-level parsing on top.
+        This is the whole server minus HTTP framing -- unit tests
+        drive it directly; the socket handler adds byte-level parsing
+        on top.
         """
         telemetry = self.telemetry
         assert telemetry is not None, "startup() was not called"

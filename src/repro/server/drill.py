@@ -35,13 +35,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.robustness.faultinject import (
-    CHAOS_PROGRAM,
-    ServerChaosControl,
-    _check_server_response,
-)
+from repro.robustness.faultinject import CHAOS_PROGRAM
 from repro.server.app import ServerConfig
 from repro.server.harness import ServerHandle, start_server
+
+#: The phases a ``/run`` request at -O1 passes through; crash and
+#: latency faults target any of them.
+_PHASES = (
+    "frontend", "shape", "linearize", "select",
+    "peephole", "assemble", "simulate",
+)
 
 #: Drill request mix, in relative weights.
 _MIX = (
@@ -50,6 +53,76 @@ _MIX = (
     ("bad-endpoint", 4), ("crash-burst", 4), ("latency", 1),
     ("overflow-burst", 3),
 )
+
+
+class ServerChaosControl:
+    """Mutable fault program for a live server's phase-boundary hook.
+
+    The server's ``fault_hook`` closes over one of these; the drill
+    mutates it between requests.  ``mode`` is ``None`` (healthy),
+    ``"crash"`` (raise on entering ``phase``) or ``"latency"`` (sleep
+    ``sleep_s`` on entering ``phase``).
+    """
+
+    def __init__(self):
+        self.mode: Optional[str] = None
+        self.phase: str = "select"
+        self.sleep_s: float = 0.0
+
+    def clear(self) -> None:
+        self.mode = None
+
+    def hook(self, phase: str) -> None:
+        mode = self.mode
+        if mode == "crash" and phase == self.phase:
+            raise RuntimeError(
+                f"chaos: injected worker crash entering phase {phase!r}"
+            )
+        if mode == "latency" and phase == self.phase:
+            time.sleep(self.sleep_s)
+
+
+def _known_codes() -> set:
+    """Envelope codes the wire contract allows (anything else is a
+    bug)."""
+    from repro.errors import ERROR_CODES
+
+    return {code for code, _, _ in ERROR_CODES.values()}
+
+
+def _check_server_response(
+    status: int, body: Dict, headers: Dict, source: str
+) -> None:
+    """The per-response contract: 2xx payload or typed envelope, and
+    ``Retry-After`` on every 429."""
+    if 200 <= status < 300:
+        if body.get("ok") not in (True, False):
+            raise RuntimeError(
+                f"{source}: 2xx response without an 'ok' field: {body!r}"
+            )
+        return
+    error = body.get("error")
+    if body.get("ok") is not False or not isinstance(error, dict):
+        raise RuntimeError(
+            f"{source}: non-2xx response is not an error envelope: "
+            f"{status} {body!r}"
+        )
+    if error.get("code") not in _known_codes():
+        raise RuntimeError(
+            f"{source}: unknown envelope code {error.get('code')!r}"
+        )
+    if error.get("http_status") != status:
+        raise RuntimeError(
+            f"{source}: envelope http_status {error.get('http_status')!r} "
+            f"disagrees with wire status {status}"
+        )
+    message = error.get("message", "")
+    if not message or "Traceback" in str(body):
+        raise RuntimeError(
+            f"{source}: envelope message missing or traceback leaked"
+        )
+    if status == 429 and "Retry-After" not in headers:
+        raise RuntimeError(f"{source}: 429 response missing Retry-After")
 
 
 @dataclass
@@ -118,7 +191,9 @@ class _Drill:
 
     # ---- bookkeeping ----
 
-    def _tally(self, status: int, body: Dict, source: str) -> None:
+    def _tally(
+        self, status: int, body: Dict, headers: Dict, source: str
+    ) -> None:
         self.report.requests += 1
         key = str(status)
         self.report.by_status[key] = self.report.by_status.get(key, 0) + 1
@@ -127,7 +202,7 @@ class _Drill:
             code = str(error["code"])
             self.report.by_code[code] = self.report.by_code.get(code, 0) + 1
         try:
-            _check_server_response(status, body, source)
+            _check_server_response(status, body, headers, source)
         except RuntimeError as violation:
             self.report.violations.append(str(violation))
 
@@ -143,7 +218,7 @@ class _Drill:
                 f"{source or path}: request hung or died: {error!r}"
             )
             return None
-        self._tally(status, decoded, source or path)
+        self._tally(status, decoded, headers, source or path)
         return status, decoded, headers
 
     def _settle(self) -> None:
@@ -220,25 +295,26 @@ class _Drill:
 
     def _do_crash_burst(self) -> None:
         """Enough consecutive crashes to trip the breaker, then watch
-        it degrade to baseline 200s, then recover."""
-        self.control.phase = self.rng.choice(
-            ("frontend", "shape", "select", "assemble")
-        )
+        it degrade to the baseline lane, then recover.  The requests go
+        through ``/run`` at -O1, so every phase can fire."""
+        self.control.phase = self.rng.choice(_PHASES)
         self.control.mode = "crash"
         for i in range(self.config.breaker_threshold + 2):
             self._post(
-                "/compile",
-                {"name": f"crash-{i}", "source": CHAOS_PROGRAM},
+                "/run",
+                {"name": f"crash-{i}", "source": CHAOS_PROGRAM,
+                 "opt_level": 1},
                 source="crash-burst",
             )
         self._settle()
 
     def _do_latency(self) -> None:
-        self.control.phase = self.rng.choice(("select", "simulate"))
+        self.control.phase = self.rng.choice(_PHASES)
         self.control.sleep_s = self.config.deadline_ms / 1000.0 + 0.4
         self.control.mode = "latency"
         self._post(
-            "/run", {"name": "slow", "source": CHAOS_PROGRAM},
+            "/run",
+            {"name": "slow", "source": CHAOS_PROGRAM, "opt_level": 1},
             source="latency",
         )
         self._settle()
@@ -271,6 +347,7 @@ class _Drill:
             thread.start()
         for thread in threads:
             thread.join(timeout=60.0)
+        rejected = 0
         for outcome in outcomes:
             if isinstance(outcome, Exception):
                 self.report.requests += 1
@@ -278,8 +355,14 @@ class _Drill:
                     f"overflow: request hung or died: {outcome!r}"
                 )
             else:
-                status, body, _headers = outcome
-                self._tally(status, body, "overflow")
+                status, body, headers = outcome
+                self._tally(status, body, headers, "overflow")
+                rejected += status == 429
+        if not rejected:
+            self.report.violations.append(
+                f"overflow: a storm of {burst} concurrent requests "
+                f"produced no 429"
+            )
         if len(outcomes) != burst:
             self.report.violations.append(
                 f"overflow: {burst - len(outcomes)} requests never "
@@ -313,9 +396,12 @@ class _Drill:
             "overflow-burst": self._do_overflow_burst,
         }
         names = [name for name, weight in _MIX for _ in range(weight)]
-        # One guaranteed crash burst so the breaker provably trips even
-        # on short drills; the rest of the schedule is seeded.
+        # One of each fault scenario first, so even a short drill trips
+        # the breaker, crosses a deadline and overflows the queue; the
+        # rest of the schedule is seeded.
         self._do_crash_burst()
+        self._do_latency()
+        self._do_overflow_burst()
         while self.report.requests < self.target:
             actions[self.rng.choice(names)]()
         self._settle()

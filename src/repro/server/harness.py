@@ -2,9 +2,9 @@
 
 The server's own event loop runs on a dedicated thread; the caller gets
 a handle with a blocking :meth:`ServerHandle.request` built on
-``http.client``, so tests, the chaos injector, the fault drill and the
-CI smoke all exercise the genuine socket path -- HTTP framing, body
-limits, admission control and all -- inside one process.
+``http.client``, so tests, the fault drill and the CI smoke all
+exercise the genuine socket path -- HTTP framing, body limits,
+admission control and all -- inside one process.
 """
 
 from __future__ import annotations

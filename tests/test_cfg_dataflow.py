@@ -3,10 +3,9 @@
 Structure (leaders, edges, skip spans, roots, degradation), each solver
 (liveness, reaching defs, def-use chains, memory deadness, available
 stores, available copies), the may-def modelling of branch index
-registers, fact-integrity seals with the chaos hook, the worklist's
-agreement with a round-robin reference solver and its transfer budget,
-the cross-rebuild item-effects memo, and the effect-table coverage
-contract of both encoders.
+registers, the worklist's agreement with a round-robin reference solver
+and its transfer budget, the cross-rebuild item-effects memo, and the
+effect-table coverage contract of both encoders.
 """
 
 import pytest
@@ -27,7 +26,6 @@ from repro.core.codegen.emitter import (
     StmtMark,
 )
 from repro.core.effects import BARRIER_EFFECTS, InstrEffects
-from repro.errors import DataflowError
 from repro.machines.s370.spec import machine_description
 from repro.opt import cfg as CFG
 from repro.opt import dataflow as DF
@@ -361,108 +359,6 @@ class TestAvailableFacts:
                   walk_copies(cfg, copies, cfg.blocks[0])}
         assert (5, 4) in before[1]
         assert (5, 4) not in before[3]  # the la killed the source
-
-
-#: The six solvers, each as ``cfg -> Solution``.
-SOLVERS = {
-    "liveness": lambda cfg: liveness(cfg).solution,
-    "reaching-defs": lambda cfg: reaching_defs(cfg).solution,
-    "memory-deadness": lambda cfg: memory_deadness(cfg).solution,
-    "available-stores": lambda cfg: available_stores(cfg).solution,
-    "available-copies": lambda cfg: available_copies(cfg).solution,
-    "available-exprs": lambda cfg: available_exprs(
-        cfg, ENC.expression_ops()
-    ).solution,
-}
-
-
-def _replace_fact(side):
-    bid = next(b for b, f in sorted(side.items()) if f is not None)
-    side[bid] = side[bid] | {("bogus", 99)}
-
-
-def _none_fact(side):
-    bid = next(b for b, f in sorted(side.items()) if f is not None)
-    side[bid] = None
-
-
-def _delete_key(side):
-    del side[max(side)]
-
-
-def _add_key(side):
-    side[max(side) + 1] = frozenset()
-
-
-FACT_DAMAGES = {
-    "replace": _replace_fact,
-    "none": _none_fact,
-    "delete": _delete_key,
-    "add": _add_key,
-}
-
-
-@pytest.fixture(scope="module")
-def real_cfg():
-    compiled = compile_source(W.call_heavy(3), opt_level=2)
-    cfg = build_cfg(compiled.generated.buffer, ENC)
-    assert cfg.ok and cfg.nblocks > 4
-    return cfg
-
-
-class TestSolutionIntegrity:
-    def test_verify_passes_untouched(self):
-        cfg = build_cfg(buf([Instr("ar", (R(1), R(2)))]), ENC)
-        liveness(cfg).solution.verify()
-
-    def test_verify_raises_on_mutation(self):
-        cfg = build_cfg(buf([Instr("ar", (R(1), R(2)))]), ENC)
-        solution = liveness(cfg).solution
-        solution.outs[0] = frozenset({99})
-        with pytest.raises(DataflowError):
-            solution.verify()
-
-    def test_verify_raises_unsealed(self):
-        solution = DF.Solution("liveness", {}, {})
-        with pytest.raises(DataflowError):
-            solution.verify()
-
-    def test_fault_hook_runs_at_seal_time(self):
-        calls = []
-        DF.FAULT_HOOK = lambda s: calls.append(s.name)
-        try:
-            cfg = build_cfg(buf([Instr("ar", (R(1), R(2)))]), ENC)
-            liveness(cfg)
-        finally:
-            DF.FAULT_HOOK = None
-        assert calls == ["liveness"]
-
-    @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    def test_untouched_real_solution_verifies(self, solver, real_cfg):
-        SOLVERS[solver](real_cfg).verify()
-
-    @pytest.mark.parametrize("side", ["ins", "outs"])
-    @pytest.mark.parametrize("damage", sorted(FACT_DAMAGES))
-    @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    def test_fact_damage_fails_verify(self, solver, damage, side, real_cfg):
-        solution = SOLVERS[solver](real_cfg)
-        FACT_DAMAGES[damage](getattr(solution, side))
-        with pytest.raises(DataflowError, match="integrity"):
-            solution.verify()
-
-    @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    def test_cleared_outs_fail_verify(self, solver, real_cfg):
-        solution = SOLVERS[solver](real_cfg)
-        solution.outs.clear()
-        with pytest.raises(DataflowError, match="integrity"):
-            solution.verify()
-
-    @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    def test_unsealed_real_solution_fails_verify(self, solver, real_cfg):
-        solution = SOLVERS[solver](real_cfg)
-        solution.digest = ""
-        with pytest.raises(DataflowError, match="never sealed"):
-            solution.verify()
 
 
 def _round_robin(cfg, *, forward, boundary, transfer, join):

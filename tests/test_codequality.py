@@ -279,19 +279,6 @@ class TestPeepholeMnemonicRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Chaos: the peephole injector.
-# ---------------------------------------------------------------------------
-
-
-class TestChaosPeephole:
-    def test_random_rule_subsets_never_change_output(self):
-        from repro.robustness.faultinject import run_chaos
-
-        report = run_chaos(seed=5, runs=3, injectors=["peephole"])
-        assert [r.outcome for r in report.results] == ["survived"] * 3
-
-
-# ---------------------------------------------------------------------------
 # CLI: -O levels and --dump-asm.
 # ---------------------------------------------------------------------------
 
@@ -323,8 +310,3 @@ class TestCli:
         assert "+++ after-peephole" in out
         assert "rewrites:" in out
         assert "[" in out.split("rewrites:")[1]  # per-rule annotations
-
-    def test_chaos_accepts_peephole_injector(self, capsys):
-        assert main(["chaos", "--runs", "1", "--seed", "5",
-                     "--injector", "peephole"]) == 0
-        assert "survived=1" in capsys.readouterr().out

@@ -7,7 +7,7 @@ mentions, and starts every fact at the meet identity instead of
 transferring each block once from it.  This file keeps the original
 worklist (``reference_iterate``) and the original item steps, which
 derive all of that again at every item, and requires the kernel to
-reproduce their sealed ``ins``/``outs`` exactly on every CFG a real
+reproduce their ``ins``/``outs`` exactly on every CFG a real
 compile solves -- -O2 to -O4 on the codequality workloads and on random
 programs, so summary-refined call sites, the spill planner's private
 slots and the -O4 disjoint bases are all exercised -- and the SL05x

@@ -1,114 +1,124 @@
 """Tests: the optimizer degradation contract.
 
-A sealed fact that fails its integrity check at ``-O N`` makes
-``compile_program`` return the clean ``-O(N-1)`` compile, level by level
-down to ``-O1`` at the latest, with one ``stats["degraded"]`` event per
-level given up.  Covers a forced fault in every fact set at every level
-that builds facts, a fault in every fact set (the full descent), the
-clean path, the ``optimizer`` chaos injector, and every surface that
-reports the events (CLI, service payload, batch report, codequality
-validation).
+Any exception escaping the spill planner (-O3/-O4) or the global passes
+(-O2..-O4) at ``-O N`` makes ``compile_program`` return the clean
+``-O(N-1)`` compile, level by level down to ``-O1`` at the latest, with
+one ``stats["degraded"]`` event per level given up.  Covers a raising
+global pass at every level that runs it, a raising spill planner and
+summary computation, a failure at every level (the full descent), the
+clean path, and every surface that reports the events (CLI, service
+payload, batch report, codequality validation).
 """
-
-import random
 
 import pytest
 
 from repro.bench.workloads import register_pressure
 from repro.cli import main
-from repro.opt import dataflow
+from repro.opt import globalopt, spillplan
+from repro.opt import summaries as S
 from repro.pascal.compiler import compile_source
 from repro.pascal.interp import interpret_source
-from repro.robustness.faultinject import (
-    CHAOS_PROGRAM,
-    _FACT_SETS,
-    _damage_facts,
-    run_chaos,
-)
+from repro.robustness.faultinject import CHAOS_PROGRAM
 
 PROGRAMS = {
     "chaos": CHAOS_PROGRAM,  # a call graph for the summaries
     "pressure": register_pressure(20),  # spills for the planner
 }
 
-#: The lowest level at which a compile builds each fact set.
-BUILT_FROM = {name: 2 for name in _FACT_SETS}
-BUILT_FROM.update({"available-exprs": 3, "summaries": 4})
-
-#: The pressure program makes no calls: its summary sets are empty.
-NOTHING_TO_DAMAGE = {("pressure", "summaries")}
-
-
-@pytest.fixture
-def hook():
-    """Install a fault hook for one test; always uninstalled."""
-
-    def install(fn):
-        dataflow.FAULT_HOOK = fn
-
-    yield install
-    dataflow.FAULT_HOOK = None
+#: Every pass of one global-optimizer round; ``_pass_cse`` runs at -O3+.
+PASSES = (
+    "_pass_unreachable", "_pass_forward", "_pass_cse", "_pass_copy_elim",
+    "_pass_dead_def", "_pass_dead_store", "_pass_branches",
+)
 
 
-def _compile_with(install, fn, source, level):
-    install(fn)
-    try:
-        return compile_source(source, opt_level=level)
-    finally:
-        install(None)
+class Injected(Exception):
+    """The failure the tests plant in an optimizer layer."""
 
 
-def _fault_once(target):
-    """A hook that damages the first non-empty ``target`` fact set."""
+def _raise_at(monkeypatch, owner, name, levels, level_of):
+    """Make ``owner.name`` raise :class:`Injected` whenever
+    ``level_of(args, kwargs)`` is in ``levels``; returns the list of
+    levels at which it raised."""
+    original = getattr(owner, name)
     fired = []
-    rng = random.Random(0)
 
-    def fn(facts):
-        if not fired and facts.name == target \
-                and _damage_facts(facts, "mutate", rng):
-            fired.append(facts.name)
+    def damaged(*args, **kwargs):
+        level = level_of(args, kwargs)
+        if level in levels:
+            fired.append(level)
+            raise Injected(f"{name} broke at -O{level}")
+        return original(*args, **kwargs)
 
-    return fn, fired
+    monkeypatch.setattr(owner, name, damaged)
+    return fired
 
 
-@pytest.mark.parametrize("program", sorted(PROGRAMS))
-@pytest.mark.parametrize("target", _FACT_SETS)
-@pytest.mark.parametrize("level", [2, 3, 4])
-def test_forced_fault_returns_the_clean_lower_level(
-    hook, program, target, level
-):
-    source = PROGRAMS[program]
-    fn, fired = _fault_once(target)
-    compiled = _compile_with(hook, fn, source, level)
-    assert bool(fired) == (
-        level >= BUILT_FROM[target]
-        and (program, target) not in NOTHING_TO_DAMAGE
+def _pass_raises_at(monkeypatch, name, levels):
+    return _raise_at(
+        monkeypatch, globalopt._Global, name, levels,
+        lambda args, kwargs: args[0].level,
     )
-    if not fired:
-        assert compiled.stats["degraded"] == []
-        final = level
-    else:
-        (event,) = compiled.stats["degraded"]
-        assert event["component"] == target
-        assert "integrity" in event["reason"]
-        assert event["fell_back_to"] == level - 1
-        final = level - 1
-    clean = compile_source(source, opt_level=final)
+
+
+def _assert_one_level_lost(compiled, source, level, component):
+    (event,) = compiled.stats["degraded"]
+    assert event["component"] == component
+    assert event["reason"].startswith(f"{component}: Injected: ")
+    assert event["fell_back_to"] == level - 1
+    clean = compile_source(source, opt_level=level - 1)
+    assert clean.stats["degraded"] == []
     assert compiled.object_records == clean.object_records
-    assert compiled.stats["opt_level"] == final
+    assert compiled.stats["opt_level"] == level - 1
     assert compiled.stats["global"] == clean.stats["global"]
     assert compiled.stats["regalloc"] == clean.stats["regalloc"]
 
 
-def test_fault_everywhere_descends_to_O1(hook):
-    def unseal(facts):
-        facts.digest = ""
+@pytest.mark.parametrize("name", PASSES)
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_raising_pass_costs_one_level(monkeypatch, name, level):
+    fired = _pass_raises_at(monkeypatch, name, {level})
+    compiled = compile_source(CHAOS_PROGRAM, opt_level=level)
+    if not fired:
+        assert name == "_pass_cse" and level == 2
+        assert compiled.stats["degraded"] == []
+        return
+    _assert_one_level_lost(compiled, CHAOS_PROGRAM, level, "globalopt")
 
-    compiled = _compile_with(hook, unseal, CHAOS_PROGRAM, 4)
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_raising_planner_costs_one_level(monkeypatch, level):
+    source = PROGRAMS["pressure"]
+    fired = _raise_at(
+        monkeypatch, spillplan, "build_plan", {level},
+        lambda args, kwargs: kwargs["level"],
+    )
+    compiled = compile_source(source, opt_level=level)
+    assert fired == [level]
+    _assert_one_level_lost(compiled, source, level, "spillplan")
+
+
+@pytest.mark.parametrize("program, component", [
+    ("chaos", "globalopt"),
+    # A program that spills meets the summaries first in the planner.
+    ("pressure", "spillplan"),
+])
+def test_raising_summaries_cost_one_level(monkeypatch, program, component):
+    source = PROGRAMS[program]
+    fired = _raise_at(
+        monkeypatch, S, "compute_summaries", {4}, lambda args, kwargs: 4,
+    )
+    compiled = compile_source(source, opt_level=4)
+    assert fired == [4]
+    _assert_one_level_lost(compiled, source, 4, component)
+
+
+def test_failure_everywhere_descends_to_O1(monkeypatch):
+    _pass_raises_at(monkeypatch, "_pass_dead_def", {2, 3, 4})
+    compiled = compile_source(CHAOS_PROGRAM, opt_level=4)
     events = compiled.stats["degraded"]
     assert [e["fell_back_to"] for e in events] == [3, 2, 1]
-    assert events[0]["component"] == "summaries"
-    assert all("never sealed" in e["reason"] for e in events)
+    assert all(e["component"] == "globalopt" for e in events)
     clean = compile_source(CHAOS_PROGRAM, opt_level=1)
     assert compiled.object_records == clean.object_records
 
@@ -123,39 +133,29 @@ def test_clean_compiles_record_no_event(program):
         assert compiled.run().output == expected
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_optimizer_injector(seed):
-    report = run_chaos(seed=seed, runs=8, injectors=["optimizer"])
-    assert [r.outcome for r in report.results] == ["survived"] * 8, \
-        report.render()
-
-
 # ---- surfaces ---------------------------------------------------------------
 
 
-def _unseal_summaries(facts):
-    if facts.name == "summaries":
-        facts.digest = ""
-
-
-def test_cli_prints_each_event(hook, tmp_path, capsys):
+def test_cli_prints_each_event(monkeypatch, tmp_path, capsys):
     path = tmp_path / "chaos.pas"
     path.write_text(CHAOS_PROGRAM)
-    hook(_unseal_summaries)
+    _pass_raises_at(monkeypatch, "_pass_forward", {4})
     assert main(["run", str(path), "-O", "4"]) == 0
     captured = capsys.readouterr()
     assert captured.out == interpret_source(CHAOS_PROGRAM)
-    assert "** degraded: -O4 -> -O3 (summaries: facts were never sealed)" \
-        in captured.err
+    assert (
+        "** degraded: -O4 -> -O3 (globalopt: Injected: _pass_forward "
+        "broke at -O4)" in captured.err
+    )
 
 
-def test_service_and_batch_return_events(hook):
+def test_service_and_batch_return_events(monkeypatch):
     from repro.pipeline.batch import BatchResult
     from repro.pipeline.service import ServiceRequest, execute_request
 
     request = ServiceRequest(kind="run", source=CHAOS_PROGRAM, opt_level=4)
     assert execute_request(request)["degraded_events"] == []
-    hook(_unseal_summaries)
+    _pass_raises_at(monkeypatch, "_pass_forward", {4})
     payload = execute_request(request)
     (event,) = payload["degraded_events"]
     assert event["fell_back_to"] == 3
@@ -181,8 +181,9 @@ def test_codequality_validate_fails_a_degraded_lane():
     ]}
     assert not any("fell back" in p for p in validate_report(report))
     lanes["table_O3"]["degraded"] = [{
-        "component": "liveness", "reason": "liveness: facts failed",
+        "component": "spillplan", "reason": "spillplan: Injected: broke",
         "fell_back_to": 2,
     }]
     problems = validate_report(report)
-    assert "w.table_O3 fell back to -O2: liveness: facts failed" in problems
+    assert "w.table_O3 fell back to -O2: spillplan: Injected: broke" \
+        in problems

@@ -61,9 +61,9 @@ CASES = [
     ),
     (E.CodeGenError("generator stopped"), {}),
     (
-        E.DataflowError("liveness: facts failed their integrity check",
-                        analysis="liveness"),
-        {"analysis": "liveness"},
+        E.DataflowError("globalopt: RuntimeError: pass failed",
+                        analysis="globalopt"),
+        {"analysis": "globalopt"},
     ),
     (E.AssemblyError("no encoding for opcode"), {}),
     (E.LoaderError("relocation out of range"), {}),

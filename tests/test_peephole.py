@@ -9,6 +9,7 @@ also fire on at least one named program.
 """
 
 import functools
+import itertools
 import json
 
 import pytest
@@ -520,14 +521,58 @@ class TestCompilerIntegration:
         rendered = compiled.peephole_events[0].render()
         assert rendered.startswith("[")  # "[rule] @idx: before -> after"
 
-    def test_rule_subset_via_compiler(self):
+    def test_rule_subset_on_compiled_code(self):
         from repro.bench.workloads import chain_loop
 
-        compiled = _compile(chain_loop(10), peephole_rules=["zero_clear"])
-        hits = compiled.stats["peephole"]["hits"]
+        compiled = _compile(chain_loop(10), opt_level=0)
+        peep = run_peephole(compiled.generated, rules=["zero_clear"])
+        hits = peep.as_dict()["hits"]
+        assert set(hits) == set(ALL_RULES)
         assert all(
             count == 0 for rule, count in hits.items() if rule != "zero_clear"
         )
+
+
+#: Every subset of the rules, the empty set and all five included.
+RULE_SUBSETS = [
+    subset
+    for size in range(len(ALL_RULES) + 1)
+    for subset in itertools.combinations(ALL_RULES, size)
+]
+
+
+def _subset_programs():
+    from repro.bench.workloads import array_kernel
+    from repro.robustness.faultinject import CHAOS_PROGRAM
+
+    # Between them, load_load, store_load and zero_clear all fire.
+    return {"chaos": CHAOS_PROGRAM, "array_kernel": array_kernel(12)}
+
+
+@functools.lru_cache(maxsize=None)
+def _output_at_O0(name):
+    return _compile(_subset_programs()[name], opt_level=0).run().output
+
+
+@pytest.mark.parametrize("rules", RULE_SUBSETS, ids="+".join)
+@pytest.mark.parametrize("name", ["chaos", "array_kernel"])
+def test_any_rule_subset_preserves_output(name, rules):
+    """Each rule is individually toggleable, so any subset of them must
+    leave the program's behaviour alone."""
+    from dataclasses import replace
+
+    from repro.core.codegen.loader_records import resolve_module
+    from repro.pascal.compiler import cached_build
+
+    compiled = _compile(_subset_programs()[name], opt_level=0)
+    run_peephole(compiled.generated, rules=rules)
+    module = resolve_module(
+        compiled.generated, cached_build().machine,
+        entry_label=compiled.ir.main_label,
+    )
+    result = replace(compiled, module=module).run()
+    assert result.trap is None
+    assert result.output == _output_at_O0(name)
 
 
 # ---------------------------------------------------------------------------

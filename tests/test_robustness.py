@@ -286,14 +286,13 @@ def test_chaos_single_injector():
             assert result.ok
 
 
-def test_chaos_server_injector_typed_and_recovers():
-    """The eighth injector drives a live compile server: crashes,
-    latency past the deadline and queue-overflow storms must all come
-    back as typed envelopes, and the server must answer a clean 200
-    afterwards (asserted inside the injector)."""
-    report = run_chaos(seed=11, runs=4, injectors=["server"])
-    assert {r.injector for r in report.results} == {"server"}
-    assert report.ok, report.render()
+def test_chaos_cli_runs_one_injector(capsys):
+    from repro.cli import main
+
+    assert main(["chaos", "--runs", "2", "--seed", "5",
+                 "--injector", "objmod"]) == 0
+    out = capsys.readouterr().out
+    assert "objmod" in out and out.rstrip().endswith("PASS")
 
 
 def test_chaos_report_render_mentions_failures():

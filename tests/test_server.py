@@ -362,3 +362,17 @@ class TestSocketLevel:
         # in requests_completed; the other three round trips are.
         assert final["requests_completed"] >= 3
         assert final["buildstats"]["automaton_builds"] == 0
+
+
+class TestFaultDrill:
+    def test_short_drill_keeps_the_contract(self):
+        """A 40-request drill still crashes a phase, crosses a deadline
+        and overflows the queue; every response must be a typed
+        envelope (429s with ``Retry-After``), the breaker must trip and
+        recover, and the post-drill compile must be byte-identical."""
+        from repro.server.drill import run_drill
+
+        report = run_drill(seed=0, requests=40)
+        assert report.ok, report.render()
+        for status in ("429", "500", "504"):
+            assert report.by_status.get(status), report.render()

@@ -3,18 +3,25 @@
 The block engine (``predecode=True``, the only user-facing lane) must be
 observationally identical to the decode-every-step reference loop
 (``predecode=False``) on results, instruction counts, traps and their
-PSWs, step limits, alignment behavior and self-modifying code -- its
-only permitted difference is speed.
+PSWs, step limits, alignment behavior, self-modifying code and block
+state dropped between chunks of a run -- its only permitted difference
+is speed.
 """
+
+import random
 
 import pytest
 
 from repro.bench import workloads as W
-from repro.errors import RegisterPairFaultError, SimulatorError
+from repro.errors import (
+    RegisterPairFaultError, SimulatorError, StepLimitError,
+)
 from repro.core.codegen.emitter import Imm, Instr, Mem, R
 from repro.machines.s370 import isa, runtime
 from repro.machines.s370.encode import S370Encoder
-from repro.machines.s370.simulator import Simulator, _block_end
+from repro.machines.s370.simulator import (
+    Simulator, _block_end, _compile_block,
+)
 from repro.pascal.compiler import compile_source
 
 ENC = S370Encoder()
@@ -474,6 +481,59 @@ class TestBlockCache:
         assert BASE in sim.compiled_blocks and first[2][3] == 6
         second = _assert_lanes_agree(image(2), setup=setup)
         assert second[0] == "ok" and second[2][3] == 12
+
+
+#: Programs for the damage runs, each a few hundred steps.
+DAMAGE_PROGRAMS = {
+    "loop": W.loop_kernel(30),
+    "chain": W.chain_loop(10),
+    "ladder": W.branch_ladder(12),
+    "arrays": W.array_kernel(6),
+}
+
+
+class TestBlockStateDamage:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_damage_between_chunks_changes_nothing(self, seed):
+        """Run in random-length chunks, each ended by the step limit,
+        and between chunks drop every compiled block, drop random
+        blocks, reset the leader entry counters or clear the
+        process-wide block cache: output, total steps and instruction
+        counts equal the reference loop's."""
+        rng = random.Random(seed)
+        source = DAMAGE_PROGRAMS[rng.choice(sorted(DAMAGE_PROGRAMS))]
+        image = compile_source(source).image()
+        expected = _run_lane(image, False)[1]
+        sim = Simulator()
+        sim.load_image(image)
+        steps = 0
+        while True:
+            assert steps < 20 * expected.steps
+            chunk = rng.randint(1, 40)
+            try:
+                result = sim.run(max_steps=chunk)
+            except StepLimitError:
+                # Raised between instructions, so the next run resumes
+                # exactly where this one stopped.
+                steps += chunk
+            else:
+                steps += result.steps
+                break
+            op = rng.randrange(4)
+            if op == 0:
+                for pc in sorted(sim.compiled_blocks):
+                    sim._forget(pc)
+            elif op == 1 and sim.compiled_blocks:
+                live = sorted(sim.compiled_blocks)
+                for pc in rng.sample(live, rng.randint(1, len(live))):
+                    sim._forget(pc)
+            elif op == 2:
+                sim._entries.clear()
+            else:
+                _compile_block.cache_clear()
+        assert result.output == expected.output
+        assert steps == expected.steps
+        assert result.instruction_counts == expected.instruction_counts
 
 
 class TestLaneSelection:

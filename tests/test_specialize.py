@@ -11,6 +11,8 @@ Contract under test (see :mod:`repro.core.specialize` and
   generic reducer, the later ones its compiled reducer;
 * a spilled incoming operand sends a compiled reducer back to the
   generic one for that reduction;
+* dropping every compiled reducer at random points mid-generate leaves
+  the code unchanged;
 * the watchdogs raise the same errors either way;
 * threads installing and dropping reducers on one shared generator
   still emit single-threaded code;
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import py_compile
+import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +34,7 @@ import pytest
 from repro.bench import workloads as W
 from repro.core import specialize as SP
 from repro.core import tables as T
+from repro.core.codegen.emitter import CodeBuffer
 from repro.core.codegen.operand import SpilledValue
 from repro.core.codegen.parser_rt import (
     COMPILE_THRESHOLD,
@@ -281,6 +285,58 @@ def test_watchdog_errors_unchanged(build):
             gen.compile_threshold = threshold
             failures.append(_failure(gen, toks, guards))
         assert failures[0] == failures[1]
+
+
+# ---- dropped mid-generate ----------------------------------------------------------
+
+
+class _DroppingItems(list):
+    """A code buffer's item list that drops every compiled reducer of
+    ``gen`` as soon as it holds ``at[0]`` items (then ``at[1]``, ...)."""
+
+    def __init__(self, gen, at):
+        super().__init__()
+        self.gen = gen
+        self.at = at
+
+    def append(self, item) -> None:
+        super().append(item)
+        if self.at and len(self) >= self.at[0]:
+            del self.at[0]
+            self.gen.drop_compiled_reducers()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reducers_dropped_mid_generate_change_nothing(build, seed):
+    """Reducers compiled after one to four reductions, optionally all
+    compiled up front by a warm-up generate, then dropped at random
+    buffer lengths: slots fall back to the generic reducer and compile
+    again, and the code equals a generate that never compiles one."""
+    rng = random.Random(seed)
+    source = WORKLOADS[rng.choice(sorted(WORKLOADS))]
+    threshold = rng.randint(1, 4)
+    warm = rng.random() < 0.5
+    drops = rng.randint(1, 6)
+    compiled = compile_source(source, build=build, opt_level=0)
+
+    def render(gen, buffer=None):
+        generated = gen.generate(
+            list(compiled.tokens),
+            frame=copy.deepcopy(compiled.ir.spill_frame), buffer=buffer,
+        )
+        return [str(item) for item in generated.buffer.items]
+
+    gen = _generator(build, None)
+    expected = render(gen)
+    gen.compile_threshold = threshold
+    if warm:
+        render(gen)
+    buffer = CodeBuffer()
+    buffer.items = _DroppingItems(gen, sorted(
+        rng.sample(range(1, len(expected) + 1), min(drops, len(expected)))
+    ))
+    assert render(gen, buffer) == expected
+    assert not buffer.items.at  # every planned drop happened
 
 
 # ---- threads ---------------------------------------------------------------------

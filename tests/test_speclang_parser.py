@@ -161,6 +161,29 @@ class TestTemplates:
         tmpl = self.template(" l r.2,dsp.1(zero,r.1)")
         assert str(tmpl) == "l r.2,dsp.1(zero,r.1)"
 
+    def test_tab_separates_fields(self):
+        tmpl = self.template("\ta\tr.1,r.2\tSum.")
+        assert [str(o) for o in tmpl.operands] == ["r.1", "r.2"]
+        assert tmpl.comment == "Sum."
+
+    @pytest.mark.parametrize("space", [
+        "\v", "\f", "\x85", "\u2028", "\xa0", "\u2003", "\u3000", "\x1f",
+    ])
+    @pytest.mark.parametrize("where", ["after op", "in comment"])
+    def test_other_whitespace_is_a_syntax_error(self, space, where):
+        """The lexer separates tokens at blanks and tabs only, so any
+        other whitespace would split the fields differently from the
+        tokens; it is reported with its line number instead."""
+        line = (
+            f" a{space}r.1,r.2" if where == "after op"
+            else f" a r.1,r.2 Sum{space}of two."
+        )
+        text = BASE + "$Productions\nr.1 ::= iadd r.1 r.2\n" + line + "\n"
+        number = text.split("\n").index(line) + 1
+        with pytest.raises(SpecSyntaxError, match="whitespace") as info:
+            parse_spec(text)
+        assert info.value.line == number
+
 
 # ---- one lexing pass per line --------------------------------------------------
 
