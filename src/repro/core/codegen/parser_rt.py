@@ -26,6 +26,7 @@ symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Tuple, Union,
 )
@@ -59,13 +60,6 @@ from repro.core.codegen.emitter import (
     R,
     R_INTERNED,
 )
-
-_NR_INTERNED = len(R_INTERNED)
-
-
-def _reg(n: int) -> R:
-    """The shared ``R`` operand for register ``n`` (fresh if out of range)."""
-    return R_INTERNED[n] if 0 <= n < _NR_INTERNED else R(n)
 from repro.core.codegen.labels import LabelDictionary
 from repro.core.codegen.operand import (
     AttrValue,
@@ -81,6 +75,8 @@ from repro.core.codegen.semantic_ops import STANDARD_HANDLERS
 from repro.core.lr.compress import CompressedTables
 from repro.core.tables import ParseTables
 from repro.ir.linear import IFToken
+
+_NR_INTERNED = len(R_INTERNED)
 
 
 class Frame:
@@ -166,6 +162,11 @@ def _render_item(item) -> str:
 
 class EmissionContext:
     """Per-reduction state shared with the semantic-operator handlers.
+
+    Its ``resolve_*`` methods are the one template resolver: the
+    generic reducer fills in opcode templates with them, the handlers
+    their operands, and :mod:`repro.core.specialize` emits their
+    compiled mirror.
 
     One is constructed per non-wrapper reduction -- thousands per
     compilation unit -- so the class is slotted and its bindings come
@@ -266,32 +267,34 @@ class EmissionContext:
 
     # ---- operand resolution ------------------------------------------------------
 
-    def resolve_constant(self, name: str, tmpl: TemplateAST) -> int:
-        value = self.machine.resolve_constant(name)
-        if value is None:
-            info = self.gen.sdts.symtab.lookup(name)
-            value = info.numeric_value if info is not None else None
-        if value is None:
-            raise CodeGenError(
-                f"{tmpl.op}: constant {name!r} has no value in the spec or "
-                f"machine description"
-            )
-        return value
+    # The resolvers below read ``bindings`` directly and fall back on
+    # :meth:`binding` only for its error when a reference is unbound.
 
     def resolve_int(self, primary: Primary, tmpl: TemplateAST) -> int:
         """A numeric value: attribute, constant, literal or register number."""
-        if isinstance(primary, Number):
+        tp = type(primary)
+        if tp is Number:
             return primary.value
-        if isinstance(primary, Name):
-            return self.resolve_constant(primary.name, tmpl)
-        value = self.binding(primary, tmpl)
-        if isinstance(value, SpilledValue):
-            value = self.reg_binding(primary, tmpl)
-        if isinstance(value, AttrValue):
+        if tp is Name:
+            value = self.gen.constants.get(primary.name)
+            if value is None:
+                raise CodeGenError(
+                    f"{tmpl.op}: constant {primary.name!r} has no value in "
+                    f"the spec or machine description"
+                )
+            return value
+        value = self.bindings.get((primary.name, primary.index))
+        if value is None:
+            value = self.binding(primary, tmpl)
+        tv = type(value)
+        if tv is SpilledValue:
+            value = self._reload(primary, value)
+            tv = RegValue
+        if tv is AttrValue:
             return value.value
-        if isinstance(value, RegValue):
+        if tv is RegValue:
             return value.reg
-        if isinstance(value, PairValue):
+        if tv is PairValue:
             return value.even
         raise CodeGenError(
             f"{tmpl.op}: {primary} resolves to {value}, not a number"
@@ -300,44 +303,61 @@ class EmissionContext:
     def resolve_reg(self, primary: Primary, tmpl: TemplateAST) -> int:
         """A register *number* or numeric field (address index/base
         parts, branch spares, SS-format lengths riding the index slot)."""
-        if isinstance(primary, Ref):
+        if type(primary) is not Ref:
+            return self.resolve_int(primary, tmpl)
+        value = self.bindings.get((primary.name, primary.index))
+        if value is None:
             value = self.binding(primary, tmpl)
-            if isinstance(value, AttrValue):
-                return value.value
-            value = self.reg_binding(primary, tmpl)
-            return value.even if isinstance(value, PairValue) else value.reg
-        return self.resolve_int(primary, tmpl)
-
-    def mem(self, disp: int, index: int, base: int) -> Mem:
-        return Mem(disp, index, base)
+        tv = type(value)
+        if tv is AttrValue:
+            return value.value
+        if tv is SpilledValue:
+            value = self._reload(primary, value)
+            tv = RegValue
+        if tv is RegValue:
+            return value.reg
+        if tv is PairValue:
+            return value.even
+        raise CodeGenError(
+            f"{tmpl.op}: {primary} is bound to {value}, not a register"
+        )
 
     def resolve_operand(self, operand: OperandAST, tmpl: TemplateAST) -> Operand:
         """Fill in one instruction operand from the translation stack."""
-        if operand.is_address:
-            disp = self.resolve_int(operand.base, tmpl)
-            assert operand.index is not None
+        base = operand.base
+        index = operand.index
+        if index is not None:
+            # The address form; dsp(b)'s one parenthesized part is the
+            # base register.
+            disp = self.resolve_int(base, tmpl)
             if operand.base_reg is None:
-                # dsp(b): single parenthesized part is the base register.
-                return Mem(disp, 0, self.resolve_reg(operand.index, tmpl))
+                return Mem(disp, 0, self.resolve_reg(index, tmpl))
             return Mem(
                 disp,
-                self.resolve_reg(operand.index, tmpl),
+                self.resolve_reg(index, tmpl),
                 self.resolve_reg(operand.base_reg, tmpl),
             )
-        if isinstance(operand.base, Ref):
-            value = self.binding(operand.base, tmpl)
-            if isinstance(value, SpilledValue):
-                value = self.reg_binding(operand.base, tmpl)
-            if isinstance(value, RegValue):
-                return _reg(value.reg)
-            if isinstance(value, PairValue):
-                return _reg(value.even)
-            if isinstance(value, AttrValue):
-                return Imm(value.value)
+        if type(base) is not Ref:
+            return Imm(self.resolve_int(base, tmpl))
+        value = self.bindings.get((base.name, base.index))
+        if value is None:
+            value = self.binding(base, tmpl)
+        tv = type(value)
+        if tv is AttrValue:
+            return Imm(value.value)
+        if tv is SpilledValue:
+            value = self._reload(base, value)
+            tv = RegValue
+        if tv is RegValue:
+            n = value.reg
+        elif tv is PairValue:
+            n = value.even
+        else:
             raise CodeGenError(
-                f"{tmpl.op}: operand {operand.base} is bound to {value}"
+                f"{tmpl.op}: operand {base} is bound to {value}"
             )
-        return Imm(self.resolve_int(operand.base, tmpl))
+        # The shared R operand (a fresh one out of the interned range).
+        return R_INTERNED[n] if 0 <= n < _NR_INTERNED else R(n)
 
     # ---- emission -------------------------------------------------------------------
 
@@ -515,164 +535,6 @@ class _Run:
         )
 
 
-#: Sentinel for a template whose semantic operator has no handler; the
-#: error stays lazy (raised at reduction time), matching the uncompiled
-#: runtime's behavior.
-_MISSING_HANDLER = object()
-
-
-# ---- template operand compilation ----------------------------------------
-#
-# Instruction templates are fixed at generator construction, so their
-# operand ASTs compile once into small closures over the template shape;
-# the per-reduction work left is the binding lookups and value dispatch.
-# Each compiled scalar is (constant, None) or (None, func(ctx) -> int);
-# a compiled operand is func(ctx) -> Operand, with fully-constant
-# operands prebuilt and shared (R/Imm/Mem are frozen).  The closures
-# reproduce the resolve_* error messages exactly.
-
-
-def _compile_int(primary: Primary, tmpl: TemplateAST, gen: "CodeGenerator"):
-    if isinstance(primary, Number):
-        return primary.value, None
-    if isinstance(primary, Name):
-        name = primary.name
-        value = gen.machine.resolve_constant(name)
-        if value is None:
-            info = gen.sdts.symtab.lookup(name)
-            value = info.numeric_value if info is not None else None
-        if value is None:
-            def missing(ctx, name=name, tmpl=tmpl):
-                raise CodeGenError(
-                    f"{tmpl.op}: constant {name!r} has no value in the "
-                    f"spec or machine description"
-                )
-            return None, missing
-        return value, None
-    key = (primary.name, primary.index)
-
-    def int_ref(ctx, primary=primary, key=key, tmpl=tmpl):
-        value = ctx.bindings.get(key)
-        if value is None:
-            raise CodeGenError(
-                f"{tmpl.op}: {primary} is unbound in {ctx.prod}"
-            )
-        if type(value) is SpilledValue:
-            value = ctx.reg_binding(primary, tmpl)
-        tv = type(value)
-        if tv is AttrValue:
-            return value.value
-        if tv is RegValue:
-            return value.reg
-        if tv is PairValue:
-            return value.even
-        raise CodeGenError(
-            f"{tmpl.op}: {primary} resolves to {value}, not a number"
-        )
-
-    return None, int_ref
-
-
-def _compile_reg(primary: Primary, tmpl: TemplateAST, gen: "CodeGenerator"):
-    if not isinstance(primary, Ref):
-        return _compile_int(primary, tmpl, gen)
-    key = (primary.name, primary.index)
-
-    def reg_ref(ctx, primary=primary, key=key, tmpl=tmpl):
-        value = ctx.bindings.get(key)
-        if value is None:
-            raise CodeGenError(
-                f"{tmpl.op}: {primary} is unbound in {ctx.prod}"
-            )
-        tv = type(value)
-        if tv is AttrValue:
-            return value.value
-        if tv is SpilledValue:
-            value = ctx._reload(primary, value)
-            tv = type(value)
-        if tv is PairValue:
-            return value.even
-        if tv is RegValue:
-            return value.reg
-        raise CodeGenError(
-            f"{tmpl.op}: {primary} is bound to {value}, not a register"
-        )
-
-    return None, reg_ref
-
-
-def _compile_operand(
-    operand: OperandAST, tmpl: TemplateAST, gen: "CodeGenerator"
-):
-    if operand.is_address:
-        dc, df = _compile_int(operand.base, tmpl, gen)
-        assert operand.index is not None
-        if operand.base_reg is None:
-            # dsp(b): single parenthesized part is the base register.
-            bc, bf = _compile_reg(operand.index, tmpl, gen)
-            if df is None and bf is None:
-                mem = Mem(dc, 0, bc)
-                return lambda ctx, mem=mem: mem
-
-            def mem1(ctx, dc=dc, df=df, bc=bc, bf=bf):
-                return Mem(
-                    dc if df is None else df(ctx),
-                    0,
-                    bc if bf is None else bf(ctx),
-                )
-
-            return mem1
-        xc, xf = _compile_reg(operand.index, tmpl, gen)
-        bc, bf = _compile_reg(operand.base_reg, tmpl, gen)
-        if df is None and xf is None and bf is None:
-            mem = Mem(dc, xc, bc)
-            return lambda ctx, mem=mem: mem
-
-        def mem2(ctx, dc=dc, df=df, xc=xc, xf=xf, bc=bc, bf=bf):
-            return Mem(
-                dc if df is None else df(ctx),
-                xc if xf is None else xf(ctx),
-                bc if bf is None else bf(ctx),
-            )
-
-        return mem2
-    base = operand.base
-    if isinstance(base, Ref):
-        key = (base.name, base.index)
-
-        def ref_operand(
-            ctx, base=base, key=key, tmpl=tmpl,
-            _rtab=R_INTERNED, _nrt=_NR_INTERNED,
-        ):
-            value = ctx.bindings.get(key)
-            if value is None:
-                raise CodeGenError(
-                    f"{tmpl.op}: {base} is unbound in {ctx.prod}"
-                )
-            tv = type(value)
-            if tv is SpilledValue:
-                value = ctx._reload(base, value)
-                tv = type(value)
-            if tv is RegValue:
-                n = value.reg
-                return _rtab[n] if 0 <= n < _nrt else R(n)
-            if tv is PairValue:
-                n = value.even
-                return _rtab[n] if 0 <= n < _nrt else R(n)
-            if tv is AttrValue:
-                return Imm(value.value)
-            raise CodeGenError(
-                f"{tmpl.op}: operand {base} is bound to {value}"
-            )
-
-        return ref_operand
-    vc, vf = _compile_int(base, tmpl, gen)
-    if vf is None:
-        imm = Imm(vc)
-        return lambda ctx, imm=imm: imm
-    return lambda ctx, vf=vf: Imm(vf(ctx))
-
-
 def _origin_tag(tmpl: TemplateAST) -> str:
     """Provenance tag for instructions this template emits: the spec
     line number plus the template text, enough for the SL05x sanitizer
@@ -680,46 +542,10 @@ def _origin_tag(tmpl: TemplateAST) -> str:
     return f"spec line {tmpl.line}: {tmpl}"
 
 
-def _compile_emit(tmpl: TemplateAST, gen: "CodeGenerator"):
-    """Compile an opcode template into an emit closure ``f(ctx)``.
-
-    ``Instr`` is constructed fresh per emission (downstream passes may
-    annotate instructions in place); the common one- and two-operand
-    arities get dedicated closures to skip the generic tuple build.
-    """
-    resolvers = tuple(
-        _compile_operand(op, tmpl, gen) for op in tmpl.operands
-    )
-    op = tmpl.op
-    comment = tmpl.comment
-    tag = _origin_tag(tmpl)
-    if len(resolvers) == 1:
-        (r0,) = resolvers
-
-        def emit1(ctx, op=op, r0=r0, comment=comment, tag=tag):
-            buffer = ctx.buffer
-            buffer.items.append(Instr(op, (r0(ctx),), comment))
-            buffer.origins[len(buffer.items) - 1] = tag
-
-        return emit1
-    if len(resolvers) == 2:
-        r0, r1 = resolvers
-
-        def emit2(ctx, op=op, r0=r0, r1=r1, comment=comment, tag=tag):
-            buffer = ctx.buffer
-            buffer.items.append(Instr(op, (r0(ctx), r1(ctx)), comment))
-            buffer.origins[len(buffer.items) - 1] = tag
-
-        return emit2
-
-    def emitn(ctx, op=op, resolvers=resolvers, comment=comment, tag=tag):
-        buffer = ctx.buffer
-        buffer.items.append(
-            Instr(op, tuple(f(ctx) for f in resolvers), comment)
-        )
-        buffer.origins[len(buffer.items) - 1] = tag
-
-    return emitn
+def _no_handler(ctx: EmissionContext, tmpl: TemplateAST) -> None:
+    """The handler of a semantic operator no table registers: the error
+    stays lazy, raised when a reduction reaches the template."""
+    raise CodeGenError(f"no handler for semantic operator {tmpl.op!r}")
 
 
 class _ProdPlan:
@@ -728,15 +554,19 @@ class _ProdPlan:
     Everything the emission routine can decide from the production alone
     is decided once at generator construction: RHS binding positions,
     the ``using``/``need`` allocation requests, the template dispatch
-    (opcode emission vs. semantic-operator handler), and the precoded
-    LHS/lambda tokens to prefix.  The reduction hot path then just walks
-    tuples.
+    and the precoded LHS/lambda tokens to prefix.  The reduction hot
+    path then just walks tuples.
+
+    ``exec_steps`` holds one ``(handler, tmpl, origin)`` per template
+    other than ``using``/``need``: ``(None, tmpl, origin)`` for an
+    opcode template, whose instructions carry the provenance tag
+    ``origin``, and ``(handler, tmpl, None)`` for a semantic operator.
     """
 
     __slots__ = (
         "prod", "nrhs", "wrapper_token", "binding_refs", "alloc_steps",
         "exec_steps", "lambda_token", "lhs_symbol", "lhs_key", "lhs_code",
-        "first_tmpl", "is_chain", "needs_pins",
+        "first_tmpl", "is_chain",
     )
 
     def __init__(self, prod: Production, gen: "CodeGenerator", code_get):
@@ -763,18 +593,12 @@ class _ProdPlan:
                     alloc_steps.append((tmpl.op == "using", ref))
                 continue
             if tmpl.op in gen._opcode_names:
-                exec_steps.append((None, _compile_emit(tmpl, gen)))
+                exec_steps.append((None, tmpl, _origin_tag(tmpl)))
             else:
-                handler = gen.handlers.get(tmpl.op, _MISSING_HANDLER)
-                exec_steps.append((handler, tmpl))
+                handler = gen.handlers.get(tmpl.op, _no_handler)
+                exec_steps.append((handler, tmpl, None))
         self.alloc_steps = tuple(alloc_steps)
         self.exec_steps = tuple(exec_steps)
-        #: Pinning RHS registers only matters when this reduction can
-        #: allocate (and hence evict): USING/NEED requests, semantic
-        #: operators, or a spilled-operand reload (checked dynamically).
-        self.needs_pins = bool(alloc_steps) or any(
-            handler is not None for handler, _ in exec_steps
-        )
         self.lambda_token = (
             IFToken(
                 LAMBDA_SYMBOL,
@@ -848,6 +672,14 @@ class CodeGenerator:
         self.compile_threshold: Optional[int] = COMPILE_THRESHOLD
         self.handlers = dict(STANDARD_HANDLERS)
         self.handlers.update(machine.semop_handlers)
+        #: Template constants: the machine's, and the spec's numeric
+        #: declarations (``zero = 0``) for names the machine leaves out.
+        self.constants = {
+            s.name: s.numeric_value
+            for s in sdts.symtab
+            if s.numeric_value is not None
+        }
+        self.constants.update(machine.constants)
         self._opcode_names = {
             s.name
             for s in sdts.symtab
@@ -1306,41 +1138,37 @@ class CodeGenerator:
             # Allocate requested registers.  Paper 4.1: "the call to the
             # register allocator is made prior to acting upon any of the
             # templates; all registers required by the template sequence
-            # are allocated at one time".  Pins are skipped when nothing
-            # in this reduction can allocate (no USING/NEED, no semantic
-            # operators, no spilled operand to reload) -- they would
-            # never be consulted.
-            needs_pins = plan.needs_pins
-            if not needs_pins:
-                for value in values:
-                    if type(value) is SpilledValue:
-                        needs_pins = True
-                        break
-            if needs_pins:
-                for value in values:
-                    tv = type(value)
-                    if tv is RegValue or tv is PairValue:
-                        alloc.pin(value)
-                for is_using, ref in plan.alloc_steps:
-                    if is_using:
-                        value = alloc.allocate(ref.name)
-                    else:
-                        value = alloc.reserve(ref.name, ref.index)
-                    ctx.bindings[(ref.name, ref.index)] = value
-                    ctx.allocated.append(value)
-                    tv = type(value)
-                    if tv is RegValue or tv is PairValue:
-                        alloc.pin(value)
-            # Run the template sequence.
-            for handler, payload in plan.exec_steps:
-                if handler is None:
-                    payload(ctx)
-                elif handler is _MISSING_HANDLER:
-                    raise CodeGenError(
-                        f"no handler for semantic operator {payload.op!r}"
-                    )
+            # are allocated at one time".
+            for value in values:
+                tv = type(value)
+                if tv is RegValue or tv is PairValue:
+                    alloc.pin(value)
+            for is_using, ref in plan.alloc_steps:
+                if is_using:
+                    value = alloc.allocate(ref.name)
                 else:
-                    handler(ctx, payload)
+                    value = alloc.reserve(ref.name, ref.index)
+                ctx.bindings[(ref.name, ref.index)] = value
+                ctx.allocated.append(value)
+                tv = type(value)
+                if tv is RegValue or tv is PairValue:
+                    alloc.pin(value)
+            # Run the template sequence: fill in each opcode template's
+            # operands and append the instruction, or hand the template
+            # to its semantic operator.
+            items = run.buffer.items
+            origins = run.buffer.origins
+            resolve = ctx.resolve_operand
+            for handler, tmpl, origin in plan.exec_steps:
+                if handler is None:
+                    items.append(Instr(
+                        tmpl.op,
+                        tuple(map(resolve, tmpl.operands, repeat(tmpl))),
+                        tmpl.comment,
+                    ))
+                    origins[len(items) - 1] = origin
+                else:
+                    handler(ctx, tmpl)
             # Epilogue (paper 4.1): push back the LHS, release RHS uses.
             prod = ctx.prod
             goto: Optional[Tuple[int, str, StackValue]] = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.errors import CodeGenError
-from repro.core.codegen.emitter import Instr, R
+from repro.core.codegen.emitter import Instr, Mem, R
 from repro.core.codegen.operand import AttrValue, PairValue, RegValue
 from repro.ir.linear import IFToken
 
@@ -106,7 +106,7 @@ def h_modifies(ctx: "EmissionContext", tmpl: "TemplateAST") -> None:
             ctx.emit_instr(
                 Instr(
                     store,
-                    (R(record.reg.reg), ctx.mem(record.disp, 0, record.base)),
+                    (R(record.reg.reg), Mem(record.disp, 0, record.base)),
                     comment=f"flush CSE {cse_id} to home",
                 )
             )

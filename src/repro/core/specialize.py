@@ -13,7 +13,8 @@ and installs it in the production's slot.  In the compiled reducer
 * productions without semantic-operator handlers skip the
   ``EmissionContext`` entirely and resolve every template operand
   inline from locals (the interned ``R`` operand table indexed
-  directly, constant operands prebuilt and shared); and
+  directly, constant operands prebuilt and shared), with the checks
+  and error messages of ``EmissionContext.resolve_*``; and
 * every register-state change is a call to the
   :class:`~repro.core.codegen.registers.RegisterAllocator`, the one
   owner of its pools: the reducer bakes only which values are
@@ -46,16 +47,17 @@ from repro.core.machine import ClassKind
 
 # ---- emission: operand resolution -------------------------------------------
 #
-# These helpers mirror parser_rt's _compile_int/_compile_reg/
-# _compile_operand closure compilers, but emit *source text*.  Each
-# reference is read from one of two places.  ``env`` maps a binding key
-# to the reducer local holding its value and that local's type: a type
-# name ("RegValue", ...) when the type is static, else the local holding
-# it.  A key outside ``env`` is read from ``ctx.bindings`` (hoisted as
-# ``_b``) with the spill reload, when the reducer has a context; without
-# one it is unbound.  Error messages are reproduced exactly; runtime
-# values are spliced via string concatenation so arbitrary spec text
-# never breaks the quoting of the generated reducer.
+# These helpers mirror EmissionContext.resolve_int/resolve_reg/
+# resolve_operand, the resolver of the generic reducer and the semantic
+# handlers, but emit *source text*.  Each reference is read from one of
+# two places.  ``env`` maps a binding key to the reducer local holding
+# its value and that local's type: a type name ("RegValue", ...) when
+# the type is static, else the local holding it.  A key outside ``env``
+# is read from ``ctx.bindings`` (hoisted as ``_b``) with the spill
+# reload, when the reducer has a context; without one it is unbound.
+# Error messages are reproduced exactly; runtime values are spliced via
+# string concatenation so arbitrary spec text never breaks the quoting
+# of the generated reducer.
 
 
 def _read_binding(out, ind: str, dst: str, key, unbound: str,
@@ -122,22 +124,19 @@ def _scalar_ref(primary, tmpl, prod, env, ctx_ref, what, order):
 
 
 def _inline_int(primary, tmpl, prod, gen, env, ctx_ref=None):
-    """Mirror of ``_compile_int``: ``(const, None)`` or ``(None,
-    writer)`` where ``writer(out, ind, dst)`` emits statements binding
-    the resolved integer to ``dst``."""
+    """Mirror of ``EmissionContext.resolve_int``: ``(const, None)`` or
+    ``(None, writer)`` where ``writer(out, ind, dst)`` emits statements
+    binding the resolved integer to ``dst``.  Constants resolve here,
+    once per reducer."""
     from repro.core.speclang.ast import Name, Number
 
     if isinstance(primary, Number):
         return primary.value, None
     if isinstance(primary, Name):
-        name = primary.name
-        value = gen.machine.resolve_constant(name)
-        if value is None:
-            info = gen.sdts.symtab.lookup(name)
-            value = info.numeric_value if info is not None else None
+        value = gen.constants.get(primary.name)
         if value is None:
             msg = (
-                f"{tmpl.op}: constant {name!r} has no value in the "
+                f"{tmpl.op}: constant {primary.name!r} has no value in the "
                 f"spec or machine description"
             )
 
@@ -153,8 +152,9 @@ def _inline_int(primary, tmpl, prod, gen, env, ctx_ref=None):
 
 
 def _inline_reg(primary, tmpl, prod, gen, env, ctx_ref=None):
-    """Mirror of ``_compile_reg``: register-number scalars (address
-    index/base parts) accept attributes first, then registers."""
+    """Mirror of ``EmissionContext.resolve_reg``: register-number
+    scalars (address index/base parts) accept attributes first, then
+    registers."""
     from repro.core.speclang.ast import Ref
 
     if not isinstance(primary, Ref):
@@ -167,16 +167,15 @@ def _inline_reg(primary, tmpl, prod, gen, env, ctx_ref=None):
 
 def _inline_operand(t, j, operand, tmpl, prod, gen, env, konsts,
                     factory=None):
-    """Mirror of ``_compile_operand``.
+    """Mirror of ``EmissionContext.resolve_operand``.
 
     Returns ``(writer, expr)``: ``writer(out, ind)`` emits any prep
     statements (or is ``None``), ``expr`` is the operand expression for
     the ``Instr`` tuple.  Fully-constant operands become shared
-    factory-level instances in ``konsts``, matching the closure lane's
-    prebuilt ``R``/``Imm``/``Mem`` sharing.  ``factory`` is ``None`` in
-    a reducer without a context; otherwise it collects the bind-time
-    lines recovering the primaries that the spill reloads pass back to
-    the context.
+    factory-level ``Imm``/``Mem`` instances in ``konsts`` (both are
+    frozen).  ``factory`` is ``None`` in a reducer without a context;
+    otherwise it collects the bind-time lines recovering the primaries
+    that the spill reloads pass back to the context.
     """
     from repro.core.speclang.ast import Ref
 
@@ -284,11 +283,11 @@ def _inline_operand(t, j, operand, tmpl, prod, gen, env, konsts,
     return imm_writer, f"Imm({v_expr})"
 
 
-def _bind_handlers(plan, steps, out) -> None:
+def _bind_handlers(plan, out) -> None:
     """Factory locals ``h{i}``/``t{i}``: handler and template of each
     semantic-operator step, for the reducer to call."""
-    for kind, i, _ in steps:
-        if kind == "handler":
+    for i, (handler, _, _) in enumerate(plan.exec_steps):
+        if handler is not None:
             out(f"    h{i} = plan.exec_steps[{i}][0]")
             out(f"    t{i} = plan.exec_steps[{i}][1]")
 
@@ -335,7 +334,7 @@ def _alloc_step(out, ind: str, target: str, is_using: bool, ref,
     _if_reg(out, ind, target, tv, "pin")
 
 
-def _emit_fast_reducer(plan, gen, steps) -> List[str]:
+def _emit_fast_reducer(plan, gen) -> List[str]:
     """The no-context straight-line reducer for a production without
     semantic-operator handlers (``using`` steps allowed).
 
@@ -378,14 +377,7 @@ def _emit_fast_reducer(plan, gen, steps) -> List[str]:
     bout = body.append
     ind = "        "
     emitted = False
-    # exec step i's template is the i-th non-using/need entry of the
-    # production's template list (mirrors the _ProdPlan build).
-    exec_tmpls = [
-        t for t in prod.templates if t.op not in ("using", "need")
-    ]
-    for kind, i, op in steps:
-        assert kind == "emit"
-        tmpl = exec_tmpls[i]
+    for i, (_, tmpl, origin) in enumerate(plan.exec_steps):
         if not emitted:
             bout(f"{ind}buffer = run.buffer")
             bout(f"{ind}items = buffer.items")
@@ -400,10 +392,9 @@ def _emit_fast_reducer(plan, gen, steps) -> List[str]:
                 writer(bout, ind)
             exprs.append(expr)
         tup = ", ".join(exprs) + ("," if len(exprs) == 1 else "")
-        tag = f"spec line {tmpl.line}: {tmpl}"
         bout(f"{ind}items.append(Instr({tmpl.op!r}, ({tup}), "
              f"{tmpl.comment!r}))")
-        bout(f"{ind}origins[len(items) - 1] = {tag!r}")
+        bout(f"{ind}origins[len(items) - 1] = {origin!r}")
 
     # Epilogue: LHS acquire + RHS/scratch release, then the goto tuple.
     # When the LHS *is* one of this reduction's fresh allocations, the
@@ -451,7 +442,7 @@ def _emit_fast_reducer(plan, gen, steps) -> List[str]:
     out("        alloc.global_index += 1")
     if nalloc:
         # Pins + allocation; without an allocation nothing can evict,
-        # so the pins would never be consulted (``plan.needs_pins``).
+        # so the pins would never be consulted.
         out("        try:")
         pind = "            "
         for pos in range(n):
@@ -543,7 +534,7 @@ def _load_odd_inline(out, i: int, opcode: str, tmpl, prod, pair,
         f"{tmpl.comment!r}))")
 
 
-def _emit_ctx_reducer(plan, gen, steps) -> List[str]:
+def _emit_ctx_reducer(plan, gen) -> List[str]:
     """The straight-line reducer for a production with semantic-operator
     handlers or ``need`` steps: the ``EmissionContext`` survives
     (handlers receive it and the allocator's patching hook reaches
@@ -570,24 +561,16 @@ def _emit_ctx_reducer(plan, gen, steps) -> List[str]:
     out = w.append
     out("def _mk(gen, plan):")
     out("    prod = plan.prod")
-    _bind_handlers(plan, steps, out)
+    _bind_handlers(plan, out)
     out("    _ECn = EmissionContext.__new__")
     out("    _machine = gen.machine")
-    # Opcode templates are inlined rather than dispatched through the
-    # plan's emit closures; exec step i's template is the i-th
-    # non-using/need entry of the template list (mirrors _ProdPlan).
-    exec_tmpls = [
-        t for t in prod.templates if t.op not in ("using", "need")
-    ]
     # Stock handlers with fixed, side-effect-transparent bodies are
     # inlined into the reducer instead of dispatched; a machine that
     # overrides one binds another function and keeps the call.
     hinline: Dict[int, Tuple[str, Optional[str]]] = {}
-    for kind, i, op in steps:
-        if kind != "handler":
+    for i, (h, tmpl, _) in enumerate(plan.exec_steps):
+        if h is None:
             continue
-        h = plan.exec_steps[i][0]
-        tmpl = exec_tmpls[i]
         ref_ok = (
             tmpl.operands and not tmpl.operands[0].is_address
             and isinstance(tmpl.operands[0].base, Ref)
@@ -603,58 +586,52 @@ def _emit_ctx_reducer(plan, gen, steps) -> List[str]:
             if ref_ok and opcode is not None and len(tmpl.operands) == 2:
                 hinline[i] = ("load_odd", opcode)
     runtime_handlers = any(
-        kind == "handler" and i not in hinline for kind, i, _ in steps
+        h is not None and i not in hinline
+        for i, (h, _, _) in enumerate(plan.exec_steps)
     )
     static_push = any(tag == "push" for tag, _ in hinline.values())
     static_ignore = any(tag == "ignore" for tag, _ in hinline.values())
-    static_lodd = any(tag == "load_odd" for tag, _ in hinline.values())
     konsts: List[str] = []
     factory: List[str] = []
     emit_plans = {}
     lodd_plans = {}
-    if any(kind == "emit" for kind, _, _ in steps) or static_lodd:
-        factory.append(
-            "    _xts = [t for t in prod.templates "
-            "if t.op not in ('using', 'need')]"
-        )
     if static_push:
         factory.append("    cget = gen._code_get")
     hstatic: Dict[int, str] = {}
-    for kind, i, op in steps:
-        if kind == "handler" and i in hinline:
+    for i, (h, tmpl, _) in enumerate(plan.exec_steps):
+        if i in hinline:
             tag, arg = hinline[i]
             if tag != "ignore":
                 # A pair allocation local, captured before any later
                 # handler's static_env clear.
-                _hr = exec_tmpls[i].operands[0].base
+                _hr = tmpl.operands[0].base
                 _hs = static_env.get((_hr.name, _hr.index))
                 if _hs is not None and _hs[1] == "PairValue":
                     hstatic[i] = _hs[0]
                 factory.append(f"    _h{i} = t{i}.operands[0].base")
             if tag == "load_odd":
-                factory.append(f"    _xt{i} = _xts[{i}]")
+                factory.append(f"    _xt{i} = plan.exec_steps[{i}][1]")
                 lodd_plans[i] = _inline_operand(
-                    i, 1, exec_tmpls[i].operands[1], exec_tmpls[i], prod,
-                    gen, static_env, konsts, factory,
+                    i, 1, tmpl.operands[1], tmpl, prod, gen, static_env,
+                    konsts, factory,
                 )
             # Inlined handlers never rebind arbitrary keys (a push/load
             # reload rebinds only its own -- spilled, hence
             # non-allocation -- key), so allocation locals stay valid.
             continue
-        if kind != "emit":
+        if h is not None:
             # A handler may rebind any key: allocation locals are no
             # longer trustworthy for later emit steps.
             static_env = {}
             continue
-        tmpl = exec_tmpls[i]
-        factory.append(f"    _xt{i} = _xts[{i}]")
-        emit_plans[i] = (tmpl, [
+        factory.append(f"    _xt{i} = plan.exec_steps[{i}][1]")
+        emit_plans[i] = [
             _inline_operand(
                 i, j, operand, tmpl, prod, gen, static_env, konsts,
                 factory,
             )
             for j, operand in enumerate(tmpl.operands)
-        ])
+        ]
     w.extend(konsts)
     w.extend(factory)
     if is_lambda:
@@ -734,37 +711,29 @@ def _emit_ctx_reducer(plan, gen, steps) -> List[str]:
         out(f"            _b[({ref.name!r}, {ref.index!r})] = av{k}")
         out(f"            ctx.allocated.append(av{k})")
     # -- the template sequence, unrolled.
-    for kind, i, op in steps:
-        if kind == "emit":
-            tmpl, pairs = emit_plans[i]
+    for i, (h, tmpl, origin) in enumerate(plan.exec_steps):
+        if h is None:
+            pairs = emit_plans[i]
             for writer, _expr in pairs:
                 if writer is not None:
                     writer(out, "            ")
             exprs = [expr for _, expr in pairs]
             tup = ", ".join(exprs) + ("," if len(exprs) == 1 else "")
-            tag = f"spec line {tmpl.line}: {tmpl}"
             out(f"            items.append(Instr({tmpl.op!r}, ({tup}), "
                 f"{tmpl.comment!r}))")
-            out(f"            origins[len(items) - 1] = {tag!r}")
-        elif kind == "handler":
-            spec = hinline.get(i)
-            if spec is None:
-                out(f"            h{i}(ctx, t{i})")
-            elif spec[0] == "ignore":
-                out("            ctx.ignore_lhs = True")
-            elif spec[0] == "push":
-                _push_half_inline(
-                    out, i, spec[1], exec_tmpls[i], prod, hstatic.get(i),
-                )
-            else:
-                _load_odd_inline(
-                    out, i, spec[1], exec_tmpls[i], prod, lodd_plans[i],
-                    hstatic.get(i),
-                )
+            out(f"            origins[len(items) - 1] = {origin!r}")
+            continue
+        spec = hinline.get(i)
+        if spec is None:
+            out(f"            h{i}(ctx, t{i})")
+        elif spec[0] == "ignore":
+            out("            ctx.ignore_lhs = True")
+        elif spec[0] == "push":
+            _push_half_inline(out, i, spec[1], tmpl, prod, hstatic.get(i))
         else:
-            msg = f"no handler for semantic operator {op!r}"
-            out(f"            raise CodeGenError({msg!r})")
-            break  # everything after the raise is unreachable
+            _load_odd_inline(
+                out, i, spec[1], tmpl, prod, lodd_plans[i], hstatic.get(i),
+            )
     # -- epilogue: LHS push-back + RHS/scratch release.  Pushes are the
     # only inlined suppressors; a push of this reduction's own
     # allocation local suppresses a fresh object, never a stack value.
@@ -772,80 +741,78 @@ def _emit_ctx_reducer(plan, gen, steps) -> List[str]:
         tag == "push" and i not in hstatic
         for i, (tag, _) in hinline.items()
     )
-    raised = steps and steps[-1][0] == "missing"
-    if not raised:
-        if is_lambda:
-            w.extend(_ctx_releases(rhs_suppress, n))
-            if static_push and not runtime_handlers:
-                # An inlined push ran unconditionally: the prefix is
-                # provably non-empty.
-                out("            prefix = ctx.prefix")
-                out("            prefix.append(lam_token)")
-                out("            front.extend(reversed(prefix))")
-                out("            return None")
-            elif runtime_handlers or static_push:
-                out("            prefix = ctx.prefix")
-                out("            if prefix:")
-                out("                prefix.append(lam_token)")
-                out("                front.extend(reversed(prefix))")
-                out("                return None")
-                out("            return lam_goto")
-            else:
-                # Only emits and inlined IGNORE_LHS steps: nothing can
-                # have prefixed a token.
-                out("            return lam_goto")
+    if is_lambda:
+        w.extend(_ctx_releases(rhs_suppress, n))
+        if static_push and not runtime_handlers:
+            # An inlined push ran unconditionally: the prefix is
+            # provably non-empty.
+            out("            prefix = ctx.prefix")
+            out("            prefix.append(lam_token)")
+            out("            front.extend(reversed(prefix))")
+            out("            return None")
+        elif runtime_handlers or static_push:
+            out("            prefix = ctx.prefix")
+            out("            if prefix:")
+            out("                prefix.append(lam_token)")
+            out("                front.extend(reversed(prefix))")
+            out("                return None")
+            out("            return lam_goto")
         else:
-            lhs_msg = f"LHS {prod.lhs_ref} unbound at end of {prod}"
-            if runtime_handlers:
-                out("            if ctx.ignore_lhs:")
-                out("                lhs_value = None")
-                out("            else:")
-                ind = "                "
-            elif static_ignore:
-                # An inlined IGNORE_LHS ran unconditionally and no
-                # live handler could reset it: the LHS is never
-                # pushed, skip its binding and acquire entirely.
-                out("            lhs_value = None")
-                ind = None
-            else:
-                ind = "            "
-            if ind is not None:
-                out(f"{ind}lhs_value = ctx.bindings.get({plan.lhs_key!r})")
-                out(f"{ind}if lhs_value is None:")
-                out(f"{ind}    raise CodeGenError({lhs_msg!r})")
-                out(f"{ind}tv = type(lhs_value)")
-                out(f"{ind}if tv is SpilledValue:")
-                out(f"{ind}    lhs_value = "
-                    "ctx.reg_binding(lhs_ref, first_tmpl)")
-                out(f"{ind}    tv = type(lhs_value)")
-                _if_reg(out, ind, "lhs_value", "tv", "acquire")
-            w.extend(_ctx_releases(rhs_suppress, n))
-            if runtime_handlers:
-                out("            prefix = ctx.prefix")
-                out("            if prefix:")
-                out("                if lhs_value is not None:")
-                out(f"                    prefix.append(IFToken("
-                    f"{plan.lhs_symbol!r}, None, lhs_value, "
-                    f"{plan.lhs_code}))")
-                out("                front.extend(reversed(prefix))")
-                out("                return None")
-                out("            if lhs_value is None:")
-                out("                return None")
-                out(f"            return ({plan.lhs_code}, "
-                    f"{plan.lhs_symbol!r}, lhs_value)")
-            elif static_push:
-                out("            prefix = ctx.prefix")
-                out("            if lhs_value is not None:")
-                out(f"                prefix.append(IFToken("
-                    f"{plan.lhs_symbol!r}, None, lhs_value, "
-                    f"{plan.lhs_code}))")
-                out("            front.extend(reversed(prefix))")
-                out("            return None")
-            elif static_ignore:
-                out("            return None")
-            else:
-                out(f"            return ({plan.lhs_code}, "
-                    f"{plan.lhs_symbol!r}, lhs_value)")
+            # Only emits and inlined IGNORE_LHS steps: nothing can
+            # have prefixed a token.
+            out("            return lam_goto")
+    else:
+        lhs_msg = f"LHS {prod.lhs_ref} unbound at end of {prod}"
+        if runtime_handlers:
+            out("            if ctx.ignore_lhs:")
+            out("                lhs_value = None")
+            out("            else:")
+            ind = "                "
+        elif static_ignore:
+            # An inlined IGNORE_LHS ran unconditionally and no
+            # live handler could reset it: the LHS is never
+            # pushed, skip its binding and acquire entirely.
+            out("            lhs_value = None")
+            ind = None
+        else:
+            ind = "            "
+        if ind is not None:
+            out(f"{ind}lhs_value = ctx.bindings.get({plan.lhs_key!r})")
+            out(f"{ind}if lhs_value is None:")
+            out(f"{ind}    raise CodeGenError({lhs_msg!r})")
+            out(f"{ind}tv = type(lhs_value)")
+            out(f"{ind}if tv is SpilledValue:")
+            out(f"{ind}    lhs_value = "
+                "ctx.reg_binding(lhs_ref, first_tmpl)")
+            out(f"{ind}    tv = type(lhs_value)")
+            _if_reg(out, ind, "lhs_value", "tv", "acquire")
+        w.extend(_ctx_releases(rhs_suppress, n))
+        if runtime_handlers:
+            out("            prefix = ctx.prefix")
+            out("            if prefix:")
+            out("                if lhs_value is not None:")
+            out(f"                    prefix.append(IFToken("
+                f"{plan.lhs_symbol!r}, None, lhs_value, "
+                f"{plan.lhs_code}))")
+            out("                front.extend(reversed(prefix))")
+            out("                return None")
+            out("            if lhs_value is None:")
+            out("                return None")
+            out(f"            return ({plan.lhs_code}, "
+                f"{plan.lhs_symbol!r}, lhs_value)")
+        elif static_push:
+            out("            prefix = ctx.prefix")
+            out("            if lhs_value is not None:")
+            out(f"                prefix.append(IFToken("
+                f"{plan.lhs_symbol!r}, None, lhs_value, "
+                f"{plan.lhs_code}))")
+            out("            front.extend(reversed(prefix))")
+            out("            return None")
+        elif static_ignore:
+            out("            return None")
+        else:
+            out(f"            return ({plan.lhs_code}, "
+                f"{plan.lhs_symbol!r}, lhs_value)")
     out("        finally:")
     out("            run.active_ctx = None")
     out("            alloc.unpin_all()")
@@ -892,18 +859,8 @@ def emit_module(gen, pid: int) -> str:
     """Source of the reducer factory ``_mk(gen, plan)`` for production
     ``pid`` of ``gen``, choosing the deepest specialization the
     production's shape allows."""
-    from repro.core.codegen.parser_rt import _MISSING_HANDLER
-
     plan = gen._plans[pid]
-    steps = []  # ("emit", i, None) | ("handler", i, None) | ("missing", i, op)
-    for i, (handler, payload) in enumerate(plan.exec_steps):
-        if handler is None:
-            steps.append(("emit", i, None))
-        elif handler is _MISSING_HANDLER:
-            steps.append(("missing", i, payload.op))
-        else:
-            steps.append(("handler", i, None))
-    handler_free = all(kind == "emit" for kind, _, _ in steps)
+    handler_free = all(h is None for h, _, _ in plan.exec_steps)
     lhs_ok = plan.lambda_token is not None or plan.lhs_key is not None
     # NEED (reserve) steps disqualify the context-free path: reserving a
     # busy register shuffles its contents *regardless of pins*, and the
@@ -911,9 +868,9 @@ def emit_module(gen, pid: int) -> str:
     # EmissionContext, not locals.
     using_only = all(is_using for is_using, _ in plan.alloc_steps)
     if handler_free and lhs_ok and using_only:
-        lines = _emit_fast_reducer(plan, gen, steps)
+        lines = _emit_fast_reducer(plan, gen)
     else:
-        lines = _emit_ctx_reducer(plan, gen, steps)
+        lines = _emit_ctx_reducer(plan, gen)
     return "\n".join(lines) + "\n"
 
 

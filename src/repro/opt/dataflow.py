@@ -21,8 +21,8 @@ registers) kill must-facts without generating liveness, calls and
 barriers assume the worst, and ``exits`` blocks meet the all-live /
 nothing-available boundary.
 
-Every solved analysis is returned as a :class:`Solution`: its name and
-its per-block ``ins`` and ``outs`` facts.
+Every solved analysis is returned as a :class:`Solution`: its per-block
+``ins`` and ``outs`` facts.
 
 **Visiting order.**  Every fact starts at the meet identity, untransferred,
 and the worklist visits blocks in buffer order for forward problems and
@@ -64,7 +64,6 @@ ENTRY = -1
 class Solution:
     """A solved analysis: per-block in/out facts."""
 
-    name: str
     ins: Dict[int, object]
     outs: Dict[int, object]
 
@@ -194,7 +193,7 @@ def liveness(cfg: Cfg, nregs: int = 16) -> Liveness:
         cfg, forward=False, boundary=boundary, transfer=transfer, join=join
     )
     return Liveness(
-        solution=Solution("liveness", ins, outs),
+        solution=Solution(ins, outs),
         all_facts=all_facts,
     )
 
@@ -275,7 +274,7 @@ def reaching_defs(cfg: Cfg, nregs: int = 16,
         cfg, forward=True, boundary=boundary, transfer=transfer, join=join
     )
     return ReachingDefs(
-        solution=Solution("reaching-defs", ins, outs), nregs=nregs
+        solution=Solution(ins, outs), nregs=nregs
     )
 
 
@@ -408,7 +407,7 @@ def memory_deadness(cfg: Cfg) -> MemDeadness:
     ins, outs = iterate(
         cfg, forward=False, boundary=boundary, transfer=transfer, join=join
     )
-    return MemDeadness(Solution("memory-deadness", ins, outs))
+    return MemDeadness(Solution(ins, outs))
 
 
 def walk_mem_dead(cfg: Cfg, result: MemDeadness, block: BasicBlock):
@@ -511,7 +510,7 @@ def available_stores(cfg: Cfg) -> AvailableStores:
     ins, outs = iterate(
         cfg, forward=True, boundary=boundary, transfer=transfer, join=join
     )
-    return AvailableStores(Solution("available-stores", ins, outs))
+    return AvailableStores(Solution(ins, outs))
 
 
 def walk_avail(cfg: Cfg, result: AvailableStores, block: BasicBlock):
@@ -651,7 +650,7 @@ def available_exprs(
         cfg, forward=True, boundary=boundary, transfer=transfer, join=join
     )
     return AvailableExprs(
-        Solution("available-exprs", ins, outs), expr_ops, private
+        Solution(ins, outs), expr_ops, private
     )
 
 
@@ -757,7 +756,7 @@ def available_copies(cfg: Cfg, move_op: str = "lr") -> AvailableCopies:
         cfg, forward=True, boundary=boundary, transfer=transfer, join=join
     )
     return AvailableCopies(
-        Solution("available-copies", ins, outs), move_op
+        Solution(ins, outs), move_op
     )
 
 

@@ -13,7 +13,8 @@ Contract under test (see :mod:`repro.core.specialize` and
   generic one for that reduction;
 * dropping every compiled reducer at random points mid-generate leaves
   the code unchanged;
-* the watchdogs raise the same errors either way;
+* the watchdogs and the template resolver raise the same errors
+  either way;
 * threads installing and dropping reducers on one shared generator
   still emit single-threaded code;
 * the emitted reducers leave register state to the allocator: their
@@ -34,6 +35,7 @@ import pytest
 from repro.bench import workloads as W
 from repro.core import specialize as SP
 from repro.core import tables as T
+from repro.core.cogg import build_code_generator
 from repro.core.codegen.emitter import CodeBuffer
 from repro.core.codegen.operand import SpilledValue
 from repro.core.codegen.parser_rt import (
@@ -41,8 +43,10 @@ from repro.core.codegen.parser_rt import (
     CodeGenerator,
     ParserGuards,
 )
+from repro.core.machine import simple_machine
+from repro.core.speclang.semops import BindMode, SemopInfo
 from repro.core.tables import ParseTables
-from repro.errors import ReproError
+from repro.errors import CodeGenError, ReproError
 from repro.ir.linear import IFToken
 from repro.machines.toy import build_toy
 from repro.machines.toy.machine import R_DATA
@@ -285,6 +289,76 @@ def test_watchdog_errors_unchanged(build):
             gen.compile_threshold = threshold
             failures.append(_failure(gen, toks, guards))
         assert failures[0] == failures[1]
+
+
+#: One template fault per statement: a constant with no value, a
+#: register operand bound to an attribute, and a semantic operator no
+#: handler table registers.
+_FAULTY_SPEC = """\
+$Non-terminals
+ r = register
+
+$Terminals
+ dsp = displacement
+ val = constant_value
+
+$Operators
+ load, nokonst, pushattr, frobop
+
+$Opcodes
+ ld, st
+
+$Constants
+ using, push_odd, frob
+ myconst
+ zero = 0
+
+$Productions
+r.1 ::= load dsp.1
+ using r.1
+ ld r.1,dsp.1(zero,zero)
+lambda ::= nokonst r.1
+ st r.1,myconst(zero,zero)
+lambda ::= pushattr val.1
+ push_odd val.1
+lambda ::= frobop r.1
+ frob r.1
+"""
+
+
+@pytest.mark.parametrize("tokens, message", [
+    (
+        [IFToken("nokonst"), IFToken("load"), IFToken("dsp", 4)],
+        "st: constant 'myconst' has no value in the spec or machine "
+        "description",
+    ),
+    (
+        [IFToken("pushattr"), IFToken("val", 3)],
+        "push_odd: val.1 is bound to val=3, not a register",
+    ),
+    (
+        [IFToken("frobop"), IFToken("load"), IFToken("dsp", 4)],
+        "no handler for semantic operator 'frob'",
+    ),
+], ids=["no-constant-value", "attribute-as-register", "no-handler"])
+def test_resolver_errors_unchanged(tokens, message):
+    """A template the resolver cannot fill in raises the same error
+    from the generic reducer and from a compiled one."""
+    frob = SemopInfo(
+        name="frob", bind_mode=BindMode.USES, min_operands=1, max_operands=1,
+    )
+    faulty = build_code_generator(
+        _FAULTY_SPEC, simple_machine("testmachine"), extra_semops=[frob]
+    )
+    failures = []
+    for threshold in (None, 1):
+        gen = _generator(faulty, threshold)
+        failures.append(_failure(gen, tokens, None))
+        assert bool(_compiled_slots(gen)) == (threshold == 1)
+    assert failures[0] == failures[1]
+    kind, text, _ = failures[0]
+    assert kind is CodeGenError
+    assert text.startswith(message + " [LR state")
 
 
 # ---- dropped mid-generate ----------------------------------------------------------
