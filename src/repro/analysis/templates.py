@@ -23,10 +23,10 @@ target binding at lint time:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List
 
 from repro.core.grammar import SDTS, Production
-from repro.core.machine import MachineDescription
+from repro.core.machine import MachineDescription, template_constants
 from repro.core.speclang.ast import (
     Name,
     Number,
@@ -51,27 +51,18 @@ def _known_handlers(machine: MachineDescription) -> set:
     return handlers
 
 
-def _constant_value(
-    sdts: SDTS, machine: MachineDescription, name: str
-) -> Optional[int]:
-    value = machine.resolve_constant(name)
-    if value is not None:
-        return value
-    info = sdts.symtab.lookup(name)
-    return info.numeric_value if info is not None else None
-
-
 def _check_operand_parts(
     out: List[Diagnostic],
     sdts: SDTS,
     machine: MachineDescription,
+    constants: Dict[str, int],
     prod: Production,
     tmpl: TemplateAST,
     operand: OperandAST,
 ) -> None:
     for primary in operand.parts():
         if isinstance(primary, Name):
-            if _constant_value(sdts, machine, primary.name) is None:
+            if primary.name not in constants:
                 out.append(
                     Diagnostic(
                         code="SL032",
@@ -119,6 +110,7 @@ def _check_opcode_template(
     out: List[Diagnostic],
     sdts: SDTS,
     machine: MachineDescription,
+    constants: Dict[str, int],
     prod: Production,
     tmpl: TemplateAST,
 ) -> None:
@@ -170,15 +162,17 @@ def _check_opcode_template(
                         },
                     )
                 )
-        _check_index_slots(out, sdts, machine, prod, tmpl)
+        _check_index_slots(out, machine, constants, prod, tmpl)
     for operand in tmpl.operands:
-        _check_operand_parts(out, sdts, machine, prod, tmpl, operand)
+        _check_operand_parts(
+            out, sdts, machine, constants, prod, tmpl, operand
+        )
 
 
 def _check_index_slots(
     out: List[Diagnostic],
-    sdts: SDTS,
     machine: MachineDescription,
+    constants: Dict[str, int],
     prod: Production,
     tmpl: TemplateAST,
 ) -> None:
@@ -193,8 +187,7 @@ def _check_index_slots(
         index = operand.index
         if isinstance(index, Number) and index.value == 0:
             continue
-        if isinstance(index, Name) \
-                and _constant_value(sdts, machine, index.name) == 0:
+        if isinstance(index, Name) and constants.get(index.name) == 0:
             continue
         out.append(
             Diagnostic(
@@ -221,6 +214,7 @@ def _check_semop_template(
     out: List[Diagnostic],
     sdts: SDTS,
     machine: MachineDescription,
+    constants: Dict[str, int],
     handlers: set,
     prod: Production,
     tmpl: TemplateAST,
@@ -291,7 +285,9 @@ def _check_semop_template(
                 )
     else:
         for operand in tmpl.operands:
-            _check_operand_parts(out, sdts, machine, prod, tmpl, operand)
+            _check_operand_parts(
+                out, sdts, machine, constants, prod, tmpl, operand
+            )
 
 
 def check_templates(
@@ -300,15 +296,18 @@ def check_templates(
     """SL030-SL035 over every template of every user production."""
     out: List[Diagnostic] = []
     handlers = _known_handlers(machine)
+    constants = template_constants(sdts, machine)
     opcode_names = {
         s.name for s in sdts.symtab if s.kind is SymKind.OPCODE
     }
     for prod in sdts.user_productions:
         for tmpl in prod.templates:
             if tmpl.op in opcode_names:
-                _check_opcode_template(out, sdts, machine, prod, tmpl)
+                _check_opcode_template(
+                    out, sdts, machine, constants, prod, tmpl
+                )
             else:
                 _check_semop_template(
-                    out, sdts, machine, handlers, prod, tmpl
+                    out, sdts, machine, constants, handlers, prod, tmpl
                 )
     return out

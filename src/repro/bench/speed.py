@@ -85,13 +85,28 @@ def _machine_info() -> Dict[str, Any]:
     }
 
 
-def _git_rev() -> str:
-    try:
+#: The source tree whose code a report measures.
+_SRC = Path(__file__).resolve().parents[2]
+
+
+def _git_rev(src: Path = _SRC) -> str:
+    """The revision a report measures: HEAD's short hash, with
+    ``+dirty`` when tracked files under ``src`` differ from HEAD.  A
+    report regenerated before its commit -- the only way to commit one
+    -- then says it measured uncommitted code, not the parent."""
+    def git(*args: str) -> subprocess.CompletedProcess:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip() or "unknown"
+            ["git", *args], capture_output=True, text=True, timeout=10,
+            cwd=src,
+        )
+
+    try:
+        rev = git("rev-parse", "--short", "HEAD").stdout.strip()
+        if not rev:
+            return "unknown"
+        if git("diff", "--quiet", "HEAD", "--", ".").returncode == 1:
+            rev += "+dirty"
+        return rev
     except OSError:  # pragma: no cover - no git in environment
         return "unknown"
 

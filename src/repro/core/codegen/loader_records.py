@@ -170,7 +170,7 @@ def resolve_module(
     generated.labels.validate()
     items = generated.buffer.items
     page = machine.page_size
-    code_base = machine.resolve_constant("code_base")
+    code_base = machine.constants.get("code_base")
     if code_base is None:
         raise LoaderError(
             "machine constants must define 'code_base' for branch "

@@ -40,7 +40,9 @@ from repro.errors import (
 )
 from repro.core import tables as T
 from repro.core.grammar import END_MARKER, LAMBDA_SYMBOL, SDTS, Production
-from repro.core.machine import ClassKind, MachineDescription
+from repro.core.machine import (
+    ClassKind, MachineDescription, template_constants,
+)
 from repro.core.speclang.ast import (
     Name,
     Number,
@@ -166,7 +168,7 @@ class EmissionContext:
     Its ``resolve_*`` methods are the one template resolver: the
     generic reducer fills in opcode templates with them, the handlers
     their operands, and :mod:`repro.core.specialize` emits their
-    compiled mirror.
+    compiled mirror for opcode templates.
 
     One is constructed per non-wrapper reduction -- thousands per
     compilation unit -- so the class is slotted and its bindings come
@@ -672,14 +674,7 @@ class CodeGenerator:
         self.compile_threshold: Optional[int] = COMPILE_THRESHOLD
         self.handlers = dict(STANDARD_HANDLERS)
         self.handlers.update(machine.semop_handlers)
-        #: Template constants: the machine's, and the spec's numeric
-        #: declarations (``zero = 0``) for names the machine leaves out.
-        self.constants = {
-            s.name: s.numeric_value
-            for s in sdts.symtab
-            if s.numeric_value is not None
-        }
-        self.constants.update(machine.constants)
+        self.constants = template_constants(sdts, machine)
         self._opcode_names = {
             s.name
             for s in sdts.symtab
@@ -1169,54 +1164,64 @@ class CodeGenerator:
                     origins[len(items) - 1] = origin
                 else:
                     handler(ctx, tmpl)
-            # Epilogue (paper 4.1): push back the LHS, release RHS uses.
-            prod = ctx.prod
-            goto: Optional[Tuple[int, str, StackValue]] = None
-            if plan.lambda_token is not None:
-                token = plan.lambda_token
-                goto = (token.code, token.symbol, token.sem)
-            elif not ctx.ignore_lhs:
-                lhs_ref = prod.lhs_ref
-                assert lhs_ref is not None
-                lhs_value = ctx.bindings.get(plan.lhs_key)
-                if lhs_value is None:
-                    raise CodeGenError(
-                        f"LHS {lhs_ref} unbound at end of {prod}"
-                    )
-                tv = type(lhs_value)
-                if tv is SpilledValue:
-                    lhs_value = ctx.reg_binding(lhs_ref, plan.first_tmpl)
-                    tv = type(lhs_value)
-                if tv is RegValue or tv is PairValue:
-                    alloc.acquire(lhs_value)
-                goto = (plan.lhs_code, plan.lhs_symbol, lhs_value)
-
-            # Consume the RHS operands: "When a register is allocated,
-            # its use count is decremented" -- each consumed stack
-            # operand gives back one use.
-            suppressed = ctx._suppressed
-            for value in ctx.values:
-                tv = type(value)
-                if tv is RegValue or tv is PairValue:
-                    if not suppressed or not ctx.is_suppressed(value):
-                        alloc.release(value)
-            # Scratch registers allocated for this reduction but not
-            # pushed give back their allocation use.
-            for value in ctx.allocated:
-                tv = type(value)
-                if tv is RegValue or tv is PairValue:
-                    alloc.release(value)
-
-            # Most reductions prefix nothing and hand the LHS straight
-            # back to the main loop.
-            prefix = ctx.prefix
-            if not prefix:
-                return goto
-            if goto is not None:
-                code, symbol, value = goto
-                prefix.append(IFToken(symbol, None, value, code))
-            front.extend(reversed(prefix))
-            return None
+            return self._finish(ctx, plan, front)
         finally:
             run.active_ctx = None
             alloc.unpin_all()
+
+    @staticmethod
+    def _finish(
+        ctx: EmissionContext, plan: _ProdPlan, front: List[IFToken]
+    ) -> Optional[Tuple[int, str, StackValue]]:
+        """The emission routine's epilogue (paper 4.1), shared by the
+        generic reducer and every compiled reducer with a context: push
+        back the LHS, release the RHS and scratch uses, and hand over
+        the LHS or push what was prefixed onto ``front``.  Runs while
+        the reduction's pins still hold."""
+        alloc = ctx.alloc
+        goto: Optional[Tuple[int, str, StackValue]] = None
+        if plan.lambda_token is not None:
+            token = plan.lambda_token
+            goto = (token.code, token.symbol, token.sem)
+        elif not ctx.ignore_lhs:
+            lhs_ref = ctx.prod.lhs_ref
+            assert lhs_ref is not None
+            lhs_value = ctx.bindings.get(plan.lhs_key)
+            if lhs_value is None:
+                raise CodeGenError(
+                    f"LHS {lhs_ref} unbound at end of {ctx.prod}"
+                )
+            tv = type(lhs_value)
+            if tv is SpilledValue:
+                lhs_value = ctx.reg_binding(lhs_ref, plan.first_tmpl)
+                tv = type(lhs_value)
+            if tv is RegValue or tv is PairValue:
+                alloc.acquire(lhs_value)
+            goto = (plan.lhs_code, plan.lhs_symbol, lhs_value)
+
+        # Consume the RHS operands: "When a register is allocated, its
+        # use count is decremented" -- each consumed stack operand gives
+        # back one use.
+        suppressed = ctx._suppressed
+        for value in ctx.values:
+            tv = type(value)
+            if tv is RegValue or tv is PairValue:
+                if not suppressed or not ctx.is_suppressed(value):
+                    alloc.release(value)
+        # Scratch registers allocated for this reduction but not pushed
+        # give back their allocation use.
+        for value in ctx.allocated:
+            tv = type(value)
+            if tv is RegValue or tv is PairValue:
+                alloc.release(value)
+
+        # Most reductions prefix nothing and hand the LHS straight back
+        # to the main loop.
+        prefix = ctx.prefix
+        if not prefix:
+            return goto
+        if goto is not None:
+            code, symbol, value = goto
+            prefix.append(IFToken(symbol, None, value, code))
+        front.extend(reversed(prefix))
+        return None

@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Optional, Sequence, Tuple,
+)
 
 from repro.errors import SpecTypeError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.grammar import SDTS
 
 
 class ClassKind(enum.Enum):
@@ -197,15 +202,28 @@ class MachineDescription:
     def register_class(self, nonterminal: str) -> Optional[RegisterClass]:
         return self.classes.get(nonterminal)
 
-    def resolve_constant(self, name: str) -> Optional[int]:
-        return self.constants.get(name)
-
     def gpr_class_of(self, cls: RegisterClass) -> RegisterClass:
         """The underlying GPR class (itself for non-pair classes)."""
         if cls.kind is ClassKind.PAIR:
             assert cls.pair_of is not None
             return self.classes[cls.pair_of]
         return cls
+
+
+def template_constants(
+    sdts: "SDTS", machine: MachineDescription
+) -> Dict[str, int]:
+    """The value of every template constant: the machine's, and the
+    spec's numeric declarations (``zero = 0``) for names the machine
+    leaves out.  The code generator fills in templates from this table
+    and speclint (SL032, SL035) checks them against it."""
+    constants = {
+        s.name: s.numeric_value
+        for s in sdts.symtab
+        if s.numeric_value is not None
+    }
+    constants.update(machine.constants)
+    return constants
 
 
 def simple_machine(

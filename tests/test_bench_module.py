@@ -1,6 +1,8 @@
 """Unit tests: the evaluation-harness support package (repro.bench)."""
 
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,12 @@ from repro.bench.metrics import (
     routines_per_second,
     steps_per_second,
 )
-from repro.bench.speed import SCHEMA_VERSION, validate_report, write_report
+from repro.bench.speed import (
+    SCHEMA_VERSION,
+    _git_rev,
+    validate_report,
+    write_report,
+)
 from repro.bench.workloads import (
     appendix1_equation,
     appendix1_fragment,
@@ -198,6 +205,32 @@ def _valid_report():
             },
         },
     }
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_rev_marks_uncommitted_source(tmp_path):
+    """A report measured on edited, uncommitted ``src/`` files says so;
+    untracked files and edits outside ``src/`` do not count."""
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text("x = 1\n")
+    (tmp_path / "notes.md").write_text("a\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "c")
+    clean = _git_rev(src)
+    assert clean != "unknown" and not clean.endswith("+dirty")
+    (src / "new.py").write_text("y = 2\n")
+    (tmp_path / "notes.md").write_text("b\n")
+    assert _git_rev(src) == clean
+    (src / "mod.py").write_text("x = 2\n")
+    assert _git_rev(src) == clean + "+dirty"
 
 
 class TestSchemaValidation:

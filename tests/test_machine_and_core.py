@@ -9,6 +9,7 @@ from repro.core.machine import (
     MachineDescription,
     RegisterClass,
     simple_machine,
+    template_constants,
 )
 from repro.core.codegen.operand import (
     AttrValue,
@@ -52,10 +53,13 @@ class TestRegisterClass:
         assert machine.gpr_class_of(gpr) is gpr
 
     def test_constant_resolution(self):
+        """Template constants: the machine's, over the spec's numeric
+        declarations."""
+        sdts = tiny_build().sdts
         machine = simple_machine("t")
-        machine.constants["magic"] = 99
-        assert machine.resolve_constant("magic") == 99
-        assert machine.resolve_constant("nope") is None
+        assert template_constants(sdts, machine) == {"zero": 0}
+        machine.constants.update(zero=5, magic=99)
+        assert template_constants(sdts, machine) == {"zero": 5, "magic": 99}
 
 
 class TestBuildResult:

@@ -26,7 +26,7 @@ from pathlib import Path
 import repro.core
 
 #: The runtime's size by the rule above, at most.
-RUNTIME_LINE_LIMIT = 2833
+RUNTIME_LINE_LIMIT = 2510
 
 _FREE_TOKENS = {
     tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
@@ -78,8 +78,12 @@ def test_rule_skips_comments_blanks_and_docstrings():
 def test_runtime_within_its_line_limit():
     files = runtime_files()
     assert any(f.name == "parser_rt.py" for f in files)
-    total = sum(counted_lines(f.read_text(encoding="utf-8")) for f in files)
+    counts = {
+        f.name: counted_lines(f.read_text(encoding="utf-8")) for f in files
+    }
+    total = sum(counts.values())
     assert total <= RUNTIME_LINE_LIMIT, (
         f"the code generator runtime has {total} counted lines, over its "
-        f"limit of {RUNTIME_LINE_LIMIT}"
+        f"limit of {RUNTIME_LINE_LIMIT}: "
+        + ", ".join(f"{name} {n}" for name, n in counts.items())
     )
