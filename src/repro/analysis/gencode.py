@@ -151,7 +151,8 @@ def sanitize_generated(
             loc = eff.writes[0]
             if loc[1] != 0 or loc[3] is None:
                 continue  # indexed or unknown-width: not provable
-            if dead_after is None or loc in dead_after:
+            if dead_after is None \
+                    or dead_after & deadness.solution.problem.known(loc):
                 origin = _origin_of(buffer, index)
                 diags.append(
                     Diagnostic(

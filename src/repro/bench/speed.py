@@ -8,7 +8,8 @@ comparable trajectory:
   workload, in three lanes (schema 8): ``reference`` runs every
   reduction through the generic reducer, ``tiered`` has the reducers
   compiled by :mod:`repro.core.specialize` installed, and
-  ``compressed`` is ``tiered`` over the compressed tables;
+  ``compressed`` is ``tiered`` over the compressed tables, each lane
+  the median over fresh interpreters (schema 9);
 * **table construction** phase times (spec parse, automaton, SLR
   resolution, compression);
 * **cold vs. warm start** through the persistent build cache, including
@@ -35,6 +36,7 @@ import os
 import platform
 import statistics
 import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -70,7 +72,11 @@ from typing import Any, Dict, List
 #:    ``compressed`` (``tiered`` over the compressed tables), with
 #:    ``speedup_tiered_vs_reference`` and ``tiered_first_call_s``, the
 #:    first generate of a fresh generator, which compiles the reducers.
-SCHEMA_VERSION = 8
+#: 9: the codegen lanes are sampled in ``codegen.processes`` fresh
+#:    interpreters: a lane's ``samples_s`` are the processes' medians,
+#:    ``median_s`` their median and ``min_s``/``max_s`` their spread;
+#:    ``tiered_first_call_s`` is the median first call.
+SCHEMA_VERSION = 9
 
 DEFAULT_REPORT = "BENCH_speed.json"
 
@@ -146,23 +152,26 @@ def measure_table_build(variant: str = "full") -> Dict[str, Any]:
     return timings
 
 
-def measure_codegen(
-    iterations: int = 9,
-    assignments: int = 250,
-    seed: int = 9,
-    variant: str = "full",
+#: Fresh interpreters :func:`measure_codegen` samples the lanes in.
+CODEGEN_PROCESSES = 6
+
+_CODEGEN_LANES = ("reference", "tiered", "compressed")
+
+
+def sample_codegen(
+    lead: int, iterations: int, assignments: int, seed: int, variant: str,
 ) -> Dict[str, Any]:
-    """Tokens/second through the code generator in three lanes.
+    """One process's sample of the three codegen lanes.
 
     ``reference`` keeps every reduction on the generic reducer,
     ``tiered`` runs with the compiled reducers installed, and
     ``compressed`` is ``tiered`` over the compressed tables.  Each lane
-    gets its own generator for the build's SDTS, all in one process,
-    so the ratios isolate the reducers and the table representation --
-    not machine load or Python startup.  The harness asserts every
-    lane emits an identical instruction stream before timing anything;
-    that first call of the ``tiered`` lane, which compiles its
-    reducers, is reported as ``tiered_first_call_s``.
+    gets its own generator for the build's SDTS.  Every lane must emit
+    an identical instruction stream before anything is timed; that
+    first call of the ``tiered`` lane, which compiles its reducers, is
+    ``tiered_first_call_s``.  The lanes then run round-robin
+    ``iterations`` times, lane ``lead`` first, so slow drift lands on
+    every lane equally; each lane reports its median.
     """
     from repro.core.codegen.parser_rt import CodeGenerator
     from repro.bench.workloads import straightline
@@ -183,7 +192,6 @@ def measure_codegen(
     ir = generate_ir(program)
     dense_tokens = ir.tokens(codes=build.tables.sym_index)
     compressed_tokens = ir.tokens(codes=build.compressed.sym_index)
-    ntokens = len(dense_tokens)
     frame = ir.spill_frame
 
     lanes = {
@@ -208,30 +216,92 @@ def measure_codegen(
                 f"({len(stream)} vs {len(reference)} items)"
             )
 
-    result: Dict[str, Any] = {
-        "workload": f"straightline({assignments}, seed={seed})",
-        "tokens": ntokens,
-        "instructions": len(reference),
-        "iterations": iterations,
-        "lanes_identical": True,
-        "tiered_first_call_s": first_call["tiered"],
-    }
-    # Interleave the lanes round-robin so slow machine drift (thermal
-    # throttling, a background process) lands on every lane equally
-    # instead of biasing whichever lane happened to run last.
+    order = _CODEGEN_LANES[lead:] + _CODEGEN_LANES[:lead]
     samples: Dict[str, List[float]] = {name: [] for name in lanes}
     for _ in range(iterations):
-        for name, (gen, toks) in lanes.items():
+        for name in order:
+            gen, toks = lanes[name]
             start = time.perf_counter()
             gen.generate(list(toks), frame=frame)
             samples[name].append(time.perf_counter() - start)
-    for name, lane_samples in samples.items():
-        median = statistics.median(lane_samples)
+    return {
+        "pid": os.getpid(),
+        "tokens": len(dense_tokens),
+        "instructions": len(reference),
+        "tiered_first_call_s": first_call["tiered"],
+        "medians_s": {
+            name: statistics.median(lane_samples)
+            for name, lane_samples in samples.items()
+        },
+    }
+
+
+def _sample_in_fresh_process(*args) -> Dict[str, Any]:
+    """:func:`sample_codegen` in a new interpreter on this source tree."""
+    code = (
+        "import json, sys\n"
+        "from repro.bench.speed import sample_codegen\n"
+        "print(json.dumps(sample_codegen(*json.loads(sys.argv[1]))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(_SRC), env.get("PYTHONPATH")))
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(args)],
+        capture_output=True, text=True, env=env,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"codegen sample failed:\n{done.stderr.strip()}"
+        )
+    return json.loads(done.stdout)
+
+
+def measure_codegen(
+    iterations: int = 9,
+    assignments: int = 250,
+    seed: int = 9,
+    variant: str = "full",
+) -> Dict[str, Any]:
+    """Tokens/second through the code generator in three lanes.
+
+    The time of one lane moves more from one interpreter to the next
+    than within one, so the lanes are sampled by
+    :func:`sample_codegen` in :data:`CODEGEN_PROCESSES` fresh
+    interpreters, one after another, the leading lane alternating
+    among them.  A lane
+    reports the median of the processes' medians (``median_s``), their
+    spread (``min_s``..``max_s``) and all of them (``samples_s``).
+    """
+    runs = [
+        _sample_in_fresh_process(
+            k % len(_CODEGEN_LANES), iterations, assignments, seed, variant,
+        )
+        for k in range(CODEGEN_PROCESSES)
+    ]
+    first = runs[0]
+    result: Dict[str, Any] = {
+        "workload": f"straightline({assignments}, seed={seed})",
+        "tokens": first["tokens"],
+        "instructions": first["instructions"],
+        "iterations": iterations,
+        "processes": CODEGEN_PROCESSES,
+        "pids": [run["pid"] for run in runs],
+        "lanes_identical": True,
+        "tiered_first_call_s": statistics.median(
+            run["tiered_first_call_s"] for run in runs
+        ),
+    }
+    for name in _CODEGEN_LANES:
+        medians = [run["medians_s"][name] for run in runs]
+        median = statistics.median(medians)
         result[name] = {
             "median_s": median,
-            "min_s": min(lane_samples),
-            "samples_s": lane_samples,
-            "tokens_per_s": ntokens / median,
+            "min_s": min(medians),
+            "max_s": max(medians),
+            "samples_s": medians,
+            "tokens_per_s": first["tokens"] / median,
         }
     result["speedup_tiered_vs_reference"] = (
         result["reference"]["median_s"] / result["tiered"]["median_s"]
@@ -535,9 +605,6 @@ def write_report(report: Dict[str, Any], path: Path) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-_CODEGEN_LANES = ("reference", "tiered", "compressed")
-
-
 def validate_report(report: Dict[str, Any]) -> List[str]:
     """Schema check for CI: returns a list of problems (empty = valid)."""
     problems: List[str] = []
@@ -556,7 +623,8 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
         if not isinstance(timing, dict):
             problems.append(f"missing codegen lane {lane!r}")
             continue
-        for field in ("median_s", "min_s", "samples_s", "tokens_per_s"):
+        for field in ("median_s", "min_s", "max_s", "samples_s",
+                      "tokens_per_s"):
             if field not in timing:
                 problems.append(f"codegen.{lane} missing {field!r}")
     for field in ("speedup_tiered_vs_reference", "tiered_first_call_s"):
@@ -662,15 +730,17 @@ def render_summary(report: Dict[str, Any]) -> str:
         f"# bench @ {report['git_rev']} ({report['timestamp']})",
         f"workload: {cg['workload']}  "
         f"({cg['tokens']} tokens -> {cg['instructions']} instructions, "
-        f"median of {cg['iterations']})",
+        f"median over {cg['processes']} processes of "
+        f"{cg['iterations']} runs each)",
         "",
-        "lane               tokens/s      median",
+        "lane               tokens/s      median   process spread",
     ]
     for lane in _CODEGEN_LANES:
         t = cg[lane]
         lines.append(
             f"{lane:<16s} {t['tokens_per_s']:>10,.0f}  "
-            f"{1000 * t['median_s']:>8.1f} ms"
+            f"{1000 * t['median_s']:>8.1f} ms  "
+            f"{1000 * t['min_s']:.1f}-{1000 * t['max_s']:.1f} ms"
         )
     lines += [
         "",

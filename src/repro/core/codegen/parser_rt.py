@@ -385,7 +385,7 @@ class EmissionContext:
         self._suppressed.append(value)
 
     def is_suppressed(self, value: StackValue) -> bool:
-        return any(value is s for s in self._suppressed)
+        return id(value) in map(id, self._suppressed)  # identity scan
 
     def forget_allocation(self, value: StackValue) -> None:
         self.allocated = [a for a in self.allocated if a is not value]

@@ -27,7 +27,6 @@ direction and rough magnitude of the win, reported by
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -252,12 +251,17 @@ def compressed_equal(a: CompressedTables, b: CompressedTables) -> bool:
 
 
 def _row_default(row: List[int]) -> int:
-    """Most frequent reduce action, or ERROR when the row never reduces."""
-    reduces = Counter(a for a in row if T.is_reduce(a))
-    if not reduces:
+    """Most frequent reduce action, or ERROR when the row never reduces.
+
+    One pass over the row; a tie goes to the action met first in the
+    row (``max`` keeps the first maximum in insertion order)."""
+    counts: Dict[int, int] = {}
+    for a in row:
+        if a >= 3 and a & 1:  # T.is_reduce, inlined
+            counts[a] = counts.get(a, 0) + 1
+    if not counts:
         return T.ERROR
-    action, _count = reduces.most_common(1)[0]
-    return action
+    return max(counts, key=counts.__getitem__)
 
 
 def compress_tables(tables: ParseTables) -> CompressedTables:

@@ -8,7 +8,6 @@ template lines to the most recent production line.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class TokKind(enum.Enum):
@@ -29,19 +28,22 @@ class TokKind(enum.Enum):
     EOL = "eol"              # sentinel appended to every line
 
 
-@dataclass(frozen=True)
 class Token:
     """One lexical token.
 
     ``column`` is 1-based; column matters in the productions section because
     production lines must start in column one while template lines must not
     (the paper's spec even shouts "Templates MUST skip column one!").
+    A plain slotted class: the lexer builds thousands per spec.
     """
 
-    kind: TokKind
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: TokKind, text: str, line: int, column: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.column})"

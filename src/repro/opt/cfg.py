@@ -37,6 +37,7 @@ rather than guessing).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.effects import (
@@ -66,22 +67,50 @@ from repro.core.machine import Encoder
 _COND_ALWAYS = 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ItemEffects:
     """Effects of one *item* (not just Instr): the instruction effects
     plus a ``may`` flag for skip-span items whose execution is
     conditional, and the per-shape data every solver step needs --
     ``kills`` (``defs | may_defs``) and ``expr``, the item's
-    available-expression fact (:func:`expr_fact`) or ``None``."""
+    available-expression fact (:func:`expr_fact`) or ``None``.
+
+    Records compare and hash by identity, so the dataflow kernel can
+    key its per-record transfer pairs on them cheaply; compare
+    ``effects`` for equal contents."""
 
     effects: InstrEffects
     may: bool = False
     expr: Optional[tuple] = None
-    kills: FrozenSet[int] = field(init=False, repr=False, compare=False)
+    kills: FrozenSet[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         e = self.effects
         object.__setattr__(self, "kills", e.defs | e.may_defs)
+
+    @cached_property
+    def live(self) -> Tuple[int, Optional[int]]:
+        """The liveness transfer ``(kill, gen)`` in the bits of
+        :func:`reg_bits`; ``gen`` is ``None`` for a barrier, before
+        which every register the analysis tracks is live.  Derived on
+        first use, so only the -O2..-O4 solvers pay for it."""
+        e = self.effects
+        if e.barrier:
+            return -1, None
+        return (
+            0 if self.may else reg_bits(e.defs) | e.sets_cc,
+            reg_bits(e.uses) | e.reads_cc,
+        )
+
+
+@lru_cache(maxsize=1024)
+def reg_bits(regs: FrozenSet[int]) -> int:
+    """Liveness bits of a register set: the condition code (register
+    ``-1``) is bit 0 and register ``r`` bit ``r + 1``."""
+    bits = 0
+    for r in regs:
+        bits |= 1 << (r + 1)
+    return bits
 
 
 _NO_EFFECTS = ItemEffects(InstrEffects())
@@ -137,6 +166,7 @@ class Cfg:
     #: summaries pass refines call-site entries in place
     #: (:func:`repro.opt.summaries.apply_summaries`); every solver
     #: reads through this table, so one rewrite reaches them all.
+    #: Write it through :meth:`set_effects`.
     item_effects: List[ItemEffects]
     #: target-declared disjoint-region base pairs threaded into
     #: :func:`repro.core.effects.may_alias` by the solvers; empty keeps
@@ -144,10 +174,23 @@ class Cfg:
     disjoint_bases: FrozenSet[FrozenSet[int]] = frozenset()
     ok: bool = True
     reason: str = ""
+    #: per-analysis fact indexes, item pairs and block summaries of
+    #: :mod:`repro.opt.dataflow`, kept for the CFG's lifetime.
+    problems: Dict[tuple, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def nblocks(self) -> int:
         return len(self.blocks)
+
+    def set_effects(self, index: int, effects: ItemEffects) -> None:
+        """Give item ``index`` new effects (after a rewrite of the item,
+        or a refined call site) and drop the dataflow state they
+        invalidate."""
+        self.item_effects[index] = effects
+        for problem in self.problems.values():
+            problem.changed(index)
 
     def block_items(self, block: BasicBlock):
         """(index, item) pairs of one block, tombstones skipped."""

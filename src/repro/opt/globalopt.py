@@ -38,6 +38,11 @@ found) by catching recomputations across basic-block boundaries, with
 the candidate set limited to the encoder's
 :meth:`~repro.core.machine.Encoder.expression_ops` whitelist.
 
+**Rounds.**  One CFG serves a run (:meth:`_Global.run`): the passes
+keep it in step through :meth:`~repro.opt.cfg.Cfg.set_effects`, and it
+is rebuilt only after a pass that changes control flow hit.  The run
+stops once every pass has run with zero hits on the current buffer.
+
 **Degradation contract.**  The pass never guesses.  A structurally
 suspect CFG (``cfg.ok`` false) makes no rewrite and reports
 ``degraded_reason``.  Any exception that escapes a pass reaches
@@ -150,9 +155,9 @@ class _Global:
     def _replace(self, cfg: Cfg, index: int, new_item) -> None:
         """Swap one item and refresh its effects entry."""
         self.buffer.items[index] = new_item
-        cfg.item_effects[index] = item_effects(
+        cfg.set_effects(index, item_effects(
             new_item, self.encoder, index in cfg.skip_spans
-        )
+        ))
 
     def _scrub_deaths(self, regs: Set[int]) -> None:
         """Drop every death fact of ``regs`` (may-info, so dropping is
@@ -192,6 +197,7 @@ class _Global:
         ``(m, r)`` available means memory at ``m`` equals the current
         value of ``r`` on *every* path reaching this point."""
         avail = D.available_stores(cfg)
+        pairs = avail.solution.problem
         changed = 0
         scrub: Set[int] = set()
         for block in cfg.blocks:
@@ -212,13 +218,10 @@ class _Global:
                     continue
                 loc = effects.reads[0]
                 r2 = item.operands[0].n
-                source: Optional[int] = None
-                for pair_loc, pair_reg in before:
-                    if pair_loc == loc:
-                        source = pair_reg
-                        break
-                if source is None:
+                held = before & pairs.group(0, loc)
+                if not held:
                     continue
+                source = pairs.lowest(held)[1]
                 if source == r2:
                     self._record("g_forward_elim", i, item, None)
                     self._replace(cfg, i, None)
@@ -250,6 +253,7 @@ class _Global:
           between equal registers is always sound).
         """
         copies = D.available_copies(cfg, self.move_op)
+        pairs = copies.solution.problem  # group(0, x): the (x, src) pairs
         changed = 0
         for block in cfg.blocks:
             if block.bid not in cfg.reachable:
@@ -264,7 +268,8 @@ class _Global:
                 if D._is_reg_move(item, eff, self.move_op):
                     dst = next(iter(e.defs))
                     src = next(iter(e.uses))
-                    if (dst, src) in before or (src, dst) in before:
+                    if before & (pairs.known((dst, src))
+                                 | pairs.known((src, dst))):
                         self._record("g_copy_elim", i, item, None)
                         self._replace(cfg, i, None)
                         changed += 1
@@ -272,11 +277,9 @@ class _Global:
                 if item.opcode == "ltr" and len(item.operands) == 2 \
                         and isinstance(item.operands[0], R) \
                         and item.operands[0] == item.operands[1]:
-                    x = item.operands[0].n
-                    src = next(
-                        (s for (d, s) in before if d == x), None
-                    )
-                    if src is not None:
+                    held = before & pairs.group(0, item.operands[0].n)
+                    if held:
+                        src = pairs.lowest(held)[1]
                         replacement = Instr(
                             "ltr", (R(src), R(src)), comment=item.comment
                         )
@@ -285,11 +288,12 @@ class _Global:
                         changed += 1
                     continue
                 if e.cc_only and not e.reads and not e.pair:
-                    renames = {
-                        d: s for (d, s) in before
-                        if any(isinstance(o, R) and o.n == d
-                               for o in item.operands)
-                    }
+                    renames = {}
+                    for o in item.operands:
+                        if isinstance(o, R):
+                            held = before & pairs.group(0, o.n)
+                            if held:
+                                renames[o.n] = pairs.lowest(held)[1]
                     if not renames:
                         continue
                     operands = tuple(
@@ -326,13 +330,13 @@ class _Global:
                 if eff.may or e.barrier or e.flow or e.writes \
                         or e.save_restore:
                     continue
-                if e.sets_cc and D.CC in live_after:
+                if e.sets_cc and live_after & D.reg_bits((D.CC,)):
                     continue
                 if e.cc_only:
                     continue
                 if not e.defs or item.opcode in _TRAP_OPS:
                     continue
-                if e.defs & live_after:
+                if D.reg_bits(e.defs) & live_after:
                     continue
                 self._record("g_dead_def", i, item, None)
                 self._replace(cfg, i, None)
@@ -343,6 +347,7 @@ class _Global:
         """Global DSE: delete stores whose written location is provably
         overwritten before any aliasing read on every path onward."""
         dead = D.memory_deadness(cfg)
+        locs = dead.solution.problem
         changed = 0
         for block in cfg.blocks:
             if block.bid not in cfg.reachable:
@@ -359,7 +364,8 @@ class _Global:
                 if len(e.writes) != 1 or e.writes[0] is None:
                     continue
                 loc = e.writes[0]
-                if dead_after is not None and loc not in dead_after:
+                if dead_after is not None \
+                        and not dead_after & locs.known(loc):
                     continue
                 self._record("g_dead_store", i, item, None)
                 self._replace(cfg, i, None)
@@ -374,6 +380,7 @@ class _Global:
         if not self.expr_ops:
             return 0
         avail = D.available_exprs(cfg, self.expr_ops)
+        exprs = avail.solution.problem
         changed = 0
         scrub: Set[int] = set()
         for block in cfg.blocks:
@@ -390,9 +397,8 @@ class _Global:
                 # instruction's own destination (a pure deletion), then
                 # the lowest register -- the choice must not depend on
                 # set iteration order.
-                holders = sorted(
-                    f_dst for f_key, _, f_dst in before if f_key == key
-                )
+                same = before & exprs.group(0, key)
+                holders = sorted(f_dst for _, _, f_dst in exprs.decode(same))
                 if not holders:
                     continue
                 source = dst if dst in holders else holders[0]
@@ -509,44 +515,90 @@ class _Global:
 
     # ---- driver -----------------------------------------------------------
 
-    def _cfg(self) -> Cfg:
-        """Build the CFG for one pass round; at -O4 additionally compute
-        and apply the interprocedural summaries."""
+    def _build(self) -> Cfg:
+        """Build the CFG; at -O4 additionally compute and apply the
+        interprocedural summaries, remembering each call site's
+        unrefined effects for :meth:`_summarize`."""
         if self.level < 4:
             return build_cfg(self.buffer, self.encoder)
         cfg = build_cfg(
             self.buffer, self.encoder,
             disjoint_bases=self.encoder.disjoint_base_pairs(),
         )
+        self.calls = {
+            i: cfg.item_effects[i]
+            for i, item in enumerate(self.buffer.items)
+            if isinstance(item, BranchSite) and item.link_reg is not None
+        }
         if cfg.ok:
-            self.result.summary_routines, self.result.summary_sites = \
-                S.refine_call_sites(cfg, self.encoder)
+            self._summarize(cfg)
         return cfg
 
+    def _summarize(self, cfg: Cfg) -> bool:
+        """Recompute the summaries from the current buffer, as a fresh
+        CFG would see them: reset every call site to its unrefined
+        effects, then refine.  True when any site's effects changed."""
+        before = [(i, cfg.item_effects[i]) for i in self.calls]
+        for i, effects in self.calls.items():
+            cfg.set_effects(i, effects)
+        self.result.summary_routines, self.result.summary_sites = \
+            S.refine_call_sites(cfg, self.encoder)
+        return any(
+            cfg.item_effects[i].effects != effects.effects
+            for i, effects in before
+        )
+
     def run(self) -> GlobalResult:
-        while self.result.iterations < _MAX_ITERATIONS:
-            self.result.iterations += 1
-            changed = 0
-            cfg = self._cfg()
-            if not cfg.ok:
-                if self.result.total == 0:
-                    self.result.degraded_reason = cfg.reason
-                break
-            changed += self._pass_unreachable(cfg)
-            if changed:
-                cfg = self._cfg()
-            changed += self._pass_forward(cfg)
-            if self.level >= 3:
-                changed += self._pass_cse(cfg)
-            changed += self._pass_copy_elim(cfg)
-            changed += self._pass_dead_def(cfg)
-            changed += self._pass_dead_store(cfg)
-            changed += self._pass_branches(cfg)
-            if not changed:
-                break
+        self._rounds()
         if self.result.total:
             self.buffer.compact()
         return self.result
+
+    def _rounds(self) -> None:
+        """Apply the passes in rounds until every pass has run with zero
+        hits on the current buffer (at most ``_MAX_ITERATIONS`` rounds).
+
+        The CFG is built once and kept in step with each rewrite; only a
+        hit of a pass that changes control flow makes the next pass
+        rebuild it.  A pass that found nothing is not run again until
+        the buffer (or, at -O4, a call site's summary) has changed."""
+        passes = [
+            (self._pass_unreachable, True),
+            (self._pass_forward, False),
+        ]
+        if self.level >= 3:
+            passes.append((self._pass_cse, False))
+        passes += [
+            (self._pass_copy_elim, False),
+            (self._pass_dead_def, False),
+            (self._pass_dead_store, False),
+            (self._pass_branches, True),
+        ]
+        version = 0  # bumped by every change to the buffer or summaries
+        clean = [-1] * len(passes)  # version each pass last found nothing
+        cfg: Optional[Cfg] = None
+        while self.result.iterations < _MAX_ITERATIONS:
+            self.result.iterations += 1
+            kept = cfg is not None
+            if not kept:
+                cfg = self._build()
+            if not cfg.ok:
+                if self.result.total == 0:
+                    self.result.degraded_reason = cfg.reason
+                return
+            if kept and self.level >= 4 and self._summarize(cfg):
+                version += 1
+            for k, (apply, reshapes) in enumerate(passes):
+                if cfg is None:
+                    cfg = self._build()
+                if apply(cfg):
+                    version += 1
+                    if reshapes:
+                        cfg = None
+                else:
+                    clean[k] = version
+                    if clean.count(version) == len(passes):
+                        return
 
 
 def run_global(

@@ -74,7 +74,7 @@ _MAX_ITERATIONS = 5
 
 
 def _live_after(cfg: Cfg, live, site: int):
-    """The live-after fact at one item index, or ``None`` off-block."""
+    """The live-after bits at one item index, or ``None`` off-block."""
     bid = cfg.block_of.get(site)
     if bid is None:
         return None
@@ -84,14 +84,16 @@ def _live_after(cfg: Cfg, live, site: int):
     return None
 
 
-def _exprs_before(cfg: Cfg, exprs, site: int):
-    """Available-expression facts just before one item index."""
+def _exprs_before(cfg: Cfg, exprs, site: int, victim: int):
+    """Available-expression facts held in ``victim`` just before one
+    item index, or ``None`` off-block."""
     bid = cfg.block_of.get(site)
     if bid is None:
         return None
+    facts = exprs.solution.problem
     for i, _item, before in D.walk_exprs(cfg, exprs, cfg.blocks[bid]):
         if i == site:
-            return before
+            return facts.decode(before & facts.group(2, victim))
     return None
 
 
@@ -128,12 +130,12 @@ def _clean_home(
     other aliasing write fails.
     """
     site = event.store_index
-    before = _exprs_before(cfg, exprs, site)
+    before = _exprs_before(cfg, exprs, site, event.victim)
     if before is None:
         return None
     home = None
-    for key, _reads, dst in before:
-        if dst != event.victim or len(key) != 2 or key[0] != "l":
+    for key, _reads, _dst in before:
+        if len(key) != 2 or key[0] != "l":
             continue
         part = key[1]
         if part[0] != "m" or part[2]:  # memory part, no index register
@@ -184,13 +186,12 @@ def _remat_form(
     never rematerialize a value whose inputs died.
     """
     site = event.store_index
-    before = _exprs_before(cfg, exprs, site)
+    before = _exprs_before(cfg, exprs, site, event.victim)
     if before is None:
         return None
     candidates = sorted(
-        key for key, _reads, dst in before
-        if dst == event.victim and len(key) == 2
-        and key[0] in _REMAT_OPS and key[1][0] == "m"
+        key for key, _reads, _dst in before
+        if len(key) == 2 and key[0] in _REMAT_OPS and key[1][0] == "m"
     )
     if not candidates:
         return None
@@ -250,9 +251,10 @@ def _derive(
     # so the override stays exactly as narrow as the liveness facts.
     if not event.pair:
         after = _live_after(cfg, live, site)
-        if after is not None and event.victim in after:
+        if after is not None and after & D.reg_bits((event.victim,)):
             for number, _stamp in event.candidates:  # LRU order
-                if number != event.victim and number not in after:
+                if number != event.victim \
+                        and not after & D.reg_bits((number,)):
                     override = SpillDirective(
                         ordinal=event.ordinal,
                         guard_index=event.guard_index,

@@ -338,7 +338,7 @@ def apply_summaries(cfg: Cfg, summary_set: SummarySet) -> int:
         effects = call_site_effects(item, summary)
         if effects is None:
             continue
-        cfg.item_effects[i] = ItemEffects(effects)
+        cfg.set_effects(i, ItemEffects(effects))
         applied += 1
     return applied
 

@@ -1,6 +1,7 @@
 """Unit tests: the evaluation-harness support package (repro.bench)."""
 
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -163,13 +164,14 @@ def _lane(rate_key):
     return {
         "median_s": 0.1,
         "min_s": 0.09,
+        "max_s": 0.11,
         "samples_s": [0.1],
         rate_key: 100.0,
     }
 
 
 def _valid_report():
-    """The smallest report validate_report accepts (schema 8)."""
+    """The smallest report validate_report accepts (schema 9)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "git_rev": "abc1234",
@@ -182,6 +184,7 @@ def _valid_report():
             "speedup_tiered_vs_reference": 1.7,
             "tiered_first_call_s": 0.05,
             "lanes_identical": True,
+            "processes": 6,
         },
         "table_build": {},
         "build_cache": {"warm_automaton_builds": 0},
@@ -231,6 +234,29 @@ def test_git_rev_marks_uncommitted_source(tmp_path):
     assert _git_rev(src) == clean
     (src / "mod.py").write_text("x = 2\n")
     assert _git_rev(src) == clean + "+dirty"
+
+
+def test_codegen_lanes_sampled_in_fresh_processes():
+    """Each codegen sample runs in its own interpreter, never this one,
+    and a lane reports the median of the process medians with their
+    spread."""
+    import statistics
+
+    from repro.bench.speed import CODEGEN_PROCESSES, measure_codegen
+
+    codegen = measure_codegen(iterations=1, assignments=4)
+    assert codegen["processes"] == CODEGEN_PROCESSES > 1
+    assert codegen["lanes_identical"]
+    for lane in ("reference", "tiered", "compressed"):
+        timing = codegen[lane]
+        samples = timing["samples_s"]
+        assert len(samples) == CODEGEN_PROCESSES
+        assert timing["median_s"] == statistics.median(samples)
+        assert (timing["min_s"], timing["max_s"]) == (min(samples),
+                                                      max(samples))
+    pids = codegen["pids"]
+    assert len(set(pids)) == CODEGEN_PROCESSES
+    assert os.getpid() not in pids
 
 
 class TestSchemaValidation:

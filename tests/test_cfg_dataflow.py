@@ -40,6 +40,7 @@ from repro.opt.dataflow import (
     liveness,
     memory_deadness,
     reaching_defs,
+    walk_copies,
     walk_live,
     walk_mem_dead,
 )
@@ -49,6 +50,14 @@ ENC = machine_description().encoder
 
 MEM = Mem(100, 0, 13)
 OTHER = Mem(200, 0, 13)
+
+
+def walked(walk, cfg, result, block):
+    """``{index: facts}`` of one walk, its bits decoded."""
+    return {
+        i: result.solution.decode(bits)
+        for i, _, bits in walk(cfg, result, block)
+    }
 
 
 def buf(items, deaths=()):
@@ -161,9 +170,10 @@ class TestLiveness:
             Instr("lr", (R(4), R(3))),
         ]), ENC)
         live = liveness(cfg)
-        facts = list(walk_live(cfg, live, cfg.blocks[0]))
+        facts = walked(walk_live, cfg, live, cfg.blocks[0])
         # Reverse order: the lr comes first.
-        (_, _, after_lr), (_, _, after_la) = facts
+        assert list(facts) == [1, 0]
+        after_lr, after_la = facts[1], facts[0]
         assert 3 in after_la   # the lr still needs r3
         assert 4 in after_lr   # exit boundary: everything live
 
@@ -175,8 +185,7 @@ class TestLiveness:
             Instr("svc", (Imm(0),)),
         ]), ENC)
         live = liveness(cfg)
-        facts = {i: after for i, _, after in
-                 walk_live(cfg, live, cfg.blocks[0])}
+        facts = walked(walk_live, cfg, live, cfg.blocks[0])
         assert facts[0] == frozenset()  # nothing live after la
 
     def test_branch_index_reg_is_not_a_use(self):
@@ -192,7 +201,7 @@ class TestLiveness:
             Instr("svc", (Imm(0),)),
         ]), ENC)
         live = liveness(cfg)
-        after = {i: f for i, _, f in walk_live(cfg, live, cfg.blocks[0])}
+        after = walked(walk_live, cfg, live, cfg.blocks[0])
         assert 5 not in after[0]
 
     def test_cc_pseudo_register(self):
@@ -202,7 +211,7 @@ class TestLiveness:
             LabelMark(1),
         ]), ENC)
         live = liveness(cfg)
-        after = {i: f for i, _, f in walk_live(cfg, live, cfg.blocks[0])}
+        after = walked(walk_live, cfg, live, cfg.blocks[0])
         assert CC in after[0]  # the branch still reads the CC
 
 
@@ -257,8 +266,7 @@ class TestMemoryDeadness:
             Instr("svc", (Imm(0),)),
         ]), ENC)
         dead = memory_deadness(cfg)
-        facts = {i: f for i, _, f in
-                 walk_mem_dead(cfg, dead, cfg.blocks[0])}
+        facts = walked(walk_mem_dead, cfg, dead, cfg.blocks[0])
         assert facts[0] is None  # TOP: everything is dead after a halt
 
     def test_read_revives_location(self):
@@ -270,8 +278,7 @@ class TestMemoryDeadness:
             Instr("svc", (Imm(0),)),
         ]), ENC)
         dead = memory_deadness(cfg)
-        facts = {i: f for i, _, f in
-                 walk_mem_dead(cfg, dead, cfg.blocks[0])}
+        facts = walked(walk_mem_dead, cfg, dead, cfg.blocks[0])
         loc = cfg.item_effects[0].effects.writes[0]
         assert facts[0] is not None and loc not in facts[0]
 
@@ -281,16 +288,14 @@ class TestMemoryDeadness:
             Instr("st", (R(4), MEM)),
         ]), ENC)
         dead = memory_deadness(cfg)
-        facts = {i: f for i, _, f in
-                 walk_mem_dead(cfg, dead, cfg.blocks[0])}
+        facts = walked(walk_mem_dead, cfg, dead, cfg.blocks[0])
         loc = cfg.item_effects[0].effects.writes[0]
         assert facts[0] is not None and loc in facts[0]
 
     def test_exit_boundary_keeps_everything_observable(self):
         cfg = build_cfg(buf([Instr("st", (R(3), MEM))]), ENC)
         dead = memory_deadness(cfg)
-        facts = {i: f for i, _, f in
-                 walk_mem_dead(cfg, dead, cfg.blocks[0])}
+        facts = walked(walk_mem_dead, cfg, dead, cfg.blocks[0])
         assert facts[0] == frozenset()  # nothing provably dead
 
 
@@ -306,7 +311,7 @@ class TestAvailableFacts:
         ]), ENC)
         avail = available_stores(cfg)
         block = cfg.blocks[cfg.label_block[1]]
-        before = {i: p for i, _, p in walk_avail(cfg, avail, block)}
+        before = walked(walk_avail, cfg, avail, block)
         loc = cfg.item_effects[0].effects.writes[0]
         load_index = block.end - 1
         assert (loc, 3) in before[load_index]
@@ -320,8 +325,7 @@ class TestAvailableFacts:
             Instr("l", (R(4), MEM)),
         ]), ENC)
         avail = available_stores(cfg)
-        before = {i: p for i, _, p in
-                  walk_avail(cfg, avail, cfg.blocks[0])}
+        before = walked(walk_avail, cfg, avail, cfg.blocks[0])
         loc = cfg.item_effects[0].effects.writes[0]
         assert (loc, 3) not in before[2]
 
@@ -340,7 +344,7 @@ class TestAvailableFacts:
         ]), ENC)
         avail = available_stores(cfg)
         block = cfg.blocks[cfg.label_block[1]]
-        before = {i: p for i, _, p in walk_avail(cfg, avail, block)}
+        before = walked(walk_avail, cfg, avail, block)
         loc = cfg.item_effects[0].effects.writes[0]
         load_index = block.end - 1
         assert (loc, 5) not in before[load_index]
@@ -355,30 +359,85 @@ class TestAvailableFacts:
             Instr("ar", (R(7), R(5))),
         ]), ENC)
         copies = available_copies(cfg)
-        before = {i: p for i, _, p in
-                  walk_copies(cfg, copies, cfg.blocks[0])}
+        before = walked(walk_copies, cfg, copies, cfg.blocks[0])
         assert (5, 4) in before[1]
         assert (5, 4) not in before[3]  # the la killed the source
 
 
-def _round_robin(cfg, *, forward, boundary, transfer, join):
-    """The naive reference solver: sweep every block until nothing
-    changes, starting from each block transferred once from the meet
-    identity (:func:`DF.iterate` starts untransferred)."""
-    blocks = cfg.blocks
-    ins = {b.bid: join(()) for b in blocks}
-    outs = {b.bid: transfer(b, ins[b.bid]) for b in blocks}
+class TestKeptCfg:
+    """A CFG keeps each analysis' state across rewrites made through
+    ``Cfg.set_effects``; a solve on it must equal one on a fresh CFG."""
+
+    def test_rewrite_adding_a_new_fact(self):
+        buffer = buf([
+            Instr("lr", (R(5), R(4))),
+            Instr("ar", (R(6), R(5))),
+            Instr("l", (R(7), MEM)),
+            Instr("la", (R(3), Mem(9, 0, 0))),
+            Instr("ar", (R(8), R(7))),
+        ])
+        cfg = build_cfg(buffer, ENC)
+        before = available_copies(cfg)
+        assert before.solution.outs[0] == frozenset({(5, 4)})
+        # A copy pair no item generated when the index was built; the
+        # ``la`` after it must kill it through a register mask derived
+        # before the pair existed.
+        buffer.items[2] = Instr("lr", (R(7), R(3)))
+        cfg.set_effects(2, item_effects(buffer.items[2], ENC, False))
+        kept = available_copies(cfg)
+        fresh = available_copies(build_cfg(buffer, ENC))
+        assert kept.solution.outs == fresh.solution.outs
+        assert kept.solution.outs[0] == frozenset({(5, 4)})
+        assert walked(walk_copies, cfg, kept, cfg.blocks[0])[3] \
+            == frozenset({(5, 4), (7, 3)})
+
+
+def _round_robin(cfg, problem, boundary, must):
+    """The naive reference solver over the same block summaries: sweep
+    every block until nothing changes, starting from each block
+    transferred once from the meet identity (:func:`DF._fixpoint`
+    starts untransferred)."""
+    def meet(facts):
+        if not must:
+            merged = 0
+            for f in facts:
+                merged |= f
+            return merged
+        merged = None
+        for f in facts:
+            if f is not None:
+                merged = f if merged is None else merged & f
+        return merged
+
+    def transfer(bid, fact):
+        kill, gen, top = problem.summary(bid)
+        return top if fact is None else (fact & ~kill) | gen
+
+    identity = None if must else 0
+    ins = {b.bid: identity for b in cfg.blocks}
+    outs = {b.bid: transfer(b.bid, identity) for b in cfg.blocks}
     changed = True
     while changed:
         changed = False
-        for block in blocks:
-            edges = block.preds if forward else block.succs
-            new_in = join([outs[p] for p in edges] + [boundary(block)])
-            new_out = transfer(block, new_in)
+        for block in cfg.blocks:
+            edges = block.preds if problem.forward else block.succs
+            new_in = meet([outs[p] for p in edges] + [boundary[block.bid]])
+            new_out = transfer(block.bid, new_in)
             if new_in != ins[block.bid] or new_out != outs[block.bid]:
                 changed = True
             ins[block.bid], outs[block.bid] = new_in, new_out
     return ins, outs
+
+
+#: kernel problem class -> the solver that instantiates it.
+SOLVER_OF = {
+    DF._Live: "liveness",
+    DF._Defs: "reaching_defs",
+    DF._Dead: "memory_deadness",
+    DF._Stores: "available_stores",
+    DF._Copies: "available_copies",
+    DF._Exprs: "available_exprs",
+}
 
 
 @pytest.fixture(scope="module")
@@ -386,35 +445,39 @@ def worklist_runs():
     """Every solve of every bench workload at -O2 and -O4 (plus
     reaching defs over each final buffer), each checked against the
     reference solver; returns ``(mismatches, solvers, transfers,
-    blocks)``."""
-    real_iterate = DF.iterate
+    blocks)``, a transfer being one block-summary application."""
+    real_fixpoint = DF._fixpoint
     mismatches, solvers = [], set()
     counts = {"transfers": 0, "blocks": 0}
 
-    def checked(cfg, *, forward, boundary, transfer, join):
-        def counted(block, fact):
-            counts["transfers"] += 1
-            return transfer(block, fact)
+    def checked(cfg, problem, boundary, must):
+        summary = problem.summary
 
-        solver = transfer.__qualname__.split(".")[0]
+        def counted(bid):
+            counts["transfers"] += 1
+            return summary(bid)
+
+        solver = SOLVER_OF[type(problem)]
         solvers.add(solver)
         counts["blocks"] += cfg.nblocks
-        got = real_iterate(cfg, forward=forward, boundary=boundary,
-                           transfer=counted, join=join)
-        want = _round_robin(cfg, forward=forward, boundary=boundary,
-                            transfer=transfer, join=join)
-        if got != want:
+        problem.summary = counted
+        try:
+            got = real_fixpoint(cfg, problem, boundary, must)
+        finally:
+            del problem.summary
+        want = _round_robin(cfg, problem, boundary, must)
+        if (got.in_bits, got.out_bits) != want:
             mismatches.append(solver)
         return got
 
-    DF.iterate = checked
+    DF._fixpoint = checked
     try:
         for _, source in quality_workloads():
             for level in (2, 4):
                 compiled = compile_source(source, opt_level=level)
                 reaching_defs(build_cfg(compiled.generated.buffer, ENC))
     finally:
-        DF.iterate = real_iterate
+        DF._fixpoint = real_fixpoint
     return mismatches, solvers, counts["transfers"], counts["blocks"]
 
 
@@ -430,7 +493,7 @@ class TestWorklist:
     def test_transfer_budget(self, worklist_runs):
         """Visiting blocks in order from untransferred identity facts
         settles most problems in one sweep: at most 1.25 transfers per
-        block (1.06 here; first transferring every block once from the
+        block (1.05 here; first transferring every block once from the
         identity took 2.05, a last-block-first worklist 3.86 on the
         opt_stress set)."""
         _, _, transfers, blocks = worklist_runs

@@ -454,3 +454,109 @@ class TestIntegration:
                               "degraded_reason", "summaries"}
         assert set(stats["hits"]) == set(ALL_PASSES)
         assert set(stats["summaries"]) == {"routines", "sites"}
+
+
+class TestRounds:
+    """A run builds one CFG and stops once every pass has run with zero
+    hits on the current buffer."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count CFG builds, memory-deadness solves and the runs of the
+        passes that follow the dead-def pass."""
+        from repro.opt import dataflow, globalopt
+
+        counts = {"build_cfg": 0, "memory_deadness": 0,
+                  "_pass_dead_store": 0, "_pass_branches": 0}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(globalopt, "build_cfg")
+        count(dataflow, "memory_deadness")
+        count(globalopt._Global, "_pass_dead_store")
+        count(globalopt._Global, "_pass_branches")
+        return counts
+
+    def test_round_ending_in_dead_def_stops_early(self, monkeypatch):
+        counts = self.counting(monkeypatch)
+        code = make_code([
+            Instr("la", (R(3), Mem(5, 0, 0))),
+            Instr("lr", (R(4), R(3))),  # r4 is dead: round 1 ends here
+            HALT,
+        ])
+        result = run_global(code, ENC)
+        assert result.hits["g_dead_def"] == 2
+        assert result.total == 2 and result.iterations == 2
+        # Round 2 stops after the dead-def pass finds nothing: the passes
+        # after it already saw this buffer in round 1.
+        assert counts == {"build_cfg": 1, "memory_deadness": 1,
+                          "_pass_dead_store": 1, "_pass_branches": 1}
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_cfg_built_once_unless_control_flow_changes(
+        self, monkeypatch, level
+    ):
+        from repro.bench.codequality import quality_workloads
+        from repro.pascal.compiler import compile_source
+
+        counts = self.counting(monkeypatch)
+        reshaping = {"g_unreachable", "g_branch_flip", "g_fallthrough"}
+        multi_round = 0
+        for name, source in quality_workloads():
+            counts["build_cfg"] = 0
+            compiled = compile_source(source, opt_level=level)
+            stats = compiled.stats["global"]
+            builds = counts["build_cfg"]  # the spill planner's not counted
+            if not any(stats["hits"][p] for p in reshaping):
+                assert builds == 1, name
+                multi_round += stats["iterations"] > 1
+            else:
+                assert builds <= 1 + sum(
+                    stats["hits"][p] for p in reshaping), name
+        assert multi_round >= 3
+
+    @pytest.mark.parametrize("program", ["call_heavy", "recursion"])
+    def test_o4_summaries_match_a_fresh_cfg(self, monkeypatch, program):
+        """At -O4 each round recomputes the call-site effects on the kept
+        CFG; they must equal what a CFG built from scratch from the same
+        buffer would get."""
+        from repro.bench import workloads as W
+        from repro.opt import globalopt
+        from repro.opt import summaries as S
+        from repro.opt.cfg import build_cfg
+        from repro.pascal.compiler import compile_source
+
+        source = W.call_heavy(30) if program == "call_heavy" else (
+            "program recur; var k, r: integer;\n"
+            "function tri(n: integer): integer;\n"
+            "begin if n = 0 then tri := k else tri := n + tri(n - 1) end;\n"
+            "begin read(k); r := tri(40); writeln(r) end.\n"
+        )
+        real = S.refine_call_sites
+        rounds = []
+
+        def checked(cfg, encoder):
+            got = real(cfg, encoder)
+            fresh = build_cfg(cfg.buffer, encoder,
+                              disjoint_bases=cfg.disjoint_bases)
+            assert real(fresh, encoder) == got
+            assert [(e.effects, e.may, e.expr) for e in fresh.item_effects] \
+                == [(e.effects, e.may, e.expr) for e in cfg.item_effects]
+            rounds.append(got)
+            return got
+
+        monkeypatch.setattr(globalopt.S, "refine_call_sites", checked)
+        compiled = compile_source(source, opt_level=4)
+        stats = compiled.stats["global"]
+        # One refinement per round (plus the spill planner's).
+        assert len(rounds) >= stats["iterations"] >= 2
+        assert rounds[-1] == (stats["summaries"]["routines"],
+                              stats["summaries"]["sites"])
+        assert (stats["summaries"]["sites"] > 0) == (program == "call_heavy")
