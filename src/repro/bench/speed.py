@@ -20,7 +20,10 @@ comparable trajectory:
   workload;
 * **end-to-end throughput** (schema 2): per-phase medians from the
   pipeline profiler, plus batch-compilation routines/second serial vs.
-  parallel with byte-identical outputs asserted before timing.
+  parallel with byte-identical outputs asserted before timing;
+* **compile phases** (schema 10): the per-phase medians of a
+  compile-bound program, straightline(400) at -O1, sampled in fresh
+  interpreters like the codegen lanes.
 
 All times are medians of N runs; the JSON carries machine info and the
 git revision so numbers from different checkouts are never conflated.
@@ -41,6 +44,8 @@ import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List
+
+from repro.pipeline.profile import PHASES
 
 #: Bump when the JSON layout changes incompatibly.
 #: 2: added the ``simulator`` and ``end_to_end`` sections.
@@ -76,7 +81,13 @@ from typing import Any, Dict, List
 #:    interpreters: a lane's ``samples_s`` are the processes' medians,
 #:    ``median_s`` their median and ``min_s``/``max_s`` their spread;
 #:    ``tiered_first_call_s`` is the median first call.
-SCHEMA_VERSION = 9
+#: 10: ``end_to_end.compile_phases``: the compile phases of
+#:    straightline(400) at -O1, a compile-bound program;
+#:    ``end_to_end.phases`` times loop_kernel(400), whose compile is a
+#:    sliver of its run.  Sampled in
+#:    ``processes`` fresh interpreters: ``phases`` holds the median of
+#:    the processes' medians, ``min_s``/``max_s`` their spread.
+SCHEMA_VERSION = 10
 
 DEFAULT_REPORT = "BENCH_speed.json"
 
@@ -236,12 +247,13 @@ def sample_codegen(
     }
 
 
-def _sample_in_fresh_process(*args) -> Dict[str, Any]:
-    """:func:`sample_codegen` in a new interpreter on this source tree."""
+def _sample_in_fresh_process(sampler: str, *args) -> Dict[str, Any]:
+    """``sampler`` (a function of this module) in a new interpreter on
+    this source tree."""
     code = (
         "import json, sys\n"
-        "from repro.bench.speed import sample_codegen\n"
-        "print(json.dumps(sample_codegen(*json.loads(sys.argv[1]))))\n"
+        "from repro.bench import speed\n"
+        f"print(json.dumps(speed.{sampler}(*json.loads(sys.argv[1]))))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -253,7 +265,7 @@ def _sample_in_fresh_process(*args) -> Dict[str, Any]:
     )
     if done.returncode != 0:
         raise RuntimeError(
-            f"codegen sample failed:\n{done.stderr.strip()}"
+            f"{sampler} failed:\n{done.stderr.strip()}"
         )
     return json.loads(done.stdout)
 
@@ -276,6 +288,7 @@ def measure_codegen(
     """
     runs = [
         _sample_in_fresh_process(
+            "sample_codegen",
             k % len(_CODEGEN_LANES), iterations, assignments, seed, variant,
         )
         for k in range(CODEGEN_PROCESSES)
@@ -529,6 +542,69 @@ def measure_end_to_end(
     }
 
 
+#: The phases of one compile (every profiler phase but ``simulate``).
+COMPILE_PHASES = tuple(p for p in PHASES if p != "simulate")
+
+
+def sample_compile_phases(
+    iterations: int, assignments: int, level: int, variant: str,
+) -> Dict[str, Any]:
+    """One process's per-phase medians over ``iterations`` compiles of
+    straightline(``assignments``) at ``-O level``, after one discarded
+    compile (which compiles the reducers)."""
+    from repro.bench.workloads import straightline
+    from repro.pascal.compiler import cached_build, compile_source
+    from repro.pipeline.profile import PhaseProfiler, median_phases
+
+    cached_build(variant)
+    source = straightline(assignments)
+    compile_source(source, variant=variant, opt_level=level)
+    profiles: List[Dict[str, float]] = []
+    for _ in range(iterations):
+        profiler = PhaseProfiler()
+        compile_source(source, variant=variant, opt_level=level,
+                       profiler=profiler)
+        profiles.append(profiler.as_dict())
+    return {"pid": os.getpid(), "phases": median_phases(profiles)}
+
+
+def measure_compile_phases(
+    iterations: int = 9,
+    assignments: int = 400,
+    level: int = 1,
+    variant: str = "full",
+) -> Dict[str, Any]:
+    """Per-phase compile times of a compile-bound program, sampled by
+    :func:`sample_compile_phases` in :data:`CODEGEN_PROCESSES` fresh
+    interpreters; a phase reports the median of the processes' medians
+    and their spread."""
+    runs = [
+        _sample_in_fresh_process(
+            "sample_compile_phases", iterations, assignments, level, variant,
+        )
+        for _ in range(CODEGEN_PROCESSES)
+    ]
+    phases: Dict[str, float] = {}
+    spread_min: Dict[str, float] = {}
+    spread_max: Dict[str, float] = {}
+    for phase in COMPILE_PHASES:
+        medians = [run["phases"].get(phase, 0.0) for run in runs]
+        phases[phase] = statistics.median(medians)
+        spread_min[phase] = min(medians)
+        spread_max[phase] = max(medians)
+    return {
+        "workload": f"straightline({assignments})",
+        "opt_level": level,
+        "iterations": iterations,
+        "processes": CODEGEN_PROCESSES,
+        "pids": [run["pid"] for run in runs],
+        "phases": phases,
+        "min_s": spread_min,
+        "max_s": spread_max,
+        "total_s": sum(phases.values()),
+    }
+
+
 def _measure_parallel_batch(programs, serial, jobs: int,
                             variant: str) -> Dict[str, Any]:
     """Time the parallel batch lane cold and warm against ``serial``."""
@@ -589,6 +665,9 @@ def run_bench(
             iterations=iterations, variant=variant, jobs=jobs
         ),
     }
+    report["end_to_end"]["compile_phases"] = measure_compile_phases(
+        iterations=iterations, variant=variant
+    )
     return report
 
 
@@ -660,11 +739,23 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
     if not isinstance(phases, dict):
         problems.append("end_to_end.phases missing")
     else:
-        from repro.pipeline.profile import PHASES
-
         for phase in PHASES:
             if phase not in phases:
                 problems.append(f"end_to_end.phases missing {phase!r}")
+    compile_phases = end_to_end.get("compile_phases")
+    if not isinstance(compile_phases, dict):
+        problems.append("end_to_end.compile_phases missing")
+    else:
+        for key in ("phases", "min_s", "max_s"):
+            timing = compile_phases.get(key)
+            if not isinstance(timing, dict):
+                problems.append(f"end_to_end.compile_phases.{key} missing")
+                continue
+            for phase in COMPILE_PHASES:
+                if not isinstance(timing.get(phase), (int, float)):
+                    problems.append(
+                        f"end_to_end.compile_phases.{key} missing {phase!r}"
+                    )
     batch = end_to_end.get("batch", {})
     if not isinstance(batch, dict):
         problems.append("end_to_end.batch missing")
@@ -781,9 +872,16 @@ def render_summary(report: Dict[str, Any]) -> str:
                 + (", pool reused" if batch.get("pool_reused") else "")
                 + ")"
             )
+        compile_phases = e2e["compile_phases"]
+        compile_bits = ", ".join(
+            f"{name} {1000 * seconds:.1f}"
+            for name, seconds in compile_phases["phases"].items()
+        )
         lines += [
             "",
             f"end-to-end phase medians (ms): {phase_bits}",
+            f"compile phases, {compile_phases['workload']} at "
+            f"-O{compile_phases['opt_level']} (ms): {compile_bits}",
             f"batch ({batch['programs']} programs, "
             f"jobs={batch['jobs']}, cpus={batch['cpu_count']}): "
             f"serial {batch['serial_routines_per_s']:.1f} routines/s, "

@@ -15,7 +15,7 @@ from repro.errors import IFError
 from repro.ir.tree import IFTree, Leaf, Node, SPLICE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IFToken:
     """One symbol of the linearized IF.
 
@@ -32,6 +32,10 @@ class IFToken:
     hashing); a token whose code is ``None`` is encoded once on intake.
     Codes are an identity of the *table build*, not of the token, so
     they do not participate in equality or repr.
+
+    Tokens are not ``frozen`` (nothing assigns to one after construction)
+    because a frozen ``__init__`` costs two to three times as much, and
+    both linearization and the skeletal parser build one per symbol.
     """
 
     symbol: str
@@ -56,30 +60,25 @@ def linearize(
     re-encoding the stream.
     """
     out: List[IFToken] = []
-    get_code = codes.get if codes is not None else None
+    append = out.append
+    code = (codes if codes is not None else {}).get
 
-    def emit(tree: IFTree) -> None:
-        if isinstance(tree, Leaf):
-            out.append(
-                IFToken(
-                    tree.symbol,
-                    tree.value,
-                    code=get_code(tree.symbol) if get_code else None,
-                )
-            )
-            return
-        if tree.op != SPLICE:
-            out.append(
-                IFToken(
-                    tree.op,
-                    code=get_code(tree.op) if get_code else None,
-                )
-            )
+    def emit(tree: Node) -> None:
+        op = tree.op
+        if op != SPLICE:
+            append(IFToken(op, None, None, code(op)))
         for child in tree.children:
-            emit(child)
+            if isinstance(child, Leaf):
+                symbol = child.symbol
+                append(IFToken(symbol, child.value, None, code(symbol)))
+            else:
+                emit(child)
 
     for tree in trees:
-        emit(tree)
+        if isinstance(tree, Leaf):
+            append(IFToken(tree.symbol, tree.value, None, code(tree.symbol)))
+        else:
+            emit(tree)
     return out
 
 

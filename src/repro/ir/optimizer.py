@@ -22,7 +22,8 @@ conservative reading.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.ir.tree import IFTree, Leaf, Node
 
@@ -55,10 +56,15 @@ _BOUNDARY_OPS = frozenset({"label_def", "branch_op", "procedure_entry",
 
 Path = Tuple[int, ...]
 
+#: The widest memory operand: a read at ``dsp`` can overlap a store at
+#: ``d`` only if ``d - _WIDEST < dsp``.
+_WIDEST = max(_MEMORY_OPS.values())
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class _Read:
-    """One memory location a candidate depends on; base < 0 = unknown."""
+    """One memory location a candidate depends on; base < 0 = unknown,
+    dsp < 0 = anywhere in the base register's area."""
 
     base: int
     dsp: int
@@ -68,28 +74,7 @@ class _Read:
 _UNKNOWN_READ = _Read(-1, 0, 0)
 
 
-def _reads(tree: IFTree, out: Set[_Read]) -> None:
-    if isinstance(tree, Leaf):
-        return
-    if tree.op in _MEMORY_OPS:
-        size = _MEMORY_OPS[tree.op]
-        # (dsp, base) or (index, dsp, base); base may be a subtree.
-        base = tree.children[-1]
-        dsp = tree.children[-2]
-        indexed = len(tree.children) == 3
-        if isinstance(base, Leaf) and isinstance(dsp, Leaf):
-            if indexed:
-                # Unknown element: the whole base area may be read.
-                out.add(_Read(base.value, -1, 0))
-            else:
-                out.add(_Read(base.value, dsp.value, size))
-        else:
-            out.add(_UNKNOWN_READ)
-    for child in tree.children:
-        _reads(child, out)
-
-
-@dataclass
+@dataclass(slots=True)
 class _Write:
     """One store's effect: base < 0 means "anything"; dsp < 0 means the
     whole base-register area."""
@@ -123,61 +108,97 @@ def _write_of(assign: Node) -> _Write:
     return _Write(base.value, dsp.value, size)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Group:
-    key: str
+    key: int
+    #: creation order within the block: the order of ``available``.
+    seq: int
     tree: IFTree
     size: int
+    reads: Tuple[_Read, ...]
     occurrences: List[Tuple[int, Path]] = field(default_factory=list)
-    reads: Set[_Read] = field(default_factory=set)
 
 
-#: One candidate: (path, subtree, key, size in tokens).
-_Candidate = Tuple[Path, IFTree, str, int]
+#: One candidate: (path, subtree, key, size in tokens, memory reads).
+_Candidate = Tuple[Path, IFTree, int, int, Tuple[_Read, ...]]
+
+#: What one walk learns of a subtree: (pure, size, key, contains_call,
+#: memory reads).
+_Facts = Tuple[bool, int, int, bool, Tuple[_Read, ...]]
 
 
-def _walk(
-    tree: IFTree, path: Path, out: List[_Candidate], collect: bool = True
-) -> Tuple[bool, int, str, bool]:
-    """``(pure, size, key, contains_call)`` of ``tree`` in one bottom-up
-    walk, appending its candidates to ``out`` in preorder.
-
-    Candidates are pure subtrees of size >= 4 tokens (cheaper ones
-    aren't worth a register's pressure); with ``collect`` false the
-    subtree itself is skipped but its descendants are not.
-    """
-    if isinstance(tree, Leaf):
-        return True, 1, f"{tree.symbol}:{tree.value}", False
-    start = len(out)
-    pure = tree.op in PURE_OPS
-    calls = tree.op in _CALL_OPS
-    size = 1
-    keys = []
-    for i, child in enumerate(tree.children):
-        c_pure, c_size, c_key, c_calls = _walk(child, path + (i,), out)
-        pure = pure and c_pure
-        size += c_size
-        keys.append(c_key)
-        calls = calls or c_calls
-    key = f"{tree.op}({','.join(keys)})"
-    if collect and pure and size >= 4:
-        out.insert(start, (path, tree, key, size))
-    return pure, size, key, calls
+_by_seq = attrgetter("seq")
+_EMPTY: Dict = {}
 
 
-def _statement_candidates(stmt: IFTree, out: List[_Candidate]) -> bool:
-    """Candidates of one statement; returns whether it contains a call.
+class _Available:
+    """The groups available in one block, indexed by what they read so
+    that a store visits only the groups it may kill: ``_index`` maps a
+    base register to displacements to the groups reading there
+    (displacement -1: anywhere in the area; base -1: an unknown
+    address)."""
 
-    The *target reference* of an assignment is a store shape the grammar
-    matches literally (``assign fullword dsp.1 r.1 r.2``), so it must
-    never be replaced -- but its index expression and pointer base
-    subtrees are ordinary value computations and are fair game.
-    """
-    if isinstance(stmt, Node) and stmt.op == "assign":
-        target, value = stmt.children
-        calls = _walk(target, (0,), out, collect=False)[3]
-        return _walk(value, (1,), out)[3] or calls
-    return _walk(stmt, (), out)[3]
+    def __init__(self) -> None:
+        self.groups: Dict[int, _Group] = {}
+        self._index: Dict[int, Dict[int, Dict[int, _Group]]] = {}
+
+    def add(self, group: _Group) -> None:
+        key = group.key
+        self.groups[key] = group
+        index = self._index
+        for read in group.reads:
+            areas = index.get(read.base)
+            if areas is None:
+                areas = index[read.base] = {}
+            bucket = areas.get(read.dsp)
+            if bucket is None:
+                bucket = areas[read.dsp] = {}
+            bucket[key] = group
+
+    def clear(self) -> List[_Group]:
+        """Remove every group, in creation order."""
+        groups = list(self.groups.values())
+        self.groups.clear()
+        self._index.clear()
+        return groups
+
+    def kill(self, write: _Write) -> List[_Group]:
+        """Remove the groups ``write`` kills, in creation order."""
+        index = self._index
+        if write.base < 0:
+            suspects: Iterable[_Group] = self.groups.values()
+        else:
+            found: Dict[int, _Group] = {}
+            for bucket in index.get(-1, _EMPTY).values():
+                found.update(bucket)
+            areas = index.get(write.base)
+            if areas:
+                if write.dsp < 0:
+                    for bucket in areas.values():
+                        found.update(bucket)
+                else:
+                    found.update(areas.get(-1, _EMPTY))
+                    for dsp in range(write.dsp - _WIDEST + 1,
+                                     write.dsp + write.size):
+                        bucket = areas.get(dsp)
+                        if bucket:
+                            found.update(bucket)
+            if not found:
+                return []
+            suspects = sorted(found.values(), key=_by_seq)
+        killed = []
+        for group in suspects:
+            for read in group.reads:
+                if write.kills(read):
+                    killed.append(group)
+                    break
+        groups = self.groups
+        for group in killed:
+            key = group.key
+            del groups[key]
+            for read in group.reads:
+                index[read.base][read.dsp].pop(key, None)
+        return killed
 
 
 def _replace(tree: IFTree, path: Path, new: IFTree) -> IFTree:
@@ -198,6 +219,8 @@ class CseOptimizer:
         self.next_cse_id = next_cse_id
         self.base_reg = base_reg
         self.cse_count = 0
+        #: subtree shape -> key, for the routine's lifetime.
+        self._ids: Dict[tuple, int] = {}
 
     def run(self, statements: List[IFTree]) -> List[IFTree]:
         out: List[IFTree] = []
@@ -217,6 +240,86 @@ class CseOptimizer:
 
     # ---- one basic block ------------------------------------------------------------
 
+    def _walk(self, tree: Node, path: Path, out: List[_Candidate],
+              collect: bool = True) -> _Facts:
+        """The facts of ``tree`` in one bottom-up walk, appending its
+        candidates to ``out`` in preorder.
+
+        A subtree's key is a hash-consed integer: equal subtrees get
+        equal keys, and a node's key is looked up from its operator, its
+        leaves' symbols and values and its other children's keys, so no
+        subtree is rendered or walked twice.  A leaf contributes a
+        string and an integer, a node child one integer, so distinct
+        shapes never share a lookup.
+
+        Candidates are pure subtrees of size >= 4 tokens (cheaper ones
+        aren't worth a register's pressure); with ``collect`` false the
+        subtree itself is skipped but its descendants are not.
+        """
+        start = len(out)
+        op = tree.op
+        children = tree.children
+        pure = op in PURE_OPS
+        calls = op in _CALL_OPS
+        size = 1
+        reads: Tuple[_Read, ...] = ()
+        key = [op]
+        for i, child in enumerate(children):
+            if isinstance(child, Leaf):
+                size += 1
+                key.append(child.symbol)
+                key.append(child.value)
+                continue
+            c_pure, c_size, c_key, c_calls, c_reads = self._walk(
+                child, path + (i,), out
+            )
+            pure = pure and c_pure
+            size += c_size
+            key.append(c_key)
+            calls = calls or c_calls
+            if c_reads:
+                reads = reads + c_reads if reads else c_reads
+        if op in _MEMORY_OPS:
+            # (dsp, base) or (index, dsp, base); base may be a subtree.
+            base = children[-1]
+            dsp = children[-2]
+            if isinstance(base, Leaf) and isinstance(dsp, Leaf):
+                if len(children) == 3:
+                    # Unknown element: the whole base area may be read.
+                    read = _Read(base.value, -1, 0)
+                else:
+                    read = _Read(base.value, dsp.value, _MEMORY_OPS[op])
+            else:
+                read = _UNKNOWN_READ
+            reads = (read,) + reads
+        ids = self._ids
+        key_id = ids.setdefault(tuple(key), len(ids))
+        if collect and pure and size >= 4:
+            out.insert(start, (path, tree, key_id, size, reads))
+        return pure, size, key_id, calls, reads
+
+    def _statement(self, stmt: IFTree, out: List[_Candidate]) -> bool:
+        """Candidates of one statement; returns whether it contains a
+        call.
+
+        The *target reference* of an assignment is a store shape the
+        grammar matches literally (``assign fullword dsp.1 r.1 r.2``), so
+        it must never be replaced -- but its index expression and
+        pointer base subtrees are ordinary value computations and are
+        fair game.
+        """
+        if isinstance(stmt, Leaf):
+            return False
+        if stmt.op == "assign":
+            target, value = stmt.children
+            calls = False
+            if isinstance(target, Node):
+                calls = self._walk(target, (0,), out, collect=False)[3]
+            if isinstance(value, Node):
+                calls = self._walk(value, (1,), out)[3] or calls
+            return calls
+        return self._walk(stmt, (), out)[3]
+
     def _optimize_block(self, block: List[IFTree]) -> List[IFTree]:
         if len(block) < 1:
             return block
@@ -227,55 +330,54 @@ class CseOptimizer:
         return self._rewrite(block, chosen)
 
     def _find_groups(self, block: List[IFTree]) -> List[_Group]:
-        available: Dict[str, _Group] = {}
+        available = _Available()
         finished: List[_Group] = []
+        seq = 0
         for stmt_idx, stmt in enumerate(block):
             candidates: List[_Candidate] = []
-            calls = _statement_candidates(stmt, candidates)
+            calls = self._statement(stmt, candidates)
             # Reads first: the RHS of an assignment is evaluated before
             # the store happens.
-            for path, tree, key, size in candidates:
-                group = available.get(key)
+            for path, tree, key, size, reads in candidates:
+                group = available.groups.get(key)
                 if group is None:
-                    group = _Group(key, tree, size)
-                    _reads(tree, group.reads)
-                    available[key] = group
+                    group = _Group(key, seq, tree, size, reads)
+                    seq += 1
+                    available.add(group)
                 group.occurrences.append((stmt_idx, path))
             # Then the statement's effects.
             if calls:
-                finished.extend(available.values())
-                available.clear()
-                continue
-            if isinstance(stmt, Node) and stmt.op == "assign":
-                write = _write_of(stmt)
-                for key in list(available):
-                    group = available[key]
-                    if any(write.kills(r) for r in group.reads):
-                        finished.append(group)
-                        del available[key]
-        finished.extend(available.values())
+                finished.extend(available.clear())
+            elif isinstance(stmt, Node) and stmt.op == "assign":
+                finished.extend(available.kill(_write_of(stmt)))
+        finished.extend(available.clear())
         return [g for g in finished if len(g.occurrences) >= 2]
 
     @staticmethod
     def _choose(groups: List[_Group]) -> List[_Group]:
-        """Greedy non-overlapping selection, larger subtrees first."""
-        def overlaps(a: Tuple[int, Path], b: Tuple[int, Path]) -> bool:
-            if a[0] != b[0]:
-                return False
-            shorter, longer = sorted((a[1], b[1]), key=len)
-            return longer[: len(shorter)] == shorter
+        """Greedy non-overlapping selection, larger subtrees first.
 
+        Two occurrences overlap when they are in one statement and one
+        path is a prefix of the other: ``taken`` holds the chosen
+        occurrences, ``covered`` every prefix of their paths."""
         chosen: List[_Group] = []
-        taken: List[Tuple[int, Path]] = []
+        taken: Set[Tuple[int, Path]] = set()
+        covered: Set[Tuple[int, Path]] = set()
+
+        def overlaps(stmt: int, path: Path) -> bool:
+            if (stmt, path) in covered:
+                return True
+            return any((stmt, path[:k]) in taken for k in range(len(path)))
+
         for group in sorted(groups, key=lambda g: -g.size):
-            if any(
-                overlaps(occ, t)
-                for occ in group.occurrences
-                for t in taken
-            ):
+            if any(overlaps(*occ) for occ in group.occurrences):
                 continue
             chosen.append(group)
-            taken.extend(group.occurrences)
+            for stmt, path in group.occurrences:
+                taken.add((stmt, path))
+                covered.update(
+                    (stmt, path[:k]) for k in range(len(path) + 1)
+                )
         return chosen
 
     def _rewrite(

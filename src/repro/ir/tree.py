@@ -9,11 +9,17 @@ from repro.errors import IFError
 from repro.ir import ops
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Leaf:
     """A leaf: a shaper-set terminal (``dsp``/``lbl``/...) or a register
     reference (symbol = a register-class non-terminal such as ``r``, value
-    = the hardware register number assigned by the shaper)."""
+    = the hardware register number assigned by the shaper).
+
+    Leaves and nodes compare and hash by their fields and nothing assigns
+    to one after construction, but they are not ``frozen``: a frozen
+    dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``, at two to three times the cost, and the IF
+    generator and the CSE build one per IF symbol."""
 
     symbol: str
     value: int
@@ -22,7 +28,7 @@ class Leaf:
         return f"{self.symbol}:{self.value}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Node:
     """An operator node."""
 

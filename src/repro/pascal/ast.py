@@ -19,6 +19,11 @@ class Scalar(enum.Enum):
     CHAR = "char"           # byteword (1 byte)
     BOOLEAN = "boolean"     # byteword (1 byte)
 
+    # Members are singletons: hash them by identity in C, not by name
+    # through ``Enum.__hash__``, a Python call on every lookup of the
+    # IF generator's per-type tables.
+    __hash__ = object.__hash__
+
     @property
     def size(self) -> int:
         return {"integer": 4, "shortint": 2, "char": 1, "boolean": 1}[

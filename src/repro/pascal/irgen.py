@@ -33,6 +33,12 @@ _TYPE_OP = {
     A.Scalar.BOOLEAN: "byteword",
 }
 
+#: The storage classes every variable reference tests, read once: an
+#: enum member read through its class goes through ``EnumType``'s
+#: attribute hook, about 0.1 us a read on CPython 3.11.
+_GLOBAL = A.Storage.GLOBAL
+_VAR_PARAM = A.Storage.VAR_PARAM
+
 _REL_MASK = {
     "=": ops.COND_EQ,
     "<>": ops.COND_NE,
@@ -153,7 +159,7 @@ class IRGen:
 
     @staticmethod
     def _base_reg(decl: A.VarDecl) -> int:
-        if decl.storage is A.Storage.GLOBAL:
+        if decl.storage is _GLOBAL:
             return runtime.R_GLOBAL_BASE
         return runtime.R_STACK_BASE
 
@@ -719,7 +725,7 @@ class IRGen:
         load shape)."""
         assert isinstance(decl.type, A.Scalar)
         type_op = _TYPE_OP[decl.access or decl.type]
-        if decl.storage is A.Storage.VAR_PARAM:
+        if decl.storage is _VAR_PARAM:
             pointer = Node(
                 "fullword",
                 (Leaf("dsp", decl.offset), Leaf("r", runtime.R_STACK_BASE)),

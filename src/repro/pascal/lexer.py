@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -65,6 +66,11 @@ class Tok(enum.Enum):
     TRUE = "true"
     FALSE = "false"
 
+    # Members are singletons: hash them by identity in C, not by name
+    # through ``Enum.__hash__``, a Python call on every dict lookup the
+    # parser keys by token kind.
+    __hash__ = object.__hash__
+
 
 KEYWORDS = {
     t.value: t
@@ -79,17 +85,42 @@ KEYWORDS = {
     ]
 }
 
-_TWO_CHAR = {":=": Tok.ASSIGN, "<>": Tok.NE, "<=": Tok.LE, ">=": Tok.GE,
-             "..": Tok.DOTDOT}
-_ONE_CHAR = {
+_OPERATORS = {
+    ":=": Tok.ASSIGN, "<>": Tok.NE, "<=": Tok.LE, ">=": Tok.GE,
+    "..": Tok.DOTDOT,
     "+": Tok.PLUS, "-": Tok.MINUS, "*": Tok.STAR, "=": Tok.EQ,
     "<": Tok.LT, ">": Tok.GT, "(": Tok.LPAREN, ")": Tok.RPAREN,
     "[": Tok.LBRACKET, "]": Tok.RBRACKET, ";": Tok.SEMI, ":": Tok.COLON,
     ",": Tok.COMMA, ".": Tok.DOT,
 }
 
+#: One match per token: the blanks and comments before it, then the
+#: token.  The token is optional, so a match never backtracks into the
+#: skip and the next one starts where it ended, never inside a comment.
+#: A ``(*`` comment ends at the first ``*)`` after its ``(``, so ``(*)``
+#: is a whole comment.  The last group takes any character no other
+#: group does -- among them the opening of an unterminated comment or
+#: string -- and the blanks after the last token match with no token.
+#: Identifiers and numbers are ASCII only.
+_SCAN = re.compile(
+    r"((?:[ \t\r\n]+|\{[^}]*\}|\((?=\*).*?\*\))*)"  # blanks and comments
+    r"(?:([A-Za-z_][A-Za-z0-9_]*)"  # identifier or keyword
+    r"|(:=|<>|<=|>=|\.\.|[-+*=<>\[\];:,.)]|\((?!\*))"  # operator
+    r"|([0-9]+)"  # number
+    r"|('(?:[^'\n]|'')*')"  # string, quotes included
+    r"|(.))?",  # anything else
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
+#: What a character that starts no token means.
+_BAD_START = {
+    "{": "unterminated { comment",
+    "(": "unterminated (* comment",
+    "'": "unterminated string",
+}
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     kind: Tok
     text: str
@@ -98,83 +129,32 @@ class Token:
 
 
 def tokenize(source: str) -> List[Token]:
-    """Full-source tokenization; raises on the first bad character."""
+    """Full-source tokenization; raises on the first bad character.
+
+    One pass of :data:`_SCAN`.  No token spans a newline, so a token's
+    line is 1 plus the newlines in the blanks and comments before it."""
     tokens: List[Token] = []
+    append = tokens.append
+    keywords = KEYWORDS
+    operators = _OPERATORS
+    ident = Tok.IDENT
     line = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "{":  # Pascal comment
-            end = source.find("}", i)
-            if end < 0:
-                raise PascalSyntaxError("unterminated { comment", line)
-            line += source.count("\n", i, end)
-            i = end + 1
-            continue
-        if source.startswith("(*", i):
-            end = source.find("*)", i)
-            if end < 0:
-                raise PascalSyntaxError("unterminated (* comment", line)
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            word = source[start:i].lower()
-            kind = KEYWORDS.get(word, Tok.IDENT)
-            tokens.append(Token(kind, word, line))
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            # Don't swallow the '..' of a range like 1..10.
-            text = source[start:i]
-            tokens.append(Token(Tok.NUMBER, text, line, value=int(text)))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            chars: List[str] = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise PascalSyntaxError("unterminated string", line)
-                if source[i] == "'":
-                    if i + 1 < n and source[i + 1] == "'":
-                        chars.append("'")  # doubled quote escape
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                chars.append(source[i])
-                i += 1
-            text = "".join(chars)
-            if len(text) == 1:
-                tokens.append(
-                    Token(Tok.STRING, text, line, value=ord(text))
-                )
-            else:
-                tokens.append(Token(Tok.STRING, text, line))
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(_TWO_CHAR[two], two, line))
-            i += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token(_ONE_CHAR[ch], ch, line))
-            i += 1
-            continue
-        raise PascalSyntaxError(f"unexpected character {ch!r}", line)
-    tokens.append(Token(Tok.EOF, "", line))
+    for skipped, word, op, number, string, bad in _SCAN.findall(source):
+        line += skipped.count("\n")
+        if word:
+            word = word.lower()
+            append(Token(keywords.get(word, ident), word, line))
+        elif op:
+            append(Token(operators[op], op, line))
+        elif number:
+            append(Token(Tok.NUMBER, number, line, int(number)))
+        elif string:
+            text = string[1:-1].replace("''", "'")
+            append(Token(Tok.STRING, text, line,
+                         ord(text) if len(text) == 1 else None))
+        elif bad:
+            raise PascalSyntaxError(
+                _BAD_START.get(bad, f"unexpected character {bad!r}"), line
+            )
+    append(Token(Tok.EOF, "", line))
     return tokens

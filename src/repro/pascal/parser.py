@@ -29,7 +29,14 @@ _SCALARS = {
 }
 
 _REL_OPS = {Tok.EQ: "=", Tok.NE: "<>", Tok.LT: "<", Tok.LE: "<=",
-            Tok.GT: ">", Tok.GE: ">="}
+            Tok.GT: ">", Tok.GE: ">=", Tok.IN: "in"}
+_ADD_OPS = {Tok.PLUS: "+", Tok.MINUS: "-", Tok.OR: "or"}
+_MUL_OPS = {Tok.STAR: "*", Tok.DIV: "div", Tok.MOD: "mod", Tok.AND: "and"}
+
+#: Built-in functions, parsed as operators when followed by ``(``.
+_BUILTINS = frozenset(
+    {"abs", "odd", "sqr", "max", "min", "ord", "chr", "succ", "pred"}
+)
 
 
 class Parser:
@@ -223,36 +230,30 @@ class Parser:
     def parse_compound(self) -> A.Compound:
         begin = self.expect(Tok.BEGIN)
         body: List[A.Stmt] = []
-        while not self.at(Tok.END):
+        tokens = self.tokens
+        while tokens[self.pos].kind is not Tok.END:
             stmt = self.parse_statement()
             if stmt is not None:
                 body.append(stmt)
-            if not self.accept(Tok.SEMI):
+            if tokens[self.pos].kind is not Tok.SEMI:
                 break
+            self.pos += 1
         self.expect(Tok.END)
         return A.Compound(line=begin.line, body=body)
 
     def parse_statement(self) -> Optional[A.Stmt]:
-        tok = self.peek()
-        if tok.kind is Tok.BEGIN:
-            return self.parse_compound()
-        if tok.kind is Tok.IF:
-            return self._if()
-        if tok.kind is Tok.WHILE:
-            return self._while()
-        if tok.kind is Tok.REPEAT:
-            return self._repeat()
-        if tok.kind is Tok.FOR:
-            return self._for()
-        if tok.kind is Tok.CASE:
-            return self._case()
-        if tok.kind is Tok.IDENT:
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is Tok.IDENT:
             if tok.text in ("write", "writeln"):
                 return self._write()
             if tok.text in ("read", "readln"):
                 return self._read()
             return self._assign_or_call()
-        if tok.kind in (Tok.SEMI, Tok.END, Tok.UNTIL, Tok.ELSE):
+        parse = _STATEMENTS.get(kind)
+        if parse is not None:
+            return parse(self)
+        if kind in (Tok.SEMI, Tok.END, Tok.UNTIL, Tok.ELSE):
             return None  # empty statement
         raise PascalSyntaxError(
             f"unexpected token {tok.text!r} at statement start", tok.line
@@ -394,8 +395,17 @@ class Parser:
 
     def _assign_or_call(self) -> A.Stmt:
         name_tok = self.expect(Tok.IDENT)
-        if self.at(Tok.LBRACKET):
-            self.next()
+        kind = self.tokens[self.pos].kind
+        if kind is Tok.ASSIGN:
+            self.pos += 1
+            value = self.parse_expression()
+            return A.Assign(
+                line=name_tok.line,
+                target=A.VarRef(line=name_tok.line, name=name_tok.text),
+                value=value,
+            )
+        if kind is Tok.LBRACKET:
+            self.pos += 1
             index = self.parse_expression()
             self.expect(Tok.RBRACKET)
             self.expect(Tok.ASSIGN)
@@ -405,13 +415,6 @@ class Parser:
                 target=A.IndexRef(
                     line=name_tok.line, name=name_tok.text, index=index
                 ),
-                value=value,
-            )
-        if self.accept(Tok.ASSIGN):
-            value = self.parse_expression()
-            return A.Assign(
-                line=name_tok.line,
-                target=A.VarRef(line=name_tok.line, name=name_tok.text),
                 value=value,
             )
         args: List[A.Expr] = []
@@ -427,88 +430,91 @@ class Parser:
 
     def parse_expression(self) -> A.Expr:
         left = self._simple()
-        tok = self.peek()
-        if tok.kind in _REL_OPS:
-            self.next()
-            right = self._simple()
-            return A.BinOp(
-                line=tok.line, op=_REL_OPS[tok.kind], left=left, right=right
-            )
-        if tok.kind is Tok.IN:
-            self.next()
-            right = self._simple()
-            return A.BinOp(line=tok.line, op="in", left=left, right=right)
-        return left
+        tok = self.tokens[self.pos]
+        op = _REL_OPS.get(tok.kind)
+        if op is None:
+            return left
+        self.pos += 1
+        return A.BinOp(line=tok.line, op=op, left=left, right=self._simple())
 
     def _simple(self) -> A.Expr:
-        tok = self.peek()
-        if tok.kind is Tok.MINUS:
-            self.next()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is Tok.MINUS:
+            self.pos += 1
             first: A.Expr = A.UnOp(line=tok.line, op="-",
                                    operand=self._term())
-        elif tok.kind is Tok.PLUS:
-            self.next()
-            first = self._term()
         else:
+            if kind is Tok.PLUS:
+                self.pos += 1
             first = self._term()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind is Tok.PLUS:
-                op = "+"
-            elif tok.kind is Tok.MINUS:
-                op = "-"
-            elif tok.kind is Tok.OR:
-                op = "or"
-            else:
+            tok = tokens[self.pos]
+            op = _ADD_OPS.get(tok.kind)
+            if op is None:
                 return first
-            self.next()
+            self.pos += 1
             first = A.BinOp(
                 line=tok.line, op=op, left=first, right=self._term()
             )
 
     def _term(self) -> A.Expr:
         first = self._factor()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind is Tok.STAR:
-                op = "*"
-            elif tok.kind is Tok.DIV:
-                op = "div"
-            elif tok.kind is Tok.MOD:
-                op = "mod"
-            elif tok.kind is Tok.AND:
-                op = "and"
-            else:
+            tok = tokens[self.pos]
+            op = _MUL_OPS.get(tok.kind)
+            if op is None:
                 return first
-            self.next()
+            self.pos += 1
             first = A.BinOp(
                 line=tok.line, op=op, left=first, right=self._factor()
             )
 
     def _factor(self) -> A.Expr:
-        tok = self.peek()
-        if tok.kind is Tok.NUMBER:
-            self.next()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is Tok.IDENT:
+            self.pos += 1
+            kind = self.tokens[self.pos].kind
+            if kind is Tok.LPAREN and tok.text in _BUILTINS:
+                return self._builtin(tok)
+            if kind is Tok.LBRACKET:
+                self.pos += 1
+                index = self.parse_expression()
+                self.expect(Tok.RBRACKET)
+                return A.IndexRef(line=tok.line, name=tok.text, index=index)
+            if kind is Tok.LPAREN:
+                self.pos += 1
+                args = [self.parse_expression()]
+                while self.accept(Tok.COMMA):
+                    args.append(self.parse_expression())
+                self.expect(Tok.RPAREN)
+                return A.FuncCall(line=tok.line, name=tok.text, args=args)
+            return A.VarRef(line=tok.line, name=tok.text)
+        if kind is Tok.NUMBER:
+            self.pos += 1
             return A.IntLit(line=tok.line, value=tok.value or 0)
-        if tok.kind is Tok.TRUE:
-            self.next()
-            return A.BoolLit(line=tok.line, value=True)
-        if tok.kind is Tok.FALSE:
-            self.next()
-            return A.BoolLit(line=tok.line, value=False)
-        if tok.kind is Tok.STRING and len(tok.text) == 1:
-            self.next()
-            return A.CharLit(line=tok.line, value=tok.text)
-        if tok.kind is Tok.NOT:
-            self.next()
-            return A.UnOp(line=tok.line, op="not", operand=self._factor())
-        if tok.kind is Tok.LPAREN:
-            self.next()
+        if kind is Tok.LPAREN:
+            self.pos += 1
             expr = self.parse_expression()
             self.expect(Tok.RPAREN)
             return expr
-        if tok.kind is Tok.LBRACKET:
-            self.next()
+        if kind is Tok.TRUE:
+            self.pos += 1
+            return A.BoolLit(line=tok.line, value=True)
+        if kind is Tok.FALSE:
+            self.pos += 1
+            return A.BoolLit(line=tok.line, value=False)
+        if kind is Tok.STRING and len(tok.text) == 1:
+            self.pos += 1
+            return A.CharLit(line=tok.line, value=tok.text)
+        if kind is Tok.NOT:
+            self.pos += 1
+            return A.UnOp(line=tok.line, op="not", operand=self._factor())
+        if kind is Tok.LBRACKET:
+            self.pos += 1
             elements: List[A.Expr] = []
             if not self.at(Tok.RBRACKET):
                 elements.append(self.parse_expression())
@@ -516,24 +522,6 @@ class Parser:
                     elements.append(self.parse_expression())
             self.expect(Tok.RBRACKET)
             return A.SetLit(line=tok.line, elements=elements)
-        if tok.kind is Tok.IDENT:
-            self.next()
-            if tok.text in (
-                "abs", "odd", "sqr", "max", "min",
-                "ord", "chr", "succ", "pred",
-            ) and self.at(Tok.LPAREN):
-                return self._builtin(tok)
-            if self.accept(Tok.LBRACKET):
-                index = self.parse_expression()
-                self.expect(Tok.RBRACKET)
-                return A.IndexRef(line=tok.line, name=tok.text, index=index)
-            if self.accept(Tok.LPAREN):
-                args = [self.parse_expression()]
-                while self.accept(Tok.COMMA):
-                    args.append(self.parse_expression())
-                self.expect(Tok.RPAREN)
-                return A.FuncCall(line=tok.line, name=tok.text, args=args)
-            return A.VarRef(line=tok.line, name=tok.text)
         raise PascalSyntaxError(
             f"unexpected token {tok.text!r} in expression", tok.line
         )
@@ -558,6 +546,17 @@ class Parser:
                                     tok.line)
         return A.BinOp(line=tok.line, op=tok.text, left=args[0],
                        right=args[1])
+
+
+#: Statement parsers by their first token (identifiers aside).
+_STATEMENTS = {
+    Tok.BEGIN: Parser.parse_compound,
+    Tok.IF: Parser._if,
+    Tok.WHILE: Parser._while,
+    Tok.REPEAT: Parser._repeat,
+    Tok.FOR: Parser._for,
+    Tok.CASE: Parser._case,
+}
 
 
 def parse_source(source: str) -> A.Program:

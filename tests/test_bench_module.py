@@ -16,6 +16,7 @@ from repro.bench.metrics import (
     steps_per_second,
 )
 from repro.bench.speed import (
+    COMPILE_PHASES,
     SCHEMA_VERSION,
     _git_rev,
     validate_report,
@@ -171,7 +172,7 @@ def _lane(rate_key):
 
 
 def _valid_report():
-    """The smallest report validate_report accepts (schema 9)."""
+    """The smallest report validate_report accepts (schema 10)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "git_rev": "abc1234",
@@ -196,6 +197,10 @@ def _valid_report():
         },
         "end_to_end": {
             "phases": {phase: 0.001 for phase in PHASES},
+            "compile_phases": {
+                key: {phase: 0.001 for phase in COMPILE_PHASES}
+                for key in ("phases", "min_s", "max_s")
+            },
             "batch": {
                 "serial_routines_per_s": 10.0,
                 "parallel_routines_per_s": 12.0,
@@ -259,9 +264,39 @@ def test_codegen_lanes_sampled_in_fresh_processes():
     assert os.getpid() not in pids
 
 
+def test_compile_phases_sampled_in_fresh_processes():
+    """The compile-bound phase lane runs in its own interpreters, times
+    every compile phase and no simulation, and reports the median of
+    the process medians with their spread."""
+    from repro.bench.speed import CODEGEN_PROCESSES, measure_compile_phases
+
+    lane = measure_compile_phases(iterations=1, assignments=8)
+    assert lane["workload"] == "straightline(8)"
+    assert lane["opt_level"] == 1
+    assert set(lane["phases"]) == set(COMPILE_PHASES)
+    assert "simulate" not in COMPILE_PHASES
+    for phase in COMPILE_PHASES:
+        assert lane["min_s"][phase] <= lane["phases"][phase] \
+            <= lane["max_s"][phase]
+    assert lane["phases"]["select"] > 0
+    assert len(set(lane["pids"])) == CODEGEN_PROCESSES
+    assert os.getpid() not in lane["pids"]
+
+
 class TestSchemaValidation:
     def test_valid_report_has_no_problems(self):
         assert validate_report(_valid_report()) == []
+
+    def test_compile_phases_required(self):
+        report = _valid_report()
+        del report["end_to_end"]["compile_phases"]["min_s"]["frontend"]
+        assert validate_report(report) == [
+            "end_to_end.compile_phases.min_s missing 'frontend'"
+        ]
+        del report["end_to_end"]["compile_phases"]
+        assert validate_report(report) == [
+            "end_to_end.compile_phases missing"
+        ]
 
     def test_old_schema_version_rejected(self):
         report = _valid_report()

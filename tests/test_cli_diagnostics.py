@@ -75,6 +75,18 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compile", "interp"])
+    def test_non_ascii_digit_is_a_typed_error(self, tmp_path, capsys,
+                                              command):
+        path = tmp_path / "digit.pas"
+        path.write_text(
+            "program d; var x: integer;\nbegin x := \u00b2 end.\n"
+        )
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2: unexpected character '\u00b2'" in err
+        assert "Traceback" not in err
+
     def test_trap_exit_code(self, tmp_path, capsys):
         path = tmp_path / "trap.pas"
         path.write_text(

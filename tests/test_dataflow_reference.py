@@ -11,9 +11,12 @@ reproduce their ``ins``/``outs`` exactly on every CFG a real
 compile solves -- -O2 to -O4 on the codequality workloads and on random
 programs, so summary-refined call sites, the spill planner's private
 slots and the -O4 disjoint bases are all exercised -- and the SL05x
-sanitizer to report the same diagnostics.
+sanitizer to report the same diagnostics when it runs on the reference
+facts (reaching definitions, def-use chains and memory deadness, all as
+sets) instead of the kernel's.
 """
 
+from types import SimpleNamespace
 from typing import Dict, Set
 
 import pytest
@@ -112,6 +115,19 @@ def ref_step_dead(fact, eff, disjoint=frozenset()):
         if adds:
             fact = fact | adds
     return fact
+
+
+def ref_step_defs(defs, i, eff, nregs):
+    e = eff.effects
+    if e.barrier:
+        return {(i, r) for r in range(nregs)}
+    if e.defs:
+        if not eff.may:
+            defs = {(s, r) for (s, r) in defs if r not in e.defs}
+        defs |= {(i, r) for r in e.defs}
+    if e.may_defs:
+        defs = defs | {(i, r) for r in e.may_defs}
+    return defs
 
 
 def ref_step_avail(pairs, i, item, eff, disjoint=frozenset()):
@@ -308,7 +324,7 @@ def ref_reaching_defs(cfg, nregs=16, entry_defined=frozenset()):
     def transfer(block, reach_in):
         defs = set(reach_in)
         for i, _ in cfg.block_items(block):
-            defs = D._step_defs(defs, i, cfg.item_effects[i], nregs)
+            defs = ref_step_defs(defs, i, cfg.item_effects[i], nregs)
         return frozenset(defs)
 
     return reference_iterate(
@@ -376,6 +392,84 @@ REFERENCES = {
 }
 
 
+# ---- the sanitizer on reference facts -------------------------------------------
+
+
+def ref_def_use_chains(cfg, reaching):
+    """Def-use chains from the reference reaching sites, each reachable
+    block walked forward over sets."""
+    defs_of_use: Dict = {}
+    uses_of_def: Dict = {}
+    for block in cfg.blocks:
+        if block.bid not in cfg.reachable:
+            continue
+        defs = set(reaching.ins[block.bid])
+        for i, item in cfg.block_items(block):
+            eff = cfg.item_effects[i]
+            if not (eff.effects.barrier and isinstance(item, Instr)):
+                for reg in eff.effects.uses:
+                    sites = frozenset(s for s in defs if s[1] == reg)
+                    defs_of_use[(i, reg)] = sites
+                    for site in sites:
+                        uses_of_def.setdefault(site, set()).add((i, reg))
+            defs = ref_step_defs(defs, i, eff, reaching.nregs)
+    return D.DefUseChains(
+        defs_of_use=defs_of_use,
+        uses_of_def={k: frozenset(v) for k, v in uses_of_def.items()},
+    )
+
+
+class _SetFacts:
+    """Stands in for a kernel problem where the sanitizer tests a fact
+    against a walked set: ``dead & known(loc)`` is ``{loc}`` or empty."""
+
+    @staticmethod
+    def known(fact):
+        return frozenset((fact,))
+
+
+#: kernel name -> what the sanitizer gets instead: the set-based
+#: references, shaped like the kernel results the sanitizer reads.
+REF_SANITIZER_FACTS = {
+    "reaching_defs": lambda cfg, nregs=16, entry_defined=frozenset():
+        SimpleNamespace(
+            ins=ref_reaching_defs(cfg, nregs, entry_defined)[0],
+            nregs=nregs,
+        ),
+    "def_use_chains": ref_def_use_chains,
+    "memory_deadness": lambda cfg: SimpleNamespace(
+        ins=ref_memory_deadness(cfg)[0],
+        solution=SimpleNamespace(problem=_SetFacts()),
+    ),
+    "walk_mem_dead": lambda cfg, result, block: ref_walk_backward(
+        lambda cfg, f, i, item, res: ref_step_dead(
+            f, cfg.item_effects[i], cfg.disjoint_bases)
+    )(cfg, result.ins[block.bid], block, result),
+}
+
+
+def sanitize_on_reference_facts(generated, encoder):
+    """``sanitize_generated`` with every fact it reads computed by the
+    set-based references; returns the diagnostics and how many facts
+    each reference computed."""
+    calls: Dict[str, int] = {}
+    kernel = {name: getattr(D, name) for name in REF_SANITIZER_FACTS}
+
+    def counted(name):
+        def fact(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return REF_SANITIZER_FACTS[name](*args, **kwargs)
+        return fact
+
+    try:
+        for name in REF_SANITIZER_FACTS:
+            setattr(D, name, counted(name))
+        return sanitize_generated(generated, encoder), calls
+    finally:
+        for name, fn in kernel.items():
+            setattr(D, name, fn)
+
+
 # ---- the comparison -----------------------------------------------------------
 
 
@@ -391,12 +485,16 @@ def _corpus():
 def solves():
     """Compile the corpus at -O2..-O4 and run the SL05x sanitizer on
     every result, checking each solve against its reference on the CFG
-    it was given.  Returns ``(mismatches, counts, sanitizer_diffs)``:
-    ``counts`` tallies solves per solver plus how many ran with private
-    slots and with disjoint bases."""
+    it was given, and the sanitizer again on the reference facts.
+    Returns ``(mismatches, counts, sanitizer)``: ``counts`` tallies
+    solves per solver plus how many ran with private slots and with
+    disjoint bases; ``sanitizer`` holds the programs whose diagnostics
+    differ, the diagnostics compared and the reference facts computed."""
     mismatches = []
     counts: Dict[str, int] = {}
     diffs = []
+    compared: Dict[str, int] = {}
+    ref_calls: Dict[str, int] = {}
     real = {name: getattr(D, name) for name in REFERENCES}
 
     def checked(name):
@@ -420,18 +518,17 @@ def solves():
             for level in LEVELS:
                 generated = compile_source(source, opt_level=level).generated
                 got = sanitize_generated(generated, ENC)
-                step_dead = D._step_dead
-                D._step_dead = ref_step_dead
-                try:
-                    want = sanitize_generated(generated, ENC)
-                finally:
-                    D._step_dead = step_dead
+                want, calls = sanitize_on_reference_facts(generated, ENC)
+                for name, n in calls.items():
+                    ref_calls[name] = ref_calls.get(name, 0) + n
+                for d in want:
+                    compared[d.code] = compared.get(d.code, 0) + 1
                 if [d.render() for d in got] != [d.render() for d in want]:
                     diffs.append((label, level))
     finally:
         for name, solver in real.items():
             setattr(D, name, solver)
-    return mismatches, counts, diffs
+    return mismatches, counts, (diffs, compared, ref_calls)
 
 
 def test_every_solve_matches_the_reference(solves):
@@ -442,7 +539,13 @@ def test_every_solve_matches_the_reference(solves):
 
 
 def test_sanitizer_diagnostics_unchanged(solves):
-    _, _, diffs = solves
+    _, _, (diffs, compared, ref_calls) = solves
+    # Every fact the sanitizer reads came from a reference, on every
+    # program whose CFG it accepted ...
+    assert set(ref_calls) == set(REF_SANITIZER_FACTS)
+    assert ref_calls["reaching_defs"] == ref_calls["memory_deadness"] > 50
+    # ... and the walked facts produced dead-store findings to compare.
+    assert compared.get("SL051", 0) > 0
     assert diffs == []
 
 

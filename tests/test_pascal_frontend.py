@@ -54,6 +54,43 @@ class TestLexer:
         with pytest.raises(PascalSyntaxError):
             tokenize("a # b")
 
+    @pytest.mark.parametrize("source, char", [
+        ("x := \u00b2", "\u00b2"),    # superscript two: isdigit, not int
+        ("x := \u0663", "\u0663"),    # Arabic-Indic three: int() takes it
+        ("\u00e9 := 1", "\u00e9"),    # a Latin-1 letter
+        ("x\u00e9 := 1", "\u00e9"),   # ... inside an identifier
+        ("x := 1\u00b2", "\u00b2"),   # ... after a number
+    ])
+    def test_identifiers_and_numbers_are_ascii(self, source, char):
+        with pytest.raises(PascalSyntaxError) as info:
+            tokenize("begin\n" + source)
+        assert str(info.value) == f"line 2: unexpected character {char!r}"
+        assert info.value.line == 2
+
+    def test_non_ascii_in_strings_and_comments_is_text(self):
+        toks = tokenize("{ \u00b2 } x := '\u00e9' (* \u0663 *)")
+        assert [(t.kind, t.value) for t in toks] == [
+            (Tok.IDENT, None), (Tok.ASSIGN, None),
+            (Tok.STRING, ord("\u00e9")), (Tok.EOF, None),
+        ]
+
+    def test_lines_count_newlines_in_comments(self):
+        toks = tokenize("a\n{ one\ntwo }\n(* three\n*) b\r\n'c'\n")
+        assert [(t.text, t.line) for t in toks] == [
+            ("a", 1), ("b", 5), ("c", 6), ("", 7),
+        ]
+
+    @pytest.mark.parametrize("source, message, line", [
+        ("a\n{ never closed", "unterminated { comment", 2),
+        ("a\n\n(* never closed", "unterminated (* comment", 3),
+        ("a := 'abc\n'", "unterminated string", 1),
+        ("a := 'ab''", "unterminated string", 1),
+    ])
+    def test_unterminated_errors(self, source, message, line):
+        with pytest.raises(PascalSyntaxError) as info:
+            tokenize(source)
+        assert str(info.value) == f"line {line}: {message}"
+
 
 MINI = """
 program mini;
