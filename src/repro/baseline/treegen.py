@@ -684,8 +684,9 @@ class BaselineProgram:
         return simulator.run(max_steps=max_steps)
 
 
-def compile_baseline(source: str) -> BaselineProgram:
-    """Compile Pascal source with the hand-written generator."""
+def compile_baseline(source: str, checks: bool = False) -> BaselineProgram:
+    """Compile Pascal source with the hand-written generator; ``checks``
+    range-checks subscripts, as in the table-driven compiler."""
     from repro.core.codegen.parser_rt import GeneratedCode
     from repro.core.codegen.cse import CseManager
     from repro.pascal.parser import parse_source
@@ -693,7 +694,7 @@ def compile_baseline(source: str) -> BaselineProgram:
     from repro.pascal.irgen import generate_ir
 
     program = check_program(parse_source(source))
-    ir = generate_ir(program)
+    ir = generate_ir(program, checks=checks)
     gen = BaselineGenerator()
     buffer, labels = gen.generate(ir)
     generated = GeneratedCode(buffer=buffer, labels=labels,

@@ -23,7 +23,8 @@ comparable trajectory:
   parallel with byte-identical outputs asserted before timing;
 * **compile phases** (schema 10): the per-phase medians of a
   compile-bound program, straightline(400) at -O1, sampled in fresh
-  interpreters like the codegen lanes.
+  interpreters like the codegen lanes; schema 11 adds the same rows at
+  -O2..-O4, where the ``globalopt`` phase runs.
 
 All times are medians of N runs; the JSON carries machine info and the
 git revision so numbers from different checkouts are never conflated.
@@ -87,7 +88,10 @@ from repro.pipeline.profile import PHASES
 #:    sliver of its run.  Sampled in
 #:    ``processes`` fresh interpreters: ``phases`` holds the median of
 #:    the processes' medians, ``min_s``/``max_s`` their spread.
-SCHEMA_VERSION = 10
+#: 11: ``end_to_end.compile_phases.levels``: the same program at -O2,
+#:    -O3 and -O4 (rows ``O2``..``O4``, shaped like the -O1 row), each
+#:    with the ``globalopt`` phase.
+SCHEMA_VERSION = 11
 
 DEFAULT_REPORT = "BENCH_speed.json"
 
@@ -545,6 +549,15 @@ def measure_end_to_end(
 #: The phases of one compile (every profiler phase but ``simulate``).
 COMPILE_PHASES = tuple(p for p in PHASES if p != "simulate")
 
+#: The levels of the ``compile_phases.levels`` rows: the global
+#: optimizer's, which add its phase.
+OPT_LEVELS = (2, 3, 4)
+
+
+def compile_phases_at(level: int) -> tuple:
+    """The phases a compile at ``-O level`` times."""
+    return COMPILE_PHASES + (("globalopt",) if level >= 2 else ())
+
 
 def sample_compile_phases(
     iterations: int, assignments: int, level: int, variant: str,
@@ -587,7 +600,7 @@ def measure_compile_phases(
     phases: Dict[str, float] = {}
     spread_min: Dict[str, float] = {}
     spread_max: Dict[str, float] = {}
-    for phase in COMPILE_PHASES:
+    for phase in compile_phases_at(level):
         medians = [run["phases"].get(phase, 0.0) for run in runs]
         phases[phase] = statistics.median(medians)
         spread_min[phase] = min(medians)
@@ -665,9 +678,16 @@ def run_bench(
             iterations=iterations, variant=variant, jobs=jobs
         ),
     }
-    report["end_to_end"]["compile_phases"] = measure_compile_phases(
+    compile_phases = measure_compile_phases(
         iterations=iterations, variant=variant
     )
+    compile_phases["levels"] = {
+        f"O{level}": measure_compile_phases(
+            iterations=iterations, level=level, variant=variant
+        )
+        for level in OPT_LEVELS
+    }
+    report["end_to_end"]["compile_phases"] = compile_phases
     return report
 
 
@@ -746,16 +766,19 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
     if not isinstance(compile_phases, dict):
         problems.append("end_to_end.compile_phases missing")
     else:
-        for key in ("phases", "min_s", "max_s"):
-            timing = compile_phases.get(key)
-            if not isinstance(timing, dict):
-                problems.append(f"end_to_end.compile_phases.{key} missing")
-                continue
-            for phase in COMPILE_PHASES:
-                if not isinstance(timing.get(phase), (int, float)):
-                    problems.append(
-                        f"end_to_end.compile_phases.{key} missing {phase!r}"
-                    )
+        rows = [("end_to_end.compile_phases", compile_phases, 1)]
+        levels = compile_phases.get("levels")
+        if not isinstance(levels, dict):
+            problems.append("end_to_end.compile_phases.levels missing")
+            levels = {}
+        for level in OPT_LEVELS if levels else ():
+            name = f"end_to_end.compile_phases.levels.O{level}"
+            if isinstance(levels.get(f"O{level}"), dict):
+                rows.append((name, levels[f"O{level}"], level))
+            else:
+                problems.append(f"{name} missing")
+        for name, row, level in rows:
+            problems += _validate_phase_row(name, row, level)
     batch = end_to_end.get("batch", {})
     if not isinstance(batch, dict):
         problems.append("end_to_end.batch missing")
@@ -764,6 +787,20 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
     history = report.get("history", {})
     if not isinstance(history, dict):
         problems.append("history is not an object")
+    return problems
+
+
+def _validate_phase_row(name: str, row: Dict[str, Any],
+                        level: int) -> List[str]:
+    problems: List[str] = []
+    for key in ("phases", "min_s", "max_s"):
+        timing = row.get(key)
+        if not isinstance(timing, dict):
+            problems.append(f"{name}.{key} missing")
+            continue
+        for phase in compile_phases_at(level):
+            if not isinstance(timing.get(phase), (int, float)):
+                problems.append(f"{name}.{key} missing {phase!r}")
     return problems
 
 
@@ -873,15 +910,18 @@ def render_summary(report: Dict[str, Any]) -> str:
                 + ")"
             )
         compile_phases = e2e["compile_phases"]
-        compile_bits = ", ".join(
-            f"{name} {1000 * seconds:.1f}"
-            for name, seconds in compile_phases["phases"].items()
-        )
+        rows = [compile_phases] + list(
+            compile_phases.get("levels", {}).values())
+        lines += ["", f"end-to-end phase medians (ms): {phase_bits}"]
         lines += [
-            "",
-            f"end-to-end phase medians (ms): {phase_bits}",
-            f"compile phases, {compile_phases['workload']} at "
-            f"-O{compile_phases['opt_level']} (ms): {compile_bits}",
+            f"compile phases, {row['workload']} at -O{row['opt_level']} "
+            "(ms): " + ", ".join(
+                f"{name} {1000 * seconds:.1f}"
+                for name, seconds in row["phases"].items()
+            )
+            for row in rows
+        ]
+        lines += [
             f"batch ({batch['programs']} programs, "
             f"jobs={batch['jobs']}, cpus={batch['cpu_count']}): "
             f"serial {batch['serial_routines_per_s']:.1f} routines/s, "

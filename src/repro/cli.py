@@ -334,7 +334,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.machines.s370 import runtime
         from repro.machines.s370.simulator import Simulator
 
-        program = compile_baseline(source)
+        program = compile_baseline(source, checks=args.checks)
         simulator = Simulator(input_values=args.input)
         simulator.load_image(
             runtime.ExecutableImage(

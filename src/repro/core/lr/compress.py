@@ -76,23 +76,6 @@ class CompressedTables:
             return self.next[slot]
         return self.default[state]
 
-    def code_of(self, symbol: str) -> "int | None":
-        """Interned column code for ``symbol`` (``None`` when unknown)."""
-        return self.sym_index.get(symbol)
-
-    def lookup_coded(self, state: int, col: int) -> int:
-        """Action for (state, interned code) from base/next/check.
-
-        Same contract as
-        :meth:`repro.core.tables.ParseTables.lookup_coded`: the caller
-        guarantees ``col`` is a valid column, so the compressed runtime
-        path is two list indexings plus one comparison.
-        """
-        slot = self.base[state] + col
-        if 0 <= slot < len(self.next) and self.check[slot] == col:
-            return self.next[slot]
-        return self.default[state]
-
     def row_views(self) -> List["_RowView"]:
         """One read-only ``[col]`` view per state, so the skeletal
         parser indexes a compressed row exactly like a dense one."""
@@ -219,8 +202,9 @@ class CompressedTables:
 
 
 class _RowView:
-    """:meth:`CompressedTables.lookup_coded` for one state, as
-    ``row[col]``."""
+    """One state's row of the compressed tables, indexed ``row[col]``
+    by an interned column code like a dense row: two list indexings
+    plus one comparison."""
 
     __slots__ = ("base", "default", "next", "check", "size")
 

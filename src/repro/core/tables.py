@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.errors import TableError
 from repro.core.grammar import END_MARKER
@@ -116,19 +116,6 @@ class ParseTables:
         col = self.sym_index.get(symbol)
         if col is None:
             return ERROR
-        return self.matrix[state][col]
-
-    def code_of(self, symbol: str) -> Optional[int]:
-        """Interned column code for ``symbol`` (``None`` when unknown)."""
-        return self.sym_index.get(symbol)
-
-    def lookup_coded(self, state: int, col: int) -> int:
-        """Action for (state, interned symbol code): pure list indexing.
-
-        This is the skeletal parser's hot-path entry point; ``col`` must
-        come from :meth:`code_of` / ``sym_index`` (the caller handles
-        unknown symbols before ever reaching the table).
-        """
         return self.matrix[state][col]
 
     def expected_symbols(self, state: int) -> List[str]:

@@ -1,7 +1,7 @@
 """Iterative dataflow over the symbolic CFG: a bit-vector kernel.
 
 One worklist (:func:`_fixpoint`) over per-block transfer summaries,
-instantiated six ways:
+instantiated seven ways:
 
 ========================  ================  =======  =====================
 analysis                  direction         meet     facts
@@ -13,7 +13,17 @@ analysis                  direction         meet     facts
 :func:`available_stores`  forward           meet(∩)  ``(loc, reg)`` pairs
 :func:`available_copies`  forward           meet(∩)  ``(dst, src)`` pairs
 :func:`available_exprs`   forward           meet(∩)  ``(key, reads, dst)``
+:func:`available_values`  forward           meet(∩)  the three above, tagged
 ========================  ================  =======  =====================
+
+The global optimizer (:mod:`repro.opt.globalopt`) solves three per
+round: available values, the union of the three forward families
+above it with every family's gen and kill rules, forward; liveness and
+memory deadness backward, walked in step.  The spill planner reads
+liveness and available expressions, the SL05x sanitizer reaching
+definitions and memory deadness; available stores and copies are the
+per-family references the value problem is tested against
+(``tests/test_dataflow_reference.py``).
 
 All facts are computed from the per-item :class:`~repro.opt.cfg.ItemEffects`
 table only, so the framework is machine-independent; skip-span items are
@@ -36,7 +46,9 @@ few int operations per block visit and a walk one per item.
 **TOP.**  The must-analyses meet by intersection with ``None`` as TOP
 (everything), flowing only out of unreached states.  A block passes TOP
 through unchanged, except in memory deadness, where the first read or
-barrier drops it to a concrete set (the block's ``top`` summary).
+barrier drops it to every numbered location the read cannot alias (the
+block's ``top`` summary), so a loop's solve ends at the greatest
+fixpoint.
 
 **Per-CFG state.**  Indexes, item pairs and block summaries live in
 ``cfg.problems`` for as long as the CFG does, so the passes of one
@@ -123,6 +135,8 @@ class _Problem:
         #: :meth:`_reset`.
         self._gens: Dict[object, int] = {}
         self._reset()
+        for fact in self._seed():
+            self.bit(fact)
         if self.indexed:
             # Number every fact before any kill mask is derived.
             effects = cfg.item_effects
@@ -130,6 +144,10 @@ class _Problem:
                 if item is not None and (
                         effects[i] if self.shared else i) not in self._gens:
                     self._register(i, item, effects[i])
+
+    def _seed(self) -> tuple:
+        """Facts numbered before any item's, in this order."""
+        return ()
 
     def _reset(self) -> None:
         self.masks: List[Optional[tuple]] = [None] * len(self.items)
@@ -582,50 +600,18 @@ def def_use_chains(cfg: Cfg, reaching: ReachingDefs) -> DefUseChains:
 # intersection; ``None`` is TOP (the universe -- everything dead), which
 # only flows out of halt boundaries and unreached fixpoint states.
 
-#: ``None`` is TOP (all locations dead); otherwise the exact dead set.
-MemFact = Optional[FrozenSet[tuple]]
 
-
-def _step_dead(fact: MemFact, eff: ItemEffects,
-               disjoint: FrozenSet = frozenset()) -> MemFact:
-    """Backward step over a set of dead locations (``None`` is TOP).
-    From an empty set it gives the locations the item makes dead: the
-    kernel's gen.
-
-    ``may_writes`` need no handling here: a write that may not happen
-    generates no deadness, and only ``reads`` revive locations."""
+def _dead_gen(eff: ItemEffects) -> FrozenSet[tuple]:
+    """The locations an item makes dead upstream: the exact location of
+    each must-write.  A write that may not happen makes none; reads,
+    barriers and base-register redefinitions are the kills."""
     e = eff.effects
-    if e.barrier:
-        return frozenset()  # the barrier may read anything
-    # Reads revive anything they might touch.
-    if e.reads:
-        dead = set() if fact is None else set(fact)
-        if fact is not None:
-            for r in e.reads:
-                if r is None:
-                    dead.clear()
-                    break
-                dead = {d for d in dead if not may_alias(d, r, disjoint)}
-        else:
-            dead = set()  # TOP minus an alias set: approximate down
-        fact = frozenset(dead)
-    clobbered = eff.kills
-    if fact is not None and clobbered:
-        # Redefining a base register changes what same-base locations
-        # upstream denote: stop claiming they are dead.
-        fact = frozenset(
-            d for d in fact
-            if d[0] not in clobbered and d[1] not in clobbered
-        )
-    # A must-write makes its exact location dead upstream.
-    if e.writes and not eff.may and fact is not None:
-        adds = {
-            w for w in e.writes
-            if w is not None and w[1] == 0 and w[3] is not None
-        }
-        if adds:
-            fact = fact | adds
-    return fact
+    if e.barrier or eff.may:
+        return frozenset()
+    return frozenset(
+        w for w in e.writes
+        if w is not None and w[1] == 0 and w[3] is not None
+    )
 
 
 class _Dead(_Problem):
@@ -634,17 +620,20 @@ class _Dead(_Problem):
 
     def _gen(self, i: int, item, eff: ItemEffects) -> int:
         bits = 0
-        for loc in _step_dead(frozenset(), eff, self.disjoint):
+        for loc in _dead_gen(eff):
             bits |= self.bit(loc)
         return bits
 
     def _masks(self, i: int, item, eff: ItemEffects,
                gen: Optional[int] = None) -> tuple:
         kill, gen = super()._masks(i, item, eff, gen)
-        # On TOP the first read or barrier leaves what the item makes
-        # dead (``_step_dead(None, ...)``); anything else keeps TOP.
+        # On TOP the first read or barrier leaves every numbered
+        # location it does not kill, and what the item makes dead;
+        # anything else keeps TOP.
         e = eff.effects
-        return kill, gen, gen if e.barrier or e.reads else None
+        if not (e.barrier or e.reads):
+            return kill, gen, None
+        return kill, gen, (((1 << len(self.facts)) - 1) & ~kill) | gen
 
     def _kill(self, item, eff: ItemEffects) -> int:
         e = eff.effects
@@ -697,25 +686,30 @@ def walk_mem_dead(cfg: Cfg, result: MemDeadness, block: BasicBlock):
 # Available stores (forward, must) -- cross-block store/load forwarding.
 # ---------------------------------------------------------------------------
 
+def _store_pair(item, eff: ItemEffects) -> Optional[tuple]:
+    """``ST r,m`` makes ``(m, r)`` available -- only as a must-write."""
+    e = eff.effects
+    if (
+        e.writes
+        and not e.barrier
+        and not eff.may
+        and isinstance(item, Instr)
+        and len(e.writes) == 1
+        and e.writes[0] is not None
+        and not e.defs
+        and item.opcode == "st"  # full-word stores only (both ISAs)
+        and len(item.operands) == 2
+        and isinstance(item.operands[0], R)
+        and isinstance(item.operands[1], Mem)
+    ):
+        return e.writes[0], item.operands[0].n
+    return None
+
+
 class _Stores(_Problem):
     def _gen(self, i: int, item, eff: ItemEffects) -> int:
-        e = eff.effects
-        # ``ST r,m`` makes (m, r) available -- only as a must-write.
-        if (
-            e.writes
-            and not e.barrier
-            and not eff.may
-            and isinstance(item, Instr)
-            and len(e.writes) == 1
-            and e.writes[0] is not None
-            and not e.defs
-            and item.opcode == "st"  # full-word stores only (both ISAs)
-            and len(item.operands) == 2
-            and isinstance(item.operands[0], R)
-            and isinstance(item.operands[1], Mem)
-        ):
-            return self.bit((e.writes[0], item.operands[0].n))
-        return 0
+        pair = _store_pair(item, eff)
+        return 0 if pair is None else self.bit(pair)
 
     def _kill(self, item, eff: ItemEffects) -> int:
         e = eff.effects
@@ -759,12 +753,6 @@ def available_stores(cfg: Cfg) -> AvailableStores:
     )
 
 
-def walk_avail(cfg: Cfg, result: AvailableStores, block: BasicBlock):
-    """Yield ``(index, item, bits_before)`` in forward block order; the
-    bits are the available pairs *before* the item executes."""
-    return _walk_forward(cfg, result.solution, block)
-
-
 # ---------------------------------------------------------------------------
 # Available expressions (forward, must) -- fuel for -O3 global CSE.
 # ---------------------------------------------------------------------------
@@ -799,6 +787,17 @@ def _fact_regs(key: tuple) -> FrozenSet[int]:
     return frozenset(regs)
 
 
+def _expr_gen(eff: ItemEffects, expr_ops: FrozenSet[str]):
+    """The available-expression fact an item generates, or ``None``.
+    The def killed any older fact mentioning dst, including this same
+    key bound to a stale register."""
+    gen = eff.expr
+    if gen is None or eff.effects.barrier or eff.may \
+            or gen[0][0] not in expr_ops:
+        return None
+    return gen
+
+
 class _Exprs(_Problem):
     def __init__(self, cfg: Cfg, expr_ops: FrozenSet[str],
                  private: FrozenSet):
@@ -807,14 +806,8 @@ class _Exprs(_Problem):
         super().__init__(cfg)
 
     def _gen(self, i: int, item, eff: ItemEffects) -> int:
-        if eff.effects.barrier or eff.may:
-            return 0
-        gen = eff.expr
-        if gen is not None and gen[0][0] in self.expr_ops:
-            # The def killed any older fact mentioning dst, including
-            # this same key bound to a stale register.
-            return self.bit(gen)
-        return 0
+        gen = _expr_gen(eff, self.expr_ops)
+        return 0 if gen is None else self.bit(gen)
 
     def _kill(self, item, eff: ItemEffects) -> int:
         e = eff.effects
@@ -917,19 +910,25 @@ def _is_reg_move(item, eff: ItemEffects, move_op: str) -> bool:
     )
 
 
+def _copy_pair(item, eff: ItemEffects, move_op: str) -> Optional[tuple]:
+    """``(dst, src)`` of a must-executed move between two registers."""
+    if not eff.may and _is_reg_move(item, eff, move_op):
+        e = eff.effects
+        dst = next(iter(e.defs))
+        src = next(iter(e.uses))
+        if dst != src:
+            return dst, src
+    return None
+
+
 class _Copies(_Problem):
     def __init__(self, cfg: Cfg, move_op: str):
         self.move_op = move_op
         super().__init__(cfg)
 
     def _gen(self, i: int, item, eff: ItemEffects) -> int:
-        if not eff.may and _is_reg_move(item, eff, self.move_op):
-            e = eff.effects
-            dst = next(iter(e.defs))
-            src = next(iter(e.uses))
-            if dst != src:
-                return self.bit((dst, src))
-        return 0
+        pair = _copy_pair(item, eff, self.move_op)
+        return 0 if pair is None else self.bit(pair)
 
     def _kill(self, item, eff: ItemEffects) -> int:
         if eff.effects.barrier:
@@ -956,6 +955,163 @@ def available_copies(cfg: Cfg, move_op: str = "lr") -> AvailableCopies:
     )
 
 
-def walk_copies(cfg: Cfg, result: AvailableCopies, block: BasicBlock):
-    """Yield ``(index, item, bits_before)`` in forward block order."""
-    return _walk_forward(cfg, result.solution, block)
+# ---------------------------------------------------------------------------
+# Available values (forward, must) -- the -O2..-O4 value sweep.
+# ---------------------------------------------------------------------------
+#
+# One problem over the union of the three forward universes above, each
+# fact tagged with its family: ``(STORE, loc, reg)`` ("memory at ``loc``
+# equals ``reg``"), ``(COPY, dst, src)`` and, when ``expr_ops`` is not
+# empty, ``(EXPR, key, reads, dst)``.  Every family keeps its own gen
+# rule and its own kills; they share one kill mask because all three
+# drop the facts mentioning a redefined register, stores and
+# expressions also those an aliasing write touches, and a barrier drops
+# everything.  The one family-specific kill: a may-executed (skip-span)
+# item drops every expression fact.  Restricted to one family, the
+# solution is that family's own (``tests/test_dataflow_reference.py``).
+
+STORE, COPY, EXPR = "store", "copy", "expr"
+
+
+class _Values(_Problem):
+    def __init__(self, cfg: Cfg, move_op: str, expr_ops: FrozenSet[str],
+                 nregs: int):
+        self.move_op = move_op
+        self.expr_ops = expr_ops
+        self.nregs = nregs
+        super().__init__(cfg)
+
+    def _seed(self) -> tuple:
+        # Every copy fact a rewrite can create, so that the moves a
+        # sweep writes never grow the index (and reset its masks).
+        regs = range(self.nregs)
+        return tuple((COPY, d, s) for d in regs for s in regs if d != s)
+
+    def _gen(self, i: int, item, eff: ItemEffects) -> int:
+        gen = 0
+        pair = _store_pair(item, eff)
+        if pair is not None:
+            gen |= self.bit((STORE,) + pair)
+        pair = _copy_pair(item, eff, self.move_op)
+        if pair is not None:
+            gen |= self.bit((COPY,) + pair)
+        fact = _expr_gen(eff, self.expr_ops)
+        if fact is not None:
+            gen |= self.bit((EXPR,) + fact)
+        return gen
+
+    def _kill(self, item, eff: ItemEffects) -> int:
+        e = eff.effects
+        if e.barrier:
+            return _ALL
+        kill = self.reg_mask(eff.kills) if eff.kills else 0
+        for w in e.writes + e.may_writes:
+            kill |= self.loc_mask(w)
+        if eff.may:
+            kill |= self.group(0, EXPR)
+        return kill
+
+    @staticmethod
+    def _reg_facts(fact) -> tuple:
+        family = fact[0]
+        if family == STORE:
+            loc = fact[1]
+            return fact[2], loc[0], loc[1]
+        if family == COPY:
+            return fact[1:]
+        return _fact_regs(fact[1]) | {fact[3]}
+
+    @staticmethod
+    def _fact_locs(fact) -> tuple:
+        family = fact[0]
+        if family == STORE:
+            return (fact[1],)
+        return fact[2] if family == EXPR else ()
+
+    def _aliases(self, write, loc) -> bool:
+        return may_alias(write, loc, self.disjoint)
+
+    # ---- what the facts say -----------------------------------------------
+
+    # A fact's element 1 is a location (STORE), a register (COPY) or an
+    # expression key (EXPR), and no two of those compare equal.
+
+    def stored(self, x: int, loc) -> List[int]:
+        """Registers equal to the word at ``loc``, in fact order."""
+        held = x & self.group(1, loc)
+        return [fact[2] for fact in self.decode_ordered(held)] if held \
+            else []
+
+    def computed(self, x: int, key) -> List[int]:
+        """Registers holding the value of expression ``key``."""
+        held = x & self.group(1, key)
+        return [fact[3] for fact in self.decode_ordered(held)] if held \
+            else []
+
+    def copies(self, x: int) -> Dict[int, int]:
+        """``dst -> src`` for every available copy.  A move kills every
+        fact naming its destination before it generates its own, so
+        each register is the destination of at most one fact and the
+        pairs form a forest."""
+        return {
+            fact[1]: fact[2]
+            for fact in self.decode_ordered(x & self.group(0, COPY))
+        }
+
+    def decode_ordered(self, x: int):
+        facts = self.facts
+        return [facts[k] for k in _bits_of(x)]
+
+
+def copy_root(parent: Dict[int, int], reg: int) -> int:
+    """The oldest register of ``reg``'s copy chain: ``reg`` was copied,
+    through zero or more moves, from it, and none has changed since."""
+    for _ in range(len(parent)):
+        if reg not in parent:
+            break
+        reg = parent[reg]
+    return reg
+
+
+@dataclass
+class AvailableValues:
+    solution: Solution
+
+
+def available_values(cfg: Cfg, move_op: str = "lr",
+                     expr_ops: FrozenSet[str] = frozenset(),
+                     nregs: int = 16) -> AvailableValues:
+    problem = _problem(
+        cfg, ("values", move_op, expr_ops, nregs),
+        lambda: _Values(cfg, move_op, expr_ops, nregs),
+    )
+    return AvailableValues(
+        _fixpoint(cfg, problem, _roots_boundary(cfg), must=True)
+    )
+
+
+def walk_values(cfg: Cfg, result: AvailableValues, block: BasicBlock):
+    """Yield ``(index, item, bits_before)`` in forward block order.
+
+    A client may rewrite the yielded item into one that leaves the same
+    machine state, as every rewrite of the value sweep does.  The walk
+    then steps the item now in place and adds back the replaced item's
+    expression fact, reads included, so a later aliasing store still
+    kills it."""
+    problem = result.solution.problem
+    x = result.solution.in_bits.get(block.bid) or 0
+    items = cfg.buffer.items
+    effects = cfg.item_effects
+    expr_ops = problem.expr_ops
+    for i in block.indices():
+        item = items[i]
+        if item is None:
+            continue
+        old = effects[i].expr
+        yield i, item, x
+        # Not hoisted: a fact first numbered here resets the masks.
+        k, g = problem.masks[i] or problem.item(i)
+        x = (x & ~k) | g
+        if items[i] is not item and old is not None \
+                and old[0][0] in expr_ops:
+            x |= problem.bit((EXPR,) + old)

@@ -1,52 +1,72 @@
-"""The -O2 lane: global optimizations over whole-CFG facts.
+"""The -O2..-O4 lane: global optimizations over whole-CFG facts.
 
 Runs after the -O1 peephole (:mod:`repro.opt.peephole`) on the same
 symbolic :class:`~repro.core.codegen.emitter.CodeBuffer` stream, but
 every rewrite is justified by a dataflow solution
-(:mod:`repro.opt.dataflow`) instead of a local scan:
+(:mod:`repro.opt.dataflow`) instead of a local scan.  A round is three
+steps:
+
+* **the value sweep** -- one forward walk over
+  :func:`~repro.opt.dataflow.available_values`, which knows which
+  registers hold the word at a location (a store left it there), the
+  value of an expression (-O3 and up) or each other's value (a move).
+  Every load, recomputation, move, test and register compare reads its
+  value from the oldest register known to hold it, or is deleted when
+  its target already does;
+* **the dead sweep** -- one backward walk over
+  :func:`~repro.opt.dataflow.liveness` and
+  :func:`~repro.opt.dataflow.memory_deadness` in step, deleting what
+  nothing reads;
+* **the control-flow step** -- unreachable blocks and branch cleanup,
+  the only step that reshapes the CFG.
 
 ======================  ====================================================
-pass                    rewrite
+rewrite                 effect
 ======================  ====================================================
-``g_unreachable``       tombstone whole blocks no root can reach
-``g_forward_elim``      ``L r,m`` where ``(m, r)`` is an available store
-                        on every path -> delete the load
-``g_forward_copy``      ``L r2,m`` where ``(m, r1)`` is available ->
+``g_forward_elim``      ``L r,m`` where ``r`` (or a copy of it) already
+                        equals the word at ``m`` on every path -> delete
+``g_forward_copy``      ``L r2,m`` where ``r1`` equals it ->
                         ``LR r2,r1`` (RX -> RR, 2 bytes shorter)
-``g_copy_elim``         move between two registers already provably
-                        equal on every path -> delete
-``g_test_fold``         ``LTR x,x`` / RR-compare operand rewritten to the
-                        register ``x`` was copied from (frees the copy)
-``g_dead_def``          instruction whose every result register is dead
-                        (no memory write, cannot trap) -> delete
-``g_dead_store``        store whose location is provably overwritten
-                        before any aliasing read on every path -> delete
-``g_branch_flip``       ``Bc L1; B L2; L1:`` -> ``B(15^c) L2; L1:``
-``g_fallthrough``       branch (any condition) to the very next
-                        location -> delete
 ``g_cse_elim``          (-O3) recomputation of an expression already in
                         the same register on every path -> delete
 ``g_cse_copy``          (-O3) recomputation whose value sits in another
                         register on every path -> register move
+``g_copy_elim``         move between two registers already provably
+                        equal on every path -> delete
+``g_copy_prop``         ``LR r6,r8; LR r1,r6`` -> ``LR r1,r8``: a move
+                        reads the root of its source's copy chain
+``g_test_fold``         ``LTR x,x`` / RR-compare operand rewritten to the
+                        root of ``x``'s copy chain (frees the copy)
+``g_dead_def``          instruction whose every result register is dead
+                        (no memory write, cannot trap) -> delete
+``g_dead_store``        store whose location is provably overwritten
+                        before any aliasing read on every path -> delete
+``g_unreachable``       tombstone whole blocks no root can reach
+``g_branch_flip``       ``Bc L1; B L2; L1:`` -> ``B(15^c) L2; L1:``
+``g_fallthrough``       branch (any condition) to the very next
+                        location -> delete
 ======================  ====================================================
 
-The two ``g_cse_*`` passes are the *global CSE* client of the
-available-expressions analysis and only run at ``level >= 3``: they
-subsume the per-reduction :class:`~repro.core.codegen.cse.CseManager`
-(paper 4.4, which only tracks availability within what the IF optimizer
-found) by catching recomputations across basic-block boundaries, with
-the candidate set limited to the encoder's
-:meth:`~repro.core.machine.Encoder.expression_ops` whitelist.
+The ``g_cse_*`` rewrites are the *global CSE* client of the expression
+facts and only run at ``level >= 3``: they subsume the per-reduction
+:class:`~repro.core.codegen.cse.CseManager` (paper 4.4, which only
+tracks availability within what the IF optimizer found) by catching
+recomputations across basic-block boundaries, with the candidate set
+limited to the encoder's
+:meth:`~repro.core.machine.Encoder.expression_ops` whitelist.  Each
+rewrite rule keeps the method name (``_pass_*``) of the pass it once
+was; the sweeps call them item by item.
 
-**Rounds.**  One CFG serves a run (:meth:`_Global.run`): the passes
+**Rounds.**  One CFG serves a run (:meth:`_Global.run`): the sweeps
 keep it in step through :meth:`~repro.opt.cfg.Cfg.set_effects`, and it
-is rebuilt only after a pass that changes control flow hit.  The run
-stops once every pass has run with zero hits on the current buffer.
+is rebuilt only after the control-flow step hit.  The run stops after
+the first round that makes no rewrite, with no cap on the rounds;
+:meth:`_Global._rounds` states the measure that bounds them.
 
 **Degradation contract.**  The pass never guesses.  A structurally
 suspect CFG (``cfg.ok`` false) makes no rewrite and reports
-``degraded_reason``.  Any exception that escapes a pass reaches
-:func:`repro.pascal.compiler.compile_program` as a
+``degraded_reason``.  Any exception that escapes a sweep or step
+reaches :func:`repro.pascal.compiler.compile_program` as a
 :class:`~repro.errors.DataflowError`; the compiler discards the
 half-rewritten buffer and recompiles one level lower.  Items inside
 SkipSite fixed byte spans are never deleted or resized.
@@ -73,14 +93,14 @@ from repro.opt.cfg import Cfg, build_cfg, item_effects
 from repro.opt.peephole import RewriteEvent, RewriteResult
 
 _COND_ALWAYS = 15
-_MAX_ITERATIONS = 4
 
-#: Every -O2 pass, in application order (stable key set for reports).
+#: Every -O2..-O4 rewrite (the stable key set of ``hits`` in reports).
 ALL_PASSES = (
     "g_unreachable",
     "g_forward_elim",
     "g_forward_copy",
     "g_copy_elim",
+    "g_copy_prop",
     "g_test_fold",
     "g_dead_def",
     "g_dead_store",
@@ -134,6 +154,8 @@ class _Global:
             else frozenset()
         )
         self.result = GlobalResult()
+        #: registers the value sweep's rewrites newly read
+        self.reads: Set[int] = set()
 
     # ---- bookkeeping ------------------------------------------------------
 
@@ -161,13 +183,235 @@ class _Global:
 
     def _scrub_deaths(self, regs: Set[int]) -> None:
         """Drop every death fact of ``regs`` (may-info, so dropping is
-        safe).  Once per pass: no global pass reads the facts."""
+        safe).  Once per sweep: no global rewrite reads the facts."""
         if regs:
             self.buffer.deaths[:] = [
                 (d, r) for d, r in self.buffer.deaths if r not in regs
             ]
 
-    # ---- passes -----------------------------------------------------------
+    # ---- the value sweep ----------------------------------------------------
+
+    def _sweep_values(self, cfg: Cfg) -> int:
+        """One forward walk over the available values: every load,
+        recomputation, move, test and register compare reads its value
+        from the oldest register known to hold it, or is deleted when
+        its target already does."""
+        values = D.available_values(
+            cfg, self.move_op,
+            self.expr_ops if self.level >= 3 else frozenset(), self.nregs,
+        )
+        facts = values.solution.problem
+        # Rewrites number no new fact (every copy fact is seeded), so
+        # the family mask holds for the whole walk.
+        copy_bits = facts.group(0, D.COPY)
+        effects = cfg.item_effects
+        spans = cfg.skip_spans
+        changed = 0
+        self.reads = set()
+        copies_of = parent = None  # ``parent`` decodes ``copies_of``
+        for block in cfg.blocks:
+            if block.bid not in cfg.reachable:
+                continue
+            for i, item, before in D.walk_values(cfg, values, block):
+                eff = effects[i]
+                rule = self._value_rule(item, eff)
+                if rule is None or i in spans:
+                    continue
+                copies = before & copy_bits
+                if copies != copies_of:
+                    copies_of, parent = copies, facts.copies(copies)
+                if rule(cfg, i, item, eff, before, facts, parent):
+                    changed += 1
+        # The registers rewrites now read live past any recorded death.
+        self._scrub_deaths(self.reads)
+        return changed
+
+    def _value_rule(self, item, eff):
+        """The rule of the value sweep an item meets."""
+        if not isinstance(item, Instr) or eff.may:
+            return None
+        if item.opcode == self.load_op:
+            return self._pass_forward
+        if eff.expr is not None:
+            return self._pass_cse if self.level >= 3 else None
+        if item.opcode in (self.move_op, "ltr") or eff.effects.cc_only:
+            return self._pass_copy_elim
+        return None
+
+    def _rewrite(self, cfg: Cfg, name: str, i: int, item,
+                 replacement) -> bool:
+        self._record(name, i, item, replacement)
+        self._replace(cfg, i, replacement)
+        if replacement is not None:
+            self.reads |= cfg.item_effects[i].effects.uses
+        return True
+
+    def _reuse(self, cfg: Cfg, i: int, item, dst: int, held, parent,
+               names) -> Optional[bool]:
+        """Rewrite ``item``, which leaves a value in ``dst``, given the
+        registers ``held`` that already hold that value: delete it when
+        ``dst`` is one of them or a copy of one (``names[0]``), else
+        turn it into a move from the root of the first one's copy chain
+        (``names[1]``).  ``None`` when ``held`` is empty."""
+        if not held:
+            return None
+        root = D.copy_root(parent, dst)
+        if any(D.copy_root(parent, r) == root for r in held):
+            return self._rewrite(cfg, names[0], i, item, None)
+        source = D.copy_root(parent, held[0])
+        return self._rewrite(cfg, names[1], i, item, Instr(
+            self.move_op, (R(dst), R(source)), comment=item.comment
+        ))
+
+    def _pass_forward(self, cfg: Cfg, i: int, item, eff, before, facts,
+                      parent) -> Optional[bool]:
+        """A full-word load ``L r,m``: the registers a store to ``m``
+        left equal to it (``g_forward_elim``/``g_forward_copy``), else,
+        at -O3 and up, those that loaded the same word
+        (``g_cse_elim``/``g_cse_copy``)."""
+        e = eff.effects
+        if not e.reads or e.reads[0] is None or len(item.operands) != 2 \
+                or not isinstance(item.operands[0], R) \
+                or not isinstance(item.operands[1], Mem):
+            return None
+        dst = item.operands[0].n
+        hit = self._reuse(
+            cfg, i, item, dst, facts.stored(before, e.reads[0]), parent,
+            ("g_forward_elim", "g_forward_copy"),
+        )
+        if hit is None and eff.expr is not None and self.level >= 3:
+            return self._pass_cse(cfg, i, item, eff, before, facts, parent)
+        return hit
+
+    def _pass_cse(self, cfg: Cfg, i: int, item, eff, before, facts,
+                  parent) -> Optional[bool]:
+        """Global CSE (-O3 and up): a recomputation of an expression
+        some register already holds on every path, the lowest such
+        register first."""
+        key, _, dst = eff.expr
+        return self._reuse(
+            cfg, i, item, dst, sorted(facts.computed(before, key)), parent,
+            ("g_cse_elim", "g_cse_copy"),
+        )
+
+    def _pass_copy_elim(self, cfg: Cfg, i: int, item, eff, before, facts,
+                        parent) -> Optional[bool]:
+        """Register moves, tests and compares over the copy facts:
+
+        * a move between two registers already equal is deleted
+          (``g_copy_elim``); any other move reads the root of its
+          source's copy chain (``g_copy_prop``), so ``LR r6,r8;
+          LR r1,r6`` becomes ``LR r6,r8; LR r1,r8`` and the first move
+          can die;
+        * ``LTR x,x`` tests the root of ``x``'s chain instead, and a
+          compare's register operands are renamed to their roots
+          (``g_test_fold``): same CC, and the copies that fed them can
+          die.  Compares define nothing, so renaming a *use* between
+          equal registers is always sound."""
+        e = eff.effects
+        if D._is_reg_move(item, eff, self.move_op):
+            dst = next(iter(e.defs))
+            src = next(iter(e.uses))
+            root = D.copy_root(parent, src)
+            if D.copy_root(parent, dst) == root:
+                return self._rewrite(cfg, "g_copy_elim", i, item, None)
+            if root == src:
+                return None
+            name = "g_copy_prop"
+            operands = (R(dst), R(root))
+        elif item.opcode == "ltr" and len(item.operands) == 2 \
+                and isinstance(item.operands[0], R) \
+                and item.operands[0] == item.operands[1]:
+            root = D.copy_root(parent, item.operands[0].n)
+            if root == item.operands[0].n:
+                return None
+            name = "g_test_fold"
+            operands = (R(root), R(root))
+        elif e.cc_only and not e.reads and not e.pair:
+            operands = tuple(
+                R(D.copy_root(parent, o.n)) if isinstance(o, R) else o
+                for o in item.operands
+            )
+            if operands == item.operands:
+                return None
+            name = "g_test_fold"
+        else:
+            return None
+        return self._rewrite(cfg, name, i, item, Instr(
+            item.opcode, operands, comment=item.comment
+        ))
+
+    # ---- the dead sweep -----------------------------------------------------
+
+    def _sweep_dead(self, cfg: Cfg) -> int:
+        """One backward walk over liveness and memory deadness in step:
+        instructions whose every result is dead, and stores whose
+        location is overwritten before any read.  A deleted item is
+        stepped as nothing, so what it alone kept alive is dead before
+        it."""
+        live = D.liveness(cfg, self.nregs)
+        dead = D.memory_deadness(cfg)
+        effects = cfg.item_effects
+        spans = cfg.skip_spans
+        changed = 0
+        for block in cfg.blocks:
+            if block.bid not in cfg.reachable:
+                continue
+            for (i, item, live_after), (_, _, dead_after) in zip(
+                D.walk_live(cfg, live, block),
+                D.walk_mem_dead(cfg, dead, block),
+            ):
+                if i in spans or not isinstance(item, Instr):
+                    continue
+                eff = effects[i]
+                e = eff.effects
+                if eff.may or e.barrier or e.flow:
+                    continue
+                if e.writes:
+                    changed += self._pass_dead_store(
+                        cfg, i, item, eff, dead_after, dead)
+                elif e.defs and not e.cc_only:
+                    changed += self._pass_dead_def(
+                        cfg, i, item, eff, live_after)
+        return changed
+
+    def _pass_dead_def(self, cfg: Cfg, i: int, item, eff,
+                       live_after: int) -> int:
+        """Global DCE: an instruction every result register of which is
+        dead, excluding anything that can trap, touch memory or set a
+        condition code still read.  An instruction whose only result is
+        the condition code (``cc_only``: compares and tests) is left
+        alone."""
+        # Liveness' kill: the results, the CC among them when set.
+        if live_after & eff.live[0] or eff.effects.save_restore \
+                or item.opcode in _TRAP_OPS:
+            return 0
+        self._record("g_dead_def", i, item, None)
+        self._replace(cfg, i, None)
+        return 1
+
+    def _pass_dead_store(self, cfg: Cfg, i: int, item, eff,
+                         dead_after: Optional[int], dead) -> int:
+        """Global DSE: a store whose location is overwritten before any
+        aliasing read on every path onward (``dead_after`` ``None``:
+        every location is)."""
+        e = eff.effects
+        if e.defs or e.sets_cc or len(e.writes) != 1 \
+                or e.writes[0] is None:
+            return 0
+        if dead_after is not None and not dead_after \
+                & dead.solution.problem.known(e.writes[0]):
+            return 0
+        self._record("g_dead_store", i, item, None)
+        self._replace(cfg, i, None)
+        return 1
+
+    # ---- the control-flow step -----------------------------------------------
+
+    def _control_flow(self, cfg: Cfg) -> int:
+        """Unreachable blocks, then branch cleanup: the step that
+        reshapes the CFG."""
+        return self._pass_unreachable(cfg) + self._pass_branches(cfg)
 
     def _pass_unreachable(self, cfg: Cfg) -> int:
         """Delete whole blocks no root reaches.  Blocks holding in-stream
@@ -191,233 +435,6 @@ class _Global:
                     removed += 1
                 self._replace(cfg, i, None)
         return removed
-
-    def _pass_forward(self, cfg: Cfg) -> int:
-        """Cross-block store/load forwarding from available-store facts:
-        ``(m, r)`` available means memory at ``m`` equals the current
-        value of ``r`` on *every* path reaching this point."""
-        avail = D.available_stores(cfg)
-        pairs = avail.solution.problem
-        changed = 0
-        scrub: Set[int] = set()
-        for block in cfg.blocks:
-            if block.bid not in cfg.reachable:
-                continue
-            for i, item, before in D.walk_avail(cfg, avail, block):
-                if i in cfg.skip_spans:
-                    continue
-                if not (isinstance(item, Instr)
-                        and item.opcode == self.load_op):
-                    continue
-                effects = cfg.item_effects[i].effects
-                if not effects.reads or effects.reads[0] is None:
-                    continue
-                if len(item.operands) != 2 \
-                        or not isinstance(item.operands[0], R) \
-                        or not isinstance(item.operands[1], Mem):
-                    continue
-                loc = effects.reads[0]
-                r2 = item.operands[0].n
-                held = before & pairs.group(0, loc)
-                if not held:
-                    continue
-                source = pairs.lowest(held)[1]
-                if source == r2:
-                    self._record("g_forward_elim", i, item, None)
-                    self._replace(cfg, i, None)
-                else:
-                    replacement = Instr(
-                        self.move_op, (R(r2), R(source)),
-                        comment=item.comment,
-                    )
-                    self._record("g_forward_copy", i, item, replacement)
-                    self._replace(cfg, i, replacement)
-                    # The source register's lifetime just grew past any
-                    # recorded death.
-                    scrub.add(source)
-                changed += 1
-        self._scrub_deaths(scrub)
-        return changed
-
-    def _pass_copy_elim(self, cfg: Cfg) -> int:
-        """Register-equality cleanup from available-copy facts:
-        ``(dst, src)`` available means the two registers provably hold
-        the same value on every path reaching this point.
-
-        * a move between two already-equal registers is a no-op: delete;
-        * ``LTR x,x`` with ``(x, src)`` available becomes ``LTR src,src``
-          (same CC, identity def) -- the copy that fed ``x`` can then
-          die in the dead-def pass;
-        * a compare's register operand is renamed to its copy source for
-          the same reason (compares define nothing, so renaming a *use*
-          between equal registers is always sound).
-        """
-        copies = D.available_copies(cfg, self.move_op)
-        pairs = copies.solution.problem  # group(0, x): the (x, src) pairs
-        changed = 0
-        for block in cfg.blocks:
-            if block.bid not in cfg.reachable:
-                continue
-            for i, item, before in D.walk_copies(cfg, copies, block):
-                if i in cfg.skip_spans or not isinstance(item, Instr):
-                    continue
-                eff = cfg.item_effects[i]
-                if eff.may:
-                    continue
-                e = eff.effects
-                if D._is_reg_move(item, eff, self.move_op):
-                    dst = next(iter(e.defs))
-                    src = next(iter(e.uses))
-                    if before & (pairs.known((dst, src))
-                                 | pairs.known((src, dst))):
-                        self._record("g_copy_elim", i, item, None)
-                        self._replace(cfg, i, None)
-                        changed += 1
-                    continue
-                if item.opcode == "ltr" and len(item.operands) == 2 \
-                        and isinstance(item.operands[0], R) \
-                        and item.operands[0] == item.operands[1]:
-                    held = before & pairs.group(0, item.operands[0].n)
-                    if held:
-                        src = pairs.lowest(held)[1]
-                        replacement = Instr(
-                            "ltr", (R(src), R(src)), comment=item.comment
-                        )
-                        self._record("g_test_fold", i, item, replacement)
-                        self._replace(cfg, i, replacement)
-                        changed += 1
-                    continue
-                if e.cc_only and not e.reads and not e.pair:
-                    renames = {}
-                    for o in item.operands:
-                        if isinstance(o, R):
-                            held = before & pairs.group(0, o.n)
-                            if held:
-                                renames[o.n] = pairs.lowest(held)[1]
-                    if not renames:
-                        continue
-                    operands = tuple(
-                        R(renames[o.n])
-                        if isinstance(o, R) and o.n in renames else o
-                        for o in item.operands
-                    )
-                    if operands == item.operands:
-                        continue
-                    replacement = Instr(
-                        item.opcode, operands, comment=item.comment
-                    )
-                    self._record("g_test_fold", i, item, replacement)
-                    self._replace(cfg, i, replacement)
-                    changed += 1
-        return changed
-
-    def _pass_dead_def(self, cfg: Cfg) -> int:
-        """Liveness-driven deletion of instructions every result register
-        of which is dead (classic global DCE, excluding anything that can
-        trap, touch memory or set a condition code still read).  An
-        instruction whose only result is the condition code (``cc_only``:
-        compares and tests) is left alone."""
-        live = D.liveness(cfg, self.nregs)
-        changed = 0
-        for block in cfg.blocks:
-            if block.bid not in cfg.reachable:
-                continue
-            for i, item, live_after in D.walk_live(cfg, live, block):
-                if i in cfg.skip_spans or not isinstance(item, Instr):
-                    continue
-                eff = cfg.item_effects[i]
-                e = eff.effects
-                if eff.may or e.barrier or e.flow or e.writes \
-                        or e.save_restore:
-                    continue
-                if e.sets_cc and live_after & D.reg_bits((D.CC,)):
-                    continue
-                if e.cc_only:
-                    continue
-                if not e.defs or item.opcode in _TRAP_OPS:
-                    continue
-                if D.reg_bits(e.defs) & live_after:
-                    continue
-                self._record("g_dead_def", i, item, None)
-                self._replace(cfg, i, None)
-                changed += 1
-        return changed
-
-    def _pass_dead_store(self, cfg: Cfg) -> int:
-        """Global DSE: delete stores whose written location is provably
-        overwritten before any aliasing read on every path onward."""
-        dead = D.memory_deadness(cfg)
-        locs = dead.solution.problem
-        changed = 0
-        for block in cfg.blocks:
-            if block.bid not in cfg.reachable:
-                continue
-            for i, item, dead_after in D.walk_mem_dead(cfg, dead, block):
-                if i in cfg.skip_spans or not isinstance(item, Instr):
-                    continue
-                eff = cfg.item_effects[i]
-                e = eff.effects
-                if eff.may or e.barrier or e.flow:
-                    continue
-                if not e.writes or e.defs or e.sets_cc:
-                    continue
-                if len(e.writes) != 1 or e.writes[0] is None:
-                    continue
-                loc = e.writes[0]
-                if dead_after is not None \
-                        and not dead_after & locs.known(loc):
-                    continue
-                self._record("g_dead_store", i, item, None)
-                self._replace(cfg, i, None)
-                changed += 1
-        return changed
-
-    def _pass_cse(self, cfg: Cfg) -> int:
-        """Global CSE from available-expression facts: an instruction
-        recomputing an expression provably already computed on *every*
-        path is deleted (value still in the same register) or replaced
-        by a register move (value lives elsewhere)."""
-        if not self.expr_ops:
-            return 0
-        avail = D.available_exprs(cfg, self.expr_ops)
-        exprs = avail.solution.problem
-        changed = 0
-        scrub: Set[int] = set()
-        for block in cfg.blocks:
-            if block.bid not in cfg.reachable:
-                continue
-            for i, item, before in D.walk_exprs(cfg, avail, block):
-                if i in cfg.skip_spans:
-                    continue
-                fact = cfg.item_effects[i].expr
-                if fact is None:
-                    continue
-                key, _, dst = fact
-                # All registers proven to hold the value; prefer the
-                # instruction's own destination (a pure deletion), then
-                # the lowest register -- the choice must not depend on
-                # set iteration order.
-                same = before & exprs.group(0, key)
-                holders = sorted(f_dst for _, _, f_dst in exprs.decode(same))
-                if not holders:
-                    continue
-                source = dst if dst in holders else holders[0]
-                if source == dst:
-                    self._record("g_cse_elim", i, item, None)
-                    self._replace(cfg, i, None)
-                else:
-                    replacement = Instr(
-                        self.move_op, (R(dst), R(source)),
-                        comment=item.comment,
-                    )
-                    self._record("g_cse_copy", i, item, replacement)
-                    self._replace(cfg, i, replacement)
-                    # The source register now feeds a later consumer:
-                    # any recorded death is stale.
-                    scrub.add(source)
-                changed += 1
-        self._scrub_deaths(scrub)
-        return changed
 
     def _labels_between(self, lo: int, hi: int) -> Optional[Set[int]]:
         """Labels marked strictly between two indices, or ``None`` when
@@ -534,19 +551,14 @@ class _Global:
             self._summarize(cfg)
         return cfg
 
-    def _summarize(self, cfg: Cfg) -> bool:
+    def _summarize(self, cfg: Cfg) -> None:
         """Recompute the summaries from the current buffer, as a fresh
         CFG would see them: reset every call site to its unrefined
-        effects, then refine.  True when any site's effects changed."""
-        before = [(i, cfg.item_effects[i]) for i in self.calls]
+        effects, then refine."""
         for i, effects in self.calls.items():
             cfg.set_effects(i, effects)
         self.result.summary_routines, self.result.summary_sites = \
             S.refine_call_sites(cfg, self.encoder)
-        return any(
-            cfg.item_effects[i].effects != effects.effects
-            for i, effects in before
-        )
 
     def run(self) -> GlobalResult:
         self._rounds()
@@ -555,50 +567,41 @@ class _Global:
         return self.result
 
     def _rounds(self) -> None:
-        """Apply the passes in rounds until every pass has run with zero
-        hits on the current buffer (at most ``_MAX_ITERATIONS`` rounds).
+        """Run rounds of the value sweep, the dead sweep and the
+        control-flow step until a round makes no rewrite.
 
         The CFG is built once and kept in step with each rewrite; only a
-        hit of a pass that changes control flow makes the next pass
-        rebuild it.  A pass that found nothing is not run again until
-        the buffer (or, at -O4, a call site's summary) has changed."""
-        passes = [
-            (self._pass_unreachable, True),
-            (self._pass_forward, False),
-        ]
-        if self.level >= 3:
-            passes.append((self._pass_cse, False))
-        passes += [
-            (self._pass_copy_elim, False),
-            (self._pass_dead_def, False),
-            (self._pass_dead_store, False),
-            (self._pass_branches, True),
-        ]
-        version = 0  # bumped by every change to the buffer or summaries
-        clean = [-1] * len(passes)  # version each pass last found nothing
+        hit of the control-flow step makes the next round rebuild it.
+        At -O4 each round on a kept CFG first refines the call sites
+        from the current buffer.
+
+        The rounds end: a round that does not end the run made a
+        rewrite, and each rewrite deletes an item, turns a load or a
+        recomputation into a register move, or renames a register read
+        (``g_copy_prop``, ``g_test_fold``) to the root of its copy
+        chain.  The first two shrink ``(items, non-move instructions)``
+        and nothing grows it.  Between two such shrinks the executions
+        are fixed, and a rename makes its read site read a value defined
+        strictly earlier on every path through it, so each site is
+        renamed fewer than ``nregs`` times."""
         cfg: Optional[Cfg] = None
-        while self.result.iterations < _MAX_ITERATIONS:
+        while True:
             self.result.iterations += 1
-            kept = cfg is not None
-            if not kept:
+            if cfg is None:
                 cfg = self._build()
-            if not cfg.ok:
-                if self.result.total == 0:
-                    self.result.degraded_reason = cfg.reason
+                if not cfg.ok:
+                    if self.result.total == 0:
+                        self.result.degraded_reason = cfg.reason
+                    return
+            elif self.level >= 4:
+                self._summarize(cfg)
+            before = self.result.total
+            self._sweep_values(cfg)
+            self._sweep_dead(cfg)
+            if self._control_flow(cfg):
+                cfg = None
+            if self.result.total == before:
                 return
-            if kept and self.level >= 4 and self._summarize(cfg):
-                version += 1
-            for k, (apply, reshapes) in enumerate(passes):
-                if cfg is None:
-                    cfg = self._build()
-                if apply(cfg):
-                    version += 1
-                    if reshapes:
-                        cfg = None
-                else:
-                    clean[k] = version
-                    if clean.count(version) == len(passes):
-                        return
 
 
 def run_global(

@@ -21,6 +21,20 @@ from repro.errors import PascalSyntaxError
 from repro.pascal import ast as A
 from repro.pascal.lexer import Tok, Token, tokenize
 
+# Token kinds the statement and expression parsers test on nearly
+# every token, as module globals: a global read costs a fraction of
+# an enum's ``Tok.X``.
+_ASSIGN, _BEGIN, _COMMA, _ELSE = (
+    Tok.ASSIGN, Tok.BEGIN, Tok.COMMA, Tok.ELSE)
+_END, _EOF, _FALSE, _IDENT = (
+    Tok.END, Tok.EOF, Tok.FALSE, Tok.IDENT)
+_LBRACKET, _LPAREN, _MINUS, _NOT = (
+    Tok.LBRACKET, Tok.LPAREN, Tok.MINUS, Tok.NOT)
+_NUMBER, _PLUS, _RBRACKET, _RPAREN = (
+    Tok.NUMBER, Tok.PLUS, Tok.RBRACKET, Tok.RPAREN)
+_SEMI, _STRING, _TRUE, _UNTIL = (
+    Tok.SEMI, Tok.STRING, Tok.TRUE, Tok.UNTIL)
+
 _SCALARS = {
     "integer": A.Scalar.INTEGER,
     "shortint": A.Scalar.SHORTINT,
@@ -51,7 +65,7 @@ class Parser:
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind is not Tok.EOF:
+        if tok.kind is not _EOF:
             self.pos += 1
         return tok
 
@@ -228,23 +242,23 @@ class Parser:
     # ---- statements -------------------------------------------------------------------
 
     def parse_compound(self) -> A.Compound:
-        begin = self.expect(Tok.BEGIN)
+        begin = self.expect(_BEGIN)
         body: List[A.Stmt] = []
         tokens = self.tokens
-        while tokens[self.pos].kind is not Tok.END:
+        while tokens[self.pos].kind is not _END:
             stmt = self.parse_statement()
             if stmt is not None:
                 body.append(stmt)
-            if tokens[self.pos].kind is not Tok.SEMI:
+            if tokens[self.pos].kind is not _SEMI:
                 break
             self.pos += 1
-        self.expect(Tok.END)
+        self.expect(_END)
         return A.Compound(line=begin.line, body=body)
 
     def parse_statement(self) -> Optional[A.Stmt]:
         tok = self.tokens[self.pos]
         kind = tok.kind
-        if kind is Tok.IDENT:
+        if kind is _IDENT:
             if tok.text in ("write", "writeln"):
                 return self._write()
             if tok.text in ("read", "readln"):
@@ -253,7 +267,7 @@ class Parser:
         parse = _STATEMENTS.get(kind)
         if parse is not None:
             return parse(self)
-        if kind in (Tok.SEMI, Tok.END, Tok.UNTIL, Tok.ELSE):
+        if kind in (_SEMI, _END, _UNTIL, _ELSE):
             return None  # empty statement
         raise PascalSyntaxError(
             f"unexpected token {tok.text!r} at statement start", tok.line
@@ -394,9 +408,9 @@ class Parser:
         return A.Read(line=tok.line, targets=targets)
 
     def _assign_or_call(self) -> A.Stmt:
-        name_tok = self.expect(Tok.IDENT)
+        name_tok = self.expect(_IDENT)
         kind = self.tokens[self.pos].kind
-        if kind is Tok.ASSIGN:
+        if kind is _ASSIGN:
             self.pos += 1
             value = self.parse_expression()
             return A.Assign(
@@ -404,11 +418,11 @@ class Parser:
                 target=A.VarRef(line=name_tok.line, name=name_tok.text),
                 value=value,
             )
-        if kind is Tok.LBRACKET:
+        if kind is _LBRACKET:
             self.pos += 1
             index = self.parse_expression()
-            self.expect(Tok.RBRACKET)
-            self.expect(Tok.ASSIGN)
+            self.expect(_RBRACKET)
+            self.expect(_ASSIGN)
             value = self.parse_expression()
             return A.Assign(
                 line=name_tok.line,
@@ -418,12 +432,12 @@ class Parser:
                 value=value,
             )
         args: List[A.Expr] = []
-        if self.accept(Tok.LPAREN):
+        if self.accept(_LPAREN):
             while True:
                 args.append(self.parse_expression())
-                if not self.accept(Tok.COMMA):
+                if not self.accept(_COMMA):
                     break
-            self.expect(Tok.RPAREN)
+            self.expect(_RPAREN)
         return A.ProcCall(line=name_tok.line, name=name_tok.text, args=args)
 
     # ---- expressions (standard Pascal precedence) ------------------------------------------
@@ -440,12 +454,12 @@ class Parser:
     def _simple(self) -> A.Expr:
         tok = self.tokens[self.pos]
         kind = tok.kind
-        if kind is Tok.MINUS:
+        if kind is _MINUS:
             self.pos += 1
             first: A.Expr = A.UnOp(line=tok.line, op="-",
                                    operand=self._term())
         else:
-            if kind is Tok.PLUS:
+            if kind is _PLUS:
                 self.pos += 1
             first = self._term()
         tokens = self.tokens
@@ -475,52 +489,52 @@ class Parser:
     def _factor(self) -> A.Expr:
         tok = self.tokens[self.pos]
         kind = tok.kind
-        if kind is Tok.IDENT:
+        if kind is _IDENT:
             self.pos += 1
             kind = self.tokens[self.pos].kind
-            if kind is Tok.LPAREN and tok.text in _BUILTINS:
+            if kind is _LPAREN and tok.text in _BUILTINS:
                 return self._builtin(tok)
-            if kind is Tok.LBRACKET:
+            if kind is _LBRACKET:
                 self.pos += 1
                 index = self.parse_expression()
-                self.expect(Tok.RBRACKET)
+                self.expect(_RBRACKET)
                 return A.IndexRef(line=tok.line, name=tok.text, index=index)
-            if kind is Tok.LPAREN:
+            if kind is _LPAREN:
                 self.pos += 1
                 args = [self.parse_expression()]
-                while self.accept(Tok.COMMA):
+                while self.accept(_COMMA):
                     args.append(self.parse_expression())
-                self.expect(Tok.RPAREN)
+                self.expect(_RPAREN)
                 return A.FuncCall(line=tok.line, name=tok.text, args=args)
             return A.VarRef(line=tok.line, name=tok.text)
-        if kind is Tok.NUMBER:
+        if kind is _NUMBER:
             self.pos += 1
             return A.IntLit(line=tok.line, value=tok.value or 0)
-        if kind is Tok.LPAREN:
+        if kind is _LPAREN:
             self.pos += 1
             expr = self.parse_expression()
-            self.expect(Tok.RPAREN)
+            self.expect(_RPAREN)
             return expr
-        if kind is Tok.TRUE:
+        if kind is _TRUE:
             self.pos += 1
             return A.BoolLit(line=tok.line, value=True)
-        if kind is Tok.FALSE:
+        if kind is _FALSE:
             self.pos += 1
             return A.BoolLit(line=tok.line, value=False)
-        if kind is Tok.STRING and len(tok.text) == 1:
+        if kind is _STRING and len(tok.text) == 1:
             self.pos += 1
             return A.CharLit(line=tok.line, value=tok.text)
-        if kind is Tok.NOT:
+        if kind is _NOT:
             self.pos += 1
             return A.UnOp(line=tok.line, op="not", operand=self._factor())
-        if kind is Tok.LBRACKET:
+        if kind is _LBRACKET:
             self.pos += 1
             elements: List[A.Expr] = []
-            if not self.at(Tok.RBRACKET):
+            if not self.at(_RBRACKET):
                 elements.append(self.parse_expression())
-                while self.accept(Tok.COMMA):
+                while self.accept(_COMMA):
                     elements.append(self.parse_expression())
-            self.expect(Tok.RBRACKET)
+            self.expect(_RBRACKET)
             return A.SetLit(line=tok.line, elements=elements)
         raise PascalSyntaxError(
             f"unexpected token {tok.text!r} in expression", tok.line

@@ -17,9 +17,14 @@ from typing import Dict, List, Optional, Union
 from repro.errors import PascalSemaError
 from repro.pascal import ast as A
 
+# Scalar kinds as module globals: the checker reads them on every
+# expression, and a global read costs a fraction of an enum's.
+_BOOLEAN, _CHAR, _INTEGER, _SHORTINT = (
+    A.Scalar.BOOLEAN, A.Scalar.CHAR, A.Scalar.INTEGER, A.Scalar.SHORTINT)
+
 Decl = Union[A.ConstDecl, A.VarDecl, A.RoutineDecl]
 
-_INT_TYPES = (A.Scalar.INTEGER, A.Scalar.SHORTINT)
+_INT_TYPES = (_INTEGER, _SHORTINT)
 
 
 def _is_int(t: A.PasType) -> bool:
@@ -210,7 +215,7 @@ class Checker:
                     assert element.type is not None
                     if not (
                         _is_int(element.type)
-                        or element.type is A.Scalar.CHAR
+                        or element.type is _CHAR
                     ):
                         raise PascalSemaError(
                             "set elements must be integers or chars",
@@ -377,7 +382,7 @@ class Checker:
     # ---- expressions ------------------------------------------------------------------
 
     def _require_bool(self, expr: A.Expr, what: str) -> None:
-        if expr.type is not A.Scalar.BOOLEAN:
+        if expr.type is not _BOOLEAN:
             raise PascalSemaError(
                 f"{what} must be boolean, not {expr.type}", expr.line
             )
@@ -385,13 +390,13 @@ class Checker:
     def _expr(self, expr: A.Expr, scope: Scope, lvalue: bool = False) -> A.Expr:
         assert expr is not None
         if isinstance(expr, A.IntLit):
-            expr.type = A.Scalar.INTEGER
+            expr.type = _INTEGER
             return expr
         if isinstance(expr, A.BoolLit):
-            expr.type = A.Scalar.BOOLEAN
+            expr.type = _BOOLEAN
             return expr
         if isinstance(expr, A.CharLit):
-            expr.type = A.Scalar.CHAR
+            expr.type = _CHAR
             return expr
         if isinstance(expr, A.VarRef):
             return self._var_ref(expr, scope, lvalue)
@@ -457,13 +462,13 @@ class Checker:
     def _const_to_literal(decl: A.ConstDecl, line: int) -> A.Expr:
         if decl.is_bool:
             lit: A.Expr = A.BoolLit(line=line, value=bool(decl.value))
-            lit.type = A.Scalar.BOOLEAN
+            lit.type = _BOOLEAN
         elif decl.is_char:
             lit = A.CharLit(line=line, value=chr(decl.value))
-            lit.type = A.Scalar.CHAR
+            lit.type = _CHAR
         else:
             lit = A.IntLit(line=line, value=decl.value)
-            lit.type = A.Scalar.INTEGER
+            lit.type = _INTEGER
         return lit
 
     def _index_ref(self, expr: A.IndexRef, scope: Scope) -> A.Expr:
@@ -489,7 +494,7 @@ class Checker:
         assert lt is not None and rt is not None
         op = expr.op
         if op == "in":
-            if not (_is_int(lt) or lt is A.Scalar.CHAR):
+            if not (_is_int(lt) or lt is _CHAR):
                 raise PascalSemaError(
                     "'in' needs an integer or char on the left",
                     expr.line,
@@ -506,7 +511,7 @@ class Checker:
                 # Statically outside the set: always false; keep the
                 # expression but note it cannot be set.
                 pass
-            expr.type = A.Scalar.BOOLEAN
+            expr.type = _BOOLEAN
         elif isinstance(lt, A.SetType) or isinstance(rt, A.SetType):
             if op not in ("=", "<>") or lt != rt:
                 raise PascalSemaError(
@@ -520,26 +525,26 @@ class Checker:
                 raise PascalSemaError(
                     "set comparison needs set variables", expr.line
                 )
-            expr.type = A.Scalar.BOOLEAN
+            expr.type = _BOOLEAN
         elif op in ("+", "-", "*", "div", "mod", "max", "min"):
             if not (_is_int(lt) and _is_int(rt)):
                 raise PascalSemaError(
                     f"{op!r} needs integer operands", expr.line
                 )
-            expr.type = A.Scalar.INTEGER
+            expr.type = _INTEGER
         elif op in ("and", "or"):
-            if lt is not A.Scalar.BOOLEAN or rt is not A.Scalar.BOOLEAN:
+            if lt is not _BOOLEAN or rt is not _BOOLEAN:
                 raise PascalSemaError(
                     f"{op!r} needs boolean operands", expr.line
                 )
-            expr.type = A.Scalar.BOOLEAN
+            expr.type = _BOOLEAN
         elif op in ("=", "<>", "<", "<=", ">", ">="):
             ok = _compatible(lt, rt) or _compatible(rt, lt)
             if not ok or not isinstance(lt, A.Scalar):
                 raise PascalSemaError(
                     f"cannot compare {lt} with {rt}", expr.line
                 )
-            expr.type = A.Scalar.BOOLEAN
+            expr.type = _BOOLEAN
         else:  # pragma: no cover - parser produces no other operators
             raise PascalSemaError(f"unknown operator {op!r}", expr.line)
         return expr
@@ -553,18 +558,18 @@ class Checker:
                 raise PascalSemaError(
                     f"{expr.op!r} needs an integer operand", expr.line
                 )
-            expr.type = A.Scalar.INTEGER
+            expr.type = _INTEGER
         elif expr.op == "ord":
-            if not (_is_int(ot) or ot in (A.Scalar.CHAR,
-                                          A.Scalar.BOOLEAN)):
+            if not (_is_int(ot) or ot in (_CHAR,
+                                          _BOOLEAN)):
                 raise PascalSemaError(
                     "ord needs an ordinal operand", expr.line
                 )
-            expr.type = A.Scalar.INTEGER
+            expr.type = _INTEGER
         elif expr.op == "chr":
             if not _is_int(ot):
                 raise PascalSemaError("chr needs an integer", expr.line)
-            expr.type = A.Scalar.CHAR
+            expr.type = _CHAR
         elif expr.op in ("succ", "pred"):
             if isinstance(ot, (A.ArrayType, A.SetType)):
                 raise PascalSemaError(
@@ -574,11 +579,11 @@ class Checker:
         elif expr.op == "odd":
             if not _is_int(ot):
                 raise PascalSemaError("odd needs an integer", expr.line)
-            expr.type = A.Scalar.BOOLEAN
+            expr.type = _BOOLEAN
         elif expr.op == "not":
-            if ot is not A.Scalar.BOOLEAN:
+            if ot is not _BOOLEAN:
                 raise PascalSemaError("not needs a boolean", expr.line)
-            expr.type = A.Scalar.BOOLEAN
+            expr.type = _BOOLEAN
         else:  # pragma: no cover
             raise PascalSemaError(f"unknown operator {expr.op!r}", expr.line)
         return expr

@@ -280,7 +280,7 @@ def _execute_baseline(
     from repro.machines.s370.simulator import Simulator
 
     with profiler.phase("select"):
-        program = compile_baseline(request.source)
+        program = compile_baseline(request.source, checks=request.checks)
     payload: Dict[str, object] = {
         "name": request.name,
         "kind": request.kind,

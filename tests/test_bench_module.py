@@ -17,8 +17,10 @@ from repro.bench.metrics import (
 )
 from repro.bench.speed import (
     COMPILE_PHASES,
+    OPT_LEVELS,
     SCHEMA_VERSION,
     _git_rev,
+    compile_phases_at,
     validate_report,
     write_report,
 )
@@ -171,8 +173,15 @@ def _lane(rate_key):
     }
 
 
+def _phase_row(level):
+    return {
+        key: {phase: 0.001 for phase in compile_phases_at(level)}
+        for key in ("phases", "min_s", "max_s")
+    }
+
+
 def _valid_report():
-    """The smallest report validate_report accepts (schema 10)."""
+    """The smallest report validate_report accepts (schema 11)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "git_rev": "abc1234",
@@ -198,8 +207,9 @@ def _valid_report():
         "end_to_end": {
             "phases": {phase: 0.001 for phase in PHASES},
             "compile_phases": {
-                key: {phase: 0.001 for phase in COMPILE_PHASES}
-                for key in ("phases", "min_s", "max_s")
+                **_phase_row(1),
+                "levels": {f"O{level}": _phase_row(level)
+                           for level in OPT_LEVELS},
             },
             "batch": {
                 "serial_routines_per_s": 10.0,
@@ -296,6 +306,21 @@ class TestSchemaValidation:
         del report["end_to_end"]["compile_phases"]
         assert validate_report(report) == [
             "end_to_end.compile_phases missing"
+        ]
+
+    def test_optimizer_level_rows_required(self):
+        report = _valid_report()
+        levels = report["end_to_end"]["compile_phases"]["levels"]
+        del levels["O3"]["phases"]["globalopt"]
+        del levels["O4"]
+        assert validate_report(report) == [
+            "end_to_end.compile_phases.levels.O4 missing",
+            "end_to_end.compile_phases.levels.O3.phases missing "
+            "'globalopt'",
+        ]
+        del report["end_to_end"]["compile_phases"]["levels"]
+        assert validate_report(report) == [
+            "end_to_end.compile_phases.levels missing"
         ]
 
     def test_old_schema_version_rejected(self):

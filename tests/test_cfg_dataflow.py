@@ -40,7 +40,6 @@ from repro.opt.dataflow import (
     liveness,
     memory_deadness,
     reaching_defs,
-    walk_copies,
     walk_live,
     walk_mem_dead,
 )
@@ -50,6 +49,11 @@ ENC = machine_description().encoder
 
 MEM = Mem(100, 0, 13)
 OTHER = Mem(200, 0, 13)
+
+
+def walk_forward(cfg, result, block):
+    """``(index, item, bits_before)`` of a forward per-family solve."""
+    return DF._walk_forward(cfg, result.solution, block)
 
 
 def walked(walk, cfg, result, block):
@@ -301,8 +305,6 @@ class TestMemoryDeadness:
 
 class TestAvailableFacts:
     def test_store_makes_pair_available_across_blocks(self):
-        from repro.opt.dataflow import walk_avail
-
         cfg = build_cfg(buf([
             Instr("st", (R(3), MEM)),
             BranchSite(cond=15, label=1, index_reg=0),
@@ -311,21 +313,19 @@ class TestAvailableFacts:
         ]), ENC)
         avail = available_stores(cfg)
         block = cfg.blocks[cfg.label_block[1]]
-        before = walked(walk_avail, cfg, avail, block)
+        before = walked(walk_forward, cfg, avail, block)
         loc = cfg.item_effects[0].effects.writes[0]
         load_index = block.end - 1
         assert (loc, 3) in before[load_index]
 
     def test_redefining_register_kills_pair(self):
-        from repro.opt.dataflow import walk_avail
-
         cfg = build_cfg(buf([
             Instr("st", (R(3), MEM)),
             Instr("la", (R(3), Mem(9, 0, 0))),
             Instr("l", (R(4), MEM)),
         ]), ENC)
         avail = available_stores(cfg)
-        before = walked(walk_avail, cfg, avail, cfg.blocks[0])
+        before = walked(walk_forward, cfg, avail, cfg.blocks[0])
         loc = cfg.item_effects[0].effects.writes[0]
         assert (loc, 3) not in before[2]
 
@@ -333,8 +333,6 @@ class TestAvailableFacts:
         # The long branch form may clobber its index register, so a
         # (loc, reg) pair with reg == index_reg cannot survive the
         # branch even though liveness ignores the may-def.
-        from repro.opt.dataflow import walk_avail
-
         cfg = build_cfg(buf([
             Instr("st", (R(5), MEM)),
             Instr("ltr", (R(1), R(1))),
@@ -344,14 +342,12 @@ class TestAvailableFacts:
         ]), ENC)
         avail = available_stores(cfg)
         block = cfg.blocks[cfg.label_block[1]]
-        before = walked(walk_avail, cfg, avail, block)
+        before = walked(walk_forward, cfg, avail, block)
         loc = cfg.item_effects[0].effects.writes[0]
         load_index = block.end - 1
         assert (loc, 5) not in before[load_index]
 
     def test_copy_fact_flows_and_dies(self):
-        from repro.opt.dataflow import walk_copies
-
         cfg = build_cfg(buf([
             Instr("lr", (R(5), R(4))),
             Instr("ar", (R(6), R(5))),
@@ -359,7 +355,7 @@ class TestAvailableFacts:
             Instr("ar", (R(7), R(5))),
         ]), ENC)
         copies = available_copies(cfg)
-        before = walked(walk_copies, cfg, copies, cfg.blocks[0])
+        before = walked(walk_forward, cfg, copies, cfg.blocks[0])
         assert (5, 4) in before[1]
         assert (5, 4) not in before[3]  # the la killed the source
 
@@ -388,7 +384,7 @@ class TestKeptCfg:
         fresh = available_copies(build_cfg(buffer, ENC))
         assert kept.solution.outs == fresh.solution.outs
         assert kept.solution.outs[0] == frozenset({(5, 4)})
-        assert walked(walk_copies, cfg, kept, cfg.blocks[0])[3] \
+        assert walked(walk_forward, cfg, kept, cfg.blocks[0])[3] \
             == frozenset({(5, 4), (7, 3)})
 
 
@@ -437,15 +433,17 @@ SOLVER_OF = {
     DF._Stores: "available_stores",
     DF._Copies: "available_copies",
     DF._Exprs: "available_exprs",
+    DF._Values: "available_values",
 }
 
 
 @pytest.fixture(scope="module")
 def worklist_runs():
     """Every solve of every bench workload at -O2 and -O4 (plus
-    reaching defs over each final buffer), each checked against the
-    reference solver; returns ``(mismatches, solvers, transfers,
-    blocks)``, a transfer being one block-summary application."""
+    reaching defs, memory deadness and the per-family stores and copies
+    over each final buffer), each checked against the reference solver;
+    returns ``(mismatches, solvers, transfers, blocks)``, a transfer
+    being one block-summary application."""
     real_fixpoint = DF._fixpoint
     mismatches, solvers = [], set()
     counts = {"transfers": 0, "blocks": 0}
@@ -475,7 +473,11 @@ def worklist_runs():
         for _, source in quality_workloads():
             for level in (2, 4):
                 compiled = compile_source(source, opt_level=level)
-                reaching_defs(build_cfg(compiled.generated.buffer, ENC))
+                final = build_cfg(compiled.generated.buffer, ENC)
+                reaching_defs(final)
+                memory_deadness(final)
+                available_stores(final)
+                available_copies(final)
     finally:
         DF._fixpoint = real_fixpoint
     return mismatches, solvers, counts["transfers"], counts["blocks"]
@@ -487,6 +489,7 @@ class TestWorklist:
         assert solvers == {
             "liveness", "reaching_defs", "memory_deadness",
             "available_stores", "available_copies", "available_exprs",
+            "available_values",
         }
         assert mismatches == []
 

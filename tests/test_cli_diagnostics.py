@@ -40,6 +40,17 @@ class TestCli:
         assert main(["run", "--baseline", str(pas_file)]) == 0
         assert capsys.readouterr().out == "42\n"
 
+    def test_run_baseline_with_checks_traps(self, tmp_path, capsys):
+        path = tmp_path / "oob.pas"
+        path.write_text(
+            "program oob; var a: array[1..3] of integer; i: integer;\n"
+            "begin i := 4; a[i] := 1; writeln('survived') end.\n"
+        )
+        assert main(["run", "--baseline", str(path)]) == 0
+        assert capsys.readouterr().out == "survived\n"
+        assert main(["run", "--baseline", "--checks", str(path)]) == 2
+        assert "range check: overflow" in capsys.readouterr().err
+
     def test_run_minimal_variant(self, pas_file, capsys):
         assert main(["run", "--variant", "minimal", str(pas_file)]) == 0
         assert capsys.readouterr().out == "42\n"

@@ -183,7 +183,8 @@ class TestGlobalForwarderScrub:
     def test_stale_source_death_scrubbed(self):
         # Before -O2: r3 is stored and never read again, so (1, 3) is a
         # sound death fact.  Global forwarding rewrites the reload into
-        # `lr r5,r3` -- r3 IS now read there, and the stale fact must go.
+        # `lr r5,r3`, and copy propagation the move after it into
+        # `lr r1,r3` -- r3 IS now read there, and the stale fact must go.
         enc = machine_description().encoder
         code = make_code(
             [
@@ -197,11 +198,12 @@ class TestGlobalForwarderScrub:
         )
         result = run_global(code, enc)
         assert result.hits["g_forward_copy"] == 1
+        assert result.hits["g_copy_prop"] == 1
         moves = [
             i for i in code.buffer.items
-            if isinstance(i, Instr) and i.operands == (R(5), R(3))
+            if isinstance(i, Instr) and i.operands == (R(1), R(3))
         ]
-        assert moves, "expected the forwarded copy lr r5,r3"
+        assert moves, "expected the propagated copy lr r1,r3"
         assert all(r != 3 for _, r in code.buffer.deaths)
 
 

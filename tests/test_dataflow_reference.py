@@ -86,20 +86,19 @@ def ref_step_live(live, eff, all_facts):
     return live
 
 
-def ref_step_dead(fact, eff, disjoint=frozenset()):
+def ref_step_dead(fact, eff, disjoint=frozenset(), universe=frozenset()):
+    """``None`` is TOP: a read or barrier starts from ``universe``, the
+    locations the solve knows of."""
     e = eff.effects
     if e.barrier:
         return frozenset()
     if e.reads:
-        dead = set() if fact is None else set(fact)
-        if fact is not None:
-            for r in e.reads:
-                if r is None:
-                    dead.clear()
-                    break
-                dead = {d for d in dead if not may_alias(d, r, disjoint)}
-        else:
-            dead = set()
+        dead = set(universe if fact is None else fact)
+        for r in e.reads:
+            if r is None:
+                dead.clear()
+                break
+            dead = {d for d in dead if not may_alias(d, r, disjoint)}
         fact = frozenset(dead)
     clobbered = e.defs | e.may_defs
     if fact is not None and clobbered:
@@ -334,7 +333,22 @@ def ref_reaching_defs(cfg, nregs=16, entry_defined=frozenset()):
     )
 
 
+def ref_dead_universe(cfg):
+    """Every location the kernel has numbered on this CFG (on a CFG the
+    optimizer kept, also those of deleted stores), else every location
+    an item must-writes."""
+    problem = cfg.problems.get(("dead",))
+    if problem is not None:
+        return frozenset(problem.facts)
+    return frozenset(
+        w for i, item in enumerate(cfg.buffer.items) if item is not None
+        for w in ref_step_dead(frozenset(), cfg.item_effects[i])
+    )
+
+
 def ref_memory_deadness(cfg):
+    universe = ref_dead_universe(cfg)
+
     def boundary(block):
         if block.halts:
             return None
@@ -346,7 +360,7 @@ def ref_memory_deadness(cfg):
         for i in range(block.end - 1, block.start - 1, -1):
             if cfg.buffer.items[i] is not None:
                 fact = ref_step_dead(fact, cfg.item_effects[i],
-                                     cfg.disjoint_bases)
+                                     cfg.disjoint_bases, universe)
         return fact
 
     return reference_iterate(cfg, forward=False, boundary=boundary,
@@ -381,14 +395,53 @@ def ref_available_exprs(cfg, expr_ops, private=frozenset()):
     )
 
 
+def _tag(family, facts):
+    return {(family,) + tuple(f) for f in facts}
+
+
+def ref_step_values(facts, i, item, eff, move_op, expr_ops, disjoint):
+    """One item over the tagged union: each family steps on its own."""
+    family = {D.STORE: set(), D.COPY: set(), D.EXPR: set()}
+    for f in facts:
+        family[f[0]].add(f[1:])
+    return (
+        _tag(D.STORE, ref_step_avail(family[D.STORE], i, item, eff,
+                                     disjoint))
+        | _tag(D.COPY, ref_step_copies(family[D.COPY], item, eff, move_op))
+        | _tag(D.EXPR, ref_step_exprs(family[D.EXPR], item, eff, expr_ops,
+                                      frozenset(), disjoint))
+    )
+
+
+def ref_available_values(cfg, move_op="lr", expr_ops=frozenset(),
+                         nregs=16):
+    """The union problem as the three family references, each solved on
+    its own and tagged; TOP (``None``) must agree across families."""
+    parts = [
+        (D.STORE, ref_available_stores(cfg)),
+        (D.COPY, ref_available_copies(cfg, move_op)),
+        (D.EXPR, ref_available_exprs(cfg, expr_ops)),
+    ]
+    merged = []
+    for side in (0, 1):
+        sets = {}
+        for bid in range(cfg.nblocks):
+            facts = [(family, sol[side][bid]) for family, sol in parts]
+            tops = {f is None for _, f in facts}
+            assert len(tops) == 1, "families disagree on TOP"
+            sets[bid] = None if tops == {True} else frozenset().union(
+                *(_tag(family, f) for family, f in facts))
+        merged.append(sets)
+    return tuple(merged)
+
+
 #: kernel solver name -> its reference, same signature, ``(ins, outs)``.
 REFERENCES = {
     "liveness": ref_liveness,
     "reaching_defs": ref_reaching_defs,
     "memory_deadness": ref_memory_deadness,
-    "available_stores": ref_available_stores,
-    "available_copies": ref_available_copies,
     "available_exprs": ref_available_exprs,
+    "available_values": ref_available_values,
 }
 
 
@@ -443,7 +496,8 @@ REF_SANITIZER_FACTS = {
     ),
     "walk_mem_dead": lambda cfg, result, block: ref_walk_backward(
         lambda cfg, f, i, item, res: ref_step_dead(
-            f, cfg.item_effects[i], cfg.disjoint_bases)
+            f, cfg.item_effects[i], cfg.disjoint_bases,
+            ref_dead_universe(cfg))
     )(cfg, result.ins[block.bid], block, result),
 }
 
@@ -538,6 +592,25 @@ def test_every_solve_matches_the_reference(solves):
     assert mismatches == []
 
 
+def test_family_solvers_match_their_references():
+    """The per-family solvers the value problem replaced in compiles
+    stay checked on every -O1 CFG of the code-quality workloads."""
+    from repro.opt.cfg import build_cfg
+
+    solved = 0
+    for _, source in quality_workloads():
+        cfg = build_cfg(compile_source(source, opt_level=1).generated.buffer,
+                        ENC)
+        assert cfg.ok
+        for got, want in (
+            (D.available_stores(cfg), ref_available_stores(cfg)),
+            (D.available_copies(cfg), ref_available_copies(cfg)),
+        ):
+            assert (got.solution.ins, got.solution.outs) == want
+            solved += 1
+    assert solved == 2 * len(quality_workloads())
+
+
 def test_sanitizer_diagnostics_unchanged(solves):
     _, _, (diffs, compared, ref_calls) = solves
     # Every fact the sanitizer reads came from a reference, on every
@@ -588,33 +661,45 @@ def ref_walk_forward(step):
     return walk
 
 
+def ref_walk_values(cfg, start, block, result):
+    """The value sweep's walk: a rewritten item is stepped as the item
+    now in place, and the replaced item's expression fact comes back."""
+    problem = result.solution.problem
+    fact = frozenset() if start is None else start
+    for i in block.indices():
+        item = cfg.buffer.items[i]
+        if item is None:
+            continue
+        old = cfg.item_effects[i].expr
+        yield i, item, fact
+        now = cfg.buffer.items[i]
+        fact = frozenset(ref_step_values(
+            fact, i, now, cfg.item_effects[i], problem.move_op,
+            problem.expr_ops, cfg.disjoint_bases))
+        if now is not item and old is not None \
+                and old[0][0] in problem.expr_ops:
+            fact = fact | {(D.EXPR,) + old}
+
+
 REF_WALKS = {
     "walk_live": ref_walk_backward(
         lambda cfg, f, i, item, res: frozenset(ref_step_live(
             set(f), cfg.item_effects[i], res.all_facts))),
     "walk_mem_dead": ref_walk_backward(
         lambda cfg, f, i, item, res: ref_step_dead(
-            f, cfg.item_effects[i], cfg.disjoint_bases)),
-    "walk_avail": ref_walk_forward(
-        lambda cfg, f, i, item, res: ref_step_avail(
-            f, i, item, cfg.item_effects[i], cfg.disjoint_bases)),
-    "walk_copies": ref_walk_forward(
-        lambda cfg, f, i, item, res: ref_step_copies(
-            f, item, cfg.item_effects[i], res.move_op)),
+            f, cfg.item_effects[i], cfg.disjoint_bases,
+            ref_dead_universe(cfg))),
     "walk_exprs": ref_walk_forward(
         lambda cfg, f, i, item, res: ref_step_exprs(
             f, cfg.buffer.items[i], cfg.item_effects[i], res.expr_ops,
             res.private, cfg.disjoint_bases)),
+    "walk_values": ref_walk_values,
 }
 
-#: the solver whose reference solution each walk starts from.
-WALK_SOLVER = {
-    "walk_live": "liveness",
-    "walk_mem_dead": "memory_deadness",
-    "walk_avail": "available_stores",
-    "walk_copies": "available_copies",
-    "walk_exprs": "available_exprs",
-}
+#: the walks the global optimizer rewrites under: the value sweep's, and
+#: the dead sweep's two in step (the spill planner and the sanitizer
+#: only read theirs).
+REWRITING_WALKS = {"walk_values", "walk_live", "walk_mem_dead"}
 
 
 @pytest.fixture(scope="module")
@@ -676,7 +761,7 @@ def walks():
 def test_walks_match_the_reference_under_rewrites(walks):
     mismatches, steps, rewritten = walks
     assert set(steps) == set(REF_WALKS)
-    # Each pass rewrote items mid-walk on this corpus (several hundred
+    # Each sweep rewrote items mid-walk on this corpus (several hundred
     # per walk), so the rewritten steps are really exercised.
-    assert set(rewritten) == set(REF_WALKS)
+    assert set(rewritten) == REWRITING_WALKS
     assert mismatches == []

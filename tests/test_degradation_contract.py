@@ -25,8 +25,11 @@ PROGRAMS = {
     "pressure": register_pressure(20),  # spills for the planner
 }
 
-#: Every pass of one global-optimizer round; ``_pass_cse`` runs at -O3+.
+#: The three steps of one global-optimizer round, then the rewrite
+#: rules the sweeps call and the two control-flow passes; ``_pass_cse``
+#: runs at -O3+.
 PASSES = (
+    "_sweep_values", "_sweep_dead", "_control_flow",
     "_pass_unreachable", "_pass_forward", "_pass_cse", "_pass_copy_elim",
     "_pass_dead_def", "_pass_dead_store", "_pass_branches",
 )

@@ -348,6 +348,18 @@ end.
         assert result.trap is None
         assert result.output == "survived\n"
 
+    @pytest.mark.parametrize("index, trap", [
+        ("7", None),
+        ("4", "range check: underflow"),
+        ("11", "range check: overflow"),
+    ])
+    def test_baseline_generator_checks_too(self, index, trap):
+        src = self.OOB.replace("{INDEX}", index)
+        result = compile_baseline(src, checks=True).run()
+        assert result.trap == trap
+        if trap is None:
+            assert result.output == interpret_source(src)
+
     def test_unchecked_does_not_trap(self):
         src = self.OOB.replace("{INDEX}", "11")
         result = compile_source(src, checks=False).run()

@@ -187,6 +187,23 @@ class TestCopyElim:
         assert "lr" not in ops(code)
         assert "ltr" not in ops(code)
 
+    def test_move_chain_leaves_one_move(self):
+        # r6 only relays r8 to r1: the second move reads r8 itself, and
+        # the first one dies.
+        code = make_code([
+            Instr("la", (R(8), Mem(5, 0, 0))),
+            Instr("lr", (R(6), R(8))),
+            Instr("lr", (R(1), R(6))),
+            Instr("svc", (Imm(1),)),  # writes r1
+            HALT,
+        ])
+        result = run_global(code, ENC)
+        assert result.hits["g_copy_prop"] == 1
+        assert result.hits["g_dead_def"] == 1
+        moves = [item.operands for item in code.buffer.items
+                 if isinstance(item, Instr) and item.opcode == "lr"]
+        assert moves == [(R(1), R(8))]
+
 
 class TestDeadCode:
     def test_compare_with_dead_cc_is_left_alone(self):
@@ -457,17 +474,17 @@ class TestIntegration:
 
 
 class TestRounds:
-    """A run builds one CFG and stops once every pass has run with zero
-    hits on the current buffer."""
+    """A run builds one CFG and stops after the first round of the two
+    sweeps and the control-flow step that makes no rewrite."""
 
     @staticmethod
     def counting(monkeypatch):
-        """Count CFG builds, memory-deadness solves and the runs of the
-        passes that follow the dead-def pass."""
+        """Count CFG builds, the dead sweep's solves and the steps of a
+        round."""
         from repro.opt import dataflow, globalopt
 
-        counts = {"build_cfg": 0, "memory_deadness": 0,
-                  "_pass_dead_store": 0, "_pass_branches": 0}
+        counts = {"build_cfg": 0, "liveness": 0, "memory_deadness": 0,
+                  "_sweep_values": 0, "_sweep_dead": 0, "_control_flow": 0}
 
         def count(owner, name):
             real = getattr(owner, name)
@@ -479,25 +496,55 @@ class TestRounds:
             monkeypatch.setattr(owner, name, counted)
 
         count(globalopt, "build_cfg")
+        count(dataflow, "liveness")
         count(dataflow, "memory_deadness")
-        count(globalopt._Global, "_pass_dead_store")
-        count(globalopt._Global, "_pass_branches")
+        for step in ("_sweep_values", "_sweep_dead", "_control_flow"):
+            count(globalopt._Global, step)
         return counts
 
     def test_round_ending_in_dead_def_stops_early(self, monkeypatch):
         counts = self.counting(monkeypatch)
         code = make_code([
             Instr("la", (R(3), Mem(5, 0, 0))),
-            Instr("lr", (R(4), R(3))),  # r4 is dead: round 1 ends here
+            Instr("lr", (R(4), R(3))),  # r4 is dead
             HALT,
         ])
         result = run_global(code, ENC)
+        # One dead sweep deletes the move and, walking on, the load only
+        # the move read; the second round finds the fixpoint.
         assert result.hits["g_dead_def"] == 2
         assert result.total == 2 and result.iterations == 2
-        # Round 2 stops after the dead-def pass finds nothing: the passes
-        # after it already saw this buffer in round 1.
-        assert counts == {"build_cfg": 1, "memory_deadness": 1,
-                          "_pass_dead_store": 1, "_pass_branches": 1}
+        assert counts == {"build_cfg": 1, "liveness": 2,
+                          "memory_deadness": 2, "_sweep_values": 2,
+                          "_sweep_dead": 2, "_control_flow": 2}
+
+    def test_no_round_cap(self):
+        # Each block's def feeds only the next block's, and the last is
+        # dead at the halt.  A dead sweep walks the blocks in buffer
+        # order with block-exit facts solved before it deleted anything,
+        # so each round deletes one def: six rounds of rewrites and one
+        # that finds nothing, past the four the optimizer once stopped at.
+        items = [Instr("la", (R(2), Mem(1, 0, 0)))]
+        for k, reg in enumerate(range(3, 8)):
+            items += [LabelMark(k + 1),
+                      Instr("la", (R(reg), Mem(0, 0, reg - 1)))]
+        code = make_code(items + [LabelMark(9), HALT])
+        result = run_global(code, ENC)
+        assert result.hits["g_dead_def"] == 6
+        assert result.iterations == 7
+        assert ops(code) == [f"L{k}" for k in (1, 2, 3, 4, 5, 9)] + ["svc"]
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_compile_ends_at_its_fixpoint(self, level):
+        # straightline(60, seed=0) needs more than four rounds of the
+        # pass-by-pass optimizer: a fresh run on its output finds nothing.
+        from repro.bench.workloads import straightline
+        from repro.pascal.compiler import compile_source
+
+        compiled = compile_source(straightline(60, seed=0), opt_level=level)
+        again = run_global(compiled.generated, ENC, level=level)
+        assert again.total == 0
+        assert again.iterations == 1
 
     @pytest.mark.parametrize("level", [2, 3, 4])
     def test_cfg_built_once_unless_control_flow_changes(

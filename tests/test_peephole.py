@@ -593,6 +593,7 @@ FIRES_ON = {
     "g_forward_copy": ("appendix1_fragment", 2),
     "g_forward_elim": ("straightline(60)", 2),
     "g_copy_elim": ("straightline(60)", 2),
+    "g_copy_prop": ("straightline(60)", 2),
     "g_dead_def": ("straightline(60)", 2),
     "g_dead_store": ("straightline(60)", 2),
     "g_test_fold": ("branch_ladder(40)", 3),

@@ -87,6 +87,27 @@ class TestExecuteRequest:
         assert payload["generator"] == "baseline"
         assert payload["output"] == interpret_source(PROGRAM)
 
+    def test_baseline_lane_range_checks_on_request(self):
+        source = """
+program oob; var a: array[5..10] of integer; i: integer;
+begin
+  i := 11;
+  a[i] := 1;
+  writeln('survived')
+end.
+"""
+        checked, unchecked = (
+            execute_request(
+                ServiceRequest(kind="run", source=source, checks=checks),
+                use_baseline=True,
+            )
+            for checks in (True, False)
+        )
+        assert checked["ok"] is False
+        assert checked["trap"] == "range check: overflow"
+        assert unchecked["trap"] is None
+        assert unchecked["output"] == "survived\n"
+
 
 class TestFromWire:
     def test_round_trip_known_fields(self):

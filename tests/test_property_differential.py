@@ -164,3 +164,18 @@ class TestRandomExpressions:
         assert compile_source(source).run().output == interpret_source(
             source
         )
+
+
+#: Fixed seeds of each generator for the -O2..-O4 differential.
+OPT_SEEDS = range(25)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_global_optimizer_levels_match_interpreter(level):
+    """Seeded: every -O2..-O4 compile of fixed random programs prints
+    what the interpreter prints (the default level alone runs above)."""
+    for seed in OPT_SEEDS:
+        for source in (random_program(seed), random_rich_program(seed)):
+            result = compile_source(source, opt_level=level).run()
+            assert result.trap is None, (level, seed)
+            assert result.output == interpret_source(source), (level, seed)
