@@ -533,7 +533,8 @@ def _lint_gencode(args: argparse.Namespace) -> int:
 
     ``SRC`` is a Pascal source file, or the literal ``bench`` to sweep
     every code-quality workload; ``SPEC`` names the s370 spec variant
-    the program is compiled with.
+    the program is compiled with.  A compile that lost an optimization
+    level prints its ``** degraded:`` lines and fails the lint.
     """
     from repro.analysis import run_gencode_lint
     from repro.pascal.compiler import cached_build, compile_source
@@ -553,6 +554,9 @@ def _lint_gencode(args: argparse.Namespace) -> int:
         compiled = compile_source(
             source, variant=variant, opt_level=args.opt_level
         )
+        _report_degradations(compiled)
+        if compiled.stats["degraded"]:
+            failed = True
         report = run_gencode_lint(
             compiled.generated, encoder,
             program_name=f"{name} (-O{args.opt_level})", target="s370",

@@ -407,7 +407,6 @@ class _Run:
         labels: Optional[LabelDictionary] = None,
         cse: Optional[CseManager] = None,
         stats: Optional[Dict[str, Any]] = None,
-        strategy: Optional[str] = None,
         spill_plan: Tuple[SpillDirective, ...] = (),
     ):
         self.gen = gen
@@ -430,7 +429,7 @@ class _Run:
             on_move=self._on_move,
             on_spill=self._on_spill,
             on_free=self.buffer.note_death,
-            strategy=strategy or gen.allocation_strategy,
+            strategy=gen.allocation_strategy,
             spill_plan=spill_plan,
         )
 
@@ -458,7 +457,7 @@ class _Run:
                 self.cse.lookup(record.cse_id).reg = new
 
     def _on_spill(self, cls_nt: str, reg: int) -> None:
-        event = self.alloc.last_event
+        event = self.alloc.spill_log[-1]
         old = RegValue(reg, cls_nt)
         cse_id = self.alloc.cse_of(old)
         if cse_id is not None:
@@ -478,10 +477,9 @@ class _Run:
             )
             # A CSE's home slot must always be written (later FIND_COMMON
             # reductions read it), so directives never skip this store.
-            if event is not None:
-                event.cse = cse_id
-                event.store_index = len(self.buffer.items) - 1
-                event.scratch = (record.disp, record.base)
+            event.cse = cse_id
+            event.store_index = len(self.buffer.items) - 1
+            event.scratch = (record.disp, record.base)
             return
         if self.frame is None:
             raise RegisterPressureError(
@@ -494,7 +492,8 @@ class _Run:
         # the frame layout -- and with it every later directive's
         # displacement reasoning -- stays identical to the probe pass.
         disp = self.frame.alloc_temp(4)
-        directive = self.alloc.pending_directive
+        plan = self.alloc.spill_plan
+        directive = plan[event.ordinal] if event.planned else None
         if directive is not None and directive.skip_store:
             if directive.remat is not None:
                 # Rematerialized value: no store, and every reload
@@ -503,8 +502,7 @@ class _Run:
                     cls_nt, disp, self.frame.base_reg,
                     remat=directive.remat,
                 )
-                if event is not None:
-                    event.remat = True
+                event.remat = True
             elif directive.alt_disp is not None:
                 # Clean value: reloads read the location that already
                 # holds it (e.g. the variable it was loaded from).
@@ -516,10 +514,9 @@ class _Run:
                 # the slot stays unwritten and the patched value is never
                 # reloaded.
                 new = SpilledValue(cls_nt, disp, self.frame.base_reg)
-            if event is not None:
-                event.skipped = True
-                event.store_index = len(self.buffer.items)
-                event.scratch = (disp, self.frame.base_reg)
+            event.skipped = True
+            event.store_index = len(self.buffer.items)
+            event.scratch = (disp, self.frame.base_reg)
             self._patch_values(old, new)
             return
         store = self.gen.machine.store_op.get(cls_nt, "st")
@@ -529,9 +526,8 @@ class _Run:
             Mem(disp, 0, self.frame.base_reg),
             comment="spill: register pressure",
         )
-        if event is not None:
-            event.store_index = len(self.buffer.items) - 1
-            event.scratch = (disp, self.frame.base_reg)
+        event.store_index = len(self.buffer.items) - 1
+        event.scratch = (disp, self.frame.base_reg)
         self._patch_values(
             old, SpilledValue(cls_nt, disp, self.frame.base_reg)
         )
@@ -815,7 +811,6 @@ class CodeGenerator:
         labels: Optional[LabelDictionary] = None,
         cse: Optional[CseManager] = None,
         stats: Optional[Dict[str, Any]] = None,
-        strategy: Optional[str] = None,
         spill_plan: Tuple[SpillDirective, ...] = (),
     ) -> GeneratedCode:
         """Parse a linearized IF stream and emit code.
@@ -832,6 +827,9 @@ class CodeGenerator:
         ``buffer``/``labels``/``cse`` let a driver share one emission
         target across several calls (per-routine generation with
         fallback); by default each call gets fresh state.
+        ``spill_plan`` is the register allocator's eviction plan
+        (:mod:`repro.opt.spillplan`); ``stats["spill_log"]`` lists the
+        run's evictions.
 
         The loop runs on interned symbol codes: every token is stamped
         with its parse-table column on intake (or arrives pre-stamped by
@@ -845,7 +843,7 @@ class CodeGenerator:
         """
         run = _Run(
             self, frame, buffer=buffer, labels=labels, cse=cse, stats=stats,
-            strategy=strategy, spill_plan=spill_plan,
+            spill_plan=spill_plan,
         )
         # Intake: pre-stamped codes must come from this generator's own
         # tables (columns are a per-build assignment); every in-repo
@@ -1053,14 +1051,7 @@ class CodeGenerator:
                 break
             self._signal_error(run, lookahead)
 
-        if strategy is not None or spill_plan:
-            # Spill instrumentation is only surfaced for explicit
-            # strategy/plan runs (the repro.opt.spillplan driver); the
-            # default lanes keep their stats byte-identical to before.
-            run.stats["spill_log"] = run.alloc.spill_log
-            run.stats["plan_degraded_reason"] = (
-                run.alloc.plan_degraded_reason
-            )
+        run.stats["spill_log"] = run.alloc.spill_log
         return GeneratedCode(
             buffer=run.buffer,
             labels=run.labels,

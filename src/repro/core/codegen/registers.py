@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.errors import CodeGenError, RegisterPressureError
+from repro.errors import CodeGenError, DataflowError, RegisterPressureError
 from repro.core.machine import ClassKind, MachineDescription, RegisterClass
 from repro.core.codegen.operand import CCValue, PairValue, RegValue
 
@@ -30,7 +30,8 @@ from repro.core.codegen.operand import CCValue, PairValue, RegValue
 #: and patch translation-stack values that referenced ``src``.
 MoveHook = Callable[[str, int, int], None]
 #: ``on_spill(cls_nonterminal, reg)`` must emit the store and patch the
-#: translation stack to a SpilledValue.
+#: translation stack to a SpilledValue; the eviction's
+#: :class:`SpillEvent` is the allocator's ``spill_log[-1]``.
 SpillHook = Callable[[str, int], None]
 #: ``on_free(reg)`` observes every busy -> free transition: the value the
 #: register held is dead from this point on.  Fired *after* any
@@ -43,14 +44,15 @@ FreeHook = Callable[[int], None]
 
 @dataclass(frozen=True)
 class SpillDirective:
-    """One planned eviction decision for the ``liveness`` strategy.
+    """One planned eviction decision (:mod:`repro.opt.spillplan`).
 
     Directives are positional: the directive for eviction ``ordinal`` N
     must sit at index N of the allocator's ``spill_plan``.  Each carries
     the ``guard_index`` (the allocator's ``global_index`` at the probe's
-    matching eviction): any mismatch means the run diverged from the
-    probe the plan was built against, and the whole plan is abandoned in
-    favor of plain LRU (``plan_degraded_reason``).
+    matching eviction), the pool and the victim: any mismatch means the
+    run diverged from the probe the plan was built against, and the
+    allocator raises :class:`~repro.errors.DataflowError` (the compile
+    then loses one optimization level).
 
     ``skip_store`` suppresses the spill store; ``alt_disp``/``alt_base``
     then optionally redirect future reloads to a location already
@@ -77,9 +79,10 @@ class SpillEvent:
 
     The probe pass of :mod:`repro.opt.spillplan` reads these to build a
     :class:`SpillDirective` plan; the final pass reads them to count
-    emitted vs. skipped stores.  ``ordinal`` is ``-1`` for pair
-    evictions (never planned); ``store_index``/``scratch``/``cse`` are
-    filled in by the parser runtime's spill hook.
+    emitted vs. skipped stores.  ``ordinal`` numbers every eviction in
+    order; each half of an evicted pair is one eviction whose only
+    candidate is itself.  ``store_index``/``scratch``/``cse`` are filled
+    in by the parser runtime's spill hook.
     """
 
     ordinal: int
@@ -88,7 +91,6 @@ class SpillEvent:
     cls_nt: str
     victim: int
     candidates: Tuple[Tuple[int, int], ...] = ()
-    pair: bool = False
     planned: bool = False
     skipped: bool = False
     remat: bool = False
@@ -133,8 +135,7 @@ class RegisterAllocator:
     __slots__ = (
         "machine", "on_move", "on_spill", "on_free", "strategy",
         "global_index",
-        "spill_plan", "spill_log", "plan_degraded_reason",
-        "pending_directive", "last_event", "_spill_ordinal",
+        "spill_plan", "spill_log", "_spill_ordinal",
         "_pools", "_pin_epoch", "_cls_by_nt", "_pool_by_nt",
         "_pool_name_by_nt", "_pool_by_cls_name", "_gpr_nt_by_cls_name",
         "_split_info_by_nt", "_scan_by_nt",
@@ -149,7 +150,7 @@ class RegisterAllocator:
         on_free: Optional[FreeHook] = None,
         spill_plan: Tuple[SpillDirective, ...] = (),
     ):
-        if strategy not in ("lru", "fixed", "liveness"):
+        if strategy not in ("lru", "fixed"):
             raise CodeGenError(f"unknown allocation strategy {strategy!r}")
         self.machine = machine
         self.on_move = on_move
@@ -157,18 +158,14 @@ class RegisterAllocator:
         self.on_free = on_free
         #: "lru" is the paper's pipeline-friendly strategy (section 4.1);
         #: "fixed" always picks the lowest-numbered free register and
-        #: exists for the ablation benchmark; "liveness" ranks free
-        #: registers like "lru" but lets a precomputed
-        #: :class:`SpillDirective` plan override eviction choices and
-        #: skip dead spill stores (repro.opt.spillplan).  With an empty
-        #: plan, "liveness" makes byte-for-byte the same decisions as
-        #: "lru".
+        #: exists for the ablation benchmark.
         self.strategy = strategy
+        #: A non-empty plan overrides eviction choices and may skip
+        #: spill stores (repro.opt.spillplan); an empty one is plain
+        #: eviction by ``_evictable`` order.
         self.spill_plan = tuple(spill_plan)
+        #: Every eviction in order; the spill hook reads the last.
         self.spill_log: List[SpillEvent] = []
-        self.plan_degraded_reason = ""
-        self.pending_directive: Optional[SpillDirective] = None
-        self.last_event: Optional[SpillEvent] = None
         self._spill_ordinal = 0
         self.global_index = 0
         self._pools: Dict[str, Dict[int, RegState]] = {}
@@ -456,59 +453,7 @@ class RegisterAllocator:
                 f"class {cls.name!r} exhausted; every register is pinned",
                 cls,
             )
-        victim = victims[0]
-        ordinal = self._spill_ordinal
-        self._spill_ordinal += 1
-        pool_name = self._pool_name(nonterminal)
-        directive: Optional[SpillDirective] = None
-        if (
-            self.strategy == "liveness"
-            and not self.plan_degraded_reason
-            and ordinal < len(self.spill_plan)
-        ):
-            candidate = self.spill_plan[ordinal]
-            by_number = {s.number: s for s in victims}
-            if (
-                candidate.ordinal == ordinal
-                and candidate.guard_index == self.global_index
-                and candidate.pool == pool_name
-                and candidate.victim in by_number
-            ):
-                victim = by_number[candidate.victim]
-                directive = candidate
-            else:
-                # The run diverged from the probe the plan was built
-                # against: abandon the whole plan, evict pure-LRU from
-                # here on.
-                self.plan_degraded_reason = (
-                    f"spill plan mismatch at eviction {ordinal}: expected "
-                    f"(ordinal={candidate.ordinal}, "
-                    f"guard={candidate.guard_index}, "
-                    f"pool={candidate.pool!r}, victim={candidate.victim}) "
-                    f"got (ordinal={ordinal}, guard={self.global_index}, "
-                    f"pool={pool_name!r})"
-                )
-        event = SpillEvent(
-            ordinal=ordinal,
-            guard_index=self.global_index,
-            pool=pool_name,
-            cls_nt=nonterminal,
-            victim=victim.number,
-            candidates=tuple((s.number, s.stamp) for s in victims),
-            planned=directive is not None,
-        )
-        self.spill_log.append(event)
-        self.last_event = event
-        self.pending_directive = directive
-        try:
-            self.on_spill(nonterminal, victim.number)
-        finally:
-            self.pending_directive = None
-        victim.busy = False
-        victim.use_count = 0
-        victim.cse = None
-        if self.on_free is not None:  # after the spill store read it
-            self.on_free(victim.number)
+        self._spill(nonterminal, self._pool_name(nonterminal), victims)
 
     def _evict_for_pair(self, nonterminal: str, cls: RegisterClass) -> None:
         pool = self._pool(cls)
@@ -533,58 +478,56 @@ class RegisterAllocator:
         pool_name = self._pool_name(nonterminal)
         for state in (pool[best], pool[best + 1]):
             if state.busy:
-                # Both halves of the chosen pair must go, so there is no
-                # victim choice to plan -- but each half still consumes
-                # an ordinal so its directive can skip a dead store.
-                ordinal = self._spill_ordinal
-                self._spill_ordinal += 1
-                directive: Optional[SpillDirective] = None
-                if (
-                    self.strategy == "liveness"
-                    and not self.plan_degraded_reason
-                    and ordinal < len(self.spill_plan)
-                ):
-                    candidate = self.spill_plan[ordinal]
-                    if (
-                        candidate.ordinal == ordinal
-                        and candidate.guard_index == self.global_index
-                        and candidate.pool == pool_name
-                        and candidate.victim == state.number
-                    ):
-                        directive = candidate
-                    else:
-                        self.plan_degraded_reason = (
-                            f"spill plan mismatch at pair eviction "
-                            f"{ordinal}: expected "
-                            f"(ordinal={candidate.ordinal}, "
-                            f"guard={candidate.guard_index}, "
-                            f"pool={candidate.pool!r}, "
-                            f"victim={candidate.victim}) got "
-                            f"(ordinal={ordinal}, "
-                            f"guard={self.global_index}, "
-                            f"pool={pool_name!r}, victim={state.number})"
-                        )
-                event = SpillEvent(
-                    ordinal=ordinal,
-                    guard_index=self.global_index,
-                    pool=pool_name,
-                    cls_nt=gpr_nt,
-                    victim=state.number,
-                    pair=True,
-                    planned=directive is not None,
+                # Both halves must go: each is an eviction with no
+                # victim choice, but its directive may skip the store.
+                self._spill(gpr_nt, pool_name, [state])
+
+    def _spill(
+        self, cls_nt: str, pool_name: str, victims: List[RegState]
+    ) -> None:
+        """Evict one of ``victims`` (LRU first) through the spill hook.
+
+        A non-empty ``spill_plan`` must hold this eviction's directive,
+        naming this ordinal, global index and pool and one of the
+        victims; anything else means the run left the probe the plan
+        was built against, and the plan is never applied past that
+        point: this raises :class:`~repro.errors.DataflowError`."""
+        ordinal = self._spill_ordinal
+        self._spill_ordinal += 1
+        victim = victims[0]
+        planned = ordinal < len(self.spill_plan)
+        if planned:
+            d = self.spill_plan[ordinal]
+            chosen = [s for s in victims if s.number == d.victim]
+            if not chosen or (d.ordinal, d.guard_index, d.pool) != (
+                ordinal, self.global_index, pool_name
+            ):
+                raise DataflowError(
+                    f"spill plan mismatch at eviction {ordinal}: expected "
+                    f"(ordinal={d.ordinal}, guard={d.guard_index}, "
+                    f"pool={d.pool!r}, victim={d.victim}) got "
+                    f"(ordinal={ordinal}, guard={self.global_index}, "
+                    f"pool={pool_name!r}, victims="
+                    f"{[s.number for s in victims]})",
+                    analysis="spillplan",
                 )
-                self.spill_log.append(event)
-                self.last_event = event
-                self.pending_directive = directive
-                try:
-                    self.on_spill(gpr_nt, state.number)
-                finally:
-                    self.pending_directive = None
-                state.busy = False
-                state.use_count = 0
-                state.cse = None
-                if self.on_free is not None:
-                    self.on_free(state.number)
+            victim = chosen[0]
+        event = SpillEvent(
+            ordinal=ordinal,
+            guard_index=self.global_index,
+            pool=pool_name,
+            cls_nt=cls_nt,
+            victim=victim.number,
+            candidates=tuple((s.number, s.stamp) for s in victims),
+            planned=planned,
+        )
+        self.spill_log.append(event)
+        self.on_spill(cls_nt, victim.number)
+        victim.busy = False
+        victim.use_count = 0
+        victim.cse = None
+        if self.on_free is not None:  # after the spill store read it
+            self.on_free(victim.number)
 
     def _gpr_nonterminal(self, cls: RegisterClass) -> str:
         """The non-terminal naming the underlying GPR class."""

@@ -153,7 +153,10 @@ class RegisterPressureError(CodeGenError):
 class DataflowError(CodeGenError):
     """An optimizer layer failed during a compile.
 
-    :func:`repro.pascal.compiler.compile_program` raises this for any
+    The spill planner raises it for a probe CFG it cannot build, the
+    register allocator for a spill plan that fails to replay, and the
+    global passes for a CFG they cannot build.
+    :func:`repro.pascal.compiler.compile_program` raises it for any
     exception escaping the spill planner or the global passes;
     ``analysis`` names the layer (``"spillplan"`` or ``"globalopt"``)
     and the message carries the original type and message.  The

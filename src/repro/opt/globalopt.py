@@ -64,10 +64,10 @@ the first round that makes no rewrite, with no cap on the rounds;
 :meth:`_Global._rounds` states the measure that bounds them.
 
 **Degradation contract.**  The pass never guesses.  A structurally
-suspect CFG (``cfg.ok`` false) makes no rewrite and reports
-``degraded_reason``.  Any exception that escapes a sweep or step
-reaches :func:`repro.pascal.compiler.compile_program` as a
-:class:`~repro.errors.DataflowError`; the compiler discards the
+suspect CFG (``cfg.ok`` false) raises
+:class:`~repro.errors.DataflowError`, and so does, wrapped by the
+compiler, any exception that escapes a sweep or step: it reaches
+:func:`repro.pascal.compiler.compile_program`, which discards the
 half-rewritten buffer and recompiles one level lower.  Items inside
 SkipSite fixed byte spans are never deleted or resized.
 """
@@ -87,6 +87,7 @@ from repro.core.codegen.emitter import (
     R,
     StmtMark,
 )
+from repro.errors import DataflowError
 from repro.opt import dataflow as D
 from repro.opt import summaries as S
 from repro.opt.cfg import Cfg, build_cfg, item_effects
@@ -120,7 +121,7 @@ class GlobalResult(RewriteResult):
     """The shared rewrite result plus the degradation state."""
 
     names: Tuple[str, ...] = ALL_PASSES
-    degraded_reason: str = ""
+    degraded_reason: str = ""  # always empty; benchmark/worker.py reads it
     #: -O4 only: routines with a non-barrier summary / call sites whose
     #: effect record the summaries refined (0 below -O4).
     summary_routines: int = 0
@@ -590,9 +591,10 @@ class _Global:
             if cfg is None:
                 cfg = self._build()
                 if not cfg.ok:
-                    if self.result.total == 0:
-                        self.result.degraded_reason = cfg.reason
-                    return
+                    raise DataflowError(
+                        f"CFG unavailable ({cfg.reason})",
+                        analysis="globalopt",
+                    )
             elif self.level >= 4:
                 self._summarize(cfg)
             before = self.result.total
@@ -623,7 +625,7 @@ def run_global(
     enables the global-CSE passes (``g_cse_elim``/``g_cse_copy``);
     ``level >= 4`` feeds every pass interprocedural effect summaries
     (:mod:`repro.opt.summaries`) so facts survive refined call sites.
-    An unbuildable CFG makes no rewrite and sets ``degraded_reason``.
+    An unbuildable CFG raises :class:`~repro.errors.DataflowError`.
     """
     return _Global(
         generated, encoder, nregs, load_op, move_op, trace, level=level

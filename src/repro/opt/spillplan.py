@@ -8,9 +8,8 @@ fact is visible to the allocator mid-parse -- but it is fully determined
 by the code the parse is about to emit.  So this module runs the
 generator twice:
 
-1. **Probe**: generate with ``strategy="liveness"`` and an empty plan
-   (byte-identical decisions to ``"lru"``), collecting the allocator's
-   :class:`~repro.core.codegen.registers.SpillEvent` log.
+1. **Probe**: generate with an empty plan (plain LRU), collecting the
+   allocator's :class:`~repro.core.codegen.registers.SpillEvent` log.
 2. **Plan**: build the CFG of the probe output and solve *liveness* and
    *available expressions* over it.  For every single-register
    eviction, rank the probe's eviction candidates by next use -- the
@@ -20,13 +19,13 @@ generator twice:
    whether its store can be skipped: either the slot is never read
    (dead value) or the value is still available at the home it was
    loaded from (clean value; reloads are redirected there).
-3. **Final**: the generation with the converged plan.  That is the last
+3. **Final**: the generation with the last plan.  That is the last
    probe, which already ran the plan against a copy of the frame; the
-   real frame adopts the copy's state.  Only an unconverged or
-   abandoned plan is generated once more against the real frame.  Every
-   directive carries the probe's eviction ordinal and global-index
-   guard; the allocator abandons the plan (pure LRU from then on,
-   ``plan_degraded_reason`` set) on any mismatch.
+   real frame adopts the copy's state.  Every directive carries the
+   probe's eviction ordinal, global-index guard, pool and victim; the
+   allocator raises :class:`~repro.errors.DataflowError` on any
+   mismatch, and the compile loses one optimization level, like any
+   other planner failure (an unbuildable probe CFG included).
 
 Soundness notes.  Evicting *any* unpinned busy register is correct (the
 runtime patches the translation stack), so a victim override can never
@@ -64,6 +63,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.effects import may_alias
 from repro.core.codegen.registers import SpillDirective, SpillEvent
+from repro.errors import DataflowError
 from repro.opt import dataflow as D
 from repro.opt import summaries as S
 from repro.opt.cfg import Cfg, build_cfg
@@ -243,25 +243,23 @@ def _derive(
         or cfg.block_of.get(site) not in cfg.reachable
     ):
         return keep, False
-    # ---- victim choice (single evictions only; a pair eviction has no
-    # choice): prefer a candidate that liveness proves dead after the
-    # spill site over the LRU-ranked victim.  Its store and every reload
-    # vanish with it.  Anything fancier (full Belady ranking) measurably
-    # churns the downstream passes without reducing the eviction count,
-    # so the override stays exactly as narrow as the liveness facts.
-    if not event.pair:
-        after = _live_after(cfg, live, site)
-        if after is not None and after & D.reg_bits((event.victim,)):
-            for number, _stamp in event.candidates:  # LRU order
-                if number != event.victim \
-                        and not after & D.reg_bits((number,)):
-                    override = SpillDirective(
-                        ordinal=event.ordinal,
-                        guard_index=event.guard_index,
-                        pool=event.pool,
-                        victim=number,
-                    )
-                    return override, True
+    # ---- victim choice (a pair half is its own only candidate):
+    # prefer a candidate that liveness proves dead after the spill site
+    # over the LRU-ranked victim.  Its store and every reload vanish
+    # with it.  Anything fancier (full Belady ranking) measurably churns
+    # the downstream passes without reducing the eviction count, so the
+    # override stays exactly as narrow as the liveness facts.
+    after = _live_after(cfg, live, site)
+    if after is not None and after & D.reg_bits((event.victim,)):
+        for number, _stamp in event.candidates:  # LRU order
+            if number != event.victim and not after & D.reg_bits((number,)):
+                override = SpillDirective(
+                    ordinal=event.ordinal,
+                    guard_index=event.guard_index,
+                    pool=event.pool,
+                    victim=number,
+                )
+                return override, True
     # ---- store skipping: dead value, then clean value.
     reads = _slot_reads(cfg, site, event.scratch)
     if not reads:
@@ -315,22 +313,24 @@ def _probe_cfg(probe, encoder, level: int) -> Cfg:
 def build_plan(
     probe, encoder, current_plan: Tuple[SpillDirective, ...],
     nregs: int = 16, level: int = 3,
-) -> Tuple[Tuple[SpillDirective, ...], str]:
+) -> Tuple[SpillDirective, ...]:
     """Derive the next spill plan from a probe generation.
 
-    Returns ``(plan, degraded_reason)``; a nonempty reason means no plan
-    can be derived (unbuildable CFG, a probe that did not replay the
-    current plan) and the caller must fall back to plain LRU.
-    ``level >= 4`` plans against summary-refined call sites and may
-    rematerialize.
+    ``current_plan`` is the plan the probe ran with.  The allocator
+    applied each of its directives (it raises on any mismatch), so they
+    are carried verbatim: re-deriving one against this probe would
+    misread its own effect (a skipped store has no slot reads left).
+    Raises :class:`~repro.errors.DataflowError` when the probe's CFG
+    cannot be built.  ``level >= 4`` plans against summary-refined call
+    sites and may rematerialize.
     """
     cfg = _probe_cfg(probe, encoder, level)
     if not cfg.ok:
-        return (), f"spill plan: CFG unavailable ({cfg.reason})"
-    log = probe.stats.get("spill_log") or []
-    events = sorted(
-        (e for e in log if e.ordinal >= 0), key=lambda e: e.ordinal
-    )
+        raise DataflowError(
+            f"spill plan: CFG unavailable ({cfg.reason})",
+            analysis="spillplan",
+        )
+    log = probe.stats["spill_log"]
     #: every compiler-private slot location the probe spilled through.
     private = frozenset(
         (e.scratch[1], 0, e.scratch[0], 4)
@@ -342,25 +342,15 @@ def build_plan(
         encoder.expression_ops() if encoder is not None else frozenset()
     )
     exprs = D.available_exprs(cfg, expr_ops, private=private)
-    directives: List[SpillDirective] = []
-    for i, event in enumerate(events):
-        if event.ordinal != i:
-            return (), "spill plan: non-contiguous eviction ordinals"
-        if event.ordinal < len(current_plan):
-            if not event.planned:
-                return (), "spill plan: prior directive was not applied"
-            # Settled in an earlier round; re-deriving it against this
-            # probe would misread its own effect (a skipped store has no
-            # slot reads left) -- carry it verbatim.
-            directives.append(current_plan[event.ordinal])
-            continue
+    directives = list(current_plan)
+    for event in log[len(current_plan):]:
         directive, stop = _derive(
             cfg, live, exprs, event, private, remat_ok=level >= 4,
         )
         directives.append(directive)
         if stop:
             break
-    return tuple(directives), ""
+    return tuple(directives)
 
 
 def generate_with_liveness(
@@ -370,12 +360,12 @@ def generate_with_liveness(
     """Generate code with the liveness-planned allocator.
 
     Returns ``(generated, info)`` where ``info`` is the JSON-safe
-    ``stats["regalloc"]`` payload for the compiler.  When no plan can be
-    derived or a plan fails to replay, the final generation runs with an
-    empty plan -- decisions byte-identical to ``strategy="lru"`` -- and
-    ``degraded_reason`` records why.  ``level >= 4`` additionally
-    plans against interprocedural summaries and rematerializes cheap
-    spilled values (``remat_count``).
+    ``stats["regalloc"]`` payload for the compiler.  A plan that cannot
+    be built or fails to replay raises
+    :class:`~repro.errors.DataflowError`, and the compiler drops one
+    optimization level.  ``level >= 4`` additionally plans against
+    interprocedural summaries and rematerializes cheap spilled values
+    (``remat_count``).
     """
     gen = build.code_generator
     encoder = build.machine.encoder
@@ -388,64 +378,36 @@ def generate_with_liveness(
         "plan_iterations": 0,
         "iterations": 0,
         "remat_count": 0,
-        "degraded_reason": "",
+        "degraded_reason": "",  # always empty; benchmark/worker.py reads it
     }
     if not isinstance(tokens, list):
         tokens = list(tokens)  # probed repeatedly
-    plan: Tuple[SpillDirective, ...] = ()
     probe_frame = copy.deepcopy(frame)
-    probe = gen.generate(
-        tokens, frame=probe_frame, guards=guards,
-        strategy="liveness", spill_plan=plan,
-    )
-    log = probe.stats.get("spill_log") or []
-    if not log:
+    probe = gen.generate(tokens, frame=probe_frame, guards=guards)
+    if not probe.stats["spill_log"]:
         # No spills: nothing to plan, and the deep-copied frame was
         # never consulted for scratch slots, so the probe IS the result.
         return probe, info
-    converged = False
+    plan: Tuple[SpillDirective, ...] = ()
     for iteration in range(_MAX_ITERATIONS):
         info["plan_iterations"] = iteration + 1
-        new_plan, reason = build_plan(
-            probe, encoder, plan, nregs=nregs, level=level,
-        )
-        if reason:
-            info["degraded_reason"] = reason
-            plan = ()
-            break
+        new_plan = build_plan(probe, encoder, plan, nregs=nregs, level=level)
         if new_plan == plan:
-            converged = True
             break
         plan = new_plan
         probe_frame = copy.deepcopy(frame)
         probe = gen.generate(
-            tokens, frame=probe_frame, guards=guards,
-            strategy="liveness", spill_plan=plan,
+            tokens, frame=probe_frame, guards=guards, spill_plan=plan,
         )
-        reason = probe.stats.get("plan_degraded_reason") or ""
-        if reason:
-            # The plan itself failed to replay: distrust it entirely.
-            info["degraded_reason"] = reason
-            plan = ()
-            break
-    if converged:
-        # Generation is deterministic: the last probe, with this plan
-        # and a copy of this frame, is the final generation.
-        final = probe
-        if frame is not None:
-            vars(frame).update(vars(probe_frame))
-    else:
-        final = gen.generate(
-            tokens, frame=frame, guards=guards,
-            strategy="liveness", spill_plan=plan,
-        )
-    if final.stats.get("plan_degraded_reason"):
-        info["degraded_reason"] = final.stats["plan_degraded_reason"]
-    log = final.stats.get("spill_log") or []
+    # Generation is deterministic: the last probe, with this plan and a
+    # copy of this frame, is the final generation.
+    if frame is not None:
+        vars(frame).update(vars(probe_frame))
+    log = probe.stats["spill_log"]
     info["spill_events"] = len(log)
     info["planned_evictions"] = sum(1 for e in log if e.planned)
     info["spill_stores_skipped"] = sum(1 for e in log if e.skipped)
     info["spill_stores_emitted"] = sum(1 for e in log if not e.skipped)
     info["remat_count"] = sum(1 for e in log if e.remat)
     info["iterations"] = info["plan_iterations"]
-    return final, info
+    return probe, info

@@ -154,6 +154,27 @@ class TestCli:
         assert main(["lint", str(path)]) == 1
         assert "SL000" in capsys.readouterr().out
 
+    def test_lint_gencode_fails_a_lost_level(
+        self, pas_file, capsys, monkeypatch
+    ):
+        """``--gencode`` sanitizes whatever level the compile reached,
+        so a compile that lost a level prints why and fails the lint."""
+        from repro.opt import globalopt
+
+        args = ["lint", "full", "--gencode", str(pas_file), "-O", "2"]
+        assert main(args) == 0
+        assert "** degraded" not in capsys.readouterr().err
+
+        def broken(self, cfg):
+            raise RuntimeError("dead sweep broke")
+
+        monkeypatch.setattr(globalopt._Global, "_sweep_dead", broken)
+        assert main(args) == 1
+        assert (
+            "** degraded: -O2 -> -O1 (globalopt: RuntimeError: dead sweep "
+            "broke)" in capsys.readouterr().err
+        )
+
 
 class TestDiagnostics:
     def test_summarize_sections(self):

@@ -5,10 +5,13 @@ Any exception escaping the spill planner (-O3/-O4) or the global passes
 ``-O(N-1)`` compile, level by level down to ``-O1`` at the latest, with
 one ``stats["degraded"]`` event per level given up.  Covers a raising
 global pass at every level that runs it, a raising spill planner and
-summary computation, a failure at every level (the full descent), the
-clean path, and every surface that reports the events (CLI, service
-payload, batch report, codequality validation).
+summary computation, a spill plan that fails its replay, a failure at
+every level (the full descent), the clean path, and every surface that
+reports the events (CLI, service payload, batch report, codequality
+validation).
 """
+
+import dataclasses
 
 import pytest
 
@@ -64,10 +67,11 @@ def _pass_raises_at(monkeypatch, name, levels):
     )
 
 
-def _assert_one_level_lost(compiled, source, level, component):
+def _assert_one_level_lost(compiled, source, level, component,
+                           error="Injected: "):
     (event,) = compiled.stats["degraded"]
     assert event["component"] == component
-    assert event["reason"].startswith(f"{component}: Injected: ")
+    assert event["reason"].startswith(f"{component}: {error}")
     assert event["fell_back_to"] == level - 1
     clean = compile_source(source, opt_level=level - 1)
     assert clean.stats["degraded"] == []
@@ -99,6 +103,30 @@ def test_raising_planner_costs_one_level(monkeypatch, level):
     compiled = compile_source(source, opt_level=level)
     assert fired == [level]
     _assert_one_level_lost(compiled, source, level, "spillplan")
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_stale_spill_plan_costs_one_level(monkeypatch, level):
+    """A plan whose last directive carries a stale guard fails its
+    replay in the allocator: the compile loses exactly one level."""
+    source = PROGRAMS["pressure"]
+    build_plan = spillplan.build_plan
+
+    def stale(*args, **kwargs):
+        plan = build_plan(*args, **kwargs)
+        if kwargs["level"] != level:
+            return plan
+        last = plan[-1]
+        return plan[:-1] + (
+            dataclasses.replace(last, guard_index=last.guard_index + 1),
+        )
+
+    monkeypatch.setattr(spillplan, "build_plan", stale)
+    compiled = compile_source(source, opt_level=level)
+    _assert_one_level_lost(
+        compiled, source, level, "spillplan",
+        "DataflowError: spill plan mismatch at eviction ",
+    )
 
 
 @pytest.mark.parametrize("program, component", [

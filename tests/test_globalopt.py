@@ -1,7 +1,7 @@
 """Unit + integration tests: the -O2 global optimizer (repro.opt.globalopt).
 
 One rewrite test and a does-not-fire negative per pass, the
-unbuildable-CFG degradation, the toy-target instantiation, and the
+unbuildable CFG that costs a level, the toy-target instantiation, and the
 integration gate: -O2 output is byte-identical
 to -O1 on every code-quality workload while never executing more
 instructions.
@@ -23,6 +23,7 @@ from repro.core.codegen.emitter import (
 )
 from repro.core.codegen.labels import LabelDictionary
 from repro.core.codegen.parser_rt import GeneratedCode
+from repro.errors import DataflowError
 from repro.machines.s370.spec import machine_description
 from repro.opt.globalopt import ALL_PASSES, run_global
 
@@ -373,15 +374,36 @@ class TestSkipSpans:
 
 
 class TestDegradation:
-    def test_bad_cfg_degrades_without_rewrites(self):
-        code = make_code([
-            BranchSite(cond=15, label=42, index_reg=0),  # undefined label
-            Instr("la", (R(3), Mem(7, 0, 0))),
-            HALT,
-        ])
-        result = run_global(code, ENC)
-        assert result.total == 0
-        assert "L42" in result.degraded_reason
+    def test_bad_cfg_degrades_without_rewrites(self, monkeypatch):
+        """An unbuildable CFG raises from ``run_global`` before any
+        rewrite, and through ``compile_program`` costs one level."""
+        from repro.bench.workloads import appendix1_fragment
+        from repro.opt import globalopt
+        from repro.pascal.compiler import compile_source
+
+        bad = [BranchSite(cond=15, label=42, index_reg=0)]  # undefined
+        code = make_code(bad + [Instr("la", (R(3), Mem(7, 0, 0))), HALT])
+        before = list(code.buffer.items)
+        with pytest.raises(DataflowError, match="L42"):
+            run_global(code, ENC)
+        assert code.buffer.items == before
+
+        build_cfg = globalopt.build_cfg
+
+        def undefined_label(buffer, *args, **kwargs):
+            broken = CodeBuffer()
+            broken.items = bad + list(buffer.items)
+            return build_cfg(broken, *args, **kwargs)
+
+        monkeypatch.setattr(globalopt, "build_cfg", undefined_label)
+        source = appendix1_fragment()
+        compiled = compile_source(source, opt_level=2)
+        (event,) = compiled.stats["degraded"]
+        assert event["component"] == "globalopt"
+        assert event["fell_back_to"] == 1
+        assert "branch to undefined label L42" in event["reason"]
+        clean = compile_source(source, opt_level=1)
+        assert compiled.object_records == clean.object_records
 
 
 class TestToyTarget:
@@ -454,7 +476,7 @@ class TestIntegration:
             assert r1.output == r2.output, name
             assert r1.halted and r2.halted, name
             assert r2.steps <= r1.steps, name
-            assert not o2.stats["global"]["degraded_reason"], name
+            assert o2.stats["degraded"] == [], name
             if r2.steps < r1.steps:
                 strictly_lower += 1
         assert strictly_lower >= 2

@@ -263,7 +263,7 @@ def shuffled_machine():
 
 
 MACHINES = {"ascending": machine, "shuffled": shuffled_machine}
-STRATEGIES = ("lru", "liveness", "fixed")
+STRATEGIES = ("lru", "fixed")
 CASES = 300
 
 

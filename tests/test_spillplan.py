@@ -5,20 +5,21 @@ Covers the solver (fact generation, kills, the private-slot carve-out),
 the two ``g_cse_*`` global passes and their level gate, directive
 derivation (dead-after-here victim preference, dead-value and
 clean-value store skipping, the CSE and keep cases), plan application
-and guard degradation in the allocator, the probe/plan driver end to
-end on the register-pressure workload, the liveness-vs-LRU differential
-across every bench workload, and the compiler/service plumbing for
-``opt_level=3``.  Fact-integrity failures are covered by
-``test_degradation_contract``.
+in the allocator and the error a mismatched directive raises there,
+the probe/plan driver end to end on the register-pressure workload,
+the liveness-vs-LRU differential across every bench workload, and the
+compiler/service plumbing for ``opt_level=3``.  Fact-integrity
+failures are covered by ``test_degradation_contract``.
 """
 
 import copy
+import dataclasses
 
 import pytest
 
 from repro.core.codegen.emitter import CodeBuffer, Instr, Mem, R
 from repro.core.codegen.registers import SpillDirective, SpillEvent
-from repro.errors import BadRequestError, ReproError
+from repro.errors import BadRequestError, DataflowError, ReproError
 from repro.machines.s370.spec import machine_description
 from repro.opt import dataflow as D
 from repro.opt import spillplan
@@ -279,8 +280,15 @@ def pressure():
 
 def _probe(build, tokens, frame, plan=()):
     return build.code_generator.generate(
-        tokens, frame=copy.deepcopy(frame),
-        strategy="liveness", spill_plan=tuple(plan),
+        tokens, frame=copy.deepcopy(frame), spill_plan=tuple(plan),
+    )
+
+
+def _keep(event):
+    """The directive that replays ``event`` unchanged."""
+    return SpillDirective(
+        ordinal=event.ordinal, guard_index=event.guard_index,
+        pool=event.pool, victim=event.victim,
     )
 
 
@@ -289,11 +297,12 @@ class TestPlanApplication:
         build, tokens, frame = pressure
         probe = _probe(build, tokens, frame)
         lru = build.code_generator.generate(
-            tokens, frame=copy.deepcopy(frame), strategy="lru"
+            tokens, frame=copy.deepcopy(frame)
         )
         assert probe.listing() == lru.listing()
-        assert probe.stats["plan_degraded_reason"] == ""
-        assert len(probe.stats["spill_log"]) == 10
+        log = probe.stats["spill_log"]
+        assert [e.ordinal for e in log] == list(range(10))
+        assert not any(e.planned for e in log)
 
     def test_victim_override_is_applied(self, pressure):
         build, tokens, frame = pressure
@@ -310,38 +319,28 @@ class TestPlanApplication:
         replayed = out.stats["spill_log"][0]
         assert replayed.planned is True
         assert replayed.victim == other
-        assert out.stats["plan_degraded_reason"] == ""
 
-    def test_guard_mismatch_degrades_to_lru(self, pressure):
+    @pytest.mark.parametrize("field, bump", [
+        ("guard_index", 1),  # a stale guard
+        ("victim", None),    # r0 is never allocatable here
+    ], ids=["stale-guard", "unknown-victim"])
+    def test_mismatched_directive_raises(self, pressure, field, bump):
+        """A directive that does not match its eviction is never
+        applied: the allocator raises, naming the eviction ordinal, and
+        the compile loses a level (test_degradation_contract)."""
         build, tokens, frame = pressure
-        probe = _probe(build, tokens, frame)
-        event = probe.stats["spill_log"][0]
-        stale = SpillDirective(
-            ordinal=0, guard_index=event.guard_index + 1,
-            pool=event.pool, victim=event.victim,
-        )
-        out = _probe(build, tokens, frame, [stale])
-        assert "guard" in out.stats["plan_degraded_reason"]
-        assert out.listing() == probe.listing()  # decisions: plain LRU
-
-    def test_unknown_victim_degrades(self, pressure):
-        build, tokens, frame = pressure
-        probe = _probe(build, tokens, frame)
-        event = probe.stats["spill_log"][0]
-        bogus = SpillDirective(
-            ordinal=0, guard_index=event.guard_index,
-            pool=event.pool, victim=0,  # never allocatable here
-        )
-        out = _probe(build, tokens, frame, [bogus])
-        assert out.stats["plan_degraded_reason"]
-        assert out.listing() == probe.listing()
+        log = _probe(build, tokens, frame).stats["spill_log"]
+        plan = [_keep(e) for e in log[:3]]
+        value = 0 if bump is None else getattr(plan[2], field) + bump
+        plan[2] = dataclasses.replace(plan[2], **{field: value})
+        with pytest.raises(DataflowError) as info:
+            _probe(build, tokens, frame, plan)
+        assert info.value.analysis == "spillplan"
+        assert "spill plan mismatch at eviction 2:" in str(info.value)
 
     def test_skipped_store_leaves_no_spill_comment(self, pressure):
         build, tokens, frame = pressure
-        plan, reason = build_plan(
-            _probe(build, tokens, frame), ENC, ()
-        )
-        assert reason == ""
+        plan = build_plan(_probe(build, tokens, frame), ENC, ())
         assert plan and all(d.skip_store for d in plan)
         assert all(d.alt_disp is not None for d in plan)
         out = _probe(build, tokens, frame, plan)
@@ -390,7 +389,7 @@ class TestGenerateWithLiveness:
 
         def recording(*args, **kwargs):
             result = plan_of(*args, **kwargs)
-            plans.append(result[0])
+            plans.append(result)
             return result
 
         monkeypatch.setattr(gen, "generate", counting)
@@ -401,7 +400,7 @@ class TestGenerateWithLiveness:
         monkeypatch.undo()
         theirs = copy.deepcopy(frame)
         final = gen.generate(
-            tokens, frame=theirs, strategy="liveness", spill_plan=plans[-1]
+            tokens, frame=theirs, spill_plan=plans[-1]
         )
         assert generated.listing() == final.listing()
         assert mine.alloc_temp(4) == theirs.alloc_temp(4)
@@ -468,7 +467,7 @@ class TestPlumbing:
         assert o3.stats["regalloc"]["strategy"] == "liveness"
         assert o3.stats["regalloc"]["spill_stores"] == 0
         assert o3.stats["regalloc"]["reloads"] == 10
-        assert o3.stats["regalloc"]["degraded_reason"] == ""
+        assert o3.stats["degraded"] == []
 
     def test_service_accepts_level_4_rejects_5(self):
         from repro.pipeline.service import ServiceRequest

@@ -290,8 +290,7 @@ class TestO4Differential:
         r4 = o4.run(max_steps=SIM_STEPS)
         assert r4.output == r3.output
         assert r4.steps <= r3.steps
-        assert not o4.stats["global"]["degraded_reason"]
-        assert not o4.stats["regalloc"]["degraded_reason"]
+        assert o4.stats["degraded"] == []
 
     def test_call_heavy_strictly_better(self):
         source = W.call_heavy(30)
